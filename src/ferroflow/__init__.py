@@ -19,6 +19,7 @@ from .algebra import (
     gradient,
     log_of,
     max_generators,
+    parity_magnitudes,
     parity_split,
     project_degree_ge,
     translate_double,
@@ -83,8 +84,8 @@ __version__ = "0.1.0"
 __all__ = [
     "GeneratorSet", "GrassmannElement", "analytic_apply", "berezin_integrate",
     "coefficient", "derivative", "exp_of", "gradient", "log_of",
-    "max_generators", "parity_split", "project_degree_ge", "translate_double",
-    "wedge",
+    "max_generators", "parity_magnitudes", "parity_split", "project_degree_ge",
+    "translate_double", "wedge",
     "AntisymmetricCovariance", "covariance_split_check", "det_correlation",
     "gaussian_expectation", "gaussian_moment", "heat_kernel_convolve",
     "laplacian", "pfaffian",

@@ -99,27 +99,32 @@ def merge_sign(j: int, k: int) -> int:
 
 
 def _pair_table(n_gen: int):
-    """All disjoint pairs (J, K) with union U and merge sign, as flat arrays."""
+    """All disjoint pairs (J, K) with their merge signs, grouped by union.
+
+    Returns ``(j, k, sgn, starts)``: the pairs are listed in ascending order
+    of the union ``U = J | K`` (descending ``J`` within one union), and union
+    ``U`` owns the ``2**|U|`` entries from ``starts[U]`` on, so
+    ``np.add.reduceat(..., starts)`` sums a product per union.
+    """
     tab = _PAIR_TABLE.get(n_gen)
     if tab is None:
-        dim = 1 << n_gen
-        js: list[int] = []
-        ks: list[int] = []
-        us: list[int] = []
-        for u in range(dim):
-            sub = u
-            while True:
-                js.append(sub)
-                ks.append(u ^ sub)
-                us.append(u)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & u
-        j = np.asarray(js, dtype=np.uint32)
-        k = np.asarray(ks, dtype=np.uint32)
-        u = np.asarray(us, dtype=np.uint32)
+        # each generator, lowest first, goes into J, into K or into neither;
+        # its J block comes first, so after a stable sort by union, J
+        # descends within every union
+        j = np.zeros(1, dtype=np.intp)
+        k = np.zeros(1, dtype=np.intp)
+        for b in range(n_gen):
+            bit = 1 << b
+            j = np.concatenate((j | bit, j, j))
+            k = np.concatenate((k, k | bit, k))
+        # unions fit 16 bits up to _TABLE_MAX, where numpy sorts by radix
+        order = np.argsort((j | k).astype(np.uint16), kind="stable")
+        j = j[order]
+        k = k[order]
         sgn = _merge_sign_array(j, k, n_gen)
-        tab = (j, k, u, sgn)
+        sizes = np.left_shift(1, _popcount_table(n_gen).astype(np.intp))
+        starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+        tab = (j, k, sgn, starts)
         _PAIR_TABLE[n_gen] = tab
     return tab
 
@@ -275,9 +280,7 @@ class GrassmannElement:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
 
     def is_even(self, tol: float = 0.0) -> bool:
-        pop = _popcount_table(self.gens.count)
-        odd = (pop & 1).astype(bool)
-        return bool(np.all(np.abs(self.coeffs[odd]) <= tol))
+        return parity_magnitudes(self)[1] <= tol
 
     def degrees(self) -> np.ndarray:
         """Monomial degree |J| for every stored index."""
@@ -351,13 +354,12 @@ def wedge(f: GrassmannElement, g: GrassmannElement) -> GrassmannElement:
     """
     f._check_same(g)
     n_gen = f.gens.count
-    out = np.zeros(f.gens.dim, dtype=np.complex128)
     if n_gen <= _TABLE_MAX:
-        j, k, u, sgn = _pair_table(n_gen)
-        vals = sgn * f.coeffs[j] * g.coeffs[k]
-        _scatter_accumulate(out, u, vals)
-        return GrassmannElement(f.gens, out)
+        j, k, sgn, starts = _pair_table(n_gen)
+        return GrassmannElement(
+            f.gens, np.add.reduceat(sgn * f.coeffs[j] * g.coeffs[k], starts))
 
+    out = np.zeros(f.gens.dim, dtype=np.complex128)
     # sparse path: loop over nonzero coefficient pairs
     jnz = f.nonzero_masks().astype(np.uint32)
     knz = g.nonzero_masks().astype(np.uint32)
@@ -504,6 +506,14 @@ def log_of(f: GrassmannElement) -> GrassmannElement:
         return (-1.0) ** (k - 1) * math.factorial(k - 1) / f0.real ** k
 
     return analytic_apply(deriv_at, f)
+
+
+def parity_magnitudes(f: GrassmannElement) -> tuple[float, float]:
+    """Largest absolute coefficient of even degree and of odd degree."""
+    odd = (_popcount_table(f.gens.count) & 1).astype(bool)
+    absv = np.abs(f.coeffs)
+    return (float(absv[~odd].max(initial=0.0)),
+            float(absv[odd].max(initial=0.0)))
 
 
 def parity_split(f: GrassmannElement) -> tuple[GrassmannElement, GrassmannElement]:

@@ -248,8 +248,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     table.add("pfaffian-identity", worst <= 1e-9, f"worst rel dev {worst:.3e}{witness}")
 
     # moments against the explicit-density evaluation
-    from .algebra import exp_of, wedge
-    from .flow import _split_mag
+    from .algebra import exp_of, parity_magnitudes, wedge
 
     gens6 = GeneratorSet(6)
     a6 = _rand_antisymmetric(rng, 6)
@@ -295,7 +294,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         joint = rg_map(a1 + a2, f)
         staged = rg_map(a1, rg_map(a2, f))
         worst_semi = max(worst_semi, float(np.max(np.abs(joint.coeffs - staged.coeffs))))
-        even_mag, odd_mag = _split_mag(joint)
+        even_mag, odd_mag = parity_magnitudes(joint)
         worst_odd = max(worst_odd, odd_mag / max(even_mag, 1e-300))
     table.add("rg-semigroup", worst_semi <= 1e-9, f"worst dev {worst_semi:.3e}")
     table.add("rg-parity", worst_odd <= 1e-10, f"worst odd ratio {worst_odd:.3e}")

@@ -23,8 +23,8 @@ from .algebra import (
     GeneratorSet,
     GrassmannElement,
     exp_of,
-    gradient,
     log_of,
+    parity_magnitudes,
     project_degree_ge,
     wedge,
 )
@@ -70,23 +70,13 @@ class FlowTrajectory:
     def max_odd_content(self) -> float:
         worst = 0.0
         for state in self.states:
-            _, odd = _split_mag(state)
+            _, odd = parity_magnitudes(state)
             worst = max(worst, odd)
         return worst
 
 
-def _split_mag(f: GrassmannElement) -> tuple[float, float]:
-    from .algebra import _popcount_table
-
-    pop = _popcount_table(f.gens.count)
-    absv = np.abs(f.coeffs)
-    even = float(absv[(pop & 1) == 0].max(initial=0.0))
-    odd = float(absv[(pop & 1) == 1].max(initial=0.0))
-    return even, odd
-
-
 def _require_even(f: GrassmannElement, who: str) -> None:
-    even, odd = _split_mag(f)
+    even, odd = parity_magnitudes(f)
     if odd > _PARITY_ATOL * max(1.0, even):
         raise ParityError(f"{who} requires an even element (odd content {odd:.3e})")
 
@@ -135,13 +125,9 @@ def _flow_rhs(rate: np.ndarray, coeffs: np.ndarray, gens: GeneratorSet,
     """Flow right-hand side on raw coefficients; returns (dF, dlog_norm)."""
     f = GrassmannElement(gens, coeffs)
     lap = laplacian(rate, f)
-    grad = gradient(f)
-    mixed = rate @ grad
-    bil = np.zeros(gens.dim, dtype=np.complex128)
-    for i in range(gens.count):
-        gi = GrassmannElement(gens, grad[i])
-        hi = GrassmannElement(gens, mixed[i])
-        bil += wedge(gi, hi).coeffs
+    # product rule for even F, with Delta = laplacian(rate, .):
+    #   sum_ij rate_ij d_iF ^ d_jF = -(1/2) [Delta(F ^ F) - 2 F ^ Delta F]
+    bil = -0.5 * (laplacian(rate, wedge(f, f)).coeffs - 2.0 * wedge(f, lap).coeffs)
     dlog = 0.5 * lap.coeffs[0]
     out = 0.5 * lap.coeffs + (0.5 * _BILINEAR_SIGN) * bil
     out[0] = 0.0  # normalization: the scalar part stays exactly zero

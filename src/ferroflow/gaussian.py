@@ -18,12 +18,50 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import GrassmannElement, _deriv_table, _popcount_table, gradient
+from .algebra import GrassmannElement, _popcount_table
 from .errors import DimensionMismatchError, GramSplitError
 
 # Global Laplacian sign relative to sum_{ij} A_ij d_i d_j with left
 # derivatives; pinned by the heat-kernel/moment consistency test.
 _LAPLACIAN_SIGN = -1.0
+
+_LAPLACIAN_TABLE: dict[int, tuple[np.ndarray, ...]] = {}
+
+
+def _laplacian_table(n_gen: int):
+    """Gather table of ``d_i d_j`` over the generator pairs ``i < j``.
+
+    Returns ``(rows, cols, src, pair, targets, starts)``.  Pair ``p`` is
+    ``(rows[p], cols[p])``.  Entry ``e`` maps the coefficient of
+    ``psi_{src[e]}`` to the target ``v = src[e] & ~(bit_i | bit_j)``;
+    ``pair[e]`` is ``p`` where ``d_i d_j`` keeps the sign of that monomial
+    and ``p + len(rows)`` where it flips it.  Entries are sorted by target,
+    and ``targets[t]`` owns the entries from ``starts[t]`` on.  Targets of
+    degree above ``n_gen - 2`` have no entries.
+    """
+    tab = _LAPLACIAN_TABLE.get(n_gen)
+    if tab is None:
+        rows, cols = np.triu_indices(n_gen, 1)
+        idx = np.arange(1 << n_gen, dtype=np.intp)
+        pop = _popcount_table(n_gen)
+        dst_parts, src_parts, pair_parts = [], [], []
+        for p, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+            both = (1 << i) | (1 << j)
+            dst = idx[(idx & both) == 0]
+            src = dst | both
+            # d_j first, then d_i (i < j): each removes its generator with
+            # the parity of the source bits below it
+            odd = (pop[src & ((1 << j) - 1)] + pop[src & ((1 << i) - 1)]) & 1
+            dst_parts.append(dst)
+            src_parts.append(src)
+            pair_parts.append(p + rows.size * odd.astype(np.intp))
+        dst = np.concatenate(dst_parts)
+        order = np.argsort(dst, kind="stable")
+        targets, starts = np.unique(dst[order], return_index=True)
+        tab = (rows, cols, np.concatenate(src_parts)[order],
+               np.concatenate(pair_parts)[order], targets, starts)
+        _LAPLACIAN_TABLE[n_gen] = tab
+    return tab
 
 
 class AntisymmetricCovariance:
@@ -203,13 +241,13 @@ def laplacian(a, f: GrassmannElement) -> GrassmannElement:
     n_gen = f.gens.count
     if m.shape[0] != n_gen:
         raise DimensionMismatchError("covariance dimension != generator count")
-    grad = gradient(f)
-    mixed = m @ grad
+    rows, cols, src, pair, targets, starts = _laplacian_table(n_gen)
+    # sum_ij m_ij d_i d_j keeps only the antisymmetric part of m
+    weight = _LAPLACIAN_SIGN * (m - m.T)[rows, cols]
+    weight = np.concatenate((weight, -weight))
     out = np.zeros(f.gens.dim, dtype=np.complex128)
-    for i in range(n_gen):
-        src, dst, sgn = _deriv_table(n_gen, i)
-        out[dst] += sgn * mixed[i, src]
-    return GrassmannElement(f.gens, _LAPLACIAN_SIGN * out)
+    out[targets] = np.add.reduceat(weight[pair] * f.coeffs[src], starts)
+    return GrassmannElement(f.gens, out)
 
 
 def heat_kernel_convolve(a, f: GrassmannElement) -> GrassmannElement:

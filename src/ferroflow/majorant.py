@@ -354,9 +354,13 @@ def majorant_coefficients(spec: MajorantSpec, t: float, m_max: int,
     """Even-degree Taylor coefficients ``phi_m(t)`` for ``m <= m_max``.
 
     Extracted by trapezoid (discrete Fourier) quadrature of the Cauchy
-    integral on a circle of half the usable radius; node doubling gives a
-    spectral self-convergence check.  Tiny negative values (quadrature
-    noise above -1e-12) are clamped to zero with a warning.
+    integral on a circle of half the usable radius.  No self-check of the
+    quadrature is run; a caller that wants an accuracy figure can compare
+    the coefficients at two node counts (say ``nodes`` and ``2 * nodes``).
+    Negative values down to -1e-12 are clamped to zero: silently when they
+    lie within the rounding floor ``64 eps max_j |phi(z_j)| / radius**(2m)``
+    of the quadrature over the nodes ``z_j``, with a warning otherwise.
+    Lower values raise.
     """
     report = existence_check(spec, t)
     if not report.holds:
@@ -382,6 +386,8 @@ def majorant_coefficients(spec: MajorantSpec, t: float, m_max: int,
         vals[j] = char.value(zj)
     vals[half:] = vals[:half]  # phi is even in z
     spectrum = np.fft.fft(vals) / nodes
+    # rounding floor of one spectral coefficient, before the radius scaling
+    noise = 64.0 * np.finfo(float).eps * float(np.max(np.abs(vals)))
     coeffs = np.zeros(m_max)
     warned = False
     for m in range(1, m_max + 1):
@@ -393,7 +399,7 @@ def majorant_coefficients(spec: MajorantSpec, t: float, m_max: int,
                 raise ValueError(
                     f"majorant coefficient phi_{m} = {cm:.3e} is significantly "
                     "negative; extraction radius unsuitable")
-            if not warned:
+            if -cm > noise / radius ** (2 * m) and not warned:
                 warnings.warn("clamping tiny negative majorant coefficients "
                               f"(phi_{m} = {cm:.3e})", stacklevel=2)
                 warned = True

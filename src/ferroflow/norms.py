@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
-from .algebra import GrassmannElement, _popcount_table
+from .algebra import GrassmannElement, _popcount_table, parity_magnitudes
 from .errors import ParityError
 from .gaussian import AntisymmetricCovariance, gaussian_moment
 
@@ -87,15 +87,15 @@ def norm_coefficients(f: GrassmannElement, atol: float = 1e-12) -> NormSeries:
     The constant part is ignored.  Significant odd-degree content (above
     ``atol`` relative to the largest coefficient) raises ``ParityError``.
     """
-    n_gen = f.gens.count
-    pop = _popcount_table(n_gen)
-    absv = np.abs(f.coeffs)
-    scale = max(1.0, float(absv.max()) if absv.size else 1.0)
-    odd_mag = float(absv[(pop & 1) == 1].max(initial=0.0))
+    even_mag, odd_mag = parity_magnitudes(f)
+    scale = max(1.0, even_mag, odd_mag)
     if odd_mag > atol * scale:
         raise ParityError(
             f"element has odd-degree content {odd_mag:.3e} (threshold "
             f"{atol * scale:.3e})")
+    n_gen = f.gens.count
+    pop = _popcount_table(n_gen)
+    absv = np.abs(f.coeffs)
     n = f.gens.pairs
     idx = np.arange(f.gens.dim)
     best = np.zeros(n)

@@ -12,10 +12,13 @@ from ferroflow.algebra import (
     derivative,
     exp_of,
     log_of,
+    merge_sign,
+    parity_magnitudes,
     parity_split,
     project_degree_ge,
     translate_double,
     wedge,
+    _pair_table,
 )
 from ferroflow.errors import CapacityError, DimensionMismatchError, LogDomainError
 
@@ -95,6 +98,43 @@ class TestWedge:
         got = wedge(GrassmannElement(big, pad_a), GrassmannElement(big, pad_b))
         assert np.allclose(got.coeffs[: small.dim], want, atol=1e-13)
         assert np.all(got.coeffs[small.dim:] == 0.0)
+
+    @pytest.mark.parametrize("n_gen", [2, 4, 6])
+    def test_matches_merge_sign_double_loop(self, rng, n_gen):
+        g = GeneratorSet(n_gen)
+        a, b = rand_element(rng, g), rand_element(rng, g)
+        want = np.zeros(g.dim, dtype=complex)
+        for j in range(g.dim):
+            for k in range(g.dim):
+                if not j & k:
+                    want[j | k] += merge_sign(j, k) * a.coeffs[j] * b.coeffs[k]
+        got = wedge(a, b).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _pair_table_by_enumeration(n_gen):
+    """Pairs (J, K) listed union by union, J running over the subsets of the
+    union in descending order, with union start offsets."""
+    js, ks, starts = [], [], []
+    for u in range(1 << n_gen):
+        starts.append(len(js))
+        sub = u
+        while True:
+            js.append(sub)
+            ks.append(u ^ sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & u
+    sgn = [float(merge_sign(j, k)) for j, k in zip(js, ks)]
+    return js, ks, sgn, starts
+
+
+@pytest.mark.parametrize("n_gen", [2, 4, 6, 8])
+def test_pair_table_matches_enumeration(n_gen):
+    j, k, sgn, starts = _pair_table(n_gen)
+    want = _pair_table_by_enumeration(n_gen)
+    for got, ref in zip((j, k, sgn, starts), want):
+        assert np.array_equal(got, np.asarray(ref))
 
 
 @given(i=st.integers(0, 5), j=st.integers(0, 5))
@@ -275,6 +315,12 @@ class TestParityAndProjection:
         even, odd = parity_split(rand_element(rng, g))
         assert even.is_even()
         assert not (even + odd).is_even()
+
+    def test_parity_magnitudes(self):
+        g = GeneratorSet(4)
+        f = 0.5 - 2.0 * psi(g, 0) + 3j * GrassmannElement.monomial(g, [1, 2])
+        assert parity_magnitudes(f) == (3.0, 2.0)
+        assert parity_magnitudes(GrassmannElement.zero(g)) == (0.0, 0.0)
 
     def test_project_degree(self):
         g = GeneratorSet(4)

@@ -1,19 +1,62 @@
 import numpy as np
 import pytest
 
-from ferroflow.algebra import GeneratorSet, GrassmannElement
+from ferroflow.algebra import GeneratorSet, GrassmannElement, derivative, wedge
 from ferroflow.errors import LogDomainError, ParityError
 from ferroflow.flow import (
+    _BILINEAR_SIGN,
     FlowTrajectory,
+    _flow_rhs,
     effective_action_exact,
     flow_integrate,
     rg_map,
     trajectory_norms,
     trajectory_to_csv,
 )
+from ferroflow.gaussian import laplacian
 from ferroflow.psi4 import quartic_bare_action
 
-from conftest import rand_antisymmetric, rand_even_normalized, synthetic_schedule
+from conftest import (
+    popcounts,
+    rand_antisymmetric,
+    rand_even_normalized,
+    synthetic_schedule,
+)
+
+
+def flow_rhs_by_generators(rate, coeffs, gens, truncate_ge2):
+    """The flow right-hand side with the bilinear term written out as
+    ``sum_i d_iF ^ (rate grad F)_i``, one wedge per generator."""
+    f = GrassmannElement(gens, coeffs)
+    lap = laplacian(rate, f).coeffs
+    grad = np.array([derivative(f, i).coeffs for i in range(gens.count)])
+    mixed = rate @ grad
+    bil = np.zeros(gens.dim, dtype=complex)
+    for i in range(gens.count):
+        bil += wedge(GrassmannElement(gens, grad[i]),
+                     GrassmannElement(gens, mixed[i])).coeffs
+    out = 0.5 * lap + (0.5 * _BILINEAR_SIGN) * bil
+    out[0] = 0.0
+    if truncate_ge2:
+        out[popcounts(gens.dim, gens.count) < 4] = 0.0
+    return out, 0.5 * lap[0]
+
+
+class TestFlowRhs:
+    @pytest.mark.parametrize("n_gen", [4, 6, 8, 10])
+    @pytest.mark.parametrize("complex_coeffs", [False, True])
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_matches_per_generator_sum(self, rng, n_gen, complex_coeffs, truncate):
+        g = GeneratorSet(n_gen)
+        f = rand_even_normalized(rng, g, 0.3, complex_coeffs=complex_coeffs)
+        if complex_coeffs:  # a raw rate: neither antisymmetric nor real
+            rate = rng.normal(size=(n_gen, n_gen)) + 1j * rng.normal(size=(n_gen, n_gen))
+        else:
+            rate = rand_antisymmetric(rng, n_gen)
+        got, got_dlog = _flow_rhs(rate, f.coeffs, g, truncate)
+        want, want_dlog = flow_rhs_by_generators(rate, f.coeffs, g, truncate)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert got_dlog == want_dlog
 
 
 class TestRgMap:

@@ -5,6 +5,7 @@ from ferroflow.algebra import (
     GeneratorSet,
     GrassmannElement,
     berezin_integrate,
+    derivative,
     exp_of,
     translate_double,
     wedge,
@@ -19,6 +20,7 @@ from ferroflow.gaussian import (
     heat_kernel_convolve,
     laplacian,
     pfaffian,
+    _LAPLACIAN_SIGN,
 )
 
 from conftest import rand_antisymmetric, rand_element
@@ -161,6 +163,23 @@ class TestMoments:
 
 
 class TestLaplacianAndHeatKernel:
+    @pytest.mark.parametrize("n_gen", [2, 4, 8, 10])
+    @pytest.mark.parametrize("general", [False, True])
+    def test_matches_second_derivative_sum(self, rng, n_gen, general):
+        g = GeneratorSet(n_gen)
+        f = rand_element(rng, g)
+        if general:  # neither antisymmetric nor real
+            m = rng.normal(size=(n_gen, n_gen)) + 1j * rng.normal(size=(n_gen, n_gen))
+        else:
+            m = rand_antisymmetric(rng, n_gen)
+        want = np.zeros(g.dim, dtype=complex)
+        for i in range(n_gen):
+            for j in range(n_gen):
+                want += m[i, j] * derivative(derivative(f, j), i).coeffs
+        want *= _LAPLACIAN_SIGN
+        got = laplacian(m, f).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_scalar_annihilated(self, rng):
         a = rand_antisymmetric(rng, 6)
         g = GeneratorSet(6)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -246,6 +247,33 @@ class TestMajorantCoefficients:
         assert phi.coeff(2) == pytest.approx(0.05, abs=1e-12)
         assert phi.coeff(1) <= 1e-10
         assert phi.coeff(3) <= 1e-10
+
+    def test_time_zero_rounding_is_quiet(self, rng):
+        sched = synthetic_schedule(rng, 4)
+        spec = MajorantSpec(schedule=sched, quartic_alpha=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi = majorant_coefficients(spec, 0.0, m_max=4)
+        assert phi.coeff(1) == 0.0
+
+    def test_clamp_above_rounding_floor_warns(self, rng, monkeypatch):
+        sched = synthetic_schedule(rng, 4)
+        alpha = 0.05
+        spec = MajorantSpec(schedule=sched, quartic_alpha=alpha)
+        fft = np.fft.fft
+
+        def shifted(vals):
+            # at t = 0 the z**4 coefficient is alpha, which gives the radius;
+            # move phi_1 to -1e-13, far above the rounding floor
+            out = fft(vals)
+            r2 = np.sqrt(out[4].real / (len(vals) * alpha))
+            out[2] = -1e-13 * r2 * len(vals)
+            return out
+
+        monkeypatch.setattr(np.fft, "fft", shifted)
+        with pytest.warns(UserWarning, match="clamping tiny negative"):
+            phi = majorant_coefficients(spec, 0.0, m_max=4)
+        assert phi.coeff(1) == 0.0
 
     def test_node_doubling_self_convergence(self, rng):
         sched = synthetic_schedule(rng, 4)
