@@ -205,10 +205,11 @@ def _integrate_on(schedule: ScaleSchedule, f0: GrassmannElement,
     notes: list[str] = []
     c = 0.0 + 0.0j
     warned = False
+    a4 = schedule.adot(grid[0])
     for i in range(len(grid) - 1):
         t0, t1 = grid[i], grid[i + 1]
         h = t1 - t0
-        a1 = schedule.adot(t0)
+        a1 = a4  # the rate at the end of the previous step
         a2 = schedule.adot(t0 + 0.5 * h)
         a4 = schedule.adot(t1)
         k1, c1 = _flow_rhs(a1, y, gens, truncate_ge2)

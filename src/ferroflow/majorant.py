@@ -30,16 +30,15 @@ import numpy as np
 from .errors import CharacteristicCrossingError, ExistenceError, ResolutionError
 from .flow import FlowTrajectory, trajectory_norms
 from .norms import NormSeries, convergence_radius, norm_coefficients
-from .schedule import ScaleSchedule
+from .schedule import ScaleSchedule, _simpson_values
 
 _HOMOTOPY_STEPS = 16
 _RESIDUAL_TOL = 1e-12
 
 
 def rescaled_time(schedule: ScaleSchedule, s: float) -> float:
-    """Rescaled time: integrated rate norm of the schedule up to ``s``."""
-    if not 0.0 <= s <= schedule.T * (1 + 1e-12):
-        raise ValueError(f"scale {s} outside [0, {schedule.T}]")
+    """Rescaled time: integrated rate norm of the schedule up to ``s``
+    (``ValueError`` outside ``[0, T]``)."""
     return schedule.tau(s)
 
 
@@ -57,7 +56,8 @@ class CharacteristicSolution:
     ``sigma``.  ``z0_window`` bounds ``|z0|`` where the characteristic map is
     monotone, up to the first critical point (``inf`` at ``tau = 0``); the
     inversion method is homotopy continuation from the identity with a
-    safeguarded Newton polish.
+    safeguarded Newton polish.  ``invert`` and ``value`` take a scalar or an
+    array of nodes and treat all nodes of an array in one pass.
     """
 
     kind: str
@@ -159,65 +159,101 @@ class CharacteristicSolution:
         return [4.0 * a * tau, 0.0, 12.0 * a * s2 * tau - 1.0, z]
 
     def invert(self, z, enforce_window: bool = True):
-        """Initial point ``z0`` with ``forward(z0) == z``, continuous in tau.
+        """Initial points ``z0`` with ``forward(z0) == z``, continuous in tau.
 
-        Homotopy continuation from ``tau = 0`` (where ``z0 == z``) selects the
-        branch; a Newton polish brings the forward residual below 1e-12.
-        With ``enforce_window`` (real inputs), a result outside the certified
-        monotonicity window raises ``CharacteristicCrossingError``.
+        ``z`` is a scalar or an array of nodes; a scalar gives a ``float``
+        (``complex`` for complex input).  Homotopy continuation from
+        ``tau = 0`` (where ``z0 == z``) selects the branch: each step solves
+        the cubics of all nodes at once and every node keeps the root nearest
+        its previous ``z0``.  A Newton polish brings every forward residual
+        below 1e-12; a node that misses it raises
+        ``CharacteristicCrossingError`` with that node's ``z0``.  With
+        ``enforce_window`` (real inputs), a result outside the certified
+        monotonicity window raises likewise.
         """
         if self.tau == 0.0:
-            return z
-        z0 = z
+            return z if np.ndim(z) == 0 else np.array(z)
+        zs = np.asarray(z)
+        shape = zs.shape
+        zs = zs.astype(np.result_type(zs.dtype, np.float64)).ravel()
+        z0 = zs
         for j in range(1, _HOMOTOPY_STEPS + 1):
             tau_j = self.tau * j / _HOMOTOPY_STEPS
-            coeffs = self._cubic_coeffs(tau_j, z)
+            coeffs = self._cubic_coeffs(tau_j, zs)
             if abs(coeffs[0]) < 1e-300:
                 continue  # linear datum: z0 stays z (alpha == 0)
-            roots = np.roots(coeffs)
-            z0 = roots[np.argmin(np.abs(roots - z0))]
-        z0 = self._polish(z0, z)
-        scale = max(1.0, abs(z))
-        resid = abs(self.forward(z0) - z)
-        if not np.isfinite(resid) or resid > _RESIDUAL_TOL * scale:
+            roots = np.linalg.eigvals(_companion_matrices(coeffs, zs))
+            pick = np.argmin(np.abs(roots - z0[:, None]), axis=1)
+            z0 = roots[np.arange(len(zs)), pick]
+        z0 = self._polish(np.array(z0), zs)
+        resid = np.abs(self.forward(z0) - zs)
+        bad = ~(resid <= _RESIDUAL_TOL * np.maximum(1.0, np.abs(zs)))
+        if bad.any():
+            i = int(np.argmax(bad))
             raise CharacteristicCrossingError(
-                f"characteristic inversion failed: residual {resid:.3e}",
-                critical_z0=z0)
-        if np.iscomplexobj(np.asarray(z)) or isinstance(z, complex):
-            return complex(z0)
-        z0 = float(np.real(z0))
-        if enforce_window:
-            w = self.z0_window
-            if abs(z0) >= w:
-                raise CharacteristicCrossingError(
-                    f"characteristic crossing: |z0|={abs(z0):.6g} outside "
-                    f"certified window {w:.6g}", critical_z0=z0)
-            if self.slope(z0) <= 0.0:
-                raise CharacteristicCrossingError(
-                    f"characteristic crossing: dz/dz0 <= 0 at z0={z0:.6g}",
-                    critical_z0=z0)
-        return z0
+                f"characteristic inversion failed: residual {resid[i]:.3e}",
+                critical_z0=z0[i].item())
+        if np.iscomplexobj(zs):
+            z0 = z0.astype(np.complex128)
+        else:
+            z0 = np.real(z0)
+            if enforce_window:
+                self._check_window(z0)
+        return z0.reshape(shape) if shape else z0[0].item()
 
-    def _polish(self, z0, z):
+    def _check_window(self, z0: np.ndarray) -> None:
+        """Raise at the first real ``z0`` outside the monotonicity window."""
+        w = self.z0_window
+        outside = np.abs(z0) >= w
+        if outside.any():
+            x = float(z0[np.argmax(outside)])
+            raise CharacteristicCrossingError(
+                f"characteristic crossing: |z0|={abs(x):.6g} outside "
+                f"certified window {w:.6g}", critical_z0=x)
+        folded = self.slope(z0) <= 0.0
+        if folded.any():
+            x = float(z0[np.argmax(folded)])
+            raise CharacteristicCrossingError(
+                f"characteristic crossing: dz/dz0 <= 0 at z0={x:.6g}",
+                critical_z0=x)
+
+    def _polish(self, z0: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Damped Newton on ``forward(z0) == z``, per node, in place."""
+        tol = 0.25 * _RESIDUAL_TOL * np.maximum(1.0, np.abs(z))
         for _ in range(60):
             resid = self.forward(z0) - z
-            if abs(resid) <= 0.25 * _RESIDUAL_TOL * max(1.0, abs(z)):
-                break
             d = self.slope(z0)
-            if d == 0:
+            live = ~(np.abs(resid) <= tol) & (d != 0)
+            if not live.any():
                 break
-            step = resid / d
+            step = resid[live] / d[live]
             # damp huge steps to stay on the tracked branch
-            if abs(step) > 0.5 * max(1.0, abs(z0)):
-                step *= 0.5 * max(1.0, abs(z0)) / abs(step)
-            z0 = z0 - step
+            limit = 0.5 * np.maximum(1.0, np.abs(z0[live]))
+            big = np.abs(step) > limit
+            step[big] *= limit[big] / np.abs(step[big])
+            z0[live] -= step
         return z0
 
     def value(self, z):
-        """Majorant value ``phi(tau, z)`` along the tracked characteristic."""
+        """Majorant value ``phi(tau, z)`` along the tracked characteristic,
+        at a scalar or at an array of nodes."""
         z0 = self.invert(z, enforce_window=False)
         u = self.u0(z0)
         return self.datum(z0) - 0.5 * self.tau * u * u
+
+
+def _companion_matrices(coeffs, z: np.ndarray) -> np.ndarray:
+    """Companion matrices of the cubics ``coeffs`` (highest power first, each
+    a scalar or one value per node of ``z``), one per node, built in the
+    dtype of ``z`` as ``np.roots`` builds them."""
+    p = np.empty(z.shape + (4,), dtype=z.dtype)
+    for col, c in enumerate(coeffs):
+        p[:, col] = c
+    mats = np.zeros(z.shape + (3, 3), dtype=z.dtype)
+    mats[:, 0, :] = -p[:, 1:] / p[:, :1]
+    mats[:, 1, 0] = 1.0
+    mats[:, 2, 1] = 1.0
+    return mats
 
 
 def invert_characteristic_log(lam: float, tau: float, z: float) -> float:
@@ -381,9 +417,7 @@ def majorant_coefficients(spec: MajorantSpec, t: float, m_max: int,
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
     half = nodes // 2
     vals = np.empty(nodes, dtype=np.complex128)
-    for j in range(half):
-        zj = radius * np.exp(1j * theta[j])
-        vals[j] = char.value(zj)
+    vals[:half] = char.value(radius * np.exp(1j * theta[:half]))
     vals[half:] = vals[:half]  # phi is even in z
     spectrum = np.fft.fft(vals) / nodes
     # rounding floor of one spectral coefficient, before the radius scaling
@@ -477,11 +511,7 @@ def rhs_coefficient_bound(traj: FlowTrajectory, schedule: ScaleSchedule,
         for col in range(n):
             fs[:, col] = np.interp(ss, svals, fvals[:, col])
         ys = np.array([integrand(ss[i], fs[i]) for i in range(len(ss))])
-        h = ss[1] - ss[0]
-        w = np.ones(len(ss))
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return float(np.dot(w, ys) * h / 3.0)
+        return float(_simpson_values(ys, ss[1] - ss[0]))
 
     base = simpson_on(2)
     refined = simpson_on(4)

@@ -81,6 +81,24 @@ def matrix_norm_1inf(a) -> float:
     return float(np.max(np.sum(np.abs(m), axis=1)))
 
 
+_NORM_TABLE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _norm_table(n_gen: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each generator ``i`` in turn, the subsets containing it (in
+    increasing order) and their bins ``i * (n_gen + 1) + |J|``, concatenated:
+    one ``bincount`` then sums every per-generator degree in subset order."""
+    tab = _NORM_TABLE.get(n_gen)
+    if tab is None:
+        idx = np.arange(1 << n_gen)
+        pop = _popcount_table(n_gen).astype(np.intp)
+        sel = [idx[(idx >> i) & 1 == 1] for i in range(n_gen)]
+        tab = (np.concatenate(sel),
+               np.concatenate([i * (n_gen + 1) + pop[s] for i, s in enumerate(sel)]))
+        _NORM_TABLE[n_gen] = tab
+    return tab
+
+
 def norm_coefficients(f: GrassmannElement, atol: float = 1e-12) -> NormSeries:
     """Degree-resolved seminorm coefficients of an even element.
 
@@ -94,16 +112,12 @@ def norm_coefficients(f: GrassmannElement, atol: float = 1e-12) -> NormSeries:
             f"element has odd-degree content {odd_mag:.3e} (threshold "
             f"{atol * scale:.3e})")
     n_gen = f.gens.count
-    pop = _popcount_table(n_gen)
-    absv = np.abs(f.coeffs)
     n = f.gens.pairs
-    idx = np.arange(f.gens.dim)
-    best = np.zeros(n)
-    for i in range(n_gen):
-        sel = idx[(idx >> i) & 1 == 1]
-        sums = np.bincount(pop[sel], weights=absv[sel], minlength=n_gen + 1)
-        per_m = sums[2: 2 * n + 1: 2] / (2.0 * np.arange(1, n + 1))
-        best = np.maximum(best, per_m)
+    subsets, bins = _norm_table(n_gen)
+    sums = np.bincount(bins, weights=np.abs(f.coeffs)[subsets],
+                       minlength=n_gen * (n_gen + 1)).reshape(n_gen, n_gen + 1)
+    per_m = sums[:, 2: 2 * n + 1: 2] / (2.0 * np.arange(1, n + 1))
+    best = np.max(per_m, axis=0, initial=0.0)
     return NormSeries(best)
 
 

@@ -2,10 +2,14 @@
 
 A schedule supplies the rate matrix ``Adot(tau)`` of a covariance
 decomposition over ``[0, T]`` together with the data needed for Gram bounds.
-Integrals (slice covariances, the integrated Gram bound, and the rescaled
-time built from the rate norm) are evaluated by composite Simpson quadrature
-on a uniform grid, refined by doubling until two successive values agree to
-a relative tolerance.  Results are cached; evaluation is deterministic.
+Integrals are evaluated by composite Simpson quadrature on a uniform grid,
+refined by doubling until two successive values agree to a relative
+tolerance.  The rescaled time (the integral of the rate norm) and the
+integrated Gram bound come from one cumulative table per schedule and kind,
+built on ``[0, T]`` on first use and certified by doubling at every even
+node; a query adds one Simpson panel from the last node below it.  Slice
+covariances are matrix-valued and integrated over ``[s, t]`` directly.
+Results are cached; evaluation is deterministic.
 """
 
 from __future__ import annotations
@@ -31,6 +35,58 @@ def _simpson_values(vals: np.ndarray, h: float):
     return np.tensordot(weights, vals, axes=(0, 0)) * (h / 3.0)
 
 
+def _sampler(fn: Callable, vectorized: bool) -> Callable:
+    """``fn`` evaluated at a 1-D array of scales, stacked along axis 0."""
+    if vectorized:
+        return lambda nodes: np.asarray(fn(nodes), dtype=np.complex128)
+    return lambda nodes: np.asarray([fn(float(x)) for x in nodes],
+                                    dtype=np.complex128)
+
+
+def _settled(new: np.ndarray, old: np.ndarray, rtol: float) -> bool:
+    """The doubling rule: the estimate moved by at most ``rtol`` times its
+    largest entry."""
+    scale = max(float(np.max(np.abs(new))), 1e-300)
+    return float(np.max(np.abs(new - old))) <= rtol * scale
+
+
+def _settled_entrywise(new: np.ndarray, old: np.ndarray, rtol: float) -> bool:
+    """The doubling rule on every entry of a cumulative vector, compared on
+    the nodes of the coarser grid (every other entry of ``new``)."""
+    new = new[::2]
+    return bool(np.all(np.abs(new - old)
+                       <= rtol * np.maximum(np.abs(new), 1e-300)))
+
+
+def _refine_by_doubling(evaluate: Callable, a: float, b: float, panels: int,
+                        rtol: float, combine: Callable, settled: Callable):
+    """Sample [a, b] on a uniform grid, doubling it until converged.
+
+    Starts from ``panels`` (at least 2, rounded up to even) and keeps every
+    sample at each doubling.  ``combine(vals, h)`` turns the node values into
+    an estimate; the loop stops once ``settled(new, previous, rtol)``.
+    Returns the estimate, the nodes and the node values of the final grid.
+    """
+    n = max(int(panels), 2)
+    n += n % 2
+    nodes = np.linspace(a, b, n + 1)
+    vals = evaluate(nodes)
+    est = combine(vals, (b - a) / n)
+    for _ in range(_MAX_DOUBLINGS):
+        n *= 2
+        nodes = np.linspace(a, b, n + 1)
+        merged = np.empty((n + 1,) + vals.shape[1:], dtype=np.complex128)
+        merged[0::2] = vals
+        merged[1::2] = evaluate(nodes[1::2])
+        vals = merged
+        refined = combine(vals, (b - a) / n)
+        if settled(refined, est, rtol):
+            return refined, nodes, vals
+        est = refined
+    raise ResolutionError(
+        f"Simpson refinement did not converge to rtol={rtol} on [{a}, {b}]")
+
+
 def simpson_refine(fn: Callable, a: float, b: float, panels: int = DEFAULT_PANELS,
                    rtol: float = DEFAULT_RTOL, vectorized: bool = False):
     """Composite Simpson on [a, b], doubling the grid until convergence.
@@ -41,39 +97,51 @@ def simpson_refine(fn: Callable, a: float, b: float, panels: int = DEFAULT_PANEL
     """
     if b < a:
         raise ValueError(f"integration range reversed: [{a}, {b}]")
-    sample = np.asarray(fn(np.asarray([a]))[0] if vectorized else fn(a), dtype=np.complex128)
+    evaluate = _sampler(fn, vectorized)
     if b == a:
-        out = np.zeros_like(sample)
+        out = np.zeros_like(evaluate(np.asarray([a]))[0])
         return out if out.ndim else _as_plain_scalar(out)
+    refined, _, _ = _refine_by_doubling(evaluate, a, b, panels, rtol,
+                                        _simpson_values, _settled)
+    return refined if refined.ndim else _as_plain_scalar(refined)
 
-    def evaluate(nodes: np.ndarray) -> np.ndarray:
-        if vectorized:
-            return np.asarray(fn(nodes), dtype=np.complex128)
-        return np.asarray([fn(float(x)) for x in nodes], dtype=np.complex128)
 
-    n = int(panels)
-    if n < 2:
-        n = 2
-    if n % 2:
-        n += 1
-    nodes = np.linspace(a, b, n + 1)
-    vals = evaluate(nodes)
-    est = _simpson_values(vals, (b - a) / n)
-    for _ in range(_MAX_DOUBLINGS):
-        n *= 2
-        new_nodes = np.linspace(a, b, n + 1)[1::2]
-        new_vals = evaluate(new_nodes)
-        merged = np.empty((n + 1,) + vals.shape[1:], dtype=np.complex128)
-        merged[0::2] = vals
-        merged[1::2] = new_vals
-        vals = merged
-        refined = _simpson_values(vals, (b - a) / n)
-        scale = max(float(np.max(np.abs(refined))), 1e-300)
-        if float(np.max(np.abs(refined - est))) <= rtol * scale:
-            return refined if refined.ndim else _as_plain_scalar(refined)
-        est = refined
-    raise ResolutionError(
-        f"Simpson refinement did not converge to rtol={rtol} on [{a}, {b}]")
+def _cumulative_simpson(vals: np.ndarray, h: float) -> np.ndarray:
+    """Composite Simpson integrals from the first node to every even node."""
+    pairs = (vals[0:-2:2] + 4.0 * vals[1::2] + vals[2::2]) * (h / 3.0)
+    return np.concatenate((np.zeros(1, dtype=pairs.dtype), np.cumsum(pairs)))
+
+
+class _CumulativeTable:
+    """Certified cumulative Simpson integral of a scalar rate on [0, T].
+
+    The table holds the integral from 0 to every even node of the first
+    doubled grid on which the doubling rule holds at every even node of the
+    previous one.  A query ``x`` adds to the value at the last even node
+    ``x_k <= x`` one Simpson panel over ``[x_k, x]``: two more rate
+    evaluations, none on a node.
+    """
+
+    def __init__(self, fn: Callable, T: float, panels: int, rtol: float,
+                 vectorized: bool):
+        self.T = T
+        self._evaluate = _sampler(fn, vectorized)
+        cum, nodes, vals = _refine_by_doubling(
+            self._evaluate, 0.0, T, panels, rtol, _cumulative_simpson,
+            _settled_entrywise)
+        self.nodes = nodes[::2]
+        self.cum = np.real(cum)
+        self.vals = np.real(vals[::2])
+
+    def at(self, x: float) -> float:
+        if not 0.0 <= x <= self.T * (1 + 1e-12):
+            raise ValueError(f"scale {x} outside [0, {self.T}]")
+        k = int(np.searchsorted(self.nodes, x, side="right")) - 1
+        x0 = self.nodes[k]
+        if x == x0:
+            return float(self.cum[k])
+        mid, end = np.real(self._evaluate(np.asarray([0.5 * (x0 + x), x])))
+        return float(self.cum[k] + (x - x0) / 6.0 * (self.vals[k] + 4.0 * mid + end))
 
 
 def _as_plain_scalar(x: np.ndarray):
@@ -114,6 +182,7 @@ class ScaleSchedule:
         self.rtol = rtol
         self._vectorized = bool(vectorized_rates)
         self._cache: dict = {}
+        self._tables: dict[str, _CumulativeTable] = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -185,11 +254,18 @@ class ScaleSchedule:
     # -- integrals -----------------------------------------------------------
 
     def _cum(self, kind: str, fn, x: float, vectorized: bool) -> float:
+        """Integral of the rate ``fn`` from 0 to ``x``, read from the
+        cumulative table of ``kind`` (built on first use); ``ValueError``
+        outside ``[0, T]``."""
         key = (kind, float(x))
         val = self._cache.get(key)
         if val is None:
-            val = float(np.real(simpson_refine(
-                fn, 0.0, float(x), self.panels, self.rtol, vectorized)))
+            table = self._tables.get(kind)
+            if table is None:
+                table = _CumulativeTable(fn, self.T, self.panels, self.rtol,
+                                         vectorized)
+                self._tables[kind] = table
+            val = table.at(float(x))
             self._cache[key] = val
         return val
 
@@ -203,8 +279,6 @@ class ScaleSchedule:
 
     def tau(self, s: float) -> float:
         """Rescaled time: integral of the rate norm from 0 to ``s``."""
-        if s < 0:
-            raise ValueError("scale must be nonnegative")
         vec = self._vectorized and self._adot_norm is not None
         return self._cum("tau", self.adot_norm_at, s, vec)
 

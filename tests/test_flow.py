@@ -203,6 +203,20 @@ class TestFlowIntegrate:
         traj = flow_integrate(sched, f, steps=40, t_end=1.0, certify=True)
         assert any("certificate" in note for note in traj.notes)
 
+    def test_one_rate_evaluation_per_node(self, rng, monkeypatch):
+        sched = synthetic_schedule(rng, 2)
+        bare = quartic_bare_action(GeneratorSet(4), 0.05)
+        adot = sched.adot
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return adot(t)
+
+        monkeypatch.setattr(sched, "adot", counted)
+        flow_integrate(sched, bare, steps=10, t_end=0.5)
+        assert len(calls) == 2 * 10 + 1
+
     def test_unnormalized_bare_rejected(self, rng):
         sched = synthetic_schedule(rng, 4)
         f = quartic_bare_action(GeneratorSet(8), 0.04) + 0.3

@@ -13,6 +13,8 @@ from ferroflow.errors import (
 )
 from ferroflow.flow import flow_integrate, trajectory_norms
 from ferroflow.majorant import (
+    _HOMOTOPY_STEPS,
+    _RESIDUAL_TOL,
     CharacteristicSolution,
     MajorantSpec,
     existence_check,
@@ -64,6 +66,92 @@ def cardano_roots(coeffs):
         scale = max(abs(a), abs(b), abs(c), abs(d))
         assert resid <= 1e-10 * max(scale, 1.0), "oracle root inaccurate"
     return out
+
+
+def cardano_roots_complex(coeffs):
+    """Closed-form roots of a cubic with complex coefficients (Cardano with
+    complex cube roots)."""
+    a, b, c, d = (complex(x) for x in coeffs)
+    shift = b / (3.0 * a)
+    p = (3.0 * a * c - b * b) / (3.0 * a * a)
+    q = (2.0 * b ** 3 - 9.0 * a * b * c + 27.0 * a * a * d) / (27.0 * a ** 3)
+    disc = np.sqrt(q * q / 4.0 + p ** 3 / 27.0 + 0j)
+    # the larger of -q/2 +- disc keeps u away from cancellation
+    w = -q / 2.0 + disc if abs(-q / 2.0 + disc) >= abs(-q / 2.0 - disc) \
+        else -q / 2.0 - disc
+    u = w ** (1.0 / 3.0)
+    omega = complex(-0.5, math.sqrt(3.0) / 2.0)
+    roots = []
+    for k in range(3):
+        uk = u * omega ** k
+        roots.append((uk - p / (3.0 * uk) if uk != 0 else 0.0) - shift)
+    for r in roots:
+        resid = abs(((a * r + b) * r + c) * r + d)
+        scale = max(abs(a), abs(b), abs(c), abs(d))
+        assert resid <= 1e-10 * max(scale, 1.0), "oracle root inaccurate"
+    return roots
+
+
+def invert_by_roots(char, z, enforce_window=True):
+    """Scalar reference inversion, one node at a time: 16 homotopy steps,
+    each solving the node's cubic with ``np.roots``, then the damped Newton
+    polish and the residual and window checks."""
+    if char.tau == 0.0:
+        return z
+    z0 = z
+    for j in range(1, _HOMOTOPY_STEPS + 1):
+        tau_j = char.tau * j / _HOMOTOPY_STEPS
+        coeffs = char._cubic_coeffs(tau_j, z)
+        if abs(coeffs[0]) < 1e-300:
+            continue
+        roots = np.roots(coeffs)
+        z0 = roots[np.argmin(np.abs(roots - z0))]
+    z0 = polish_by_node(char, z0, z)
+    resid = abs(char.forward(z0) - z)
+    if not np.isfinite(resid) or resid > _RESIDUAL_TOL * max(1.0, abs(z)):
+        raise CharacteristicCrossingError("inversion failed", critical_z0=z0)
+    if isinstance(z, complex):
+        return complex(z0)
+    z0 = float(np.real(z0))
+    if enforce_window:
+        if abs(z0) >= char.z0_window or char.slope(z0) <= 0.0:
+            raise CharacteristicCrossingError("crossing", critical_z0=z0)
+    return z0
+
+
+def polish_by_node(char, z0, z):
+    """Scalar reference of the damped Newton polish of one node."""
+    for _ in range(60):
+        resid = char.forward(z0) - z
+        if abs(resid) <= 0.25 * _RESIDUAL_TOL * max(1.0, abs(z)):
+            break
+        d = char.slope(z0)
+        if d == 0:
+            break
+        step = resid / d
+        if abs(step) > 0.5 * max(1.0, abs(z0)):
+            step *= 0.5 * max(1.0, abs(z0)) / abs(step)
+        z0 = z0 - step
+    return z0
+
+
+def random_characteristic(rng, kind):
+    """An admissible quartic ``(alpha, sigma, tau)`` or logarithmic
+    ``(lam, tau)`` characteristic."""
+    if kind == "quartic":
+        alpha = float(rng.uniform(0.05, 0.4))
+        sigma = float(rng.uniform(0.1, 0.6))
+        tau = float(rng.uniform(0.05, 0.8)) / (12.0 * alpha * sigma ** 2 + 1.0)
+        return CharacteristicSolution.quartic(alpha, sigma, tau)
+    lam = float(rng.uniform(0.5, 2.0))
+    tau = float(rng.uniform(0.05, 0.9)) / lam ** 2
+    return CharacteristicSolution.logarithmic(lam, tau)
+
+
+def half_circle(radius, nodes=64):
+    """The upper half of the ``nodes`` extraction nodes on a circle."""
+    theta = 2.0 * np.pi * np.arange(nodes // 2) / nodes
+    return radius * np.exp(1j * theta)
 
 
 class TestRescaledTime:
@@ -187,6 +275,90 @@ class TestCharacteristicInversion:
     def test_nonnegative_alpha_required(self):
         with pytest.raises(ValueError):
             CharacteristicSolution.quartic(-0.1, 0.3, 0.1)
+
+
+class TestArrayInversion:
+    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
+    def test_matches_per_node_oracle_on_circle(self, rng, kind):
+        for _ in range(10):
+            char = random_characteristic(rng, kind)
+            zs = half_circle(0.5 * char.z_window)
+            got = char.invert(zs)
+            want = np.array([invert_by_roots(char, complex(z)) for z in zs])
+            assert got.dtype == np.complex128 and got.shape == zs.shape
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(
+                char.value(zs), [char.value(complex(z)) for z in zs], rtol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
+    def test_polish_matches_per_node_newton(self, rng, kind):
+        # starts at distances from 1e-10 to 10 take from 0 to many damped
+        # steps, so nodes stop at different iterations
+        char = random_characteristic(rng, kind)
+        zs = half_circle(0.5 * char.z_window, nodes=16)
+        exact = char.invert(zs)
+        offsets = np.logspace(-10, 1, len(zs)) * np.exp(1j * rng.uniform(0, 6.3, len(zs)))
+        start = exact + offsets * char.z0_window
+        got = char._polish(start.copy(), zs)
+        want = [polish_by_node(char, complex(s), complex(z)) for s, z in zip(start, zs)]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
+    def test_complex_nodes_are_cardano_roots(self, rng, kind):
+        for _ in range(10):
+            char = random_characteristic(rng, kind)
+            zs = half_circle(0.7 * char.z_window, nodes=32)
+            z0 = char.invert(zs)
+            for z, r in zip(zs, z0):
+                roots = cardano_roots_complex(char._cubic_coeffs(char.tau, z))
+                assert min(abs(r - x) for x in roots) <= 1e-11
+                assert abs(char.forward(r) - z) <= 1e-12 * max(1.0, abs(z))
+
+    def test_scalar_inputs_keep_scalar_types(self):
+        char = CharacteristicSolution.quartic(0.2, 0.3, 0.25)
+        assert type(char.invert(0.2)) is float
+        assert type(char.invert(0.2 + 0.1j)) is complex
+        assert type(char.invert(np.float64(0.2))) is float
+        assert char.invert(np.asarray([0.2])).shape == (1,)
+
+    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
+    def test_real_array_inverts_elementwise(self, rng, kind):
+        char = random_characteristic(rng, kind)
+        zs = np.linspace(-0.9, 0.9, 12).reshape(3, 4) * char.z_window
+        zs = char.forward(zs)
+        got = char.invert(zs)
+        assert got.dtype == np.float64 and got.shape == (3, 4)
+        want = [invert_by_roots(char, float(z)) for z in zs.ravel()]
+        np.testing.assert_allclose(got.ravel(), want, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
+    def test_one_node_outside_window_raises_with_its_z0(self, rng, kind):
+        char = random_characteristic(rng, kind)
+        bad = 1.1 * char.z_window
+        zs = np.array([0.1 * char.z_window, -0.3 * char.z_window, bad,
+                       0.2 * char.z_window])
+        with pytest.raises(CharacteristicCrossingError) as want:
+            invert_by_roots(char, float(bad))
+        with pytest.raises(CharacteristicCrossingError) as got:
+            char.invert(zs)
+        assert got.value.critical_z0 == pytest.approx(want.value.critical_z0,
+                                                      abs=1e-12)
+        # without the window check the same array inverts
+        assert char.invert(zs, enforce_window=False).shape == (4,)
+
+    def test_coefficients_invert_all_nodes_at_once(self, rng, monkeypatch):
+        sched = synthetic_schedule(rng, 4)
+        spec = MajorantSpec(schedule=sched, quartic_alpha=0.05)
+        calls = []
+        invert = CharacteristicSolution.invert
+
+        def counted(self, z, enforce_window=True):
+            calls.append(np.shape(z))
+            return invert(self, z, enforce_window)
+
+        monkeypatch.setattr(CharacteristicSolution, "invert", counted)
+        majorant_coefficients(spec, 0.8, m_max=4, nodes=128)
+        assert calls == [(64,)]
 
 
 class TestMajorantValue:

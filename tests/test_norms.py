@@ -14,7 +14,21 @@ from ferroflow.norms import (
     sigma_squared,
 )
 
-from conftest import rand_even_normalized, synthetic_schedule
+from conftest import popcounts, rand_even_normalized, synthetic_schedule
+
+
+def norm_coefficients_by_generators(f):
+    """Seminorm coefficients with one ``bincount`` per generator."""
+    n_gen, n = f.gens.count, f.gens.pairs
+    pop = popcounts(f.gens.dim, n_gen)
+    absv = np.abs(f.coeffs)
+    idx = np.arange(f.gens.dim)
+    best = np.zeros(n)
+    for i in range(n_gen):
+        sel = idx[(idx >> i) & 1 == 1]
+        sums = np.bincount(pop[sel], weights=absv[sel], minlength=n_gen + 1)
+        best = np.maximum(best, sums[2: 2 * n + 1: 2] / (2.0 * np.arange(1, n + 1)))
+    return best
 
 
 class TestMatrixNorm:
@@ -102,6 +116,14 @@ class TestNormCoefficients:
         assert np.all(ssum <= sf + sh + 1e-12)
         scaled = norm_coefficients(f * (-2.5 + 0j)).coefficients
         assert np.allclose(scaled, 2.5 * sf)
+
+
+    @pytest.mark.parametrize("n_gen", [2, 4, 8, 12])
+    def test_matches_per_generator_loop(self, rng, n_gen):
+        f = rand_even_normalized(rng, GeneratorSet(n_gen), 1.0,
+                                 complex_coeffs=True)
+        got = norm_coefficients(f).coefficients
+        assert np.array_equal(got, norm_coefficients_by_generators(f))
 
 
 class TestConvergenceRadius:

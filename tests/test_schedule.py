@@ -5,7 +5,8 @@ import pytest
 
 from ferroflow.errors import ResolutionError
 from ferroflow.norms import matrix_norm_1inf
-from ferroflow.schedule import ScaleSchedule, simpson_refine
+from ferroflow.psi4 import Psi4Params, build_desk_instance
+from ferroflow.schedule import DEFAULT_PANELS, ScaleSchedule, simpson_refine
 
 from conftest import synthetic_schedule
 
@@ -101,3 +102,89 @@ class TestScaleSchedule:
         sched = synthetic_schedule(rng, 3)
         assert sched.sigma_squared(0.0, 0.7) == sched.sigma_squared(0.0, 0.7)
         assert sched.tau(0.7) == sched.tau(0.7)
+
+
+def desk_schedule():
+    """Schedule of the psi4 desk instance at the CLI defaults."""
+    params = Psi4Params(dimension=4, mass=1.0, lambda0=2.0, box=4.0,
+                        cutoff_factor=7.0)
+    return build_desk_instance(params, 0.002, n_sites=4, t_max=2.0).schedule
+
+
+def decaying_schedule(T=3.0):
+    """Schedule with rate ``exp(-2 tau) c0`` and counted rate evaluations:
+    ``evals[kind]`` lists the number of scales of every call."""
+    c0 = np.array([[1.0, 0.2], [0.2, 0.5]])
+    norm0 = matrix_norm_1inf(c0)
+    evals = {"tau": [], "sigma": []}
+
+    def adot_norm(s):
+        s = np.asarray(s, dtype=float)
+        evals["tau"].append(s.size)
+        return norm0 * np.exp(-2.0 * s)
+
+    def gram_rate(s):
+        s = np.asarray(s, dtype=float)
+        evals["sigma"].append(s.size)
+        return 4.0 * np.exp(-2.0 * s)
+
+    sched = ScaleSchedule.from_cdot(
+        lambda t: math.exp(-2.0 * t) * c0, T=T, pairs=2, gram_rate=gram_rate,
+        adot_norm=adot_norm, vectorized_rates=True)
+    return sched, norm0, evals
+
+
+class TestCumulativeTable:
+    @pytest.mark.parametrize("which", ["desk", "synthetic"])
+    def test_matches_fresh_simpson(self, rng, which):
+        sched = desk_schedule() if which == "desk" else synthetic_schedule(rng, 3)
+        T = sched.T
+        xs = np.concatenate([[0.0, T, 0.5 * T, 0.25 * T],  # 0.5 T, 0.25 T: nodes
+                             rng.uniform(0.0, T, 50)])
+        for x in xs:
+            x = float(x)
+            want_tau = np.real(simpson_refine(sched.adot_norm_at, 0.0, x,
+                                              vectorized=True))
+            want_sig = np.real(simpson_refine(sched.gram_rate_at, 0.0, x,
+                                              vectorized=True))
+            assert sched.tau(x) == pytest.approx(want_tau, rel=1e-10, abs=0.0)
+            assert sched.sigma_squared(0.0, x) == pytest.approx(
+                want_sig, rel=1e-10, abs=0.0)
+
+    def test_matches_closed_form(self, rng):
+        sched, norm0, _ = decaying_schedule()
+        for x in np.concatenate([[sched.T], rng.uniform(0.0, sched.T, 20)]):
+            x = float(x)
+            decay = -math.expm1(-2.0 * x) / 2.0
+            assert sched.tau(x) == pytest.approx(norm0 * decay, rel=1e-10)
+            assert sched.sigma_squared(0.0, x) == pytest.approx(4.0 * decay,
+                                                                rel=1e-10)
+
+    def test_built_once_per_kind(self, rng):
+        sched, _, evals = decaying_schedule()
+        sched.tau(1.3)
+        built = sum(evals["tau"])
+        assert built > DEFAULT_PANELS and evals["sigma"] == []
+        for x in rng.uniform(0.0, sched.T, 30):
+            before = sum(evals["tau"])
+            sched.tau(float(x))
+            assert sum(evals["tau"]) - before <= 3
+        sched.sigma_squared(0.2, 2.9)
+        assert sum(evals["sigma"]) > DEFAULT_PANELS
+        for x in rng.uniform(0.0, sched.T, 30):
+            before = sum(evals["sigma"])
+            sched.sigma_squared(0.0, float(x))
+            assert sum(evals["sigma"]) - before <= 3
+        # a table node needs no evaluation at all
+        before = sum(evals["tau"])
+        assert sched.tau(0.5 * sched.T) > 0.0
+        assert sum(evals["tau"]) == before
+
+    def test_query_above_T_rejected(self, rng):
+        sched = synthetic_schedule(rng, 3)
+        sched.tau(sched.T)
+        sched.sigma_squared(0.0, sched.T * (1.0 + 1e-13))
+        with pytest.raises(ValueError):
+            sched.tau(sched.T * (1.0 + 1e-9))
+        with pytest.raises(ValueError):
+            sched.sigma_squared(0.0, sched.T + 0.1)
