@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,9 @@ class FlowTrajectory:
     """States of the effective action on an ordered time grid.
 
     Normalized trajectories keep a zero scalar part in every state and carry
-    the accumulated log-normalization separately in ``log_norm``.
+    the accumulated log-normalization separately in ``log_norm``.  The
+    seminorm series of the states are computed once, on first use of
+    ``norms``; the states must not change after that.
     """
 
     grid: np.ndarray
@@ -60,6 +63,11 @@ class FlowTrajectory:
         self.grid = np.asarray(self.grid, dtype=float)
         if len(self.grid) != len(self.states):
             raise ValueError("grid and states must align")
+
+    @cached_property
+    def norms(self) -> tuple[NormSeries, ...]:
+        """Seminorm coefficients of every state, in grid order."""
+        return tuple(norm_coefficients(state) for state in self.states)
 
     def state_at(self, t: float) -> GrassmannElement:
         i = int(np.argmin(np.abs(self.grid - t)))
@@ -233,14 +241,13 @@ def _integrate_on(schedule: ScaleSchedule, f0: GrassmannElement,
 
 def trajectory_norms(traj: FlowTrajectory) -> list[NormSeries]:
     """Seminorm coefficients of every state along the trajectory."""
-    return [norm_coefficients(state) for state in traj.states]
+    return list(traj.norms)
 
 
 def trajectory_to_csv(traj: FlowTrajectory) -> str:
     """Render a trajectory as ``t,m,F_m`` rows with 12 significant digits."""
-    series = trajectory_norms(traj)
     lines = ["t,m,F_m"]
-    for t, s in zip(traj.grid, series):
+    for t, s in zip(traj.grid, traj.norms):
         for m in range(1, len(s) + 1):
             lines.append(f"{t:.12g},{m},{s.coeff(m):.12g}")
     return "\n".join(lines) + "\n"

@@ -1,0 +1,65 @@
+"""Randomized instances for the invariant checks of ``verify`` and the tests.
+
+Every generator draws from the ``numpy.random.Generator`` it is given, in a
+fixed order, so one seed reproduces the same instances everywhere.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .algebra import GeneratorSet, GrassmannElement, _popcount_table
+from .schedule import ScaleSchedule
+
+
+def rand_antisymmetric(rng, dim: int, scale: float = 1.0) -> np.ndarray:
+    m = rng.normal(size=(dim, dim)) * scale
+    return m - m.T
+
+
+def rand_element(rng, gens: GeneratorSet, scale: float = 1.0,
+                 complex_coeffs: bool = True) -> GrassmannElement:
+    c = rng.normal(size=gens.dim) * scale
+    if complex_coeffs:
+        c = c + 1j * rng.normal(size=gens.dim) * scale
+    return GrassmannElement(gens, c)
+
+
+def rand_even_normalized(rng, gens: GeneratorSet, scale: float,
+                         complex_coeffs: bool = False) -> GrassmannElement:
+    """Random even element with zero scalar part (real by default: the RG
+    map logs the convolved scalar)."""
+    c = rand_element(rng, gens, scale, complex_coeffs).coeffs.copy()
+    c[(_popcount_table(gens.count) & 1).astype(bool)] = 0.0
+    c[0] = 0.0
+    return GrassmannElement(gens, c)
+
+
+def synthetic_schedule(rng, pairs: int, T: float = 1.0,
+                       scale: float = 0.15) -> ScaleSchedule:
+    """Smooth random schedule with a positive-semidefinite derivative kernel
+    ``G(tau) G(tau)^T`` and a vectorized Gram rate."""
+    g0 = rng.normal(size=(pairs, pairs)) * scale
+    g1 = rng.normal(size=(pairs, pairs)) * (0.3 * scale)
+    # diag of G G^T is quadratic in sin(tau)
+    d_a = np.sum(g0 * g0, axis=1)
+    d_b = np.sum(g0 * g1, axis=1)
+    d_c = np.sum(g1 * g1, axis=1)
+
+    def cdot(tau: float) -> np.ndarray:
+        g = g0 + math.sin(tau) * g1
+        return g @ g.T
+
+    def gram_rate(tau):
+        if np.ndim(tau) == 0:
+            s = math.sin(float(tau))
+            return 4.0 * float(np.max(d_a + 2.0 * s * d_b + s * s * d_c))
+        s = np.sin(np.asarray(tau, dtype=float))
+        diags = d_a[:, None] + 2.0 * s[None, :] * d_b[:, None] \
+            + (s * s)[None, :] * d_c[:, None]
+        return 4.0 * np.max(diags, axis=0)
+
+    return ScaleSchedule.from_cdot(cdot, T=T, pairs=pairs, gram_rate=gram_rate,
+                                   vectorized_rates=True)

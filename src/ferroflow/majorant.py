@@ -28,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CharacteristicCrossingError, ExistenceError, ResolutionError
-from .flow import FlowTrajectory, trajectory_norms
-from .norms import NormSeries, convergence_radius, norm_coefficients
+from .flow import FlowTrajectory
+from .norms import NormSeries, convergence_radius
 from .schedule import ScaleSchedule, _simpson_values
 
 _HOMOTOPY_STEPS = 16
@@ -474,7 +474,7 @@ def rhs_coefficient_bound(traj: FlowTrajectory, schedule: ScaleSchedule,
     pos = int(np.argmin(np.abs(grid - t)))
     if abs(grid[pos] - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"time {t} is not on the trajectory grid")
-    series = trajectory_norms(traj)
+    series = traj.norms
     n = len(series[0])
     f0 = series[0]
     sig0t = schedule.sigma_squared(0.0, float(t))

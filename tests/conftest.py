@@ -1,38 +1,17 @@
-import math
-
 import numpy as np
 import pytest
 
-from ferroflow.algebra import GeneratorSet, GrassmannElement
-from ferroflow.schedule import ScaleSchedule
+from ferroflow.instances import (  # noqa: F401  (test modules import them from here)
+    rand_antisymmetric,
+    rand_element,
+    rand_even_normalized,
+    synthetic_schedule,
+)
 
 
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(20240817))
-
-
-def rand_antisymmetric(rng, dim, scale=1.0):
-    m = rng.normal(size=(dim, dim)) * scale
-    return m - m.T
-
-
-def rand_element(rng, gens, scale=1.0, complex_coeffs=True):
-    c = rng.normal(size=gens.dim) * scale
-    if complex_coeffs:
-        c = c + 1j * rng.normal(size=gens.dim) * scale
-    return GrassmannElement(gens, c)
-
-
-def rand_even_normalized(rng, gens, scale, complex_coeffs=False):
-    """Random even element with zero scalar part (real by default: the RG
-    map logs the convolved scalar)."""
-    f = rand_element(rng, gens, scale, complex_coeffs)
-    c = f.coeffs.copy()
-    pop = popcounts(gens.dim, gens.count)
-    c[pop % 2 == 1] = 0.0
-    c[0] = 0.0
-    return GrassmannElement(gens, c)
 
 
 def popcounts(dim, n_gen):
@@ -41,33 +20,3 @@ def popcounts(dim, n_gen):
     for b in range(n_gen):
         pop += (idx >> b) & 1
     return pop
-
-
-def synthetic_schedule(rng, pairs, T=1.0, scale=0.15):
-    """Smooth random positive-semidefinite-rate schedule with vectorized
-    Gram rate (diag of G G^T is quadratic in sin)."""
-    g0 = rng.normal(size=(pairs, pairs)) * scale
-    g1 = rng.normal(size=(pairs, pairs)) * (0.3 * scale)
-    d_a = np.sum(g0 * g0, axis=1)
-    d_b = np.sum(g0 * g1, axis=1)
-    d_c = np.sum(g1 * g1, axis=1)
-
-    def cdot(tau):
-        g = g0 + math.sin(tau) * g1
-        return g @ g.T
-
-    def gram_rate(tau):
-        if np.ndim(tau) == 0:
-            s = math.sin(float(tau))
-            return 4.0 * float(np.max(d_a + 2.0 * s * d_b + s * s * d_c))
-        s = np.sin(np.asarray(tau, dtype=float))
-        diags = d_a[:, None] + 2.0 * s[None, :] * d_b[:, None] \
-            + (s * s)[None, :] * d_c[:, None]
-        return 4.0 * np.max(diags, axis=0)
-
-    return ScaleSchedule.from_cdot(cdot, T=T, pairs=pairs, gram_rate=gram_rate,
-                                   vectorized_rates=True)
-
-
-def basis_gens(count):
-    return GeneratorSet(count)

@@ -85,7 +85,8 @@ class TestWedge:
             * b.max_abs() * c.max_abs() * 100
 
     def test_sparse_path_matches_table_path(self, rng):
-        # 14 generators exceeds the table threshold; compare on padded elements
+        # 14 generators exceed the table leaf; operands padded from 10
+        # generators leave the upper halves of the split zero
         small = GeneratorSet(10)
         a = rand_element(rng, small, 0.7)
         b = rand_element(rng, small, 0.7)
@@ -99,6 +100,27 @@ class TestWedge:
         assert np.allclose(got.coeffs[: small.dim], want, atol=1e-13)
         assert np.all(got.coeffs[small.dim:] == 0.0)
 
+    def test_top_generators_match_merge_sign_double_loop(self, rng):
+        # monomials with psi_12 and psi_13 make both upper halves of the
+        # split nonzero, so the sign of c_hat enters the product
+        g = GeneratorSet(14)
+        a, b = (top_generator_operand(rng, g) for _ in range(2))
+        want = np.zeros(g.dim, dtype=complex)
+        for j in a.nonzero_masks():
+            for k in b.nonzero_masks():
+                if not j & k:
+                    want[j | k] += merge_sign(int(j), int(k)) * a.coeffs[j] * b.coeffs[k]
+        assert np.count_nonzero(want[1 << 13:]) > 100
+        got = wedge(a, b).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_associativity_with_top_generators(self, rng):
+        g = GeneratorSet(14)
+        a, b, c = (rand_element(rng, g, 0.1) for _ in range(3))
+        lhs = wedge(wedge(a, b), c).coeffs
+        rhs = wedge(a, wedge(b, c)).coeffs
+        assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(lhs))
+
     @pytest.mark.parametrize("n_gen", [2, 4, 6])
     def test_matches_merge_sign_double_loop(self, rng, n_gen):
         g = GeneratorSet(n_gen)
@@ -110,6 +132,18 @@ class TestWedge:
                     want[j | k] += merge_sign(j, k) * a.coeffs[j] * b.coeffs[k]
         got = wedge(a, b).coeffs
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def top_generator_operand(rng, gens, terms=80):
+    """Random complex coefficients on sparse monomials (each generator with
+    probability 1/4), a third of them forced to hold the top generator and
+    another third the one below it."""
+    masks = rng.integers(0, gens.dim, terms) & rng.integers(0, gens.dim, terms)
+    masks[0::3] |= 1 << (gens.count - 1)
+    masks[1::3] |= 1 << (gens.count - 2)
+    c = np.zeros(gens.dim, dtype=complex)
+    c[masks] = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+    return GrassmannElement(gens, c)
 
 
 def _pair_table_by_enumeration(n_gen):

@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from ferroflow import flow as flow_module
 from ferroflow.algebra import GeneratorSet
 from ferroflow.errors import (
     CharacteristicCrossingError,
@@ -27,7 +28,7 @@ from ferroflow.majorant import (
     rhs_coefficient_bound,
     _gamma_factor,
 )
-from ferroflow.norms import NormSeries
+from ferroflow.norms import NormSeries, norm_coefficients
 from ferroflow.psi4 import quartic_bare_action
 from ferroflow.schedule import ScaleSchedule, simpson_refine
 
@@ -554,6 +555,22 @@ class TestCoefficientBound:
             for k in range(1, 5):
                 bound = rhs_coefficient_bound(traj, sched, k, float(traj.grid[i]))
                 assert bound >= series[i].coeff(k) - 1e-8
+
+    def test_seminorms_computed_once_per_trajectory(self, rng, monkeypatch):
+        sched = synthetic_schedule(rng, 4)
+        bare = quartic_bare_action(GeneratorSet(8), 0.04)
+        traj = flow_integrate(sched, bare, steps=30, t_end=1.0)
+        calls = []
+
+        def counting(state):
+            calls.append(state)
+            return norm_coefficients(state)
+
+        monkeypatch.setattr(flow_module, "norm_coefficients", counting)
+        for i in (10, 20, 30):
+            for k in range(1, 5):
+                rhs_coefficient_bound(traj, sched, k, float(traj.grid[i]))
+        assert len(calls) == len(traj.states)
 
     def test_resolution_error_on_tight_tolerance(self, rng):
         sched = synthetic_schedule(rng, 4)
