@@ -40,7 +40,7 @@ def rand_even_normalized(rng, gens: GeneratorSet, scale: float,
 def synthetic_schedule(rng, pairs: int, T: float = 1.0,
                        scale: float = 0.15) -> ScaleSchedule:
     """Smooth random schedule with a positive-semidefinite derivative kernel
-    ``G(tau) G(tau)^T`` and a vectorized Gram rate."""
+    ``G(tau) G(tau)^T``, ``G = g0 + sin(tau) g1``, and vectorized rates."""
     g0 = rng.normal(size=(pairs, pairs)) * scale
     g1 = rng.normal(size=(pairs, pairs)) * (0.3 * scale)
     # diag of G G^T is quadratic in sin(tau)
@@ -48,9 +48,12 @@ def synthetic_schedule(rng, pairs: int, T: float = 1.0,
     d_b = np.sum(g0 * g1, axis=1)
     d_c = np.sum(g1 * g1, axis=1)
 
-    def cdot(tau: float) -> np.ndarray:
-        g = g0 + math.sin(tau) * g1
-        return g @ g.T
+    def cdot(tau) -> np.ndarray:
+        if np.ndim(tau) == 0:
+            g = g0 + math.sin(tau) * g1
+            return g @ g.T
+        g = g0 + np.sin(np.asarray(tau, dtype=float))[:, None, None] * g1
+        return g @ g.transpose(0, 2, 1)
 
     def gram_rate(tau):
         if np.ndim(tau) == 0:

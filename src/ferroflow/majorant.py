@@ -463,10 +463,20 @@ def rhs_coefficient_bound(traj: FlowTrajectory, schedule: ScaleSchedule,
     """A-priori bound on the degree-``2k`` norm coefficient at scale ``t``.
 
     Combines the Gram-spread bare series with the integrated quadratic
-    source of the flow, evaluated by composite Simpson on the trajectory
-    grid (midpoints filled by linear interpolation of the norm
-    coefficients).  A further refinement must agree to ``check_tol``
-    relatively, otherwise the grid is too coarse.
+    source of the flow,
+
+        (1/2) |Adot(s)| sum_{l,m} f_l(s) f_m(s) gamma(l, m, k, xi(s)),
+        xi(s)^2 = sigma^2(s, t),
+
+    evaluated by composite Simpson on the trajectory grid (midpoints filled
+    by linear interpolation of the norm coefficients).  Every term of
+    ``gamma`` carries the same power of ``xi``, so
+    ``gamma(l, m, k, xi) = G[l, m] xi^(2(l + m - 1 - k))`` with
+    ``G[l, m] = _gamma_factor(l, m, k, 1.0)`` (zero where the power would be
+    negative).  One Simpson grid is one contraction over nodes, ``l`` and
+    ``m``, after one array call each for the rate norm and for ``sigma^2``.
+    A further refinement must agree to ``check_tol`` relatively, otherwise
+    the grid is too coarse.
     """
     if k < 1:
         raise ValueError("degree index k starts at 1")
@@ -486,32 +496,20 @@ def rhs_coefficient_bound(traj: FlowTrajectory, schedule: ScaleSchedule,
     fvals = np.array([[series[i].coeff(m) for m in range(1, n + 1)]
                       for i in range(pos + 1)])
     svals = grid[:pos + 1]
-
-    def integrand(s: float, f_at_s: np.ndarray) -> float:
-        xi = math.sqrt(max(schedule.sigma_squared(float(s), float(t)), 0.0))
-        rate = float(schedule.adot_norm_at(float(s)))
-        tot = 0.0
-        for l in range(1, n + 1):
-            fl = f_at_s[l - 1]
-            if fl == 0.0:
-                continue
-            for m in range(max(1, k + 1 - l), n + 1):
-                fm = f_at_s[m - 1]
-                if fm == 0.0:
-                    continue
-                g = _gamma_factor(l, m, k, xi)
-                if g:
-                    tot += fl * fm * g
-        return 0.5 * rate * tot
+    deg = np.arange(1, n + 1)
+    gam = np.array([[_gamma_factor(l, m, k, 1.0) for m in deg] for l in deg])
+    power = np.maximum(deg[:, None] + deg[None, :] - 1 - k, 0)
 
     def simpson_on(level: int) -> float:
         # level-fold midpoint refinement with linear interpolation of F
         ss = np.linspace(svals[0], svals[-1], level * pos + 1)
-        fs = np.empty((len(ss), n))
-        for col in range(n):
-            fs[:, col] = np.interp(ss, svals, fvals[:, col])
-        ys = np.array([integrand(ss[i], fs[i]) for i in range(len(ss))])
-        return float(_simpson_values(ys, ss[1] - ss[0]))
+        fs = np.stack([np.interp(ss, svals, fvals[:, col]) for col in range(n)],
+                      axis=1)
+        xi2 = np.maximum(schedule.sigma_squared(ss, float(t)), 0.0)
+        rate = schedule.adot_norm_at(ss)
+        source = np.einsum("il,im,lm,ilm->i", fs, fs, gam,
+                           xi2[:, None, None] ** power)
+        return float(_simpson_values(0.5 * rate * source, ss[1] - ss[0]))
 
     base = simpson_on(2)
     refined = simpson_on(4)

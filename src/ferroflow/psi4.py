@@ -322,9 +322,11 @@ def build_desk_instance(params: Psi4Params, alpha: float,
     """Assemble schedule, Gram bound, and bare action for a site chain.
 
     The schedule's rate matrix is the block embedding of the lattice
-    scale-derivative kernel over the sites; the Gram rate is ``4 cdot(0)``
-    (translation invariance makes the diagonal uniform).  The upper scale
-    defaults to ``log(L_0/m) + 3``, far past where the flow has stopped.
+    scale-derivative kernel over the sites, evaluated at one scale or, for
+    the rate norm, stacked over an array of scales; the Gram rate is
+    ``4 cdot(0)`` (translation invariance makes the diagonal uniform).  The
+    upper scale defaults to ``log(L_0/m) + 3``, far past where the flow has
+    stopped.
     """
     if n_sites is not None:
         params = params.with_chain_sites(n_sites)
@@ -338,28 +340,22 @@ def build_desk_instance(params: Psi4Params, alpha: float,
     T = float(t_max) if t_max is not None else \
         math.log(params.lambda0 / params.mass) + 3.0
 
-    def cdot(s: float) -> np.ndarray:
-        w = _cdot_weights(params, float(s), psq) * counts
-        mat = (phases @ w).reshape(n, n) / vol
-        return 0.5 * (mat + mat.T)
+    def cdot(s) -> np.ndarray:
+        s_arr = np.asarray(s, dtype=float)
+        w = _cdot_weights(params, s_arr, psq) * counts
+        if s_arr.ndim == 0:
+            mat = (phases @ w).reshape(n, n) / vol
+            return 0.5 * (mat + mat.T)
+        mats = np.moveaxis((phases @ w.T).reshape(n, n, -1), -1, 0) / vol
+        return 0.5 * (mats + mats.transpose(0, 2, 1))
 
     def gram_rate(s) -> np.ndarray | float:
         w = _cdot_weights(params, s, psq) * counts
         total = w.sum(axis=-1) / vol
         return 4.0 * total
 
-    def adot_norm(s) -> np.ndarray | float:
-        s_arr = np.asarray(s, dtype=float)
-        w = _cdot_weights(params, s_arr, psq) * counts
-        if s_arr.ndim == 0:
-            mats = (phases @ w).reshape(n, n) / vol
-            return float(np.max(np.sum(np.abs(mats), axis=1)))
-        vals = (phases @ w.T).reshape(n, n, -1) / vol
-        return np.max(np.sum(np.abs(vals), axis=1), axis=0)
-
     schedule = ScaleSchedule.from_cdot(
-        cdot, T=T, pairs=n, gram_rate=gram_rate, adot_norm=adot_norm,
-        vectorized_rates=True)
+        cdot, T=T, pairs=n, gram_rate=gram_rate, vectorized_rates=True)
     bare = quartic_bare_action(gens, alpha)
     series = np.zeros(n)
     series[1] = alpha

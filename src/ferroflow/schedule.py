@@ -7,9 +7,13 @@ refined by doubling until two successive values agree to a relative
 tolerance.  The rescaled time (the integral of the rate norm) and the
 integrated Gram bound come from one cumulative table per schedule and kind,
 built on ``[0, T]`` on first use and certified by doubling at every even
-node; a query adds one Simpson panel from the last node below it.  Slice
-covariances are matrix-valued and integrated over ``[s, t]`` directly.
-Results are cached; evaluation is deterministic.
+node; a query adds one Simpson panel from the last node below it.  Queries
+take a scale or an array of scales, and every grid of a table or of a query
+is one array evaluation of the rate: on a vectorized schedule built from a
+kernel ``cdot``, the rate norm of an array of scales is one reduction over
+the stacked kernels.  Slice covariances are matrix-valued and integrated
+over ``[s, t]`` directly.  Scalar results are cached; evaluation is
+deterministic.
 """
 
 from __future__ import annotations
@@ -117,15 +121,16 @@ class _CumulativeTable:
 
     The table holds the integral from 0 to every even node of the first
     doubled grid on which the doubling rule holds at every even node of the
-    previous one.  A query ``x`` adds to the value at the last even node
-    ``x_k <= x`` one Simpson panel over ``[x_k, x]``: two more rate
-    evaluations, none on a node.
+    previous one.  ``fn`` maps a 1-D array of scales to the rates there.  A
+    query ``x``, a scale or an array of scales, adds to the value at the
+    last even node ``x_k <= x`` one Simpson panel over ``[x_k, x]``: one
+    ``searchsorted`` places every query, and the midpoints and ends of all
+    queries off a node are evaluated in one call.  A node is read exactly.
     """
 
-    def __init__(self, fn: Callable, T: float, panels: int, rtol: float,
-                 vectorized: bool):
+    def __init__(self, fn: Callable, T: float, panels: int, rtol: float):
         self.T = T
-        self._evaluate = _sampler(fn, vectorized)
+        self._evaluate = _sampler(fn, True)
         cum, nodes, vals = _refine_by_doubling(
             self._evaluate, 0.0, T, panels, rtol, _cumulative_simpson,
             _settled_entrywise)
@@ -133,15 +138,27 @@ class _CumulativeTable:
         self.cum = np.real(cum)
         self.vals = np.real(vals[::2])
 
-    def at(self, x: float) -> float:
-        if not 0.0 <= x <= self.T * (1 + 1e-12):
-            raise ValueError(f"scale {x} outside [0, {self.T}]")
-        k = int(np.searchsorted(self.nodes, x, side="right")) - 1
+    def at(self, x):
+        """Integral from 0 to ``x``: a ``float`` for a scale, an array of the
+        same shape for an array; ``ValueError`` if any scale lies outside
+        ``[0, T]``."""
+        xs = np.asarray(x, dtype=float)
+        flat = xs.reshape(-1)
+        outside = ~((flat >= 0.0) & (flat <= self.T * (1 + 1e-12)))
+        if outside.any():
+            raise ValueError(
+                f"scale {flat[np.argmax(outside)]} outside [0, {self.T}]")
+        k = np.searchsorted(self.nodes, flat, side="right") - 1
         x0 = self.nodes[k]
-        if x == x0:
-            return float(self.cum[k])
-        mid, end = np.real(self._evaluate(np.asarray([0.5 * (x0 + x), x])))
-        return float(self.cum[k] + (x - x0) / 6.0 * (self.vals[k] + 4.0 * mid + end))
+        out = self.cum[k]
+        off = flat != x0
+        if off.any():
+            xo, x0o, ko = flat[off], x0[off], k[off]
+            mid, end = np.real(self._evaluate(
+                np.concatenate((0.5 * (x0o + xo), xo)))).reshape(2, -1)
+            out[off] = self.cum[ko] + (xo - x0o) / 6.0 * (
+                self.vals[ko] + 4.0 * mid + end)
+        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def _as_plain_scalar(x: np.ndarray):
@@ -155,7 +172,10 @@ class ScaleSchedule:
     Exactly one of ``gram_rate`` (a scalar function dominating
     ``4 max C^{+-}_{ii}(tau)``) or ``cdot_diags`` (the split derivative
     diagonals) must be supplied for the integrated Gram bound.  The rate
-    norm defaults to the max-row-sum norm of the actual matrix.
+    norm defaults to the max-row-sum norm of the actual matrix.  With
+    ``vectorized_rates``, the supplied ``gram_rate``, ``adot_norm`` and
+    ``cdot`` also accept a 1-D array of scales and stack their values along
+    axis 0.
     """
 
     def __init__(self, dim: int, T: float, adot: Callable[[float], np.ndarray],
@@ -194,7 +214,9 @@ class ScaleSchedule:
 
         ``cdot(tau)`` is the symmetric ``pairs x pairs`` rate; the covariance
         rate is its antisymmetric block embedding and the split of any slice
-        is ``(integral of cdot, 0)``.
+        is ``(integral of cdot, 0)``.  With ``vectorized_rates``, ``cdot`` of
+        an array of scales returns the kernels stacked along axis 0, and the
+        rate norm is reduced from that stack.
         """
 
         def adot(tau: float) -> np.ndarray:
@@ -237,14 +259,29 @@ class ScaleSchedule:
         return np.asarray(self._adot(tau))
 
     def adot_norm_at(self, tau):
-        if self._adot_norm is not None:
-            return self._adot_norm(tau)
+        """Max-row-sum norm of the rate matrix at a scale (a ``float``) or at
+        a 1-D array of scales (an array).
+
+        A supplied ``adot_norm`` takes precedence.  On a vectorized schedule
+        with a kernel ``cdot``, an array of scales takes one reduction over
+        the stacked kernels, ``max_i sum_j |C_ij|``, which is the norm of the
+        block embedding ``[[0, C], [-C, 0]]``.  Other schedules evaluate one
+        scale at a time.
+        """
         if np.ndim(tau) == 0:
+            if self._adot_norm is not None:
+                return self._adot_norm(tau)
             return matrix_norm_1inf(self.adot(float(tau)))
-        return np.asarray([matrix_norm_1inf(self.adot(float(x))) for x in np.asarray(tau)])
+        if self._vectorized and self._adot_norm is not None:
+            return np.asarray(self._adot_norm(tau))
+        if self._vectorized and self._cdot is not None:
+            c = np.asarray(self._cdot(np.asarray(tau, dtype=float)))
+            return np.max(np.sum(np.abs(c), axis=-1), axis=-1)
+        return np.asarray([self.adot_norm_at(float(x)) for x in np.asarray(tau)])
 
     def gram_rate_at(self, tau):
-        if self._gram_rate is not None:
+        """Gram rate at a scale (a ``float``) or at a 1-D array of scales."""
+        if self._gram_rate is not None and (self._vectorized or np.ndim(tau) == 0):
             return self._gram_rate(tau)
         if np.ndim(tau) == 0:
             dp, dm = self._cdot_diags(float(tau))
@@ -253,34 +290,37 @@ class ScaleSchedule:
 
     # -- integrals -----------------------------------------------------------
 
-    def _cum(self, kind: str, fn, x: float, vectorized: bool) -> float:
-        """Integral of the rate ``fn`` from 0 to ``x``, read from the
-        cumulative table of ``kind`` (built on first use); ``ValueError``
-        outside ``[0, T]``."""
+    def _cum(self, kind: str, fn, x):
+        """Integral of the rate ``fn`` from 0 to ``x`` (a scale or an array
+        of scales), read from the cumulative table of ``kind`` (built on
+        first use); ``ValueError`` outside ``[0, T]``.  Scalar results are
+        cached."""
+        table = self._tables.get(kind)
+        if table is None:
+            table = _CumulativeTable(fn, self.T, self.panels, self.rtol)
+            self._tables[kind] = table
+        if np.ndim(x) != 0:
+            return table.at(x)
         key = (kind, float(x))
         val = self._cache.get(key)
         if val is None:
-            table = self._tables.get(kind)
-            if table is None:
-                table = _CumulativeTable(fn, self.T, self.panels, self.rtol,
-                                         vectorized)
-                self._tables[kind] = table
             val = table.at(float(x))
             self._cache[key] = val
         return val
 
-    def sigma_squared(self, s: float, t: float) -> float:
-        """Integrated Gram bound between scales ``s <= t``."""
-        if s > t:
+    def sigma_squared(self, s, t):
+        """Integrated Gram bound between scales ``s <= t``; either may be an
+        array of scales (broadcast elementwise, ``s <= t`` checked for every
+        pair)."""
+        if np.any(np.asarray(s) > np.asarray(t)):
             raise ValueError(f"need s <= t, got s={s}, t={t}")
-        vec = self._vectorized and self._gram_rate is not None
         rate = self.gram_rate_at
-        return self._cum("sigma", rate, t, vec) - self._cum("sigma", rate, s, vec)
+        return self._cum("sigma", rate, t) - self._cum("sigma", rate, s)
 
-    def tau(self, s: float) -> float:
-        """Rescaled time: integral of the rate norm from 0 to ``s``."""
-        vec = self._vectorized and self._adot_norm is not None
-        return self._cum("tau", self.adot_norm_at, s, vec)
+    def tau(self, s):
+        """Rescaled time: integral of the rate norm from 0 to ``s``, a scale
+        or an array of scales."""
+        return self._cum("tau", self.adot_norm_at, s)
 
     def covariance(self, s: float, t: float) -> AntisymmetricCovariance:
         """Slice covariance: the integral of the rate matrix over [s, t]."""

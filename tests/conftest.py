@@ -7,6 +7,10 @@ from ferroflow.instances import (  # noqa: F401  (test modules import them from 
     rand_even_normalized,
     synthetic_schedule,
 )
+from ferroflow import schedule as schedule_module
+from ferroflow.norms import matrix_norm_1inf
+from ferroflow.psi4 import Psi4Params, build_desk_instance
+from ferroflow.schedule import ScaleSchedule
 
 
 @pytest.fixture
@@ -20,3 +24,30 @@ def popcounts(dim, n_gen):
     for b in range(n_gen):
         pop += (idx >> b) & 1
     return pop
+
+
+def desk_instance():
+    """The psi4 desk instance at the CLI defaults (4 sites, 8 generators)."""
+    params = Psi4Params(dimension=4, mass=1.0, lambda0=2.0, box=4.0,
+                        cutoff_factor=7.0)
+    return build_desk_instance(params, 0.002, n_sites=4, t_max=2.0)
+
+
+def count_rate_norm_calls(monkeypatch) -> dict:
+    """Count ``ScaleSchedule.adot_norm_at`` calls (``"rate"``, nested calls
+    included) and the schedule module's ``matrix_norm_1inf`` calls
+    (``"norm"``) from now on."""
+    calls = {"rate": 0, "norm": 0}
+    rate = ScaleSchedule.adot_norm_at
+
+    def counting_rate(self, tau):
+        calls["rate"] += 1
+        return rate(self, tau)
+
+    def counting_norm(a):
+        calls["norm"] += 1
+        return matrix_norm_1inf(a)
+
+    monkeypatch.setattr(ScaleSchedule, "adot_norm_at", counting_rate)
+    monkeypatch.setattr(schedule_module, "matrix_norm_1inf", counting_norm)
+    return calls

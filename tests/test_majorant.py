@@ -30,9 +30,9 @@ from ferroflow.majorant import (
 )
 from ferroflow.norms import NormSeries, norm_coefficients
 from ferroflow.psi4 import quartic_bare_action
-from ferroflow.schedule import ScaleSchedule, simpson_refine
+from ferroflow.schedule import ScaleSchedule, _simpson_values, simpson_refine
 
-from conftest import synthetic_schedule
+from conftest import count_rate_norm_calls, desk_instance, synthetic_schedule
 
 
 def cardano_roots(coeffs):
@@ -525,7 +525,71 @@ class TestExistence:
             assert token in text
 
 
+def rhs_coefficient_bound_by_loop(traj, schedule, k, t):
+    """The coefficient bound with the per-node Simpson integrand on the
+    refined grid: every node queries sigma^2 and the rate norm at one scale
+    and sums ``_gamma_factor`` over degree pairs."""
+    grid = traj.grid
+    pos = int(np.argmin(np.abs(grid - t)))
+    series = traj.norms
+    n = len(series[0])
+    sig0t = schedule.sigma_squared(0.0, float(t))
+    term1 = sum(series[0].coeff(m) * math.comb(2 * m, 2 * k) * sig0t ** (m - k)
+                for m in range(k, n + 1))
+    fvals = np.array([[series[i].coeff(m) for m in range(1, n + 1)]
+                      for i in range(pos + 1)])
+    svals = grid[:pos + 1]
+
+    def integrand(s, f_at_s):
+        xi = math.sqrt(max(schedule.sigma_squared(float(s), float(t)), 0.0))
+        rate = float(schedule.adot_norm_at(float(s)))
+        tot = 0.0
+        for l in range(1, n + 1):
+            for m in range(max(1, k + 1 - l), n + 1):
+                tot += f_at_s[l - 1] * f_at_s[m - 1] * _gamma_factor(l, m, k, xi)
+        return 0.5 * rate * tot
+
+    ss = np.linspace(svals[0], svals[-1], 4 * pos + 1)
+    fs = np.array([np.interp(ss, svals, fvals[:, col]) for col in range(n)]).T
+    ys = np.array([integrand(s, f) for s, f in zip(ss, fs)])
+    return float(term1 + _simpson_values(ys, ss[1] - ss[0]))
+
+
+def bound_instance(which, rng):
+    """A schedule and a flow trajectory on it: ``verify``'s synthetic
+    instance or the psi4 desk instance."""
+    if which == "desk":
+        inst = desk_instance()
+        sched, bare = inst.schedule, inst.bare_action
+    else:
+        sched = synthetic_schedule(rng, 4)
+        bare = quartic_bare_action(GeneratorSet(8), 0.04)
+    return sched, flow_integrate(sched, bare, steps=60, t_end=1.0)
+
+
 class TestCoefficientBound:
+    @pytest.mark.parametrize("which", ["synthetic", "desk"])
+    def test_tensor_form_matches_per_node_loop(self, rng, which):
+        sched, traj = bound_instance(which, rng)
+        for i in (20, 40, 60):
+            t = float(traj.grid[i])
+            for k in range(1, 5):
+                got = rhs_coefficient_bound(traj, sched, k, t)
+                want = rhs_coefficient_bound_by_loop(traj, sched, k, t)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_no_per_node_rate_norm(self, rng, monkeypatch):
+        sched, traj = bound_instance("synthetic", rng)
+        calls = count_rate_norm_calls(monkeypatch)
+        bounds = 0
+        for i in (20, 40, 60):
+            for k in range(1, 5):
+                rhs_coefficient_bound(traj, sched, k, float(traj.grid[i]))
+                bounds += 1
+        # two Simpson grids per bound, at most two rate calls per grid
+        assert calls["rate"] <= 2 * 2 * bounds
+        assert calls["norm"] == 0
+
     def test_time_zero_is_bare_coefficient(self, rng):
         sched = synthetic_schedule(rng, 4)
         bare = quartic_bare_action(GeneratorSet(8), 0.05)

@@ -5,10 +5,14 @@ import pytest
 
 from ferroflow.errors import ResolutionError
 from ferroflow.norms import matrix_norm_1inf
-from ferroflow.psi4 import Psi4Params, build_desk_instance
-from ferroflow.schedule import DEFAULT_PANELS, ScaleSchedule, simpson_refine
+from ferroflow.schedule import (
+    _MAX_DOUBLINGS,
+    DEFAULT_PANELS,
+    ScaleSchedule,
+    simpson_refine,
+)
 
-from conftest import synthetic_schedule
+from conftest import count_rate_norm_calls, desk_instance, synthetic_schedule
 
 
 class TestSimpson:
@@ -106,9 +110,7 @@ class TestScaleSchedule:
 
 def desk_schedule():
     """Schedule of the psi4 desk instance at the CLI defaults."""
-    params = Psi4Params(dimension=4, mass=1.0, lambda0=2.0, box=4.0,
-                        cutoff_factor=7.0)
-    return build_desk_instance(params, 0.002, n_sites=4, t_max=2.0).schedule
+    return desk_instance().schedule
 
 
 def decaying_schedule(T=3.0):
@@ -188,3 +190,78 @@ class TestCumulativeTable:
             sched.tau(sched.T * (1.0 + 1e-9))
         with pytest.raises(ValueError):
             sched.sigma_squared(0.0, sched.T + 0.1)
+
+
+def schedule_named(which, rng):
+    return desk_schedule() if which == "desk" else synthetic_schedule(rng, 4)
+
+
+class TestArrayQueries:
+    @pytest.mark.parametrize("which", ["desk", "synthetic"])
+    def test_rate_norm_reduction_matches_block_norm(self, rng, which):
+        # the stacked product sums in another order: equal up to a few ulps
+        sched = schedule_named(which, rng)
+        xs = np.concatenate([np.linspace(0.0, sched.T, 33),
+                             rng.uniform(0.0, sched.T, 40)])
+        got = sched.adot_norm_at(xs)
+        want = [matrix_norm_1inf(sched.adot(float(x))) for x in xs]
+        assert got.shape == xs.shape
+        np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
+
+    @pytest.mark.parametrize("which", ["desk", "synthetic"])
+    def test_tau_and_sigma_match_scalar_queries(self, rng, which):
+        sched = schedule_named(which, rng)
+        T = sched.T
+        sched.tau(T)
+        sched.sigma_squared(0.0, T)
+        nodes = sched._tables["tau"].nodes
+        xs = np.concatenate([[0.0, T], nodes[1::97],
+                             rng.uniform(0.0, T, 30)])
+        got_tau = sched.tau(xs)
+        got_sig = sched.sigma_squared(xs, T)
+        got_from0 = sched.sigma_squared(0.0, xs)
+        for x, gt, gs, g0 in zip(xs, got_tau, got_sig, got_from0):
+            x = float(x)
+            assert gt == pytest.approx(sched.tau(x), rel=1e-15, abs=0.0)
+            assert gs == pytest.approx(sched.sigma_squared(x, T), rel=1e-15,
+                                       abs=1e-300)
+            assert g0 == pytest.approx(sched.sigma_squared(0.0, x), rel=1e-15,
+                                       abs=0.0)
+        assert got_tau[0] == 0.0 and got_tau[1] == sched.tau(T)
+        # off the nodes, against Simpson of the scalar block norm from 0
+        for j in (-1, -2, -3):
+            x = float(xs[j])
+            want_tau = simpson_refine(
+                lambda s: matrix_norm_1inf(sched.adot(s)), 0.0, x)
+            want_sig = simpson_refine(sched.gram_rate_at, 0.0, x,
+                                      vectorized=True)
+            assert got_tau[j] == pytest.approx(np.real(want_tau), rel=1e-10)
+            assert got_from0[j] == pytest.approx(np.real(want_sig), rel=1e-10)
+        with pytest.raises(ValueError):
+            sched.tau(np.append(xs, T * (1.0 + 1e-9)))
+        with pytest.raises(ValueError):
+            sched.sigma_squared(np.append(xs, T + 0.1), T + 0.1)
+        with pytest.raises(ValueError):
+            sched.sigma_squared(np.array([0.1, 0.9 * T]), 0.5 * T)
+
+    def test_array_query_is_one_rate_evaluation(self, rng):
+        sched, norm0, evals = decaying_schedule()
+        sched.tau(sched.T)
+        sched.sigma_squared(0.0, sched.T)
+        xs = np.concatenate([[0.0, 0.5 * sched.T], rng.uniform(0.0, sched.T, 25)])
+        built = {kind: len(calls) for kind, calls in evals.items()}
+        got_tau = sched.tau(xs)
+        got_sig = sched.sigma_squared(0.0, xs)
+        for kind in ("tau", "sigma"):
+            new = evals[kind][built[kind]:]
+            assert len(new) == 1 and new[0] <= 2 * len(xs)
+        decay = -np.expm1(-2.0 * xs) / 2.0
+        np.testing.assert_allclose(got_tau, norm0 * decay, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(got_sig, 4.0 * decay, rtol=1e-10, atol=0.0)
+
+    def test_table_build_rate_calls(self, rng, monkeypatch):
+        sched = synthetic_schedule(rng, 4)
+        calls = count_rate_norm_calls(monkeypatch)
+        sched.tau(sched.T)
+        assert 1 <= calls["rate"] <= _MAX_DOUBLINGS + 1
+        assert calls["norm"] == 0
