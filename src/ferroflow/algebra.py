@@ -17,6 +17,16 @@ Sign conventions
 * Berezin integration is iterated left differentiation:
   ``berezin_integrate(f, [j1, ..., jk])`` applies ``d/dpsi_{j1}`` first.
 
+Parity blocks
+-------------
+The disjoint pairs ``(J, K)`` of a product fall into four blocks by
+``(|J| mod 2, |K| mod 2)``.  A product sums only the blocks whose operand
+parts are nonzero, so even x even (the effective action and its flow) reads
+a quarter of the pairs.  Which parts are nonzero is found from exact zeros
+only: an operand whose odd-degree coefficients are all exactly zero is even,
+and any other operand counts as having both parts.  A tolerance would
+silently drop small odd terms.
+
 Elements are immutable after construction; all operations are pure functions
 and safe for concurrent use.
 """
@@ -38,9 +48,22 @@ _MAX_GENERATORS_ENV = "FERROFLOW_MAX_GENERATORS"
 
 # Largest generator count that ``wedge`` multiplies through the disjoint-pair
 # table; larger products split off their top generator until they reach it.
-# The table holds 3**n_gen pairs (3**12 is about 13 MB of indices and signs,
-# 3**14 would be 115 MB), and its unions must fit the uint16 radix sort key.
+# The table holds 3**n_gen pairs in four parity blocks of about 3**n_gen / 4
+# pairs, each built on first use; one block takes 24 bytes of indices and
+# signs per pair, 3.2 MB at 12 generators (it would be 29 MB at 14), and its
+# unions must fit the uint16 radix sort key.
 _WEDGE_LEAF = 12
+
+# Largest number of pairs one pass of a product multiplies.  Its two work
+# arrays (256 KB each) stay in cache and are reused across chunks; arrays
+# the size of a 12-generator block (2.1 MB) cost as much in fresh pages as
+# in arithmetic.
+_WEDGE_CHUNK = 16384
+
+# Parity parts an operand may hold, as the degree parities (0 even, 1 odd)
+# whose coefficients are not all exactly zero.
+_EVEN = (0,)
+_BOTH = (0, 1)
 
 
 def max_generators() -> int:
@@ -62,7 +85,8 @@ def max_generators() -> int:
 # ---------------------------------------------------------------------------
 
 _POPCOUNT: dict[int, np.ndarray] = {}
-_PAIR_TABLE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+_ODD_INDEX: dict[int, np.ndarray] = {}
+_PAIR_BLOCK: dict[tuple[int, int, int], tuple[tuple[np.ndarray, ...], ...]] = {}
 _DERIV_TABLE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
@@ -99,34 +123,69 @@ def merge_sign(j: int, k: int) -> int:
     return -1 if inv & 1 else 1
 
 
-def _pair_table(n_gen: int):
-    """All disjoint pairs (J, K) with their merge signs, grouped by union.
+def _odd_index(n_gen: int) -> np.ndarray:
+    """Indices of the odd-degree coefficients."""
+    idx = _ODD_INDEX.get(n_gen)
+    if idx is None:
+        idx = np.flatnonzero(_popcount_table(n_gen) & 1)
+        _ODD_INDEX[n_gen] = idx
+    return idx
 
-    Returns ``(j, k, sgn, starts)``: the pairs are listed in ascending order
-    of the union ``U = J | K`` (descending ``J`` within one union), and union
-    ``U`` owns the ``2**|U|`` entries from ``starts[U]`` on, so
-    ``np.add.reduceat(..., starts)`` sums a product per union.
+
+def _parity_parts(coeffs: np.ndarray, n_gen: int) -> tuple[int, ...]:
+    """``_EVEN`` when every odd-degree coefficient is exactly zero, else
+    ``_BOTH``."""
+    return _BOTH if coeffs.take(_odd_index(n_gen)).any() else _EVEN
+
+
+def _pair_block(n_gen: int, pj: int, pk: int):
+    """The disjoint pairs (J, K) with ``|J| = pj`` and ``|K| = pk`` (mod 2),
+    with their merge signs, grouped by union and cut into chunks.
+
+    Returns a tuple of chunks ``(j, k, sgn, unions, starts)``: the pairs are
+    listed in ascending order of the union ``U = J | K`` (descending ``J``
+    within one union), and ``unions[u]`` owns the entries from ``starts[u]``
+    on, so ``np.add.reduceat(..., starts)`` sums a product per union.  A
+    chunk holds whole unions and at most ``_WEDGE_CHUNK`` pairs (a union
+    holds at most 2**(n_gen - 1)).  The four blocks together hold all
+    3**n_gen disjoint pairs.
     """
-    tab = _PAIR_TABLE.get(n_gen)
+    key = (n_gen, pj, pk)
+    tab = _PAIR_BLOCK.get(key)
     if tab is None:
         # each generator, lowest first, goes into J, into K or into neither;
         # its J block comes first, so after a stable sort by union, J
         # descends within every union
-        j = np.zeros(1, dtype=np.intp)
-        k = np.zeros(1, dtype=np.intp)
+        j = np.zeros(1, dtype=np.uint16)
+        k = np.zeros(1, dtype=np.uint16)
         for b in range(n_gen):
             bit = 1 << b
             j = np.concatenate((j | bit, j, j))
             k = np.concatenate((k, k | bit, k))
+        pop = _popcount_table(n_gen)
+        keep = np.flatnonzero(((pop[j] & 1) == pj) & ((pop[k] & 1) == pk))
         # unions fit 16 bits up to _WEDGE_LEAF, where numpy sorts by radix
-        order = np.argsort((j | k).astype(np.uint16), kind="stable")
-        j = j[order]
-        k = k[order]
+        union = (j | k)[keep]
+        order = np.argsort(union, kind="stable")
+        j = j[keep[order]].astype(np.intp)
+        k = k[keep[order]].astype(np.intp)
         sgn = _merge_sign_array(j, k, n_gen)
-        sizes = np.left_shift(1, _popcount_table(n_gen).astype(np.intp))
-        starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
-        tab = (j, k, sgn, starts)
-        _PAIR_TABLE[n_gen] = tab
+        unions, starts = np.unique(union[order], return_index=True)
+        unions = unions.astype(np.intp)
+        ends = np.append(starts[1:], len(j))
+        chunks = []
+        u0 = 0
+        while u0 < len(unions):
+            # this chunk: the unions from u0 on that end within _WEDGE_CHUNK
+            # pairs of starts[u0], at least one
+            u1 = max(u0 + 1, int(np.searchsorted(ends, starts[u0] + _WEDGE_CHUNK,
+                                                 side="right")))
+            p0, p1 = starts[u0], ends[u1 - 1]
+            chunks.append((j[p0:p1], k[p0:p1], sgn[p0:p1], unions[u0:u1],
+                           starts[u0:u1] - p0))
+            u0 = u1
+        tab = tuple(chunks)
+        _PAIR_BLOCK[key] = tab
     return tab
 
 
@@ -157,9 +216,11 @@ class GeneratorSet:
     ``count`` is the total number of generators (2n).  The cap defaults to
     16 and can be overridden per instance or via ``FERROFLOW_MAX_GENERATORS``.
     Dense elements take 16 * 2**count bytes.  A product sums over the
-    3**count disjoint pairs, so each generator above the 12 of the pair
-    table triples its cost: a dense complex product took 0.009 s at 12,
-    0.09 s at 14 and 0.8 s at 16 generators on a 2-CPU x86_64 machine.
+    3**count disjoint pairs, a quarter of them when both operands are even,
+    so each generator above the 12 of the pair table triples its cost: a
+    dense complex product of even elements took 0.0012 s at 12, 0.009 s at
+    14 and 0.07 s at 16 generators, and one of elements with both parities
+    0.004, 0.03 and 0.3 s, on a 2-CPU x86_64 machine.
     """
 
     count: int
@@ -225,6 +286,16 @@ class GrassmannElement:
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _adopt(cls, gens: GeneratorSet, coeffs: np.ndarray) -> "GrassmannElement":
+        """Freeze and wrap, without a copy, a fresh complex128 array of
+        ``gens.dim`` coefficients that no other code holds."""
+        coeffs.setflags(write=False)
+        self = object.__new__(cls)
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("GrassmannElement is immutable")
 
@@ -284,9 +355,6 @@ class GrassmannElement:
     def degrees(self) -> np.ndarray:
         """Monomial degree |J| for every stored index."""
         return _popcount_table(self.gens.count).copy()
-
-    def with_coeffs(self, coeffs: np.ndarray) -> "GrassmannElement":
-        return GrassmannElement(self.gens, coeffs)
 
     # -- operators ----------------------------------------------------------
 
@@ -350,27 +418,53 @@ def wedge(f: GrassmannElement, g: GrassmannElement) -> GrassmannElement:
 
     Basis monomials multiply to zero when their subsets intersect, otherwise
     to the merged subset times the merge sign.  Up to ``_WEDGE_LEAF``
-    generators the product sums over the disjoint-pair table; above it, the
-    top generator is split off recursively.
+    generators the product sums over the parity blocks of the disjoint-pair
+    table that the operands' nonzero parts select: an operand whose odd
+    coefficients are all exactly zero takes part through its even block
+    only.  Above the leaf, the top generator is split off recursively.
     """
     f._check_same(g)
-    return GrassmannElement(f.gens, _wedge_coeffs(f.coeffs, g.coeffs, f.gens.count))
+    n_gen = f.gens.count
+    return GrassmannElement._adopt(f.gens, _wedge_coeffs(
+        f.coeffs, g.coeffs, n_gen,
+        _parity_parts(f.coeffs, n_gen), _parity_parts(g.coeffs, n_gen)))
 
 
-def _wedge_coeffs(f: np.ndarray, g: np.ndarray, n_gen: int) -> np.ndarray:
+def _wedge_coeffs(f: np.ndarray, g: np.ndarray, n_gen: int,
+                  f_parts: tuple[int, ...], g_parts: tuple[int, ...]) -> np.ndarray:
+    """Coefficients of ``f ^ g`` for raw coefficient arrays; every degree
+    parity outside ``f_parts`` (``g_parts``) must be exactly zero in ``f``
+    (``g``)."""
     if n_gen <= _WEDGE_LEAF:
-        j, k, sgn, starts = _pair_table(n_gen)
-        return np.add.reduceat(sgn * f[j] * g[k], starts)
+        blocks = [_pair_block(n_gen, pj, pk) for pj in f_parts for pk in g_parts]
+        size = max(len(chunk[0]) for block in blocks for chunk in block)
+        f_pairs = np.empty(size, dtype=np.complex128)
+        g_pairs = np.empty(size, dtype=np.complex128)
+        out = np.zeros(1 << n_gen, dtype=np.complex128)
+        for block in blocks:
+            for j, k, sgn, unions, starts in block:
+                # the indices are in range, and mode="clip" lets take write
+                # into the work array without a buffer
+                terms = f.take(j, out=f_pairs[:len(j)], mode="clip")
+                terms *= g.take(k, out=g_pairs[:len(k)], mode="clip")
+                terms *= sgn
+                out[unions] += np.add.reduceat(terms, starts)
+        return out
     # f = a + b ^ psi_top and g = c + d ^ psi_top give
     # f ^ g = a ^ c + (a ^ d + b ^ c_hat) ^ psi_top, where c_hat carries the
-    # sign (-1)**|K| of moving psi_top to the right of psi_K
+    # sign (-1)**|K| of moving psi_top to the right of psi_K; b and d have
+    # the opposite parities of f and g, and c_hat those of g
     low = n_gen - 1
     half = 1 << low
     a, b = f[:half], f[half:]
     c, d = g[:half], g[half:]
+    b_parts = tuple(1 - p for p in reversed(f_parts))
+    d_parts = tuple(1 - p for p in reversed(g_parts))
     c_hat = np.where(_popcount_table(low) & 1, -c, c)
-    return np.concatenate((_wedge_coeffs(a, c, low),
-                           _wedge_coeffs(a, d, low) + _wedge_coeffs(b, c_hat, low)))
+    return np.concatenate((
+        _wedge_coeffs(a, c, low, f_parts, g_parts),
+        _wedge_coeffs(a, d, low, f_parts, d_parts)
+        + _wedge_coeffs(b, c_hat, low, b_parts, g_parts)))
 
 
 def derivative(f: GrassmannElement, k: int) -> GrassmannElement:
@@ -446,7 +540,8 @@ def analytic_apply(jet: Sequence[complex] | Callable[[int], complex],
     ``jet`` supplies the derivatives ``F^(k)(f_0)`` at the scalar part, either
     as a sequence indexed by ``k`` or as a callable.  The series terminates
     because the nilpotent part ``f - f_0`` has vanishing powers beyond the
-    generator count.
+    generator count, and beyond half of it when the part is even.  The
+    parity of the nilpotent part is inspected once per series.
     """
     n_gen = f.gens.count
     if callable(jet):
@@ -457,20 +552,24 @@ def analytic_apply(jet: Sequence[complex] | Callable[[int], complex],
         def deriv_at(k: int) -> complex:
             return seq[k] if k < len(seq) else 0.0
 
-    f1 = f.coeffs.copy()
-    f1[0] = 0.0
-    nilpotent = GrassmannElement(f.gens, f1)
+    nilpotent = f.coeffs.copy()
+    nilpotent[0] = 0.0
+    parts = _parity_parts(nilpotent, n_gen)
+    # an even nilpotent part has degree >= 2, so its powers above
+    # n_gen // 2 vanish
+    top = n_gen // 2 if parts == _EVEN else n_gen
     acc = np.zeros(f.gens.dim, dtype=np.complex128)
     acc[0] = deriv_at(0)
-    power = GrassmannElement.scalar(f.gens, 1.0)
+    power = nilpotent
     kfact = 1.0
-    for k in range(1, n_gen + 1):
-        power = wedge(power, nilpotent)
+    for k in range(1, top + 1):
+        if k > 1:
+            power = _wedge_coeffs(power, nilpotent, n_gen, parts, parts)
         kfact *= k
-        if not np.any(power.coeffs):
+        if not power.any():
             break
-        acc += (deriv_at(k) / kfact) * power.coeffs
-    return GrassmannElement(f.gens, acc)
+        acc += (deriv_at(k) / kfact) * power
+    return GrassmannElement._adopt(f.gens, acc)
 
 
 def exp_of(f: GrassmannElement) -> GrassmannElement:

@@ -13,7 +13,7 @@ Exit codes: 0 success, 1 failed verification, 2 inadmissible instance,
 
 ``generators`` (even, 2..16) sets the size of verify's RG-map checks.  Each
 generator above 12 triples the cost of a product; ``verify --seed 42`` took
-13 s at 14 generators and 159 s (215 MB peak) at 16, one run each on a 2-CPU
+2.5 s at 14 generators and 22 s (194 MB peak) at 16, one run each on a 2-CPU
 x86_64 Xeon, against a budget of 10 minutes.
 """
 
@@ -443,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="project the flow onto degree >= 4")
         p.add_argument("--generators", type=int, default=None,
                        help="generator count for randomized checks (even, "
-                            "2..16; verify took 13 s at 14 and 159 s at 16 "
+                            "2..16; verify took 2.5 s at 14 and 22 s at 16 "
                             "on a 2-CPU x86_64 machine)")
         if name == "verify":
             p.add_argument("--debug-corrupt-pfaffian", action="store_true",

@@ -23,14 +23,15 @@ import numpy as np
 from .algebra import (
     GeneratorSet,
     GrassmannElement,
+    _parity_parts,
+    _popcount_table,
+    _wedge_coeffs,
     exp_of,
     log_of,
     parity_magnitudes,
-    project_degree_ge,
-    wedge,
 )
 from .errors import IntegrationError, LogDomainError, ParityError
-from .gaussian import AntisymmetricCovariance, laplacian
+from .gaussian import AntisymmetricCovariance, _laplacian_coeffs
 from .norms import NormSeries, norm_coefficients
 from .schedule import ScaleSchedule
 
@@ -129,18 +130,22 @@ def effective_action_exact(schedule: ScaleSchedule, f0: GrassmannElement,
 
 
 def _flow_rhs(rate: np.ndarray, coeffs: np.ndarray, gens: GeneratorSet,
-              truncate_ge2: bool) -> tuple[np.ndarray, complex]:
-    """Flow right-hand side on raw coefficients; returns (dF, dlog_norm)."""
-    f = GrassmannElement(gens, coeffs)
-    lap = laplacian(rate, f)
+              truncate_ge2: bool, parts: tuple[int, ...]
+              ) -> tuple[np.ndarray, complex]:
+    """Flow right-hand side on raw coefficients whose nonzero parity parts
+    are ``parts``; returns (dF, dlog_norm)."""
+    n_gen = gens.count
+    lap = _laplacian_coeffs(rate, coeffs, n_gen, parts)
     # product rule for even F, with Delta = laplacian(rate, .):
     #   sum_ij rate_ij d_iF ^ d_jF = -(1/2) [Delta(F ^ F) - 2 F ^ Delta F]
-    bil = -0.5 * (laplacian(rate, wedge(f, f)).coeffs - 2.0 * wedge(f, lap).coeffs)
-    dlog = 0.5 * lap.coeffs[0]
-    out = 0.5 * lap.coeffs + (0.5 * _BILINEAR_SIGN) * bil
+    square = _wedge_coeffs(coeffs, coeffs, n_gen, parts, parts)
+    bil = -0.5 * (_laplacian_coeffs(rate, square, n_gen, parts)
+                  - 2.0 * _wedge_coeffs(coeffs, lap, n_gen, parts, parts))
+    dlog = 0.5 * lap[0]
+    out = 0.5 * lap + (0.5 * _BILINEAR_SIGN) * bil
     out[0] = 0.0  # normalization: the scalar part stays exactly zero
     if truncate_ge2:
-        out = project_degree_ge(GrassmannElement(gens, out), 4).coeffs.copy()
+        out[_popcount_table(n_gen) < 4] = 0.0
     return out, complex(dlog)
 
 
@@ -208,7 +213,10 @@ def _integrate_on(schedule: ScaleSchedule, f0: GrassmannElement,
     gens = f0.gens
     y = f0.coeffs.copy()
     y[0] = 0.0
-    states = [GrassmannElement(gens, y)]
+    # found from exact zeros, not from _require_even's tolerance; RK4 keeps
+    # exact zeros exactly zero, so one inspection holds for every state
+    parts = _parity_parts(y, gens.count)
+    states = [GrassmannElement._adopt(gens, y)]
     log_norm = [0.0 + 0.0j]
     notes: list[str] = []
     c = 0.0 + 0.0j
@@ -220,10 +228,10 @@ def _integrate_on(schedule: ScaleSchedule, f0: GrassmannElement,
         a1 = a4  # the rate at the end of the previous step
         a2 = schedule.adot(t0 + 0.5 * h)
         a4 = schedule.adot(t1)
-        k1, c1 = _flow_rhs(a1, y, gens, truncate_ge2)
-        k2, c2 = _flow_rhs(a2, y + 0.5 * h * k1, gens, truncate_ge2)
-        k3, c3 = _flow_rhs(a2, y + 0.5 * h * k2, gens, truncate_ge2)
-        k4, c4 = _flow_rhs(a4, y + h * k3, gens, truncate_ge2)
+        k1, c1 = _flow_rhs(a1, y, gens, truncate_ge2, parts)
+        k2, c2 = _flow_rhs(a2, y + 0.5 * h * k1, gens, truncate_ge2, parts)
+        k3, c3 = _flow_rhs(a2, y + 0.5 * h * k2, gens, truncate_ge2, parts)
+        k4, c4 = _flow_rhs(a4, y + h * k3, gens, truncate_ge2, parts)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y[0] = 0.0
         c = c + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
@@ -232,7 +240,7 @@ def _integrate_on(schedule: ScaleSchedule, f0: GrassmannElement,
                 f"normalization scalar exp(-{c.real:.3g}) below "
                 f"{_SCALAR_WARN_FLOOR} at t={t1:.6g}; conditioning degrades")
             warned = True
-        states.append(GrassmannElement(gens, y))
+        states.append(GrassmannElement._adopt(gens, y))
         log_norm.append(c)
     return FlowTrajectory(grid=grid, states=states, normalized=True,
                           truncated=truncate_ge2,

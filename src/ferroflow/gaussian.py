@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import GrassmannElement, _popcount_table
+from .algebra import _EVEN, GrassmannElement, _parity_parts, _popcount_table
 from .errors import DimensionMismatchError, GramSplitError
 
 # Global Laplacian sign relative to sum_{ij} A_ij d_i d_j with left
@@ -31,13 +31,16 @@ _LAPLACIAN_TABLE: dict[int, tuple[np.ndarray, ...]] = {}
 def _laplacian_table(n_gen: int):
     """Gather table of ``d_i d_j`` over the generator pairs ``i < j``.
 
-    Returns ``(rows, cols, src, pair, targets, starts)``.  Pair ``p`` is
-    ``(rows[p], cols[p])``.  Entry ``e`` maps the coefficient of
-    ``psi_{src[e]}`` to the target ``v = src[e] & ~(bit_i | bit_j)``;
+    Returns ``(rows, cols, src, pair, targets, starts, even_targets,
+    even_entries)``.  Pair ``p`` is ``(rows[p], cols[p])``.  Entry ``e``
+    maps the coefficient of ``psi_{src[e]}`` to the target
+    ``v = src[e] & ~(bit_i | bit_j)``;
     ``pair[e]`` is ``p`` where ``d_i d_j`` keeps the sign of that monomial
-    and ``p + len(rows)`` where it flips it.  Entries are sorted by target,
-    and ``targets[t]`` owns the entries from ``starts[t]`` on.  Targets of
-    degree above ``n_gen - 2`` have no entries.
+    and ``p + len(rows)`` where it flips it.  Entries are sorted by target
+    parity, even first, then by target, and ``targets[t]`` owns the entries
+    from ``starts[t]`` on; the first ``even_targets`` targets are the even
+    ones, which own the first ``even_entries`` entries, all with even
+    sources.  Targets of degree above ``n_gen - 2`` have no entries.
     """
     tab = _LAPLACIAN_TABLE.get(n_gen)
     if tab is None:
@@ -55,13 +58,38 @@ def _laplacian_table(n_gen: int):
             dst_parts.append(dst)
             src_parts.append(src)
             pair_parts.append(p + rows.size * odd.astype(np.intp))
-        dst = np.concatenate(dst_parts)
-        order = np.argsort(dst, kind="stable")
-        targets, starts = np.unique(dst[order], return_index=True)
+        # sort key: the target, with its parity as the bit above it
+        key = np.concatenate(dst_parts)
+        key[pop[key] & 1 == 1] |= 1 << n_gen
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        targets = key[starts]
+        even_targets = int(np.searchsorted(targets, 1 << n_gen))
+        even_entries = int(np.searchsorted(key, 1 << n_gen))
         tab = (rows, cols, np.concatenate(src_parts)[order],
-               np.concatenate(pair_parts)[order], targets, starts)
+               np.concatenate(pair_parts)[order], targets & ((1 << n_gen) - 1),
+               starts, even_targets, even_entries)
         _LAPLACIAN_TABLE[n_gen] = tab
     return tab
+
+
+def _laplacian_coeffs(a, coeffs: np.ndarray, n_gen: int,
+                      parts: tuple[int, ...]) -> np.ndarray:
+    """``laplacian`` on a raw coefficient array whose nonzero parity parts
+    are ``parts``; an even array gathers only the even-target entries."""
+    (rows, cols, src, pair, targets, starts, even_targets,
+     even_entries) = _laplacian_table(n_gen)
+    if parts == _EVEN:
+        src, pair = src[:even_entries], pair[:even_entries]
+        targets, starts = targets[:even_targets], starts[:even_targets]
+    # sum_ij m_ij d_i d_j keeps only the antisymmetric part of m
+    m = _as_matrix(a)
+    weight = _LAPLACIAN_SIGN * (m - m.T)[rows, cols]
+    weight = np.concatenate((weight, -weight))
+    out = np.zeros(1 << n_gen, dtype=np.complex128)
+    out[targets] = np.add.reduceat(weight[pair] * coeffs[src], starts)
+    return out
 
 
 class AntisymmetricCovariance:
@@ -230,24 +258,24 @@ def gaussian_expectation(a, f: GrassmannElement) -> complex:
     return complex(total)
 
 
+def _check_dimension(m: np.ndarray, f: GrassmannElement) -> None:
+    if m.shape[0] != f.gens.count:
+        raise DimensionMismatchError("covariance dimension != generator count")
+
+
 def laplacian(a, f: GrassmannElement) -> GrassmannElement:
     """Weighted second-derivative operator for covariance ``a``.
 
     Each output monomial drops in degree by exactly two; the global sign is
     the one that makes the heat-kernel convolution consistent with Gaussian
-    moments.
+    moments.  An ``f`` whose odd coefficients are all exactly zero reads only
+    the even half of the gather table.
     """
     m = _as_matrix(a)
+    _check_dimension(m, f)
     n_gen = f.gens.count
-    if m.shape[0] != n_gen:
-        raise DimensionMismatchError("covariance dimension != generator count")
-    rows, cols, src, pair, targets, starts = _laplacian_table(n_gen)
-    # sum_ij m_ij d_i d_j keeps only the antisymmetric part of m
-    weight = _LAPLACIAN_SIGN * (m - m.T)[rows, cols]
-    weight = np.concatenate((weight, -weight))
-    out = np.zeros(f.gens.dim, dtype=np.complex128)
-    out[targets] = np.add.reduceat(weight[pair] * f.coeffs[src], starts)
-    return GrassmannElement(f.gens, out)
+    return GrassmannElement._adopt(f.gens, _laplacian_coeffs(
+        m, f.coeffs, n_gen, _parity_parts(f.coeffs, n_gen)))
 
 
 def heat_kernel_convolve(a, f: GrassmannElement) -> GrassmannElement:
@@ -256,15 +284,19 @@ def heat_kernel_convolve(a, f: GrassmannElement) -> GrassmannElement:
 
     Its scalar part equals ``gaussian_expectation(a, f)``.
     """
+    m = _as_matrix(a)
+    _check_dimension(m, f)
+    n_gen = f.gens.count
+    parts = _parity_parts(f.coeffs, n_gen)  # the Laplacian keeps parity
     acc = f.coeffs.copy()
-    term = f
-    for k in range(1, f.gens.count // 2 + 2):
-        term = laplacian(a, term)
-        if not np.any(term.coeffs):
+    term = f.coeffs
+    for k in range(1, n_gen // 2 + 2):
+        term = _laplacian_coeffs(m, term, n_gen, parts)
+        if not term.any():
             break
-        term = term.with_coeffs(term.coeffs * (0.5 / k))
-        acc += term.coeffs
-    return GrassmannElement(f.gens, acc)
+        term *= 0.5 / k
+        acc += term
+    return GrassmannElement._adopt(f.gens, acc)
 
 
 def covariance_split_check(a, b, f: GrassmannElement) -> float:

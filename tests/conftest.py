@@ -8,6 +8,7 @@ from ferroflow.instances import (  # noqa: F401  (test modules import them from 
     synthetic_schedule,
 )
 from ferroflow import schedule as schedule_module
+from ferroflow.algebra import GrassmannElement, wedge
 from ferroflow.norms import matrix_norm_1inf
 from ferroflow.psi4 import Psi4Params, build_desk_instance
 from ferroflow.schedule import ScaleSchedule
@@ -24,6 +25,21 @@ def popcounts(dim, n_gen):
     for b in range(n_gen):
         pop += (idx >> b) & 1
     return pop
+
+
+def taylor_by_wedge(deriv_at, f):
+    """``sum_k deriv_at(k) x^k / k!`` for the nilpotent part ``x = f - f_0``,
+    every power taken through the public ``wedge`` (an oracle for
+    ``analytic_apply``)."""
+    x = f - f.scalar_part
+    power = GrassmannElement.scalar(f.gens, 1.0)
+    acc = power * deriv_at(0)
+    kfact = 1.0
+    for k in range(1, f.gens.count + 1):
+        power = wedge(power, x)
+        kfact *= k
+        acc = acc + power * (deriv_at(k) / kfact)
+    return acc
 
 
 def desk_instance():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ferroflow import algebra
 from ferroflow.algebra import (
     GeneratorSet,
     GrassmannElement,
@@ -18,11 +19,11 @@ from ferroflow.algebra import (
     project_degree_ge,
     translate_double,
     wedge,
-    _pair_table,
+    _pair_block,
 )
 from ferroflow.errors import CapacityError, DimensionMismatchError, LogDomainError
 
-from conftest import popcounts, rand_element, rand_even_normalized
+from conftest import popcounts, rand_element, rand_even_normalized, taylor_by_wedge
 
 
 def psi(gens, k):
@@ -146,29 +147,84 @@ def top_generator_operand(rng, gens, terms=80):
     return GrassmannElement(gens, c)
 
 
-def _pair_table_by_enumeration(n_gen):
-    """Pairs (J, K) listed union by union, J running over the subsets of the
-    union in descending order, with union start offsets."""
-    js, ks, starts = [], [], []
+def _pair_table_by_enumeration(n_gen, pj, pk):
+    """Pairs (J, K) with |J| = pj and |K| = pk (mod 2), listed union by
+    union, J running over the subsets of the union in descending order, with
+    the unions that own pairs and their start offsets."""
+    js, ks, unions, starts = [], [], [], []
     for u in range(1 << n_gen):
-        starts.append(len(js))
         sub = u
         while True:
-            js.append(sub)
-            ks.append(u ^ sub)
+            if bin(sub).count("1") % 2 == pj and bin(u ^ sub).count("1") % 2 == pk:
+                if not unions or unions[-1] != u:
+                    unions.append(u)
+                    starts.append(len(js))
+                js.append(sub)
+                ks.append(u ^ sub)
             if sub == 0:
                 break
             sub = (sub - 1) & u
     sgn = [float(merge_sign(j, k)) for j, k in zip(js, ks)]
-    return js, ks, sgn, starts
+    return js, ks, sgn, unions, starts
 
 
 @pytest.mark.parametrize("n_gen", [2, 4, 6, 8])
-def test_pair_table_matches_enumeration(n_gen):
-    j, k, sgn, starts = _pair_table(n_gen)
-    want = _pair_table_by_enumeration(n_gen)
-    for got, ref in zip((j, k, sgn, starts), want):
-        assert np.array_equal(got, np.asarray(ref))
+def test_pair_table_matches_enumeration(n_gen, monkeypatch):
+    # at the default chunk size, and at one that cuts the larger blocks
+    for chunk_size in (algebra._WEDGE_CHUNK, 64):
+        monkeypatch.setattr(algebra, "_WEDGE_CHUNK", chunk_size)
+        monkeypatch.setattr(algebra, "_PAIR_BLOCK", {})
+        pairs = 0
+        for pj in (0, 1):
+            for pk in (0, 1):
+                chunks = _pair_block(n_gen, pj, pk)
+                for chunk in chunks:
+                    assert len(chunk[0]) <= chunk_size or len(chunk[3]) == 1
+                    assert chunk[4][0] == 0
+                offsets = np.cumsum([0] + [len(chunk[0]) for chunk in chunks])
+                block = [np.concatenate([chunk[i] for chunk in chunks])
+                         for i in range(4)]
+                block.append(np.concatenate([chunk[4] + offset
+                                             for chunk, offset in zip(chunks, offsets)]))
+                want = _pair_table_by_enumeration(n_gen, pj, pk)
+                for got, ref in zip(block, want):
+                    assert np.array_equal(got, np.asarray(ref))
+                pairs += len(block[0])
+        assert pairs == 3 ** n_gen
+
+
+def parity_operand(rng, gens, parity, terms=60):
+    """Random complex coefficients on sparse monomials of the given degree
+    parity ("even", "odd" or "mixed"); above the pair-table leaf a third of
+    them hold the top generator and another third the one below it."""
+    masks = rng.integers(0, gens.dim, terms) & rng.integers(0, gens.dim, terms)
+    if gens.count > 12:
+        masks[0::3] |= 1 << (gens.count - 1)
+        masks[1::3] |= 1 << (gens.count - 2)
+    odd = np.array([bin(int(m)).count("1") % 2 for m in masks])
+    if parity != "mixed":
+        # toggling psi_0 flips a monomial's parity and keeps its top bits
+        masks[odd != (parity == "odd")] ^= 1
+    c = np.zeros(gens.dim, dtype=complex)
+    c[masks] = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+    return GrassmannElement(gens, c)
+
+
+@pytest.mark.parametrize("n_gen", [4, 8, 12, 14])
+@pytest.mark.parametrize("parities", [("even", "even"), ("even", "odd"),
+                                      ("odd", "even"), ("odd", "odd"),
+                                      ("mixed", "mixed")])
+def test_parity_blocks_match_merge_sign_double_loop(rng, n_gen, parities):
+    g = GeneratorSet(n_gen)
+    a, b = (parity_operand(rng, g, p) for p in parities)
+    want = np.zeros(g.dim, dtype=complex)
+    for j in a.nonzero_masks():
+        for k in b.nonzero_masks():
+            if not j & k:
+                want[j | k] += merge_sign(int(j), int(k)) * a.coeffs[j] * b.coeffs[k]
+    assert np.count_nonzero(want) > 4
+    got = wedge(a, b).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @given(i=st.integers(0, 5), j=st.integers(0, 5))
@@ -318,6 +374,17 @@ class TestAnalytic:
             log_of(GrassmannElement.scalar(g, -1.0))
         with pytest.raises(LogDomainError):
             log_of(GrassmannElement.scalar(g, 1.0 + 0.5j))
+
+    @pytest.mark.parametrize("parity", ["even", "mixed"])
+    def test_matches_wedge_series(self, rng, parity):
+        g = GeneratorSet(8)
+        f = rand_element(rng, g, 0.3)
+        if parity == "even":
+            f = parity_split(f)[0]
+        e0 = np.exp(f.scalar_part)
+        want = taylor_by_wedge(lambda k: e0, f).coeffs
+        got = exp_of(f).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_jet_sequence_form(self):
         g = GeneratorSet(4)

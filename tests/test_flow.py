@@ -1,7 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from ferroflow.algebra import GeneratorSet, GrassmannElement, derivative, wedge
+from ferroflow.algebra import (
+    _BOTH,
+    GeneratorSet,
+    GrassmannElement,
+    _parity_parts,
+    derivative,
+    wedge,
+)
 from ferroflow.errors import LogDomainError, ParityError
 from ferroflow.flow import (
     _BILINEAR_SIGN,
@@ -13,14 +22,16 @@ from ferroflow.flow import (
     trajectory_norms,
     trajectory_to_csv,
 )
-from ferroflow.gaussian import laplacian
+from ferroflow.gaussian import heat_kernel_convolve, laplacian
 from ferroflow.psi4 import quartic_bare_action
 
 from conftest import (
     popcounts,
     rand_antisymmetric,
+    rand_element,
     rand_even_normalized,
     synthetic_schedule,
+    taylor_by_wedge,
 )
 
 
@@ -53,7 +64,8 @@ class TestFlowRhs:
             rate = rng.normal(size=(n_gen, n_gen)) + 1j * rng.normal(size=(n_gen, n_gen))
         else:
             rate = rand_antisymmetric(rng, n_gen)
-        got, got_dlog = _flow_rhs(rate, f.coeffs, g, truncate)
+        got, got_dlog = _flow_rhs(rate, f.coeffs, g, truncate,
+                                  _parity_parts(f.coeffs, n_gen))
         want, want_dlog = flow_rhs_by_generators(rate, f.coeffs, g, truncate)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert got_dlog == want_dlog
@@ -241,6 +253,62 @@ class TestFlowIntegrate:
         raw = effective_action_exact(sched, f, 1.0, normalized=False)
         assert traj.log_norm[-1].real == pytest.approx(raw.scalar_part.real,
                                                        abs=1e-8)
+
+
+def with_tolerated_odd_content(rng, gens):
+    """A real normalized even action plus real odd content at half the
+    parity tolerance of ``rg_map`` and ``flow_integrate`` (1e-12 relative)."""
+    f = rand_even_normalized(rng, gens, 0.05)
+    odd = rand_element(rng, gens, complex_coeffs=False).coeffs.copy()
+    odd[popcounts(gens.dim, gens.count) % 2 == 0] = 0.0
+    odd *= 0.5e-12 * max(1.0, f.max_abs()) / np.max(np.abs(odd))
+    return f + GrassmannElement(gens, odd)
+
+
+class TestExactParity:
+    def test_exactly_even_action_keeps_odd_coefficients_zero(self, rng):
+        sched = synthetic_schedule(rng, 4)
+        f = rand_even_normalized(rng, GeneratorSet(8), 0.05)
+        traj = flow_integrate(sched, f, steps=20, t_end=1.0)
+        odd = popcounts(f.gens.dim, f.gens.count) % 2 == 1
+        for state in traj.states:
+            assert np.all(state.coeffs[odd] == 0.0)
+
+    def test_tolerated_odd_content_keeps_every_block(self, rng):
+        # odd content that _require_even admits must still be multiplied:
+        # the flow and rg_map agree with RK4 and rg_map through all four
+        # parity blocks
+        gens = GeneratorSet(8)
+        sched = synthetic_schedule(rng, 4)
+        f = with_tolerated_odd_content(rng, gens)
+        odd = popcounts(gens.dim, gens.count) % 2 == 1
+        grid = np.linspace(0.0, 1.0, 11)
+        traj = flow_integrate(sched, f, grid=grid)
+        y = f.coeffs.copy()
+        for i in range(len(grid) - 1):
+            t0, h = grid[i], grid[i + 1] - grid[i]
+            a1, a2, a4 = sched.adot(t0), sched.adot(t0 + 0.5 * h), sched.adot(t0 + h)
+            k1, _ = _flow_rhs(a1, y, gens, False, _BOTH)
+            k2, _ = _flow_rhs(a2, y + 0.5 * h * k1, gens, False, _BOTH)
+            k3, _ = _flow_rhs(a2, y + 0.5 * h * k2, gens, False, _BOTH)
+            k4, _ = _flow_rhs(a4, y + h * k3, gens, False, _BOTH)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y[0] = 0.0
+            assert np.max(np.abs(traj.states[i + 1].coeffs - y)) <= 1e-14
+        # the odd part moves by more than five times the tolerance of the check
+        assert np.max(np.abs(y[odd] - f.coeffs[odd])) > 5e-14
+
+        # rg_map against -log(heat kernel(exp(-f))) with the series of exp
+        # and log summed through the public wedge
+        a = rand_antisymmetric(rng, 8, 0.2)
+        conv = heat_kernel_convolve(a, taylor_by_wedge(lambda k: 1.0, -f))
+        c0 = conv.scalar_part.real
+        want = -taylor_by_wedge(
+            lambda k: np.log(c0) if k == 0
+            else (-1.0) ** (k - 1) * math.factorial(k - 1) / c0 ** k, conv).coeffs
+        got = rg_map(a, f).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-14
+        assert np.max(np.abs(want[odd] - f.coeffs[odd])) > 5e-14
 
 
 class TestTrajectoryNorms:
