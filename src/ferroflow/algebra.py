@@ -20,12 +20,13 @@ Sign conventions
 Parity blocks
 -------------
 The disjoint pairs ``(J, K)`` of a product fall into four blocks by
-``(|J| mod 2, |K| mod 2)``.  A product sums only the blocks whose operand
-parts are nonzero, so even x even (the effective action and its flow) reads
-a quarter of the pairs.  Which parts are nonzero is found from exact zeros
-only: an operand whose odd-degree coefficients are all exactly zero is even,
-and any other operand counts as having both parts.  A tolerance would
-silently drop small odd terms.
+``(|J| mod 2, |K| mod 2)``, laid out back to back in one pair table.  A
+product sums only the blocks whose operand parts are nonzero, so even x even
+(the effective action and its flow) reads a quarter of the pairs.  Which
+parts are nonzero is found from exact zeros only: an operand whose
+odd-degree coefficients are all exactly zero is even, and any other operand
+counts as having both parts.  A tolerance would silently drop small odd
+terms.
 
 Elements are immutable after construction; all operations are pure functions
 and safe for concurrent use.
@@ -33,6 +34,7 @@ and safe for concurrent use.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -49,16 +51,10 @@ _MAX_GENERATORS_ENV = "FERROFLOW_MAX_GENERATORS"
 # Largest generator count that ``wedge`` multiplies through the disjoint-pair
 # table; larger products split off their top generator until they reach it.
 # The table holds 3**n_gen pairs in four parity blocks of about 3**n_gen / 4
-# pairs, each built on first use; one block takes 24 bytes of indices and
-# signs per pair, 3.2 MB at 12 generators (it would be 29 MB at 14), and its
-# unions must fit the uint16 radix sort key.
+# pairs; one block takes 24 bytes of indices and signs per pair, 3.2 MB at
+# 12 generators (it would be 29 MB at 14), and its keys must fit the uint16
+# radix sort.
 _WEDGE_LEAF = 12
-
-# Largest number of pairs one pass of a product multiplies.  Its two work
-# arrays (256 KB each) stay in cache and are reused across chunks; arrays
-# the size of a 12-generator block (2.1 MB) cost as much in fresh pages as
-# in arithmetic.
-_WEDGE_CHUNK = 16384
 
 # Parity parts an operand may hold, as the degree parities (0 even, 1 odd)
 # whose coefficients are not all exactly zero.
@@ -86,7 +82,7 @@ def max_generators() -> int:
 
 _POPCOUNT: dict[int, np.ndarray] = {}
 _ODD_INDEX: dict[int, np.ndarray] = {}
-_PAIR_BLOCK: dict[tuple[int, int, int], tuple[tuple[np.ndarray, ...], ...]] = {}
+_PAIR_TABLE: dict[int, tuple] = {}
 _DERIV_TABLE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
@@ -132,30 +128,42 @@ def _odd_index(n_gen: int) -> np.ndarray:
     return idx
 
 
-def _parity_parts(coeffs: np.ndarray, n_gen: int) -> tuple[int, ...]:
+def _is_exactly_even(coeffs: np.ndarray) -> bool:
+    """Whether every odd-degree coefficient of a raw array is exactly zero."""
+    return not coeffs.take(_odd_index(coeffs.size.bit_length() - 1)).any()
+
+
+def _parity_parts(coeffs: np.ndarray) -> tuple[int, ...]:
     """``_EVEN`` when every odd-degree coefficient is exactly zero, else
     ``_BOTH``."""
-    return _BOTH if coeffs.take(_odd_index(n_gen)).any() else _EVEN
+    return _EVEN if _is_exactly_even(coeffs) else _BOTH
 
 
-def _pair_block(n_gen: int, pj: int, pk: int):
-    """The disjoint pairs (J, K) with ``|J| = pj`` and ``|K| = pk`` (mod 2),
-    with their merge signs, grouped by union and cut into chunks.
+def _zero_below_degree(coeffs: np.ndarray, n_gen: int, d: int) -> None:
+    """Zero, in place, every coefficient of monomial degree below ``d``."""
+    coeffs[_popcount_table(n_gen) < d] = 0.0
 
-    Returns a tuple of chunks ``(j, k, sgn, unions, starts)``: the pairs are
-    listed in ascending order of the union ``U = J | K`` (descending ``J``
-    within one union), and ``unions[u]`` owns the entries from ``starts[u]``
-    on, so ``np.add.reduceat(..., starts)`` sums a product per union.  A
-    chunk holds whole unions and at most ``_WEDGE_CHUNK`` pairs (a union
-    holds at most 2**(n_gen - 1)).  The four blocks together hold all
-    3**n_gen disjoint pairs.
+
+def _pair_table(n_gen: int, blocks: int):
+    """The disjoint pairs (J, K) of the first ``blocks`` parity blocks, with
+    their merge signs, grouped by block and union.
+
+    Block ``2 * (|J| mod 2) + (|K| mod 2)`` comes in the order even x even,
+    even x odd, odd x even, odd x odd; the four blocks together hold all
+    3**n_gen disjoint pairs.  Returns ``(j, k, sgn, unions, starts,
+    pair_off, seg_off)``: block ``b`` owns the pairs from ``pair_off[b]`` to
+    ``pair_off[b + 1]``, listed in ascending order of the union
+    ``U = J | K`` (descending ``J`` within one union), and the segments from
+    ``seg_off[b]`` to ``seg_off[b + 1]``; segment ``s`` holds the pairs of
+    union ``unions[s]`` from ``starts[s]`` on, so ``np.add.reduceat(...,
+    starts)`` sums a product per block and union.  A table built for fewer
+    blocks is rebuilt when a product needs more.
     """
-    key = (n_gen, pj, pk)
-    tab = _PAIR_BLOCK.get(key)
-    if tab is None:
+    tab = _PAIR_TABLE.get(n_gen)
+    if tab is None or len(tab[5]) <= blocks:
         # each generator, lowest first, goes into J, into K or into neither;
-        # its J block comes first, so after a stable sort by union, J
-        # descends within every union
+        # its J block comes first, so after a stable sort by block and
+        # union, J descends within every union
         j = np.zeros(1, dtype=np.uint16)
         k = np.zeros(1, dtype=np.uint16)
         for b in range(n_gen):
@@ -163,30 +171,38 @@ def _pair_block(n_gen: int, pj: int, pk: int):
             j = np.concatenate((j | bit, j, j))
             k = np.concatenate((k, k | bit, k))
         pop = _popcount_table(n_gen)
-        keep = np.flatnonzero(((pop[j] & 1) == pj) & ((pop[k] & 1) == pk))
-        # unions fit 16 bits up to _WEDGE_LEAF, where numpy sorts by radix
-        union = (j | k)[keep]
-        order = np.argsort(union, kind="stable")
+        block = 2 * (pop[j] & 1) + (pop[k] & 1)
+        keep = np.flatnonzero(block < blocks)
+        # block and union fit 16 bits up to _WEDGE_LEAF, where numpy sorts
+        # by radix
+        key = (block[keep].astype(np.uint16) << n_gen) | j[keep] | k[keep]
+        order = np.argsort(key, kind="stable")
+        key = key[order].astype(np.intp)
         j = j[keep[order]].astype(np.intp)
         k = k[keep[order]].astype(np.intp)
         sgn = _merge_sign_array(j, k, n_gen)
-        unions, starts = np.unique(union[order], return_index=True)
-        unions = unions.astype(np.intp)
-        ends = np.append(starts[1:], len(j))
-        chunks = []
-        u0 = 0
-        while u0 < len(unions):
-            # this chunk: the unions from u0 on that end within _WEDGE_CHUNK
-            # pairs of starts[u0], at least one
-            u1 = max(u0 + 1, int(np.searchsorted(ends, starts[u0] + _WEDGE_CHUNK,
-                                                 side="right")))
-            p0, p1 = starts[u0], ends[u1 - 1]
-            chunks.append((j[p0:p1], k[p0:p1], sgn[p0:p1], unions[u0:u1],
-                           starts[u0:u1] - p0))
-            u0 = u1
-        tab = tuple(chunks)
-        _PAIR_BLOCK[key] = tab
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        segments = key[starts]
+        bounds = np.arange(blocks + 1) << n_gen
+        tab = (j, k, sgn, segments & ((1 << n_gen) - 1), starts,
+               np.searchsorted(key, bounds).tolist(),
+               np.searchsorted(segments, bounds).tolist())
+        _PAIR_TABLE[n_gen] = tab
     return tab
+
+
+@functools.lru_cache(maxsize=None)
+def _block_runs(f_parts: tuple[int, ...], g_parts: tuple[int, ...]
+                ) -> tuple[tuple[int, int], ...]:
+    """The parity blocks a product of operands with these parts reads, as
+    maximal runs ``(first, end)`` of adjacent blocks."""
+    runs: list[list[int]] = []
+    for b in sorted(2 * pj + pk for pj in f_parts for pk in g_parts):
+        if runs and runs[-1][1] == b:
+            runs[-1][1] = b + 1
+        else:
+            runs.append([b, b + 1])
+    return tuple((first, end) for first, end in runs)
 
 
 def _deriv_table(n_gen: int, k: int):
@@ -218,9 +234,9 @@ class GeneratorSet:
     Dense elements take 16 * 2**count bytes.  A product sums over the
     3**count disjoint pairs, a quarter of them when both operands are even,
     so each generator above the 12 of the pair table triples its cost: a
-    dense complex product of even elements took 0.0012 s at 12, 0.009 s at
-    14 and 0.07 s at 16 generators, and one of elements with both parities
-    0.004, 0.03 and 0.3 s, on a 2-CPU x86_64 machine.
+    dense complex product of even elements took 0.0008 s at 12, 0.007 s at
+    14 and 0.06 s at 16 generators, and one of elements with both parities
+    0.003, 0.026 and 0.33 s, on a 2-CPU x86_64 machine.
     """
 
     count: int
@@ -425,30 +441,36 @@ def wedge(f: GrassmannElement, g: GrassmannElement) -> GrassmannElement:
     """
     f._check_same(g)
     n_gen = f.gens.count
-    return GrassmannElement._adopt(f.gens, _wedge_coeffs(
-        f.coeffs, g.coeffs, n_gen,
-        _parity_parts(f.coeffs, n_gen), _parity_parts(g.coeffs, n_gen)))
+    return GrassmannElement._adopt(f.gens, _wedge_blocks(
+        f.coeffs, g.coeffs, n_gen, _parity_parts(f.coeffs), _parity_parts(g.coeffs)))
 
 
-def _wedge_coeffs(f: np.ndarray, g: np.ndarray, n_gen: int,
+def _wedge_coeffs(f: np.ndarray, g: np.ndarray, n_gen: int, even: bool
+                  ) -> np.ndarray:
+    """Coefficients of ``f ^ g`` for raw coefficient arrays; with ``even``
+    every odd-degree coefficient of both must be exactly zero."""
+    parts = _EVEN if even else _BOTH
+    return _wedge_blocks(f, g, n_gen, parts, parts)
+
+
+def _wedge_blocks(f: np.ndarray, g: np.ndarray, n_gen: int,
                   f_parts: tuple[int, ...], g_parts: tuple[int, ...]) -> np.ndarray:
     """Coefficients of ``f ^ g`` for raw coefficient arrays; every degree
     parity outside ``f_parts`` (``g_parts``) must be exactly zero in ``f``
     (``g``)."""
     if n_gen <= _WEDGE_LEAF:
-        blocks = [_pair_block(n_gen, pj, pk) for pj in f_parts for pk in g_parts]
-        size = max(len(chunk[0]) for block in blocks for chunk in block)
-        f_pairs = np.empty(size, dtype=np.complex128)
-        g_pairs = np.empty(size, dtype=np.complex128)
+        runs = _block_runs(f_parts, g_parts)
+        j, k, sgn, unions, starts, pair_off, seg_off = _pair_table(n_gen, runs[-1][1])
         out = np.zeros(1 << n_gen, dtype=np.complex128)
-        for block in blocks:
-            for j, k, sgn, unions, starts in block:
-                # the indices are in range, and mode="clip" lets take write
-                # into the work array without a buffer
-                terms = f.take(j, out=f_pairs[:len(j)], mode="clip")
-                terms *= g.take(k, out=g_pairs[:len(k)], mode="clip")
-                terms *= sgn
-                out[unions] += np.add.reduceat(terms, starts)
+        for first, end in runs:
+            p0, p1 = pair_off[first], pair_off[end]
+            s0, s1 = seg_off[first], seg_off[end]
+            terms = f.take(j[p0:p1])
+            terms *= g.take(k[p0:p1])
+            terms *= sgn[p0:p1]
+            # a union owns one segment in each block of the run, summed
+            # in block order
+            np.add.at(out, unions[s0:s1], np.add.reduceat(terms, starts[s0:s1] - p0))
         return out
     # f = a + b ^ psi_top and g = c + d ^ psi_top give
     # f ^ g = a ^ c + (a ^ d + b ^ c_hat) ^ psi_top, where c_hat carries the
@@ -462,9 +484,9 @@ def _wedge_coeffs(f: np.ndarray, g: np.ndarray, n_gen: int,
     d_parts = tuple(1 - p for p in reversed(g_parts))
     c_hat = np.where(_popcount_table(low) & 1, -c, c)
     return np.concatenate((
-        _wedge_coeffs(a, c, low, f_parts, g_parts),
-        _wedge_coeffs(a, d, low, f_parts, d_parts)
-        + _wedge_coeffs(b, c_hat, low, b_parts, g_parts)))
+        _wedge_blocks(a, c, low, f_parts, g_parts),
+        _wedge_blocks(a, d, low, f_parts, d_parts)
+        + _wedge_blocks(b, c_hat, low, b_parts, g_parts)))
 
 
 def derivative(f: GrassmannElement, k: int) -> GrassmannElement:
@@ -554,17 +576,17 @@ def analytic_apply(jet: Sequence[complex] | Callable[[int], complex],
 
     nilpotent = f.coeffs.copy()
     nilpotent[0] = 0.0
-    parts = _parity_parts(nilpotent, n_gen)
+    even = _is_exactly_even(nilpotent)
     # an even nilpotent part has degree >= 2, so its powers above
     # n_gen // 2 vanish
-    top = n_gen // 2 if parts == _EVEN else n_gen
+    top = n_gen // 2 if even else n_gen
     acc = np.zeros(f.gens.dim, dtype=np.complex128)
     acc[0] = deriv_at(0)
     power = nilpotent
     kfact = 1.0
     for k in range(1, top + 1):
         if k > 1:
-            power = _wedge_coeffs(power, nilpotent, n_gen, parts, parts)
+            power = _wedge_coeffs(power, nilpotent, n_gen, even)
         kfact *= k
         if not power.any():
             break
@@ -620,7 +642,6 @@ def project_degree_ge(f: GrassmannElement, d: int) -> GrassmannElement:
     """Zero every coefficient of monomial degree below ``d``."""
     if d < 0:
         raise ValueError("degree threshold must be nonnegative")
-    pop = _popcount_table(f.gens.count)
     c = f.coeffs.copy()
-    c[pop < d] = 0.0
-    return GrassmannElement(f.gens, c)
+    _zero_below_degree(c, f.gens.count, d)
+    return GrassmannElement._adopt(f.gens, c)

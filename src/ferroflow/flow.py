@@ -23,15 +23,15 @@ import numpy as np
 from .algebra import (
     GeneratorSet,
     GrassmannElement,
-    _parity_parts,
-    _popcount_table,
+    _is_exactly_even,
     _wedge_coeffs,
+    _zero_below_degree,
     exp_of,
     log_of,
     parity_magnitudes,
 )
 from .errors import IntegrationError, LogDomainError, ParityError
-from .gaussian import AntisymmetricCovariance, _laplacian_coeffs
+from .gaussian import AntisymmetricCovariance, _check_dimension, _laplacian_coeffs
 from .norms import NormSeries, norm_coefficients
 from .schedule import ScaleSchedule
 
@@ -130,22 +130,22 @@ def effective_action_exact(schedule: ScaleSchedule, f0: GrassmannElement,
 
 
 def _flow_rhs(rate: np.ndarray, coeffs: np.ndarray, gens: GeneratorSet,
-              truncate_ge2: bool, parts: tuple[int, ...]
-              ) -> tuple[np.ndarray, complex]:
-    """Flow right-hand side on raw coefficients whose nonzero parity parts
-    are ``parts``; returns (dF, dlog_norm)."""
+              truncate_ge2: bool, even: bool) -> tuple[np.ndarray, complex]:
+    """Flow right-hand side on raw coefficients, whose odd-degree
+    coefficients are all exactly zero when ``even``; returns
+    (dF, dlog_norm)."""
     n_gen = gens.count
-    lap = _laplacian_coeffs(rate, coeffs, n_gen, parts)
+    lap = _laplacian_coeffs(rate, coeffs, n_gen, even)
     # product rule for even F, with Delta = laplacian(rate, .):
     #   sum_ij rate_ij d_iF ^ d_jF = -(1/2) [Delta(F ^ F) - 2 F ^ Delta F]
-    square = _wedge_coeffs(coeffs, coeffs, n_gen, parts, parts)
-    bil = -0.5 * (_laplacian_coeffs(rate, square, n_gen, parts)
-                  - 2.0 * _wedge_coeffs(coeffs, lap, n_gen, parts, parts))
+    square = _wedge_coeffs(coeffs, coeffs, n_gen, even)
+    bil = -0.5 * (_laplacian_coeffs(rate, square, n_gen, even)
+                  - 2.0 * _wedge_coeffs(coeffs, lap, n_gen, even))
     dlog = 0.5 * lap[0]
     out = 0.5 * lap + (0.5 * _BILINEAR_SIGN) * bil
     out[0] = 0.0  # normalization: the scalar part stays exactly zero
     if truncate_ge2:
-        out[_popcount_table(n_gen) < 4] = 0.0
+        _zero_below_degree(out, n_gen, 4)
     return out, complex(dlog)
 
 
@@ -215,23 +215,24 @@ def _integrate_on(schedule: ScaleSchedule, f0: GrassmannElement,
     y[0] = 0.0
     # found from exact zeros, not from _require_even's tolerance; RK4 keeps
     # exact zeros exactly zero, so one inspection holds for every state
-    parts = _parity_parts(y, gens.count)
+    even = _is_exactly_even(y)
     states = [GrassmannElement._adopt(gens, y)]
     log_norm = [0.0 + 0.0j]
     notes: list[str] = []
     c = 0.0 + 0.0j
     warned = False
     a4 = schedule.adot(grid[0])
+    _check_dimension(a4, f0)
     for i in range(len(grid) - 1):
         t0, t1 = grid[i], grid[i + 1]
         h = t1 - t0
         a1 = a4  # the rate at the end of the previous step
         a2 = schedule.adot(t0 + 0.5 * h)
         a4 = schedule.adot(t1)
-        k1, c1 = _flow_rhs(a1, y, gens, truncate_ge2, parts)
-        k2, c2 = _flow_rhs(a2, y + 0.5 * h * k1, gens, truncate_ge2, parts)
-        k3, c3 = _flow_rhs(a2, y + 0.5 * h * k2, gens, truncate_ge2, parts)
-        k4, c4 = _flow_rhs(a4, y + h * k3, gens, truncate_ge2, parts)
+        k1, c1 = _flow_rhs(a1, y, gens, truncate_ge2, even)
+        k2, c2 = _flow_rhs(a2, y + 0.5 * h * k1, gens, truncate_ge2, even)
+        k3, c3 = _flow_rhs(a2, y + 0.5 * h * k2, gens, truncate_ge2, even)
+        k4, c4 = _flow_rhs(a4, y + h * k3, gens, truncate_ge2, even)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y[0] = 0.0
         c = c + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)

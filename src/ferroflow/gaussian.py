@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import _EVEN, GrassmannElement, _parity_parts, _popcount_table
+from .algebra import GrassmannElement, _is_exactly_even, _popcount_table
 from .errors import DimensionMismatchError, GramSplitError
 
 # Global Laplacian sign relative to sum_{ij} A_ij d_i d_j with left
@@ -74,13 +74,14 @@ def _laplacian_table(n_gen: int):
     return tab
 
 
-def _laplacian_coeffs(a, coeffs: np.ndarray, n_gen: int,
-                      parts: tuple[int, ...]) -> np.ndarray:
-    """``laplacian`` on a raw coefficient array whose nonzero parity parts
-    are ``parts``; an even array gathers only the even-target entries."""
+def _laplacian_coeffs(a, coeffs: np.ndarray, n_gen: int, even: bool
+                      ) -> np.ndarray:
+    """``laplacian`` on a raw coefficient array; with ``even`` every
+    odd-degree coefficient must be exactly zero, and only the even-target
+    entries are gathered."""
     (rows, cols, src, pair, targets, starts, even_targets,
      even_entries) = _laplacian_table(n_gen)
-    if parts == _EVEN:
+    if even:
         src, pair = src[:even_entries], pair[:even_entries]
         targets, starts = targets[:even_targets], starts[:even_targets]
     # sum_ij m_ij d_i d_j keeps only the antisymmetric part of m
@@ -275,7 +276,7 @@ def laplacian(a, f: GrassmannElement) -> GrassmannElement:
     _check_dimension(m, f)
     n_gen = f.gens.count
     return GrassmannElement._adopt(f.gens, _laplacian_coeffs(
-        m, f.coeffs, n_gen, _parity_parts(f.coeffs, n_gen)))
+        m, f.coeffs, n_gen, _is_exactly_even(f.coeffs)))
 
 
 def heat_kernel_convolve(a, f: GrassmannElement) -> GrassmannElement:
@@ -287,11 +288,11 @@ def heat_kernel_convolve(a, f: GrassmannElement) -> GrassmannElement:
     m = _as_matrix(a)
     _check_dimension(m, f)
     n_gen = f.gens.count
-    parts = _parity_parts(f.coeffs, n_gen)  # the Laplacian keeps parity
+    even = _is_exactly_even(f.coeffs)  # the Laplacian keeps parity
     acc = f.coeffs.copy()
     term = f.coeffs
     for k in range(1, n_gen // 2 + 2):
-        term = _laplacian_coeffs(m, term, n_gen, parts)
+        term = _laplacian_coeffs(m, term, n_gen, even)
         if not term.any():
             break
         term *= 0.5 / k

@@ -19,7 +19,7 @@ from ferroflow.algebra import (
     project_degree_ge,
     translate_double,
     wedge,
-    _pair_block,
+    _pair_table,
 )
 from ferroflow.errors import CapacityError, DimensionMismatchError, LogDomainError
 
@@ -170,27 +170,23 @@ def _pair_table_by_enumeration(n_gen, pj, pk):
 
 @pytest.mark.parametrize("n_gen", [2, 4, 6, 8])
 def test_pair_table_matches_enumeration(n_gen, monkeypatch):
-    # at the default chunk size, and at one that cuts the larger blocks
-    for chunk_size in (algebra._WEDGE_CHUNK, 64):
-        monkeypatch.setattr(algebra, "_WEDGE_CHUNK", chunk_size)
-        monkeypatch.setattr(algebra, "_PAIR_BLOCK", {})
-        pairs = 0
-        for pj in (0, 1):
-            for pk in (0, 1):
-                chunks = _pair_block(n_gen, pj, pk)
-                for chunk in chunks:
-                    assert len(chunk[0]) <= chunk_size or len(chunk[3]) == 1
-                    assert chunk[4][0] == 0
-                offsets = np.cumsum([0] + [len(chunk[0]) for chunk in chunks])
-                block = [np.concatenate([chunk[i] for chunk in chunks])
-                         for i in range(4)]
-                block.append(np.concatenate([chunk[4] + offset
-                                             for chunk, offset in zip(chunks, offsets)]))
-                want = _pair_table_by_enumeration(n_gen, pj, pk)
-                for got, ref in zip(block, want):
-                    assert np.array_equal(got, np.asarray(ref))
-                pairs += len(block[0])
-        assert pairs == 3 ** n_gen
+    monkeypatch.setattr(algebra, "_PAIR_TABLE", {})
+    # the even x even block alone, then all four back to back
+    for blocks in (1, 4):
+        j, k, sgn, unions, starts, pair_off, seg_off = _pair_table(n_gen, blocks)
+        assert len(pair_off) == len(seg_off) == blocks + 1
+        assert pair_off[0] == seg_off[0] == 0
+        assert pair_off[-1] == len(j) == len(k) == len(sgn)
+        assert seg_off[-1] == len(unions) == len(starts)
+        for b in range(blocks):
+            p0, p1 = pair_off[b], pair_off[b + 1]
+            s0, s1 = seg_off[b], seg_off[b + 1]
+            block = (j[p0:p1], k[p0:p1], sgn[p0:p1], unions[s0:s1],
+                     starts[s0:s1] - p0)
+            want = _pair_table_by_enumeration(n_gen, b // 2, b % 2)
+            for got, ref in zip(block, want):
+                assert np.array_equal(got, np.asarray(ref))
+    assert len(j) == 3 ** n_gen
 
 
 def parity_operand(rng, gens, parity, terms=60):

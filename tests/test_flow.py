@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from ferroflow.algebra import (
-    _BOTH,
     GeneratorSet,
     GrassmannElement,
-    _parity_parts,
+    _is_exactly_even,
     derivative,
     wedge,
 )
-from ferroflow.errors import LogDomainError, ParityError
+from ferroflow.errors import DimensionMismatchError, LogDomainError, ParityError
 from ferroflow.flow import (
     _BILINEAR_SIGN,
     FlowTrajectory,
@@ -65,7 +64,7 @@ class TestFlowRhs:
         else:
             rate = rand_antisymmetric(rng, n_gen)
         got, got_dlog = _flow_rhs(rate, f.coeffs, g, truncate,
-                                  _parity_parts(f.coeffs, n_gen))
+                                  _is_exactly_even(f.coeffs))
         want, want_dlog = flow_rhs_by_generators(rate, f.coeffs, g, truncate)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert got_dlog == want_dlog
@@ -192,6 +191,16 @@ class TestFlowIntegrate:
         assert series[0].coeff(1) == 0.0
         assert series[-1].coeff(1) > 0.0
 
+    @pytest.mark.parametrize("pairs", [3, 5])
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_schedule_dimension_must_match(self, rng, pairs, certify):
+        # a schedule on more generators than f0 must not be read through its
+        # top-left block, nor one on fewer fail with an index error
+        sched = synthetic_schedule(rng, pairs)
+        f = quartic_bare_action(GeneratorSet(8), 0.04)
+        with pytest.raises(DimensionMismatchError):
+            flow_integrate(sched, f, steps=4, t_end=0.5, certify=certify)
+
     def test_truncated_flow_keeps_low_degrees_empty(self, rng):
         sched = synthetic_schedule(rng, 4)
         f = quartic_bare_action(GeneratorSet(8), 0.04)
@@ -288,10 +297,10 @@ class TestExactParity:
         for i in range(len(grid) - 1):
             t0, h = grid[i], grid[i + 1] - grid[i]
             a1, a2, a4 = sched.adot(t0), sched.adot(t0 + 0.5 * h), sched.adot(t0 + h)
-            k1, _ = _flow_rhs(a1, y, gens, False, _BOTH)
-            k2, _ = _flow_rhs(a2, y + 0.5 * h * k1, gens, False, _BOTH)
-            k3, _ = _flow_rhs(a2, y + 0.5 * h * k2, gens, False, _BOTH)
-            k4, _ = _flow_rhs(a4, y + h * k3, gens, False, _BOTH)
+            k1, _ = _flow_rhs(a1, y, gens, False, False)
+            k2, _ = _flow_rhs(a2, y + 0.5 * h * k1, gens, False, False)
+            k3, _ = _flow_rhs(a2, y + 0.5 * h * k2, gens, False, False)
+            k4, _ = _flow_rhs(a4, y + h * k3, gens, False, False)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             y[0] = 0.0
             assert np.max(np.abs(traj.states[i + 1].coeffs - y)) <= 1e-14
