@@ -34,6 +34,7 @@ and safe for concurrent use.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import os
@@ -55,6 +56,11 @@ _MAX_GENERATORS_ENV = "FERROFLOW_MAX_GENERATORS"
 # 12 generators (it would be 29 MB at 14), and its keys must fit the uint16
 # radix sort.
 _WEDGE_LEAF = 12
+
+# Largest number of pairs one pass of a product multiplies.  Its temporaries
+# (256 KB each) stay in cache and in reused heap pages; arrays the size of a
+# 12-generator block (2.1 MB) cost as much in fresh pages as in arithmetic.
+_WEDGE_CHUNK = 16384
 
 # Parity parts an operand may hold, as the degree parities (0 even, 1 odd)
 # whose coefficients are not all exactly zero.
@@ -157,7 +163,12 @@ def _pair_table(n_gen: int, blocks: int):
     ``seg_off[b]`` to ``seg_off[b + 1]``; segment ``s`` holds the pairs of
     union ``unions[s]`` from ``starts[s]`` on, so ``np.add.reduceat(...,
     starts)`` sums a product per block and union.  A table built for fewer
-    blocks is rebuilt when a product needs more.
+    blocks is rebuilt when a product needs more.  The table is cut into
+    chunks of whole segments, at most ``_WEDGE_CHUNK`` pairs each unless one
+    segment is longer: chunk ``c`` holds the pairs from ``cut_p[c]`` and
+    the segments from ``cut_s[c]`` on, up to those of chunk ``c + 1``; the
+    returned tuple ends with ``cut_p`` and ``cut_s``, each closed by the
+    table's length.
     """
     tab = _PAIR_TABLE.get(n_gen)
     if tab is None or len(tab[5]) <= blocks:
@@ -184,9 +195,18 @@ def _pair_table(n_gen: int, blocks: int):
         starts = np.flatnonzero(np.diff(key, prepend=-1))
         segments = key[starts]
         bounds = np.arange(blocks + 1) << n_gen
+        ends = np.append(starts[1:], len(j))
+        cut_s = [0]
+        while cut_s[-1] < len(starts):
+            # the next chunk: the segments that end within _WEDGE_CHUNK
+            # pairs of its start, at least one
+            first = cut_s[-1]
+            cut_s.append(max(first + 1, int(np.searchsorted(
+                ends, starts[first] + _WEDGE_CHUNK, side="right"))))
         tab = (j, k, sgn, segments & ((1 << n_gen) - 1), starts,
                np.searchsorted(key, bounds).tolist(),
-               np.searchsorted(segments, bounds).tolist())
+               np.searchsorted(segments, bounds).tolist(),
+               np.append(starts, len(j))[cut_s].tolist(), cut_s)
         _PAIR_TABLE[n_gen] = tab
     return tab
 
@@ -460,17 +480,26 @@ def _wedge_blocks(f: np.ndarray, g: np.ndarray, n_gen: int,
     (``g``)."""
     if n_gen <= _WEDGE_LEAF:
         runs = _block_runs(f_parts, g_parts)
-        j, k, sgn, unions, starts, pair_off, seg_off = _pair_table(n_gen, runs[-1][1])
+        (j, k, sgn, unions, starts, pair_off, seg_off, cut_p,
+         cut_s) = _pair_table(n_gen, runs[-1][1])
         out = np.zeros(1 << n_gen, dtype=np.complex128)
         for first, end in runs:
-            p0, p1 = pair_off[first], pair_off[end]
-            s0, s1 = seg_off[first], seg_off[end]
-            terms = f.take(j[p0:p1])
-            terms *= g.take(k[p0:p1])
-            terms *= sgn[p0:p1]
-            # a union owns one segment in each block of the run, summed
-            # in block order
-            np.add.at(out, unions[s0:s1], np.add.reduceat(terms, starts[s0:s1] - p0))
+            # the chunks that overlap the run, clipped to it; blocks hold
+            # whole segments, so a clipped chunk does too
+            lo, hi = pair_off[first], pair_off[end]
+            c = bisect.bisect_right(cut_p, lo) - 1
+            while cut_p[c] < hi:
+                p0, p1 = max(cut_p[c], lo), min(cut_p[c + 1], hi)
+                s0 = max(cut_s[c], seg_off[first])
+                s1 = min(cut_s[c + 1], seg_off[end])
+                terms = f.take(j[p0:p1])
+                terms *= g.take(k[p0:p1])
+                terms *= sgn[p0:p1]
+                # a union owns one segment in each block of the run, summed
+                # in block order
+                np.add.at(out, unions[s0:s1],
+                          np.add.reduceat(terms, starts[s0:s1] - p0))
+                c += 1
         return out
     # f = a + b ^ psi_top and g = c + d ^ psi_top give
     # f ^ g = a ^ c + (a ^ d + b ^ c_hat) ^ psi_top, where c_hat carries the

@@ -170,22 +170,32 @@ def _pair_table_by_enumeration(n_gen, pj, pk):
 
 @pytest.mark.parametrize("n_gen", [2, 4, 6, 8])
 def test_pair_table_matches_enumeration(n_gen, monkeypatch):
-    monkeypatch.setattr(algebra, "_PAIR_TABLE", {})
-    # the even x even block alone, then all four back to back
-    for blocks in (1, 4):
-        j, k, sgn, unions, starts, pair_off, seg_off = _pair_table(n_gen, blocks)
-        assert len(pair_off) == len(seg_off) == blocks + 1
-        assert pair_off[0] == seg_off[0] == 0
-        assert pair_off[-1] == len(j) == len(k) == len(sgn)
-        assert seg_off[-1] == len(unions) == len(starts)
-        for b in range(blocks):
-            p0, p1 = pair_off[b], pair_off[b + 1]
-            s0, s1 = seg_off[b], seg_off[b + 1]
-            block = (j[p0:p1], k[p0:p1], sgn[p0:p1], unions[s0:s1],
-                     starts[s0:s1] - p0)
-            want = _pair_table_by_enumeration(n_gen, b // 2, b % 2)
-            for got, ref in zip(block, want):
-                assert np.array_equal(got, np.asarray(ref))
+    # at the default chunk size, and at one that cuts the larger tables
+    for chunk_size in (algebra._WEDGE_CHUNK, 64):
+        monkeypatch.setattr(algebra, "_WEDGE_CHUNK", chunk_size)
+        monkeypatch.setattr(algebra, "_PAIR_TABLE", {})
+        # the even x even block alone, then all four back to back
+        for blocks in (1, 4):
+            (j, k, sgn, unions, starts, pair_off, seg_off, cut_p,
+             cut_s) = _pair_table(n_gen, blocks)
+            assert len(pair_off) == len(seg_off) == blocks + 1
+            assert pair_off[0] == seg_off[0] == 0
+            assert pair_off[-1] == len(j) == len(k) == len(sgn)
+            assert seg_off[-1] == len(unions) == len(starts)
+            for b in range(blocks):
+                p0, p1 = pair_off[b], pair_off[b + 1]
+                s0, s1 = seg_off[b], seg_off[b + 1]
+                block = (j[p0:p1], k[p0:p1], sgn[p0:p1], unions[s0:s1],
+                         starts[s0:s1] - p0)
+                want = _pair_table_by_enumeration(n_gen, b // 2, b % 2)
+                for got, ref in zip(block, want):
+                    assert np.array_equal(got, np.asarray(ref))
+            # chunks: whole segments, within the size unless one segment
+            assert cut_s[0] == 0 and cut_s[-1] == len(starts)
+            assert cut_p == np.append(starts, len(j))[cut_s].tolist()
+            for c in range(len(cut_s) - 1):
+                assert cut_s[c] < cut_s[c + 1]
+                assert cut_p[c + 1] - cut_p[c] <= chunk_size or cut_s[c + 1] == cut_s[c] + 1
     assert len(j) == 3 ** n_gen
 
 
@@ -204,6 +214,23 @@ def parity_operand(rng, gens, parity, terms=60):
     c = np.zeros(gens.dim, dtype=complex)
     c[masks] = rng.normal(size=terms) + 1j * rng.normal(size=terms)
     return GrassmannElement(gens, c)
+
+
+@pytest.mark.parametrize("parities", [("even", "even"), ("even", "odd"),
+                                      ("odd", "even"), ("odd", "odd"),
+                                      ("mixed", "mixed"), ("mixed", "even")])
+def test_chunked_product_matches_one_pass(rng, parities, monkeypatch):
+    # chunks clipped to the blocks a product reads sum every union exactly
+    # as one pass over those blocks does
+    g = GeneratorSet(8)
+    a, b = (parity_operand(rng, g, p) for p in parities)
+    results = []
+    for chunk_size in (3 ** 8, 64):
+        monkeypatch.setattr(algebra, "_WEDGE_CHUNK", chunk_size)
+        monkeypatch.setattr(algebra, "_PAIR_TABLE", {})
+        results.append(wedge(a, b).coeffs)
+    assert np.array_equal(results[0], results[1])
+    assert np.any(results[0] != 0.0)
 
 
 @pytest.mark.parametrize("n_gen", [4, 8, 12, 14])
