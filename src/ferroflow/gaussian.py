@@ -245,11 +245,15 @@ def gaussian_moment(a, subset: Iterable[int] | int) -> complex:
     return pfaffian(m[np.ix_(idx, idx)])
 
 
+def _check_dimension(m: np.ndarray, f: GrassmannElement) -> None:
+    if m.shape[0] != f.gens.count:
+        raise DimensionMismatchError("covariance dimension != generator count")
+
+
 def gaussian_expectation(a, f: GrassmannElement) -> complex:
     """Gaussian expectation of ``f``: the moment sum over its coefficients."""
     m = _as_matrix(a)
-    if m.shape[0] != f.gens.count:
-        raise DimensionMismatchError("covariance dimension != generator count")
+    _check_dimension(m, f)
     pop = _popcount_table(f.gens.count)
     total = 0.0 + 0.0j
     for mask in f.nonzero_masks():
@@ -257,11 +261,6 @@ def gaussian_expectation(a, f: GrassmannElement) -> complex:
             continue
         total += f.coeffs[mask] * gaussian_moment(m, int(mask))
     return complex(total)
-
-
-def _check_dimension(m: np.ndarray, f: GrassmannElement) -> None:
-    if m.shape[0] != f.gens.count:
-        raise DimensionMismatchError("covariance dimension != generator count")
 
 
 def laplacian(a, f: GrassmannElement) -> GrassmannElement:

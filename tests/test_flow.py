@@ -297,10 +297,10 @@ class TestExactParity:
         for i in range(len(grid) - 1):
             t0, h = grid[i], grid[i + 1] - grid[i]
             a1, a2, a4 = sched.adot(t0), sched.adot(t0 + 0.5 * h), sched.adot(t0 + h)
-            k1, _ = _flow_rhs(a1, y, gens, False, False)
-            k2, _ = _flow_rhs(a2, y + 0.5 * h * k1, gens, False, False)
-            k3, _ = _flow_rhs(a2, y + 0.5 * h * k2, gens, False, False)
-            k4, _ = _flow_rhs(a4, y + h * k3, gens, False, False)
+            k1, _ = _flow_rhs(a1, y, gens, False, even=False)
+            k2, _ = _flow_rhs(a2, y + 0.5 * h * k1, gens, False, even=False)
+            k3, _ = _flow_rhs(a2, y + 0.5 * h * k2, gens, False, even=False)
+            k4, _ = _flow_rhs(a4, y + h * k3, gens, False, even=False)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             y[0] = 0.0
             assert np.max(np.abs(traj.states[i + 1].coeffs - y)) <= 1e-14
