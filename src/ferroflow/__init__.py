@@ -18,7 +18,6 @@ from .algebra import (
     exp_of,
     gradient,
     log_of,
-    max_generators,
     parity_magnitudes,
     parity_split,
     project_degree_ge,
@@ -41,8 +40,6 @@ from .norms import (
     gram_bound_check,
     matrix_norm_1inf,
     norm_coefficients,
-    norm_eval,
-    sigma_squared,
 )
 from .schedule import ScaleSchedule
 from .flow import (
@@ -50,7 +47,6 @@ from .flow import (
     effective_action_exact,
     flow_integrate,
     rg_map,
-    trajectory_norms,
     trajectory_to_csv,
 )
 from .majorant import (
@@ -58,11 +54,8 @@ from .majorant import (
     MajorantSpec,
     existence_check,
     hopflax_solve,
-    invert_characteristic_log,
-    invert_characteristic_quartic,
     majorant_coefficients,
     majorant_value,
-    rescaled_time,
     rhs_coefficient_bound,
 )
 from .psi4 import (
@@ -72,10 +65,7 @@ from .psi4 import (
     covariance_matrix,
     covariance_rate_norm,
     effective_flow_time,
-    momentum_propagator,
-    rescale_coefficients,
     sigma_squared_closed_form,
-    unscale_coefficients,
 )
 from . import errors
 
@@ -84,22 +74,20 @@ __version__ = "0.1.0"
 __all__ = [
     "GeneratorSet", "GrassmannElement", "analytic_apply", "berezin_integrate",
     "coefficient", "derivative", "exp_of", "gradient", "log_of",
-    "max_generators", "parity_magnitudes", "parity_split", "project_degree_ge",
+    "parity_magnitudes", "parity_split", "project_degree_ge",
     "translate_double", "wedge",
     "AntisymmetricCovariance", "covariance_split_check", "det_correlation",
     "gaussian_expectation", "gaussian_moment", "heat_kernel_convolve",
     "laplacian", "pfaffian",
     "NormSeries", "convergence_radius", "gram_bound_check", "matrix_norm_1inf",
-    "norm_coefficients", "norm_eval", "sigma_squared",
+    "norm_coefficients",
     "ScaleSchedule",
     "FlowTrajectory", "effective_action_exact", "flow_integrate", "rg_map",
-    "trajectory_norms", "trajectory_to_csv",
+    "trajectory_to_csv",
     "CharacteristicSolution", "MajorantSpec", "existence_check",
-    "hopflax_solve", "invert_characteristic_log", "invert_characteristic_quartic",
-    "majorant_coefficients", "majorant_value", "rescaled_time",
+    "hopflax_solve", "majorant_coefficients", "majorant_value",
     "rhs_coefficient_bound",
     "Psi4Params", "build_desk_instance", "coupling_bound", "covariance_matrix",
-    "covariance_rate_norm", "effective_flow_time", "momentum_propagator",
-    "rescale_coefficients", "sigma_squared_closed_form", "unscale_coefficients",
+    "covariance_rate_norm", "effective_flow_time", "sigma_squared_closed_form",
     "errors",
 ]

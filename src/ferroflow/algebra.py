@@ -37,8 +37,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Number
 from typing import Callable, Iterable, Sequence
 
@@ -46,8 +45,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, LogDomainError
 
-DEFAULT_MAX_GENERATORS = 16
-_MAX_GENERATORS_ENV = "FERROFLOW_MAX_GENERATORS"
+MAX_GENERATORS = 16
 
 # Largest generator count that ``wedge`` multiplies through the disjoint-pair
 # table; larger products split off their top generator until they reach it.
@@ -66,20 +64,6 @@ _WEDGE_CHUNK = 16384
 # whose coefficients are not all exactly zero.
 _EVEN = (0,)
 _BOTH = (0, 1)
-
-
-def max_generators() -> int:
-    """Configured generator cap (env ``FERROFLOW_MAX_GENERATORS`` overrides)."""
-    raw = os.environ.get(_MAX_GENERATORS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_GENERATORS
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise CapacityError(f"bad {_MAX_GENERATORS_ENV} value: {raw!r}") from exc
-    if value < 2:
-        raise CapacityError(f"{_MAX_GENERATORS_ENV} must be >= 2, got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +233,8 @@ def _deriv_table(n_gen: int, k: int):
 class GeneratorSet:
     """A fixed even number of Grassmann generators.
 
-    ``count`` is the total number of generators (2n).  The cap defaults to
-    16 and can be overridden per instance or via ``FERROFLOW_MAX_GENERATORS``.
-    Dense elements take 16 * 2**count bytes.  A product sums over the
+    ``count`` is the total number of generators (2n), at most
+    ``MAX_GENERATORS``.  Dense elements take 16 * 2**count bytes.  A product sums over the
     3**count disjoint pairs, a quarter of them when both operands are even,
     so each generator above the 12 of the pair table triples its cost: a
     dense complex product of even elements took about 0.001 s at 12, 0.01 s
@@ -260,20 +243,14 @@ class GeneratorSet:
     """
 
     count: int
-    labels: tuple[str, ...] | None = None
-    maximum: int = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self):
-        cap = self.maximum if self.maximum is not None else max_generators()
-        object.__setattr__(self, "maximum", cap)
         if self.count % 2 != 0:
             raise ValueError(f"generator count must be even, got {self.count}")
-        if not 2 <= self.count <= cap:
+        if not 2 <= self.count <= MAX_GENERATORS:
             raise CapacityError(
-                f"generator count {self.count} outside [2, {cap}]"
+                f"generator count {self.count} outside [2, {MAX_GENERATORS}]"
             )
-        if self.labels is not None and len(self.labels) != self.count:
-            raise ValueError("labels length must equal generator count")
 
     @property
     def pairs(self) -> int:
@@ -284,9 +261,6 @@ class GeneratorSet:
     def dim(self) -> int:
         """Dimension of the algebra, 2**count."""
         return 1 << self.count
-
-    def full_mask(self) -> int:
-        return (1 << self.count) - 1
 
     def mask(self, indices: Iterable[int]) -> int:
         """Bitmask of a subset given as an index iterable (must be distinct)."""
@@ -569,7 +543,7 @@ def translate_double(f: GrassmannElement) -> GrassmannElement:
     theta block to zero recovers ``f``.
     """
     n_gen = f.gens.count
-    doubled = GeneratorSet(2 * n_gen, maximum=f.gens.maximum)
+    doubled = GeneratorSet(2 * n_gen)
     out = np.zeros(doubled.dim, dtype=np.complex128)
     for mask in f.nonzero_masks():
         mask = int(mask)

@@ -70,12 +70,6 @@ class FlowTrajectory:
         """Seminorm coefficients of every state, in grid order."""
         return tuple(norm_coefficients(state) for state in self.states)
 
-    def state_at(self, t: float) -> GrassmannElement:
-        i = int(np.argmin(np.abs(self.grid - t)))
-        if abs(self.grid[i] - t) > 1e-12 * max(1.0, abs(t)):
-            raise KeyError(f"time {t} is not on the trajectory grid")
-        return self.states[i]
-
     def max_odd_content(self) -> float:
         worst = 0.0
         for state in self.states:
@@ -246,11 +240,6 @@ def _integrate_on(schedule: ScaleSchedule, f0: GrassmannElement,
     return FlowTrajectory(grid=grid, states=states, normalized=True,
                           truncated=truncate_ge2,
                           log_norm=np.asarray(log_norm), notes=notes)
-
-
-def trajectory_norms(traj: FlowTrajectory) -> list[NormSeries]:
-    """Seminorm coefficients of every state along the trajectory."""
-    return list(traj.norms)
 
 
 def trajectory_to_csv(traj: FlowTrajectory) -> str:

@@ -39,8 +39,10 @@ def rand_even_normalized(rng, gens: GeneratorSet, scale: float,
 
 def synthetic_schedule(rng, pairs: int, T: float = 1.0,
                        scale: float = 0.15) -> ScaleSchedule:
-    """Smooth random schedule with a positive-semidefinite derivative kernel
-    ``G(tau) G(tau)^T``, ``G = g0 + sin(tau) g1``, and vectorized rates."""
+    """Smooth random schedule with the positive-semidefinite derivative
+    kernel ``G(tau) G(tau)^T``, ``G = g0 + sin(tau) g1``, at one scale or
+    stacked over an array of scales, and the Gram rate ``4 max_i`` of its
+    diagonal in closed form."""
     g0 = rng.normal(size=(pairs, pairs)) * scale
     g1 = rng.normal(size=(pairs, pairs)) * (0.3 * scale)
     # diag of G G^T is quadratic in sin(tau)
@@ -64,5 +66,4 @@ def synthetic_schedule(rng, pairs: int, T: float = 1.0,
             + (s * s)[None, :] * d_c[:, None]
         return 4.0 * np.max(diags, axis=0)
 
-    return ScaleSchedule.from_cdot(cdot, T=T, pairs=pairs, gram_rate=gram_rate,
-                                   vectorized_rates=True)
+    return ScaleSchedule.from_cdot(cdot, T=T, pairs=pairs, gram_rate=gram_rate)

@@ -36,12 +36,6 @@ _HOMOTOPY_STEPS = 16
 _RESIDUAL_TOL = 1e-12
 
 
-def rescaled_time(schedule: ScaleSchedule, s: float) -> float:
-    """Rescaled time: integrated rate norm of the schedule up to ``s``
-    (``ValueError`` outside ``[0, T]``)."""
-    return schedule.tau(s)
-
-
 # ---------------------------------------------------------------------------
 # characteristic solutions
 # ---------------------------------------------------------------------------
@@ -65,7 +59,6 @@ class CharacteristicSolution:
     lam: float = 0.0
     alpha: float = 0.0
     sigma: float = 0.0
-    method: str = "homotopy+newton"
 
     @classmethod
     def logarithmic(cls, lam: float, tau: float) -> "CharacteristicSolution":
@@ -254,20 +247,6 @@ def _companion_matrices(coeffs, z: np.ndarray) -> np.ndarray:
     mats[:, 1, 0] = 1.0
     mats[:, 2, 1] = 1.0
     return mats
-
-
-def invert_characteristic_log(lam: float, tau: float, z: float) -> float:
-    """Invert the logarithmic-datum characteristic equation for ``z0``."""
-    return CharacteristicSolution.logarithmic(lam, tau).invert(z)
-
-
-def invert_characteristic_quartic(alpha: float, sigma: float, tau: float,
-                                  z: float) -> float:
-    """Invert the quartic-datum characteristic equation for ``z0``.
-
-    ``sigma`` is the Gram parameter (its square enters the cubic).
-    """
-    return CharacteristicSolution.quartic(alpha, sigma, tau).invert(z)
 
 
 # ---------------------------------------------------------------------------

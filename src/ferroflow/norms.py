@@ -10,16 +10,13 @@ parameter ``z``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .algebra import GrassmannElement, _popcount_table, parity_magnitudes
 from .errors import ParityError
 from .gaussian import AntisymmetricCovariance, gaussian_moment
-
-if TYPE_CHECKING:
-    from .schedule import ScaleSchedule
 
 
 @dataclass(frozen=True)
@@ -56,9 +53,6 @@ class NormSeries:
         for m in range(len(self), 0, -1):
             out = (out + self.coefficients[m - 1]) * z2
         return out if out.ndim else float(out)
-
-    def scaled(self, factors: np.ndarray) -> "NormSeries":
-        return NormSeries(self.coefficients * np.asarray(factors, dtype=float))
 
     def __eq__(self, other):
         if not isinstance(other, NormSeries):
@@ -121,11 +115,6 @@ def norm_coefficients(f: GrassmannElement, atol: float = 1e-12) -> NormSeries:
     return NormSeries(best)
 
 
-def norm_eval(series: NormSeries, z) -> float | np.ndarray:
-    """Evaluate the even power series at norm parameter ``z``."""
-    return series.eval(z)
-
-
 def convergence_radius(series0: NormSeries) -> float:
     """Radius ``R`` with ``R**-2 = sup_m (2m F_m)**(1/m)``.
 
@@ -141,13 +130,6 @@ def convergence_radius(series0: NormSeries) -> float:
     if sup == 0.0:
         return float("inf")
     return sup ** -0.5
-
-
-def sigma_squared(schedule: "ScaleSchedule", s: float, t: float) -> float:
-    """Integrated Gram bound of the schedule between scales ``s`` and ``t``."""
-    if s > t:
-        raise ValueError(f"need s <= t, got s={s}, t={t}")
-    return schedule.sigma_squared(s, t)
 
 
 def gram_bound_check(cov: AntisymmetricCovariance, subset: Iterable[int] | int

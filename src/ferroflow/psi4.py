@@ -80,16 +80,6 @@ class Psi4Params:
         return replace(self, sites=tuple(sites))
 
 
-def momentum_propagator(params: Psi4Params, s: float, p) -> float | np.ndarray:
-    """Regularized momentum-space propagator at scale ``s``."""
-    p = np.asarray(p, dtype=float)
-    psq = p ** 2 if p.ndim == 0 else np.sum(p * p, axis=-1)
-    lam2 = params.lambda_at(s) ** 2
-    q = psq + params.mass ** 2
-    out = np.exp(-q / lam2) / q
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def _chain_multiples(params: Psi4Params) -> np.ndarray | None:
     """Integer multiples of box/8 along the first axis, if the sites form
     such a chain (the desk placement); None otherwise."""
@@ -229,24 +219,6 @@ def covariance_rate_norm(params: Psi4Params, s: float) -> float:
     return (2.0 / lam2) * math.exp(-params.mass ** 2 / lam2)
 
 
-def rescale_coefficients(params: Psi4Params, series: NormSeries, t: float,
-                         a: float = 4.0, b: float = -1.0) -> NormSeries:
-    """Dimensionless coefficients: divide degree ``m`` by ``L_t**(a + 2 b m)``."""
-    lam = params.lambda_at(t)
-    if not lam > 0:
-        raise ValueError("running cutoff must be positive")
-    m = np.arange(1, len(series) + 1)
-    return series.scaled(lam ** -(a + 2.0 * b * m))
-
-
-def unscale_coefficients(params: Psi4Params, series: NormSeries, t: float,
-                         a: float = 4.0, b: float = -1.0) -> NormSeries:
-    """Inverse of :func:`rescale_coefficients` (exact round trip)."""
-    lam = params.lambda_at(t)
-    m = np.arange(1, len(series) + 1)
-    return series.scaled(lam ** (a + 2.0 * b * m))
-
-
 class FlowClock(NamedTuple):
     value: float
     bound: float
@@ -321,12 +293,11 @@ def build_desk_instance(params: Psi4Params, alpha: float,
                         t_max: float | None = None) -> DeskInstance:
     """Assemble schedule, Gram bound, and bare action for a site chain.
 
-    The schedule's rate matrix is the block embedding of the lattice
-    scale-derivative kernel over the sites, evaluated at one scale or, for
-    the rate norm, stacked over an array of scales; the Gram rate is
-    ``4 cdot(0)`` (translation invariance makes the diagonal uniform).  The
-    upper scale defaults to ``log(L_0/m) + 3``, far past where the flow has
-    stopped.
+    The schedule's kernel ``cdot`` is the lattice scale-derivative kernel
+    over the sites, at one scale or stacked over an array of scales.  The
+    Gram rate is ``4 cdot_ii``, one lattice sum per scale, since
+    translation invariance makes the diagonal uniform.  The upper scale
+    defaults to ``log(L_0/m) + 3``, far past where the flow has stopped.
     """
     if n_sites is not None:
         params = params.with_chain_sites(n_sites)
@@ -354,8 +325,7 @@ def build_desk_instance(params: Psi4Params, alpha: float,
         total = w.sum(axis=-1) / vol
         return 4.0 * total
 
-    schedule = ScaleSchedule.from_cdot(
-        cdot, T=T, pairs=n, gram_rate=gram_rate, vectorized_rates=True)
+    schedule = ScaleSchedule.from_cdot(cdot, T=T, pairs=n, gram_rate=gram_rate)
     bare = quartic_bare_action(gens, alpha)
     series = np.zeros(n)
     series[1] = alpha

@@ -1,19 +1,19 @@
 """Continuous scale decompositions of a covariance, with quadrature access.
 
-A schedule supplies the rate matrix ``Adot(tau)`` of a covariance
-decomposition over ``[0, T]`` together with the data needed for Gram bounds.
-Integrals are evaluated by composite Simpson quadrature on a uniform grid,
-refined by doubling until two successive values agree to a relative
-tolerance.  The rescaled time (the integral of the rate norm) and the
-integrated Gram bound come from one cumulative table per schedule and kind,
-built on ``[0, T]`` on first use and certified by doubling at every even
-node; a query adds one Simpson panel from the last node below it.  Queries
-take a scale or an array of scales, and every grid of a table or of a query
-is one array evaluation of the rate: on a vectorized schedule built from a
-kernel ``cdot``, the rate norm of an array of scales is one reduction over
-the stacked kernels.  Slice covariances are matrix-valued and integrated
-over ``[s, t]`` directly.  Scalar results are cached; evaluation is
-deterministic.
+A schedule is built from the scale derivative ``cdot(tau)`` of a symmetric
+covariance kernel over ``[0, T]`` and a Gram rate.  The rate matrix
+``Adot(tau)`` is the block embedding of ``cdot(tau)``, the rescaled time is
+the integral of its norm, and every slice covariance is the block embedding
+of the integral of ``cdot``.  Integrals are evaluated by composite Simpson
+quadrature on a uniform grid, refined by doubling until two successive
+values agree to a relative tolerance.  The rescaled time and the integrated
+Gram bound come from one cumulative table per schedule and kind, built on
+``[0, T]`` on first use and certified by doubling at every even node; a
+query adds one Simpson panel from the last node below it.  Queries take a
+scale or an array of scales, and every grid of a table or of a query is one
+array evaluation of ``cdot`` or of the Gram rate.  Slice covariances
+integrate ``cdot`` over ``[s, t]`` directly, one scale at a time.  Scalar
+results are cached; evaluation is deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ResolutionError
 from .gaussian import AntisymmetricCovariance
-from .norms import matrix_norm_1inf
 
 DEFAULT_PANELS = 512
 DEFAULT_RTOL = 1e-10
@@ -128,12 +127,12 @@ class _CumulativeTable:
     queries off a node are evaluated in one call.  A node is read exactly.
     """
 
-    def __init__(self, fn: Callable, T: float, panels: int, rtol: float):
+    def __init__(self, fn: Callable, T: float):
         self.T = T
         self._evaluate = _sampler(fn, True)
         cum, nodes, vals = _refine_by_doubling(
-            self._evaluate, 0.0, T, panels, rtol, _cumulative_simpson,
-            _settled_entrywise)
+            self._evaluate, 0.0, T, DEFAULT_PANELS, DEFAULT_RTOL,
+            _cumulative_simpson, _settled_entrywise)
         self.nodes = nodes[::2]
         self.cum = np.real(cum)
         self.vals = np.real(vals[::2])
@@ -167,126 +166,52 @@ def _as_plain_scalar(x: np.ndarray):
 
 
 class ScaleSchedule:
-    """A family ``tau -> Adot(tau)`` on ``[0, T]`` with quadrature access.
+    """The covariance decomposition generated by one kernel family on ``[0, T]``.
 
-    Exactly one of ``gram_rate`` (a scalar function dominating
-    ``4 max C^{+-}_{ii}(tau)``) or ``cdot_diags`` (the split derivative
-    diagonals) must be supplied for the integrated Gram bound.  The rate
-    norm defaults to the max-row-sum norm of the actual matrix.  With
-    ``vectorized_rates``, the supplied ``gram_rate``, ``adot_norm`` and
-    ``cdot`` also accept a 1-D array of scales and stack their values along
-    axis 0.
+    ``cdot(tau)`` is the symmetric positive-semidefinite ``pairs x pairs``
+    scale derivative of the covariance kernel; for a 1-D array of scales it
+    returns the kernels stacked along axis 0.  The rate matrix is its block
+    embedding ``[[0, C], [-C, 0]]``, and the split of every slice is
+    ``(integral of cdot, 0)``.  ``gram_rate`` maps a scale, or a 1-D array of
+    scales, to a rate dominating ``4 max_i cdot(tau)_ii``; its integral is
+    the Gram parameter ``sigma^2``.
     """
 
-    def __init__(self, dim: int, T: float, adot: Callable[[float], np.ndarray],
-                 gram_rate: Callable | None = None,
-                 cdot_diags: Callable | None = None,
-                 adot_norm: Callable | None = None,
-                 cdot: Callable[[float], np.ndarray] | None = None,
-                 panels: int = DEFAULT_PANELS, rtol: float = DEFAULT_RTOL,
-                 vectorized_rates: bool = False):
-        if dim % 2 != 0 or dim < 2:
-            raise ValueError("schedule dimension must be a positive even integer")
+    def __init__(self, cdot: Callable, T: float, pairs: int,
+                 gram_rate: Callable):
+        if pairs < 1:
+            raise ValueError("a schedule needs at least one generator pair")
         if T < 0:
             raise ValueError("upper scale T must be nonnegative")
-        if (gram_rate is None) == (cdot_diags is None):
-            raise ValueError("supply exactly one of gram_rate or cdot_diags")
-        self.dim = dim
+        self.dim = 2 * pairs
         self.T = float(T)
-        self._adot = adot
-        self._gram_rate = gram_rate
-        self._cdot_diags = cdot_diags
-        self._adot_norm = adot_norm
         self._cdot = cdot
-        self.panels = panels
-        self.rtol = rtol
-        self._vectorized = bool(vectorized_rates)
+        self._gram_rate = gram_rate
         self._cache: dict = {}
         self._tables: dict[str, _CumulativeTable] = {}
 
-    # -- constructors --------------------------------------------------------
-
     @classmethod
-    def from_cdot(cls, cdot: Callable[[float], np.ndarray], T: float,
-                  pairs: int, gram_rate: Callable | None = None,
-                  vectorized_rates: bool = False, **kw) -> "ScaleSchedule":
-        """Schedule for a positive-semidefinite derivative kernel family.
-
-        ``cdot(tau)`` is the symmetric ``pairs x pairs`` rate; the covariance
-        rate is its antisymmetric block embedding and the split of any slice
-        is ``(integral of cdot, 0)``.  With ``vectorized_rates``, ``cdot`` of
-        an array of scales returns the kernels stacked along axis 0, and the
-        rate norm is reduced from that stack.
-        """
-
-        def adot(tau: float) -> np.ndarray:
-            return AntisymmetricCovariance._block(np.asarray(cdot(tau)))
-
-        if gram_rate is None:
-            def diags(tau: float):
-                d = np.diag(np.asarray(cdot(tau)))
-                return d, np.zeros_like(d)
-            return cls(2 * pairs, T, adot, cdot_diags=diags, cdot=cdot,
-                       vectorized_rates=vectorized_rates, **kw)
-        return cls(2 * pairs, T, adot, gram_rate=gram_rate, cdot=cdot,
-                   vectorized_rates=vectorized_rates, **kw)
-
-    @classmethod
-    def from_table(cls, times: np.ndarray, matrices: np.ndarray,
-                   gram_rate: Callable | None = None,
-                   cdot_diags: Callable | None = None, **kw) -> "ScaleSchedule":
-        """Piecewise-linear synthetic schedule through sampled rate matrices."""
-        times = np.asarray(times, dtype=float)
-        matrices = np.asarray(matrices, dtype=float)
-        if times.ndim != 1 or len(times) != matrices.shape[0]:
-            raise ValueError("times and matrices must align")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
-
-        def adot(tau: float) -> np.ndarray:
-            tau = min(max(tau, times[0]), times[-1])
-            i = int(np.searchsorted(times, tau, side="right") - 1)
-            i = min(i, len(times) - 2)
-            w = (tau - times[i]) / (times[i + 1] - times[i])
-            return (1.0 - w) * matrices[i] + w * matrices[i + 1]
-
-        return cls(matrices.shape[1], float(times[-1]), adot,
-                   gram_rate=gram_rate, cdot_diags=cdot_diags, **kw)
+    def from_cdot(cls, cdot: Callable, T: float, pairs: int,
+                  gram_rate: Callable) -> "ScaleSchedule":
+        """The constructor, by name."""
+        return cls(cdot, T, pairs, gram_rate)
 
     # -- pointwise access ----------------------------------------------------
 
     def adot(self, tau: float) -> np.ndarray:
-        return np.asarray(self._adot(tau))
+        """Rate matrix at a scale: the block embedding of ``cdot(tau)``."""
+        return AntisymmetricCovariance._block(np.asarray(self._cdot(tau)))
 
     def adot_norm_at(self, tau):
-        """Max-row-sum norm of the rate matrix at a scale (a ``float``) or at
-        a 1-D array of scales (an array).
-
-        A supplied ``adot_norm`` takes precedence.  On a vectorized schedule
-        with a kernel ``cdot``, an array of scales takes one reduction over
-        the stacked kernels, ``max_i sum_j |C_ij|``, which is the norm of the
-        block embedding ``[[0, C], [-C, 0]]``.  Other schedules evaluate one
-        scale at a time.
-        """
-        if np.ndim(tau) == 0:
-            if self._adot_norm is not None:
-                return self._adot_norm(tau)
-            return matrix_norm_1inf(self.adot(float(tau)))
-        if self._vectorized and self._adot_norm is not None:
-            return np.asarray(self._adot_norm(tau))
-        if self._vectorized and self._cdot is not None:
-            c = np.asarray(self._cdot(np.asarray(tau, dtype=float)))
-            return np.max(np.sum(np.abs(c), axis=-1), axis=-1)
-        return np.asarray([self.adot_norm_at(float(x)) for x in np.asarray(tau)])
+        """Max-row-sum norm of the rate matrix at a scale or at a 1-D array
+        of scales: ``max_i sum_j |C_ij|`` over the kernel or the stacked
+        kernels, which is the norm of the block embedding."""
+        c = np.asarray(self._cdot(tau))
+        return np.max(np.sum(np.abs(c), axis=-1), axis=-1)
 
     def gram_rate_at(self, tau):
-        """Gram rate at a scale (a ``float``) or at a 1-D array of scales."""
-        if self._gram_rate is not None and (self._vectorized or np.ndim(tau) == 0):
-            return self._gram_rate(tau)
-        if np.ndim(tau) == 0:
-            dp, dm = self._cdot_diags(float(tau))
-            return 4.0 * max(float(np.max(dp)), float(np.max(dm)))
-        return np.asarray([self.gram_rate_at(float(x)) for x in np.asarray(tau)])
+        """Gram rate at a scale or at a 1-D array of scales."""
+        return self._gram_rate(tau)
 
     # -- integrals -----------------------------------------------------------
 
@@ -297,7 +222,7 @@ class ScaleSchedule:
         cached."""
         table = self._tables.get(kind)
         if table is None:
-            table = _CumulativeTable(fn, self.T, self.panels, self.rtol)
+            table = _CumulativeTable(fn, self.T)
             self._tables[kind] = table
         if np.ndim(x) != 0:
             return table.at(x)
@@ -323,21 +248,16 @@ class ScaleSchedule:
         return self._cum("tau", self.adot_norm_at, s)
 
     def covariance(self, s: float, t: float) -> AntisymmetricCovariance:
-        """Slice covariance: the integral of the rate matrix over [s, t]."""
+        """Slice covariance over [s, t]: the block embedding of the kernel
+        integral ``C``, with the split ``(C, 0)``."""
         if s > t:
             raise ValueError(f"need s <= t, got s={s}, t={t}")
         key = ("cov", float(s), float(t))
         cov = self._cache.get(key)
         if cov is None:
-            mat = simpson_refine(self._adot, s, t, self.panels, self.rtol)
-            mat = np.real_if_close(np.asarray(mat), tol=100)
-            if self._cdot is not None:
-                n = self.dim // 2
-                c_int = np.real(np.asarray(simpson_refine(
-                    self._cdot, s, t, self.panels, self.rtol)))
-                cov = AntisymmetricCovariance(mat, c_matrix=c_int, c_plus=c_int,
-                                              c_minus=np.zeros((n, n)))
-            else:
-                cov = AntisymmetricCovariance(mat)
+            c = np.real(np.asarray(simpson_refine(self._cdot, s, t)))
+            cov = AntisymmetricCovariance(
+                AntisymmetricCovariance._block(c), c_matrix=c, c_plus=c,
+                c_minus=np.zeros_like(c))
             self._cache[key] = cov
         return cov

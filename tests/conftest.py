@@ -7,9 +7,7 @@ from ferroflow.instances import (  # noqa: F401  (test modules import them from 
     rand_even_normalized,
     synthetic_schedule,
 )
-from ferroflow import schedule as schedule_module
 from ferroflow.algebra import GrassmannElement, wedge
-from ferroflow.norms import matrix_norm_1inf
 from ferroflow.psi4 import Psi4Params, build_desk_instance
 from ferroflow.schedule import ScaleSchedule
 
@@ -42,28 +40,22 @@ def taylor_by_wedge(deriv_at, f):
     return acc
 
 
-def desk_instance():
-    """The psi4 desk instance at the CLI defaults (4 sites, 8 generators)."""
+def desk_instance(sites=4):
+    """The psi4 desk instance at the CLI defaults (4 sites, 8 generators),
+    or on another number of ``sites``."""
     params = Psi4Params(dimension=4, mass=1.0, lambda0=2.0, box=4.0,
                         cutoff_factor=7.0)
-    return build_desk_instance(params, 0.002, n_sites=4, t_max=2.0)
+    return build_desk_instance(params, 0.002, n_sites=sites, t_max=2.0)
 
 
 def count_rate_norm_calls(monkeypatch) -> dict:
-    """Count ``ScaleSchedule.adot_norm_at`` calls (``"rate"``, nested calls
-    included) and the schedule module's ``matrix_norm_1inf`` calls
-    (``"norm"``) from now on."""
-    calls = {"rate": 0, "norm": 0}
+    """Count ``ScaleSchedule.adot_norm_at`` calls (``"rate"``) from now on."""
+    calls = {"rate": 0}
     rate = ScaleSchedule.adot_norm_at
 
     def counting_rate(self, tau):
         calls["rate"] += 1
         return rate(self, tau)
 
-    def counting_norm(a):
-        calls["norm"] += 1
-        return matrix_norm_1inf(a)
-
     monkeypatch.setattr(ScaleSchedule, "adot_norm_at", counting_rate)
-    monkeypatch.setattr(schedule_module, "matrix_norm_1inf", counting_norm)
     return calls

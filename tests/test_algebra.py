@@ -40,12 +40,6 @@ class TestGeneratorSet:
             GeneratorSet(18)
         GeneratorSet(16)  # at the cap
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("FERROFLOW_MAX_GENERATORS", "12")
-        with pytest.raises(CapacityError):
-            GeneratorSet(14)
-        GeneratorSet(12)
-
     def test_mask_rejects_repeats(self):
         g = GeneratorSet(4)
         with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from ferroflow.flow import (
     effective_action_exact,
     flow_integrate,
     rg_map,
-    trajectory_norms,
     trajectory_to_csv,
 )
 from ferroflow.gaussian import heat_kernel_convolve, laplacian
@@ -142,7 +141,7 @@ class TestEffectiveActionExact:
         sched = synthetic_schedule(rng, 4)
         f = quartic_bare_action(GeneratorSet(8), 0.03)
         out = effective_action_exact(sched, f, 1.0)
-        series = trajectory_norms(FlowTrajectory(np.array([0.0]), [out]))[0]
+        series = FlowTrajectory(np.array([0.0]), [out]).norms[0]
         assert np.all(np.isfinite(series.coefficients))
 
 
@@ -187,7 +186,7 @@ class TestFlowIntegrate:
         sched = synthetic_schedule(rng, 4)
         f = quartic_bare_action(GeneratorSet(8), 0.04)
         traj = flow_integrate(sched, f, steps=50, t_end=1.0)
-        series = trajectory_norms(traj)
+        series = traj.norms
         assert series[0].coeff(1) == 0.0
         assert series[-1].coeff(1) > 0.0
 
@@ -206,7 +205,7 @@ class TestFlowIntegrate:
         f = quartic_bare_action(GeneratorSet(8), 0.04)
         traj = flow_integrate(sched, f, steps=50, t_end=1.0, truncate_ge2=True)
         assert traj.truncated
-        series = trajectory_norms(traj)
+        series = traj.norms
         for s in series:
             assert s.coeff(1) == 0.0
 
@@ -325,7 +324,7 @@ class TestTrajectoryNorms:
         sched = synthetic_schedule(rng, 4)
         f = quartic_bare_action(GeneratorSet(8), 0.07)
         traj = flow_integrate(sched, f, steps=10, t_end=0.5)
-        series = trajectory_norms(traj)
+        series = traj.norms
         assert series[0].coeff(2) == pytest.approx(0.07)
         for s in series:
             assert np.all(s.coefficients >= 0.0)

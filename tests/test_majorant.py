@@ -12,7 +12,7 @@ from ferroflow.errors import (
     ExistenceError,
     ResolutionError,
 )
-from ferroflow.flow import flow_integrate, trajectory_norms
+from ferroflow.flow import flow_integrate
 from ferroflow.majorant import (
     _HOMOTOPY_STEPS,
     _RESIDUAL_TOL,
@@ -20,11 +20,8 @@ from ferroflow.majorant import (
     MajorantSpec,
     existence_check,
     hopflax_solve,
-    invert_characteristic_log,
-    invert_characteristic_quartic,
     majorant_coefficients,
     majorant_value,
-    rescaled_time,
     rhs_coefficient_bound,
     _gamma_factor,
 )
@@ -158,29 +155,33 @@ def half_circle(radius, nodes=64):
 class TestRescaledTime:
     def test_zero(self, rng):
         sched = synthetic_schedule(rng, 3)
-        assert rescaled_time(sched, 0.0) == 0.0
+        assert sched.tau(0.0) == 0.0
 
     def test_constant_rate(self):
-        sched = ScaleSchedule.from_cdot(lambda t: np.eye(2), T=3.0, pairs=2)
-        assert rescaled_time(sched, 2.0) == pytest.approx(2.0, rel=1e-12)
+        c0 = np.eye(2)
+        sched = ScaleSchedule.from_cdot(
+            lambda t: np.broadcast_to(c0, np.shape(t) + c0.shape), T=3.0,
+            pairs=2, gram_rate=lambda t: np.full(np.shape(t), 4.0))
+        assert sched.tau(2.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_additive(self, rng):
         sched = synthetic_schedule(rng, 3)
-        total = rescaled_time(sched, 1.0)
-        split = rescaled_time(sched, 0.4) + simpson_refine(
+        total = sched.tau(1.0)
+        split = sched.tau(0.4) + simpson_refine(
             lambda s: sched.adot_norm_at(s), 0.4, 1.0)
         assert abs(total - np.real(split)) < 1e-10
 
 
 class TestCharacteristicInversion:
     def test_identity_at_zero_time(self):
-        assert invert_characteristic_log(1.2, 0.0, 0.37) == 0.37
-        assert invert_characteristic_quartic(0.3, 0.4, 0.0, 0.37) == 0.37
+        assert CharacteristicSolution.logarithmic(1.2, 0.0).invert(0.37) == 0.37
+        assert CharacteristicSolution.quartic(0.3, 0.4, 0.0).invert(0.37) == 0.37
 
     def test_origin_fixed(self):
-        assert invert_characteristic_log(1.2, 0.2, 0.0) == pytest.approx(0.0, abs=1e-14)
-        assert invert_characteristic_quartic(0.3, 0.4, 0.2, 0.0) == pytest.approx(
-            0.0, abs=1e-14)
+        assert CharacteristicSolution.logarithmic(1.2, 0.2).invert(0.0) == \
+            pytest.approx(0.0, abs=1e-14)
+        assert CharacteristicSolution.quartic(0.3, 0.4, 0.2).invert(0.0) == \
+            pytest.approx(0.0, abs=1e-14)
 
     def test_forward_residual_random_admissible(self, rng):
         for _ in range(40):
@@ -469,7 +470,7 @@ class TestMajorantCoefficients:
         alpha = 0.03
         bare = quartic_bare_action(GeneratorSet(8), alpha)
         traj = flow_integrate(sched, bare, steps=80, t_end=1.0)
-        series = trajectory_norms(traj)
+        series = traj.norms
         spec = MajorantSpec(schedule=sched, quartic_alpha=alpha)
         for i in (20, 50, 80):
             phi = majorant_coefficients(spec, float(traj.grid[i]), m_max=4)
@@ -479,7 +480,9 @@ class TestMajorantCoefficients:
 
 class TestExistence:
     def test_zero_schedule_always_holds(self):
-        sched = ScaleSchedule.from_cdot(lambda t: np.zeros((3, 3)), T=1.0, pairs=3)
+        sched = ScaleSchedule.from_cdot(
+            lambda t: np.zeros(np.shape(t) + (3, 3)), T=1.0, pairs=3,
+            gram_rate=lambda t: np.zeros(np.shape(t)))
         spec = MajorantSpec(schedule=sched, quartic_alpha=0.4)
         rep = existence_check(spec, 1.0)
         assert rep.holds and rep.tau == 0.0 and rep.sigma == 0.0
@@ -588,7 +591,6 @@ class TestCoefficientBound:
                 bounds += 1
         # two Simpson grids per bound, at most two rate calls per grid
         assert calls["rate"] <= 2 * 2 * bounds
-        assert calls["norm"] == 0
 
     def test_time_zero_is_bare_coefficient(self, rng):
         sched = synthetic_schedule(rng, 4)
@@ -614,7 +616,7 @@ class TestCoefficientBound:
         sched = synthetic_schedule(rng, 4)
         bare = quartic_bare_action(GeneratorSet(8), 0.04)
         traj = flow_integrate(sched, bare, steps=150, t_end=1.0)
-        series = trajectory_norms(traj)
+        series = traj.norms
         for i in (50, 100, 150):
             for k in range(1, 5):
                 bound = rhs_coefficient_bound(traj, sched, k, float(traj.grid[i]))

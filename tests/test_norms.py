@@ -10,8 +10,6 @@ from ferroflow.norms import (
     gram_bound_check,
     matrix_norm_1inf,
     norm_coefficients,
-    norm_eval,
-    sigma_squared,
 )
 
 from conftest import popcounts, rand_even_normalized, synthetic_schedule
@@ -60,9 +58,9 @@ class TestNormSeries:
 
     def test_eval_even_powers(self):
         s = NormSeries([0.0, 2.0])
-        assert norm_eval(s, 0.0) == 0.0
-        assert norm_eval(s, 0.5) == pytest.approx(2.0 * 0.5 ** 4)
-        assert norm_eval(s, -0.5) == norm_eval(s, 0.5)
+        assert s.eval(0.0) == 0.0
+        assert s.eval(0.5) == pytest.approx(2.0 * 0.5 ** 4)
+        assert s.eval(-0.5) == s.eval(0.5)
 
     def test_coeff_indexing(self):
         s = NormSeries([1.0, 2.0])
@@ -144,23 +142,23 @@ class TestConvergenceRadius:
 class TestSigmaSquared:
     def test_coincident_scales(self, rng):
         sched = synthetic_schedule(rng, 3)
-        assert sigma_squared(sched, 0.4, 0.4) == 0.0
+        assert sched.sigma_squared(0.4, 0.4) == 0.0
 
     def test_reversed_rejected(self, rng):
         sched = synthetic_schedule(rng, 3)
         with pytest.raises(ValueError):
-            sigma_squared(sched, 0.5, 0.1)
+            sched.sigma_squared(0.5, 0.1)
 
     def test_additivity(self, rng):
         sched = synthetic_schedule(rng, 3)
-        total = sigma_squared(sched, 0.0, 1.0)
-        split = sigma_squared(sched, 0.0, 0.37) + sigma_squared(sched, 0.37, 1.0)
+        total = sched.sigma_squared(0.0, 1.0)
+        split = sched.sigma_squared(0.0, 0.37) + sched.sigma_squared(0.37, 1.0)
         assert abs(total - split) < 1e-9
 
     def test_monotone_in_both_ends(self, rng):
         sched = synthetic_schedule(rng, 3)
-        assert sigma_squared(sched, 0.0, 0.8) <= sigma_squared(sched, 0.0, 1.0)
-        assert sigma_squared(sched, 0.3, 1.0) <= sigma_squared(sched, 0.1, 1.0)
+        assert sched.sigma_squared(0.0, 0.8) <= sched.sigma_squared(0.0, 1.0)
+        assert sched.sigma_squared(0.3, 1.0) <= sched.sigma_squared(0.1, 1.0)
 
     def test_homogeneity(self, rng):
         # scaling the Gram integrand scales sigma^2 exactly (linearity of
@@ -169,8 +167,8 @@ class TestSigmaSquared:
         base = sched.sigma_squared(0.1, 0.9)
         from ferroflow.schedule import ScaleSchedule
 
-        scaled = ScaleSchedule(
-            sched.dim, sched.T, sched._adot,
+        scaled = ScaleSchedule.from_cdot(
+            sched._cdot, T=sched.T, pairs=sched.dim // 2,
             gram_rate=lambda tau: 3.0 * sched.gram_rate_at(tau))
         assert scaled.sigma_squared(0.1, 0.9) == pytest.approx(3.0 * base, rel=1e-12)
 

@@ -5,6 +5,7 @@ import pytest
 
 from ferroflow.errors import ResolutionError
 from ferroflow.norms import matrix_norm_1inf
+from ferroflow.psi4 import covariance_matrix
 from ferroflow.schedule import (
     _MAX_DOUBLINGS,
     DEFAULT_PANELS,
@@ -48,10 +49,6 @@ class TestSimpson:
 
 
 class TestScaleSchedule:
-    def test_requires_one_gram_source(self):
-        with pytest.raises(ValueError):
-            ScaleSchedule(4, 1.0, lambda t: np.zeros((4, 4)))
-
     def test_rate_is_antisymmetric_block(self, rng):
         sched = synthetic_schedule(rng, 3)
         a = sched.adot(0.3)
@@ -69,9 +66,10 @@ class TestScaleSchedule:
         c0 = np.array([[1.0, 0.2], [0.2, 0.5]])
 
         def cdot(tau):
-            return math.exp(-2.0 * tau) * c0
+            return np.multiply.outer(np.exp(-2.0 * np.asarray(tau)), c0)
 
-        sched = ScaleSchedule.from_cdot(cdot, T=2.0, pairs=2)
+        sched = ScaleSchedule.from_cdot(
+            cdot, T=2.0, pairs=2, gram_rate=lambda t: 4.0 * np.exp(-2.0 * t))
         got = sched.covariance(0.0, 2.0)
         want = (1.0 - math.exp(-4.0)) / 2.0 * c0
         assert np.max(np.abs(got.matrix[:2, 2:] - want)) < 1e-12
@@ -79,7 +77,9 @@ class TestScaleSchedule:
 
     def test_tau_constant_rate(self):
         c0 = np.eye(2)
-        sched = ScaleSchedule.from_cdot(lambda t: c0, T=3.0, pairs=2)
+        sched = ScaleSchedule.from_cdot(
+            lambda t: np.broadcast_to(c0, np.shape(t) + c0.shape), T=3.0,
+            pairs=2, gram_rate=lambda t: np.full(np.shape(t), 4.0))
         # block of the identity kernel has row sum 1 at every scale
         assert sched.tau(2.0) == pytest.approx(2.0, rel=1e-12)
 
@@ -91,21 +91,21 @@ class TestScaleSchedule:
         mid = simpson_refine(lambda s: matrix_norm_1inf(sched.adot(s)), 0.3, 1.0)
         assert t1 + np.real(mid) == pytest.approx(t2, abs=1e-10)
 
-    def test_from_table_interpolates(self):
-        times = np.array([0.0, 1.0, 2.0])
-        mats = np.array([np.zeros((2, 2)),
-                         [[0.0, 1.0], [-1.0, 0.0]],
-                         [[0.0, 2.0], [-2.0, 0.0]]])
-        sched = ScaleSchedule.from_table(times, mats, gram_rate=lambda t: 0.0)
-        assert sched.adot(0.5)[0, 1] == pytest.approx(0.5)
-        assert sched.adot(1.5)[0, 1] == pytest.approx(1.5)
-        cov = sched.covariance(0.0, 2.0)
-        assert cov.matrix[0, 1] == pytest.approx(2.0, rel=1e-12)
-
     def test_cache_hits_are_consistent(self, rng):
         sched = synthetic_schedule(rng, 3)
         assert sched.sigma_squared(0.0, 0.7) == sched.sigma_squared(0.0, 0.7)
         assert sched.tau(0.7) == sched.tau(0.7)
+
+
+@pytest.mark.parametrize("sites", [2, 4])
+def test_desk_covariance_matches_lattice_sums(sites):
+    # d/ds of exp(-q/L_s^2)/q is -(2/L_s^2) exp(-q/L_s^2), so the integral
+    # of cdot over [s, t] is the exact slice C_s - C_t of the lattice sums
+    inst = desk_instance(sites)
+    for s, t in ((0.0, 0.5), (0.0, 2.0), (0.3, 1.1)):
+        got = inst.schedule.covariance(s, t).c_matrix
+        want = covariance_matrix(inst.params, s, t).c_between
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 def desk_schedule():
@@ -114,25 +114,25 @@ def desk_schedule():
 
 
 def decaying_schedule(T=3.0):
-    """Schedule with rate ``exp(-2 tau) c0`` and counted rate evaluations:
-    ``evals[kind]`` lists the number of scales of every call."""
+    """Schedule with kernel ``exp(-2 tau) c0`` and counted evaluations:
+    ``evals["tau"]`` lists the number of scales of every array call of the
+    kernel, ``evals["sigma"]`` of every Gram-rate call."""
     c0 = np.array([[1.0, 0.2], [0.2, 0.5]])
     norm0 = matrix_norm_1inf(c0)
     evals = {"tau": [], "sigma": []}
 
-    def adot_norm(s):
+    def cdot(s):
         s = np.asarray(s, dtype=float)
-        evals["tau"].append(s.size)
-        return norm0 * np.exp(-2.0 * s)
+        if s.ndim:
+            evals["tau"].append(s.size)
+        return np.multiply.outer(np.exp(-2.0 * s), c0)
 
     def gram_rate(s):
         s = np.asarray(s, dtype=float)
         evals["sigma"].append(s.size)
         return 4.0 * np.exp(-2.0 * s)
 
-    sched = ScaleSchedule.from_cdot(
-        lambda t: math.exp(-2.0 * t) * c0, T=T, pairs=2, gram_rate=gram_rate,
-        adot_norm=adot_norm, vectorized_rates=True)
+    sched = ScaleSchedule.from_cdot(cdot, T=T, pairs=2, gram_rate=gram_rate)
     return sched, norm0, evals
 
 
@@ -264,4 +264,3 @@ class TestArrayQueries:
         calls = count_rate_norm_calls(monkeypatch)
         sched.tau(sched.T)
         assert 1 <= calls["rate"] <= _MAX_DOUBLINGS + 1
-        assert calls["norm"] == 0
