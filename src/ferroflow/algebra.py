@@ -234,12 +234,13 @@ class GeneratorSet:
     """A fixed even number of Grassmann generators.
 
     ``count`` is the total number of generators (2n), at most
-    ``MAX_GENERATORS``.  Dense elements take 16 * 2**count bytes.  A product sums over the
-    3**count disjoint pairs, a quarter of them when both operands are even,
-    so each generator above the 12 of the pair table triples its cost: a
-    dense complex product of even elements took about 0.001 s at 12, 0.01 s
-    at 14 and 0.1 s at 16 generators, and one of elements with both
-    parities 0.004, 0.04 and 0.4 s, on a loaded 2-CPU x86_64 machine.
+    ``MAX_GENERATORS``.  Dense elements take 16 * 2**count bytes.  A product
+    sums over the 3**count disjoint pairs, a quarter of them when both
+    operands are even, so each generator above the 12 of the pair table
+    triples its cost: a dense complex product of even elements took about
+    0.001 s at 12, 0.01 s at 14 and 0.1 s at 16 generators, and one of
+    elements with both parities 0.004, 0.04 and 0.4 s, on a loaded 2-CPU
+    x86_64 machine.
     """
 
     count: int

@@ -166,7 +166,7 @@ def _as_plain_scalar(x: np.ndarray):
 
 
 class ScaleSchedule:
-    """The covariance decomposition generated by one kernel family on ``[0, T]``.
+    """A covariance decomposition generated by one kernel family on [0, T].
 
     ``cdot(tau)`` is the symmetric positive-semidefinite ``pairs x pairs``
     scale derivative of the covariance kernel; for a 1-D array of scales it
