@@ -195,6 +195,23 @@ def _pair_table(n_gen: int, blocks: int):
     return tab
 
 
+def _run_chunks(tab, first: int, end: int) -> list[tuple[int, int, int, int]]:
+    """The chunks of the pair table ``tab`` that overlap the parity blocks
+    ``first`` to ``end - 1``, clipped to them, as ``(p0, p1, s0, s1)``: the
+    pairs from ``p0`` to ``p1`` and their segments from ``s0`` to ``s1``.
+    Blocks hold whole segments, so a clipped chunk does too."""
+    pair_off, seg_off, cut_p, cut_s = tab[5:]
+    lo, hi = pair_off[first], pair_off[end]
+    c = bisect.bisect_right(cut_p, lo) - 1
+    chunks = []
+    while cut_p[c] < hi:
+        chunks.append((max(cut_p[c], lo), min(cut_p[c + 1], hi),
+                       max(cut_s[c], seg_off[first]),
+                       min(cut_s[c + 1], seg_off[end])))
+        c += 1
+    return chunks
+
+
 @functools.lru_cache(maxsize=None)
 def _block_runs(f_parts: tuple[int, ...], g_parts: tuple[int, ...]
                 ) -> tuple[tuple[int, int], ...]:
@@ -455,26 +472,23 @@ def _wedge_blocks(f: np.ndarray, g: np.ndarray, n_gen: int,
     (``g``)."""
     if n_gen <= _WEDGE_LEAF:
         runs = _block_runs(f_parts, g_parts)
-        (j, k, sgn, unions, starts, pair_off, seg_off, cut_p,
-         cut_s) = _pair_table(n_gen, runs[-1][1])
+        tab = _pair_table(n_gen, runs[-1][1])
+        j, k, sgn, unions, starts = tab[:5]
         out = np.zeros(1 << n_gen, dtype=np.complex128)
         for first, end in runs:
-            # the chunks that overlap the run, clipped to it; blocks hold
-            # whole segments, so a clipped chunk does too
-            lo, hi = pair_off[first], pair_off[end]
-            c = bisect.bisect_right(cut_p, lo) - 1
-            while cut_p[c] < hi:
-                p0, p1 = max(cut_p[c], lo), min(cut_p[c + 1], hi)
-                s0 = max(cut_s[c], seg_off[first])
-                s1 = min(cut_s[c + 1], seg_off[end])
+            for p0, p1, s0, s1 in _run_chunks(tab, first, end):
                 terms = f.take(j[p0:p1])
                 terms *= g.take(k[p0:p1])
                 terms *= sgn[p0:p1]
-                # a union owns one segment in each block of the run, summed
-                # in block order
-                np.add.at(out, unions[s0:s1],
-                          np.add.reduceat(terms, starts[s0:s1] - p0))
-                c += 1
+                sums = np.add.reduceat(terms, starts[s0:s1] - p0)
+                if end - first == 1:
+                    # a union owns one segment of a block, and the runs of
+                    # a product write disjoint unions
+                    out[unions[s0:s1]] = sums
+                else:
+                    # one segment in each block of the run, summed in
+                    # block order
+                    np.add.at(out, unions[s0:s1], sums)
         return out
     # f = a + b ^ psi_top and g = c + d ^ psi_top give
     # f ^ g = a ^ c + (a ^ d + b ^ c_hat) ^ psi_top, where c_hat carries the

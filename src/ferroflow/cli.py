@@ -15,6 +15,16 @@ Exit codes: 0 success, 1 failed verification, 2 inadmissible instance,
 generator above 12 triples the cost of a product; ``verify --seed 42`` took
 2.5 s at 14 generators and 22 s (194 MB peak) at 16, one run each on a 2-CPU
 x86_64 Xeon, against a budget of 10 minutes.
+
+``flow`` and ``majorant`` take ``steps`` RK4 steps of the desk flow on
+``2 * sites`` generators.  One step took 0.12-0.23, 0.14-0.27, 0.20-0.35,
+0.83-1.3 and 5.7-7.8 ms at 2, 3, 4, 5 and 6 sites (best of 3 runs of 20 to
+400 steps, in three sessions on a 2-CPU x86_64 Xeon whose load varied, BLAS
+on one thread), and single runs took up to 0.29, 0.42, 0.39, 1.9 and 9.8 ms.
+``_STEP_SECONDS`` holds those slowest runs rounded up.  A config whose steps
+would take longer than the same 10-minute budget at these costs is refused
+with exit 4 before any computation: more than 60,000 steps at 6 sites, and
+no step count the validator admits at fewer sites.
 """
 
 from __future__ import annotations
@@ -95,6 +105,13 @@ _RANGES = {
 }
 
 
+# seconds per RK4 step of the desk flow by site count (the slowest runs of
+# the module docstring, rounded up) and the run-time budget of flow and
+# majorant
+_STEP_SECONDS = {2: 3e-4, 3: 5e-4, 4: 5e-4, 5: 2e-3, 6: 1e-2}
+_RUN_BUDGET_S = 600.0
+
+
 def _parse_bool(raw: str, key: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "yes", "1", "on"):
@@ -147,6 +164,20 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("generators must be even")
     if cfg.lambda0 <= cfg.mass:
         raise ConfigError("lambda0 must exceed mass")
+
+
+def check_run_time(command: str, cfg: RunConfig) -> None:
+    """Refuse a ``flow`` or ``majorant`` config whose RK4 steps would exceed
+    the run-time budget."""
+    if command not in ("flow", "majorant"):
+        return
+    step = _STEP_SECONDS[cfg.sites]
+    if cfg.steps * step > _RUN_BUDGET_S:
+        raise ConfigError(
+            f"steps = {cfg.steps} at sites = {cfg.sites} would take about "
+            f"{cfg.steps * step / 60:.0f} min, over the budget of "
+            f"{_RUN_BUDGET_S / 60:.0f} min; at most "
+            f"{int(_RUN_BUDGET_S / step)} steps at {cfg.sites} sites")
 
 
 def _fmt(x: float) -> str:
@@ -464,6 +495,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "debug_corrupt_pfaffian", False):
             cfg.debugCorruptPfaffian = True
         validate_config(cfg)
+        check_run_time(args.command, cfg)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 4

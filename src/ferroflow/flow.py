@@ -6,10 +6,13 @@ the nonlinear flow of the normalized effective action
 
     dF/dt = (1/2) Delta_rate F + (1/2) <grad F, rate grad F> - (scalar part)
 
-with classic fixed-step RK4 on the full coefficient vector.  The sign of the
-quadratic term is tied to the Laplacian convention of :mod:`ferroflow.gaussian`;
-the pair is pinned by cross-validating the two paths against each other,
-which the test suite does continuously.
+with classic fixed-step RK4.  The state is the coefficient vector over the
+masks of the bare action's parity: the 2**(n_gen - 1) even masks when its
+odd coefficients are all exactly zero (the flow keeps them zero), all masks
+otherwise.  The sign of the quadratic term is tied to the Laplacian
+convention of :mod:`ferroflow.gaussian`; the pair is pinned by
+cross-validating the two paths against each other, which the test suite
+does continuously.
 """
 
 from __future__ import annotations
@@ -21,17 +24,25 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (
-    GeneratorSet,
+    _BOTH,
+    _EVEN,
+    _WEDGE_LEAF,
     GrassmannElement,
     _is_exactly_even,
-    _wedge_coeffs,
-    _zero_below_degree,
+    _pair_table,
+    _popcount_table,
+    _run_chunks,
+    _wedge_blocks,
     exp_of,
     log_of,
     parity_magnitudes,
 )
 from .errors import IntegrationError, LogDomainError, ParityError
-from .gaussian import AntisymmetricCovariance, _check_dimension, _laplacian_coeffs
+from .gaussian import (
+    _check_dimension,
+    _laplacian_table,
+    _laplacian_weights,
+)
 from .norms import NormSeries, norm_coefficients
 from .schedule import ScaleSchedule
 
@@ -123,23 +134,119 @@ def effective_action_exact(schedule: ScaleSchedule, f0: GrassmannElement,
     return out
 
 
-def _flow_rhs(rate: np.ndarray, coeffs: np.ndarray, gens: GeneratorSet,
-              truncate_ge2: bool, even: bool) -> tuple[np.ndarray, complex]:
-    """Flow right-hand side on raw coefficients, whose odd-degree
-    coefficients are all exactly zero when ``even``; returns
-    (dF, dlog_norm)."""
-    n_gen = gens.count
-    lap = _laplacian_coeffs(rate, coeffs, n_gen, even)
+# index tables of the right-hand side, keyed by (generator count, even)
+_RHS_TABLE: dict[tuple[int, bool], tuple] = {}
+
+
+def _rhs_table(n_gen: int, even: bool):
+    """Index tables of the flow's right-hand side over the index set ``S``:
+    the even masks with ``even``, otherwise all of them.
+
+    The rank of a mask is its position in ``S``: ``mask >> 1`` for the even
+    masks (of ``2r`` and ``2r + 1`` exactly one is even), the mask itself
+    otherwise.  Returns ``(index, low, src, targets, starts, chunks, unions,
+    n_gen, even)``.  ``index`` lists ``S`` in ascending order and ``low``
+    marks its masks of degree below 4.  ``src``, ``targets`` and ``starts``
+    are the Laplacian gather table in ranks, its even-target part with
+    ``even``, entry by entry as ``_laplacian_weights(a, n_gen, even)``.
+    ``chunks`` are the chunks of the pair table's even x even block with
+    ``even``, otherwise of all four blocks, as ``(j, k, sgn, seg)``: the
+    ranks of ``J`` and ``K``, the signs (complex, which multiply faster) and
+    the segment starts within the chunk.  ``unions`` holds the rank of every
+    segment's union; it is ``None`` with ``even``, where every union of
+    ``S`` owns exactly one segment and the segments come in rank order.
+    ``chunks`` is ``None`` above ``_WEDGE_LEAF``, where products split off
+    their top generator.
+    """
+    key = (n_gen, even)
+    tab = _RHS_TABLE.get(key)
+    if tab is None:
+        shift = 1 if even else 0
+        pop = _popcount_table(n_gen)
+        index = (np.flatnonzero((pop & 1) == 0) if even
+                 else np.arange(1 << n_gen))
+        _, _, src, _, targets, starts, even_targets, even_entries = \
+            _laplacian_table(n_gen)
+        if even:
+            src = src[:even_entries]
+            targets, starts = targets[:even_targets], starts[:even_targets]
+        chunks = unions = None
+        if n_gen <= _WEDGE_LEAF:
+            blocks = 1 if even else 4
+            pairs = _pair_table(n_gen, blocks)
+            j, k, sgn, union_masks, seg = pairs[:5]
+            chunks = [(j[p0:p1] >> shift, k[p0:p1] >> shift,
+                       sgn[p0:p1].astype(np.complex128), seg[s0:s1] - p0)
+                      for p0, p1, s0, s1 in _run_chunks(pairs, 0, blocks)]
+            if not even:
+                unions = union_masks
+        tab = (index, pop[index] < 4, src >> shift, targets >> shift, starts,
+               chunks, unions, n_gen, even)
+        _RHS_TABLE[key] = tab
+    return tab
+
+
+def _union_sums(parts: list[np.ndarray], unions, size: int) -> np.ndarray:
+    """A product over ``S`` from the segment sums of its chunks."""
+    sums = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if unions is None:
+        return sums
+    # a union owns one segment in each block, summed in block order
+    out = np.zeros(size, dtype=np.complex128)
+    np.add.at(out, unions, sums)
+    return out
+
+
+def _flow_rhs(weights: np.ndarray, y: np.ndarray, tab,
+              truncate_ge2: bool) -> tuple[np.ndarray, complex]:
+    """Flow right-hand side on the coefficients ``y`` over the index set of
+    ``tab = _rhs_table(n_gen, even)``, for a rate with Laplacian weights
+    ``weights = _laplacian_weights(rate, n_gen, even)``; returns
+    (dF, dlog_norm) with dF over the same index set.
+
+    The bilinear term takes two Laplacian gathers and the products
+    ``F ^ F`` and ``F ^ Delta F``, which share one gather of ``F[J] * sgn``.
+    Every sum runs over the same terms in the same order as the public
+    ``wedge`` and ``laplacian`` on the full coefficient vector, so dF is
+    bitwise the one of that product rule."""
+    index, low, src, targets, starts, chunks, unions, n_gen, even = tab
     # product rule for even F, with Delta = laplacian(rate, .):
     #   sum_ij rate_ij d_iF ^ d_jF = -(1/2) [Delta(F ^ F) - 2 F ^ Delta F]
-    square = _wedge_coeffs(coeffs, coeffs, n_gen, even)
-    bil = -0.5 * (_laplacian_coeffs(rate, square, n_gen, even)
-                  - 2.0 * _wedge_coeffs(coeffs, lap, n_gen, even))
+    lap = np.zeros(y.size, dtype=np.complex128)
+    lap[targets] = np.add.reduceat(weights * y.take(src), starts)
+    if chunks is None:
+        # above the pair table's leaf, the products split on full vectors
+        full = np.zeros(1 << n_gen, dtype=np.complex128)
+        full[index] = y
+        full_lap = np.zeros(1 << n_gen, dtype=np.complex128)
+        full_lap[index] = lap
+        parts = _EVEN if even else _BOTH
+        square = _wedge_blocks(full, full, n_gen, parts, parts)[index]
+        cross = _wedge_blocks(full, full_lap, n_gen, parts, parts)[index]
+    else:
+        square, cross = [], []
+        for j, k, sgn, seg in chunks:
+            # F ^ F and F ^ Delta F share the left factor F[J] * sgn; it
+            # stays the first operand, because numpy rounds the imaginary
+            # part of a complex product by operand order
+            left = y.take(j)
+            left *= sgn
+            terms = y.take(k)
+            square.append(np.add.reduceat(
+                np.multiply(left, terms, out=terms), seg))
+            terms = lap.take(k)
+            cross.append(np.add.reduceat(
+                np.multiply(left, terms, out=terms), seg))
+        square = _union_sums(square, unions, y.size)
+        cross = _union_sums(cross, unions, y.size)
+    lap_square = np.zeros(y.size, dtype=np.complex128)
+    lap_square[targets] = np.add.reduceat(weights * square.take(src), starts)
+    bil = -0.5 * (lap_square - 2.0 * cross)
     dlog = 0.5 * lap[0]
     out = 0.5 * lap + (0.5 * _BILINEAR_SIGN) * bil
     out[0] = 0.0  # normalization: the scalar part stays exactly zero
     if truncate_ge2:
-        _zero_below_degree(out, n_gen, 4)
+        out[low] = 0.0
     return out, complex(dlog)
 
 
@@ -156,6 +263,13 @@ def flow_integrate(schedule: ScaleSchedule, f0: GrassmannElement,
     two-point insertions while keeping the normalization subtraction.  With
     ``certify=True`` the run is repeated at half and quarter step and must
     reproduce the states within ``certify_tol``.
+
+    RK4 carries the even coefficients only when every odd coefficient of
+    ``f0`` is exactly zero, and all of them otherwise, so odd content that
+    the parity check tolerates is still integrated.  Each step reads the
+    rate at its midpoint and end, and computes the rate's Laplacian weights
+    once for both evaluations there; the rate at the start is the previous
+    step's end.
     """
     _require_even(f0, "flow_integrate")
     if abs(f0.scalar_part) > _PARITY_ATOL * max(1.0, f0.max_abs()):
@@ -205,28 +319,33 @@ def _grid_deviation(coarse: FlowTrajectory, fine: FlowTrajectory, stride: int
 def _integrate_on(schedule: ScaleSchedule, f0: GrassmannElement,
                   grid: np.ndarray, truncate_ge2: bool) -> FlowTrajectory:
     gens = f0.gens
-    y = f0.coeffs.copy()
-    y[0] = 0.0
+    n_gen = gens.count
+    y0 = f0.coeffs.copy()
+    y0[0] = 0.0
     # found from exact zeros, not from _require_even's tolerance; RK4 keeps
     # exact zeros exactly zero, so one inspection holds for every state
-    even = _is_exactly_even(y)
-    states = [GrassmannElement._adopt(gens, y)]
+    even = _is_exactly_even(y0)
+    tab = _rhs_table(n_gen, even)
+    index = tab[0]
+    y = y0[index]
+    states = [GrassmannElement._adopt(gens, y0)]
     log_norm = [0.0 + 0.0j]
     notes: list[str] = []
     c = 0.0 + 0.0j
     warned = False
     a4 = schedule.adot(grid[0])
     _check_dimension(a4, f0)
+    w4 = _laplacian_weights(a4, n_gen, even)
     for i in range(len(grid) - 1):
         t0, t1 = grid[i], grid[i + 1]
         h = t1 - t0
-        a1 = a4  # the rate at the end of the previous step
-        a2 = schedule.adot(t0 + 0.5 * h)
-        a4 = schedule.adot(t1)
-        k1, c1 = _flow_rhs(a1, y, gens, truncate_ge2, even)
-        k2, c2 = _flow_rhs(a2, y + 0.5 * h * k1, gens, truncate_ge2, even)
-        k3, c3 = _flow_rhs(a2, y + 0.5 * h * k2, gens, truncate_ge2, even)
-        k4, c4 = _flow_rhs(a4, y + h * k3, gens, truncate_ge2, even)
+        w1 = w4  # the rate at the end of the previous step
+        w2 = _laplacian_weights(schedule.adot(t0 + 0.5 * h), n_gen, even)
+        w4 = _laplacian_weights(schedule.adot(t1), n_gen, even)
+        k1, c1 = _flow_rhs(w1, y, tab, truncate_ge2)
+        k2, c2 = _flow_rhs(w2, y + 0.5 * h * k1, tab, truncate_ge2)
+        k3, c3 = _flow_rhs(w2, y + 0.5 * h * k2, tab, truncate_ge2)
+        k4, c4 = _flow_rhs(w4, y + h * k3, tab, truncate_ge2)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y[0] = 0.0
         c = c + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
@@ -235,7 +354,9 @@ def _integrate_on(schedule: ScaleSchedule, f0: GrassmannElement,
                 f"normalization scalar exp(-{c.real:.3g}) below "
                 f"{_SCALAR_WARN_FLOOR} at t={t1:.6g}; conditioning degrades")
             warned = True
-        states.append(GrassmannElement._adopt(gens, y))
+        state = np.zeros(1 << n_gen, dtype=np.complex128)
+        state[index] = y
+        states.append(GrassmannElement._adopt(gens, state))
         log_norm.append(c)
     return FlowTrajectory(grid=grid, states=states, normalized=True,
                           truncated=truncate_ge2,

@@ -41,6 +41,8 @@ def _laplacian_table(n_gen: int):
     from ``starts[t]`` on; the first ``even_targets`` targets are the even
     ones, which own the first ``even_entries`` entries, all with even
     sources.  Targets of degree above ``n_gen - 2`` have no entries.
+    ``_laplacian_weights`` reads ``rows``, ``cols`` and ``pair`` once per
+    covariance, and ``_laplacian_coeffs`` the gather once per element.
     """
     tab = _LAPLACIAN_TABLE.get(n_gen)
     if tab is None:
@@ -74,22 +76,33 @@ def _laplacian_table(n_gen: int):
     return tab
 
 
-def _laplacian_coeffs(a, coeffs: np.ndarray, n_gen: int, even: bool
-                      ) -> np.ndarray:
-    """``laplacian`` on a raw coefficient array; with ``even`` every
-    odd-degree coefficient must be exactly zero, and only the even-target
-    entries are gathered."""
-    (rows, cols, src, pair, targets, starts, even_targets,
-     even_entries) = _laplacian_table(n_gen)
-    if even:
-        src, pair = src[:even_entries], pair[:even_entries]
-        targets, starts = targets[:even_targets], starts[:even_targets]
+def _laplacian_weights(a, n_gen: int, even: bool) -> np.ndarray:
+    """Weight of every entry of the Laplacian gather table for covariance
+    ``a``, the even-target entries only with ``even``: ``_LAPLACIAN_SIGN *
+    (m - m.T)[i, j]`` for the entry's pair ``(i, j)``, negated where
+    ``d_i d_j`` flips the sign of the monomial.  A caller that applies one
+    covariance many times computes them once."""
+    rows, cols, _, pair, _, _, _, even_entries = _laplacian_table(n_gen)
     # sum_ij m_ij d_i d_j keeps only the antisymmetric part of m
     m = _as_matrix(a)
     weight = _LAPLACIAN_SIGN * (m - m.T)[rows, cols]
     weight = np.concatenate((weight, -weight))
+    return weight[pair[:even_entries] if even else pair]
+
+
+def _laplacian_coeffs(weights: np.ndarray, coeffs: np.ndarray, n_gen: int,
+                      even: bool) -> np.ndarray:
+    """``laplacian`` on a raw coefficient array, with the entry weights of
+    ``_laplacian_weights(a, n_gen, even)``; with ``even`` every odd-degree
+    coefficient must be exactly zero, and only the even-target entries are
+    gathered."""
+    _, _, src, _, targets, starts, even_targets, even_entries = \
+        _laplacian_table(n_gen)
+    if even:
+        src = src[:even_entries]
+        targets, starts = targets[:even_targets], starts[:even_targets]
     out = np.zeros(1 << n_gen, dtype=np.complex128)
-    out[targets] = np.add.reduceat(weight[pair] * coeffs[src], starts)
+    out[targets] = np.add.reduceat(weights * coeffs[src], starts)
     return out
 
 
@@ -274,24 +287,27 @@ def laplacian(a, f: GrassmannElement) -> GrassmannElement:
     m = _as_matrix(a)
     _check_dimension(m, f)
     n_gen = f.gens.count
+    even = _is_exactly_even(f.coeffs)
     return GrassmannElement._adopt(f.gens, _laplacian_coeffs(
-        m, f.coeffs, n_gen, _is_exactly_even(f.coeffs)))
+        _laplacian_weights(m, n_gen, even), f.coeffs, n_gen, even))
 
 
 def heat_kernel_convolve(a, f: GrassmannElement) -> GrassmannElement:
     """Gaussian convolution of ``f``, as the terminating series
     ``sum_k (Delta_A/2)^k f / k!``.
 
-    Its scalar part equals ``gaussian_expectation(a, f)``.
+    Its scalar part equals ``gaussian_expectation(a, f)``.  The Laplacian
+    weights of ``a`` are computed once for the whole series.
     """
     m = _as_matrix(a)
     _check_dimension(m, f)
     n_gen = f.gens.count
     even = _is_exactly_even(f.coeffs)  # the Laplacian keeps parity
+    weights = _laplacian_weights(m, n_gen, even)
     acc = f.coeffs.copy()
     term = f.coeffs
     for k in range(1, n_gen // 2 + 2):
-        term = _laplacian_coeffs(m, term, n_gen, even)
+        term = _laplacian_coeffs(weights, term, n_gen, even)
         if not term.any():
             break
         term *= 0.5 / k

@@ -120,22 +120,34 @@ class _CumulativeTable:
 
     The table holds the integral from 0 to every even node of the first
     doubled grid on which the doubling rule holds at every even node of the
-    previous one.  ``fn`` maps a 1-D array of scales to the rates there.  A
-    query ``x``, a scale or an array of scales, adds to the value at the
-    last even node ``x_k <= x`` one Simpson panel over ``[x_k, x]``: one
-    ``searchsorted`` places every query, and the midpoints and ends of all
-    queries off a node are evaluated in one call.  A node is read exactly.
+    previous one.  ``fn`` maps a 1-D array of scales to the rates there,
+    and a ``ValueError`` naming the schedule's kernel ``name`` says when it
+    does not.  A query ``x``, a scale or an array of scales, adds to the
+    value at the last even node ``x_k <= x`` one Simpson panel over
+    ``[x_k, x]``: one ``searchsorted`` places every query, and the midpoints
+    and ends of all queries off a node are evaluated in one call.  A node is
+    read exactly.
     """
 
-    def __init__(self, fn: Callable, T: float):
+    def __init__(self, fn: Callable, T: float, name: str):
         self.T = T
-        self._evaluate = _sampler(fn, True)
+        self._fn = fn
+        self._name = name
         cum, nodes, vals = _refine_by_doubling(
             self._evaluate, 0.0, T, DEFAULT_PANELS, DEFAULT_RTOL,
             _cumulative_simpson, _settled_entrywise)
         self.nodes = nodes[::2]
         self.cum = np.real(cum)
         self.vals = np.real(vals[::2])
+
+    def _evaluate(self, nodes: np.ndarray) -> np.ndarray:
+        vals = np.asarray(self._fn(nodes), dtype=np.complex128)
+        if vals.shape != nodes.shape:
+            raise ValueError(
+                f"the schedule's {self._name} must map a 1-D array of scales "
+                f"to values stacked along axis 0; {len(nodes)} scales gave "
+                f"a rate of shape {vals.shape}")
+        return vals
 
     def at(self, x):
         """Integral from 0 to ``x``: a ``float`` for a scale, an array of the
@@ -215,14 +227,15 @@ class ScaleSchedule:
 
     # -- integrals -----------------------------------------------------------
 
-    def _cum(self, kind: str, fn, x):
+    def _cum(self, kind: str, kernel: str, fn, x):
         """Integral of the rate ``fn`` from 0 to ``x`` (a scale or an array
         of scales), read from the cumulative table of ``kind`` (built on
-        first use); ``ValueError`` outside ``[0, T]``.  Scalar results are
-        cached."""
+        first use); ``ValueError`` outside ``[0, T]``, or when the
+        ``kernel`` behind ``fn`` does not map an array of scales to stacked
+        values.  Scalar results are cached."""
         table = self._tables.get(kind)
         if table is None:
-            table = _CumulativeTable(fn, self.T)
+            table = _CumulativeTable(fn, self.T, kernel)
             self._tables[kind] = table
         if np.ndim(x) != 0:
             return table.at(x)
@@ -240,12 +253,13 @@ class ScaleSchedule:
         if np.any(np.asarray(s) > np.asarray(t)):
             raise ValueError(f"need s <= t, got s={s}, t={t}")
         rate = self.gram_rate_at
-        return self._cum("sigma", rate, t) - self._cum("sigma", rate, s)
+        return (self._cum("sigma", "gram_rate", rate, t)
+                - self._cum("sigma", "gram_rate", rate, s))
 
     def tau(self, s):
         """Rescaled time: integral of the rate norm from 0 to ``s``, a scale
         or an array of scales."""
-        return self._cum("tau", self.adot_norm_at, s)
+        return self._cum("tau", "cdot", self.adot_norm_at, s)
 
     def covariance(self, s: float, t: float) -> AntisymmetricCovariance:
         """Slice covariance over [s, t]: the block embedding of the kernel

@@ -1,6 +1,9 @@
+import sys
+from pathlib import Path
+
 import pytest
 
-from ferroflow.cli import main
+from ferroflow.cli import check_run_time, main, parse_config
 
 
 @pytest.mark.parametrize("text", [
@@ -72,3 +75,37 @@ def test_rerun_is_byte_identical(tmp_path, command):
                    for out in outs]
         assert reports[0] == reports[1]
         assert b"holds = true" in reports[0]
+
+
+@pytest.mark.parametrize("command", ["flow", "majorant"])
+def test_run_time_over_budget_exits_4(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sites = 6\nsteps = 100000\n")
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "over the budget of 10 min" in err
+    assert not out.exists()
+
+
+def bench_configs():
+    """The full-length config texts of the flow-desk and majorant-pair
+    benchmark workloads, at a few seeds."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        from workloads import config_text
+    finally:
+        sys.path.pop(0)
+    return [(command, config_text(workload, seed, 0, 0))
+            for command, workload in (("flow", "flow-desk"),
+                                      ("majorant", "majorant-pair"))
+            for seed in (1, 2, 3)]
+
+
+def test_run_time_within_budget_accepted():
+    for command, text in [("flow", ""), ("majorant", "")] + bench_configs():
+        check_run_time(command, parse_config(text))
+    # every step count the validator admits is in budget below 6 sites
+    for sites in range(2, 6):
+        check_run_time("flow", parse_config(f"sites = {sites}\nsteps = 100000\n"))
+    check_run_time("flow", parse_config("sites = 6\nsteps = 60000\n"))

@@ -7,6 +7,7 @@ from ferroflow.algebra import (
     GeneratorSet,
     GrassmannElement,
     _is_exactly_even,
+    _pair_table,
     derivative,
     wedge,
 )
@@ -15,12 +16,13 @@ from ferroflow.flow import (
     _BILINEAR_SIGN,
     FlowTrajectory,
     _flow_rhs,
+    _rhs_table,
     effective_action_exact,
     flow_integrate,
     rg_map,
     trajectory_to_csv,
 )
-from ferroflow.gaussian import heat_kernel_convolve, laplacian
+from ferroflow.gaussian import _laplacian_weights, heat_kernel_convolve, laplacian
 from ferroflow.psi4 import quartic_bare_action
 
 from conftest import (
@@ -51,6 +53,66 @@ def flow_rhs_by_generators(rate, coeffs, gens, truncate_ge2):
     return out, 0.5 * lap[0]
 
 
+def flow_rhs_on_full(rate, coeffs, gens, truncate_ge2, even):
+    """``_flow_rhs`` on a full coefficient vector: the coefficients are
+    gathered onto the index set of the right-hand side's table and dF is
+    scattered back."""
+    tab = _rhs_table(gens.count, even)
+    index = tab[0]
+    out = np.zeros(gens.dim, dtype=complex)
+    out[index], dlog = _flow_rhs(_laplacian_weights(rate, gens.count, even),
+                                 coeffs[index], tab, truncate_ge2)
+    return out, dlog
+
+
+def flow_rhs_by_product_rule(rate, coeffs, gens, truncate_ge2):
+    """The flow right-hand side on the full coefficient vector, with the
+    bilinear term as ``-(1/2) [Delta(F ^ F) - 2 F ^ Delta F]`` through the
+    public ``wedge`` and ``laplacian``."""
+    f = GrassmannElement(gens, coeffs)
+    lap = laplacian(rate, f)
+    bil = -0.5 * (laplacian(rate, wedge(f, f)).coeffs
+                  - 2.0 * wedge(f, lap).coeffs)
+    dlog = 0.5 * lap.coeffs[0]
+    out = 0.5 * lap.coeffs + (0.5 * _BILINEAR_SIGN) * bil
+    out[0] = 0.0
+    if truncate_ge2:
+        out[popcounts(gens.dim, gens.count) < 4] = 0.0
+    return out, complex(dlog)
+
+
+def rk4_by_product_rule(schedule, f0, grid, truncate_ge2):
+    """Classic RK4 on the full coefficient vector, driven by
+    ``flow_rhs_by_product_rule``; returns the states and the accumulated
+    log-normalization."""
+    y = f0.coeffs.copy()
+    y[0] = 0.0
+    states, log_norm = [y], [0.0 + 0.0j]
+    c = 0.0 + 0.0j
+    for i in range(len(grid) - 1):
+        t0, t1 = grid[i], grid[i + 1]
+        h = t1 - t0
+        a1, a2, a4 = (schedule.adot(t) for t in (t0, t0 + 0.5 * h, t1))
+        k1, c1 = flow_rhs_by_product_rule(a1, y, f0.gens, truncate_ge2)
+        k2, c2 = flow_rhs_by_product_rule(a2, y + 0.5 * h * k1, f0.gens,
+                                          truncate_ge2)
+        k3, c3 = flow_rhs_by_product_rule(a2, y + 0.5 * h * k2, f0.gens,
+                                          truncate_ge2)
+        k4, c4 = flow_rhs_by_product_rule(a4, y + h * k3, f0.gens,
+                                          truncate_ge2)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y[0] = 0.0
+        c = c + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        states.append(y)
+        log_norm.append(c)
+    return states, log_norm
+
+
+def bitwise_equal(a, b) -> bool:
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestFlowRhs:
     @pytest.mark.parametrize("n_gen", [4, 6, 8, 10])
     @pytest.mark.parametrize("complex_coeffs", [False, True])
@@ -62,11 +124,57 @@ class TestFlowRhs:
             rate = rng.normal(size=(n_gen, n_gen)) + 1j * rng.normal(size=(n_gen, n_gen))
         else:
             rate = rand_antisymmetric(rng, n_gen)
-        got, got_dlog = _flow_rhs(rate, f.coeffs, g, truncate,
-                                  _is_exactly_even(f.coeffs))
+        got, got_dlog = flow_rhs_on_full(rate, f.coeffs, g, truncate,
+                                         _is_exactly_even(f.coeffs))
         want, want_dlog = flow_rhs_by_generators(rate, f.coeffs, g, truncate)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert got_dlog == want_dlog
+
+    @pytest.mark.parametrize("n_gen,steps", [(4, 6), (6, 6), (8, 6), (10, 4),
+                                             (12, 2), (14, 1)])
+    @pytest.mark.parametrize("complex_coeffs", [False, True])
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_states_equal_product_rule_rk4_bitwise(self, rng, n_gen, steps,
+                                                   complex_coeffs, truncate):
+        # the kernel over the even masks sums every product and Laplacian
+        # over the same terms in the same order as the full-vector product
+        # rule, so RK4 through either gives the same bits; the pair table is
+        # walked in chunks at 12 generators and split above
+        sched = synthetic_schedule(rng, n_gen // 2)
+        f = rand_even_normalized(rng, GeneratorSet(n_gen), 0.4 / n_gen,
+                                 complex_coeffs=complex_coeffs)
+        grid = np.linspace(0.0, 0.05 * steps, steps + 1)
+        traj = flow_integrate(sched, f, grid=grid, truncate_ge2=truncate)
+        states, log_norm = rk4_by_product_rule(sched, f, grid, truncate)
+        assert np.max(np.abs(states[-1] - f.coeffs)) > 0.0
+        for got, want in zip(traj.states, states):
+            assert bitwise_equal(got.coeffs, want)
+        assert bitwise_equal(traj.log_norm, log_norm)
+
+
+@pytest.mark.parametrize("n_gen", [2, 4, 8, 12])
+def test_rhs_table_unions_own_one_segment_per_block(n_gen):
+    pop = popcounts(1 << n_gen, n_gen)
+    seg_off = _pair_table(n_gen, 4)[6]
+    # even masks: one segment per mask of S, in rank order, so the segments
+    # of the even x even block are the ranks 0, 1, ...; at 12 generators the
+    # block is walked in several chunks
+    index, _, _, _, _, chunks, unions, _, even = _rhs_table(n_gen, True)
+    assert even and unions is None
+    assert np.array_equal(index, np.flatnonzero(pop % 2 == 0))
+    assert np.array_equal(index >> 1, np.arange(len(index)))
+    assert sum(len(chunk[3]) for chunk in chunks) == seg_off[1] == len(index)
+    assert (len(chunks) > 1) == (n_gen == 12)
+    # all masks: each block lists every union it owns once, in ascending
+    # order, and the blocks come back to back
+    index, _, _, _, _, chunks, unions, _, _ = _rhs_table(n_gen, False)
+    assert np.array_equal(index, np.arange(1 << n_gen))
+    assert sum(len(chunk[3]) for chunk in chunks) == len(unions)
+    for b in range(4):
+        parity = (b // 2 + b % 2) % 2
+        want = np.flatnonzero(pop % 2 == parity)
+        assert np.array_equal(unions[seg_off[b]:seg_off[b + 1]],
+                              want[1:] if b == 3 else want)
 
 
 class TestRgMap:
@@ -296,10 +404,10 @@ class TestExactParity:
         for i in range(len(grid) - 1):
             t0, h = grid[i], grid[i + 1] - grid[i]
             a1, a2, a4 = sched.adot(t0), sched.adot(t0 + 0.5 * h), sched.adot(t0 + h)
-            k1, _ = _flow_rhs(a1, y, gens, False, even=False)
-            k2, _ = _flow_rhs(a2, y + 0.5 * h * k1, gens, False, even=False)
-            k3, _ = _flow_rhs(a2, y + 0.5 * h * k2, gens, False, even=False)
-            k4, _ = _flow_rhs(a4, y + h * k3, gens, False, even=False)
+            k1, _ = flow_rhs_on_full(a1, y, gens, False, even=False)
+            k2, _ = flow_rhs_on_full(a2, y + 0.5 * h * k1, gens, False, even=False)
+            k3, _ = flow_rhs_on_full(a2, y + 0.5 * h * k2, gens, False, even=False)
+            k4, _ = flow_rhs_on_full(a4, y + h * k3, gens, False, even=False)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             y[0] = 0.0
             assert np.max(np.abs(traj.states[i + 1].coeffs - y)) <= 1e-14

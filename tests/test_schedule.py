@@ -91,6 +91,20 @@ class TestScaleSchedule:
         mid = simpson_refine(lambda s: matrix_norm_1inf(sched.adot(s)), 0.3, 1.0)
         assert t1 + np.real(mid) == pytest.approx(t2, abs=1e-10)
 
+    def test_scalar_only_kernels_name_the_contract(self):
+        # kernels that map one scale only (the form of a constant schedule)
+        # serve rates and slices, and the scale integrals say what they lack
+        c0 = np.array([[0.3, 0.1], [0.1, 0.2]])
+        sched = ScaleSchedule.from_cdot(lambda t: c0, T=1.0, pairs=2,
+                                        gram_rate=lambda t: 1.2)
+        assert np.array_equal(sched.adot(0.5)[:2, 2:], c0)
+        assert np.allclose(sched.covariance(0.0, 0.5).c_matrix, 0.5 * c0)
+        contract = "map a 1-D array of scales to values stacked along axis 0"
+        with pytest.raises(ValueError, match=f"cdot must {contract}"):
+            sched.tau(0.5)
+        with pytest.raises(ValueError, match=f"gram_rate must {contract}"):
+            sched.sigma_squared(0.0, 0.5)
+
     def test_cache_hits_are_consistent(self, rng):
         sched = synthetic_schedule(rng, 3)
         assert sched.sigma_squared(0.0, 0.7) == sched.sigma_squared(0.0, 0.7)
