@@ -480,15 +480,10 @@ def _wedge_blocks(f: np.ndarray, g: np.ndarray, n_gen: int,
                 terms = f.take(j[p0:p1])
                 terms *= g.take(k[p0:p1])
                 terms *= sgn[p0:p1]
-                sums = np.add.reduceat(terms, starts[s0:s1] - p0)
-                if end - first == 1:
-                    # a union owns one segment of a block, and the runs of
-                    # a product write disjoint unions
-                    out[unions[s0:s1]] = sums
-                else:
-                    # one segment in each block of the run, summed in
-                    # block order
-                    np.add.at(out, unions[s0:s1], sums)
+                # a union owns one segment in each block of the run, summed
+                # in block order
+                np.add.at(out, unions[s0:s1],
+                          np.add.reduceat(terms, starts[s0:s1] - p0))
         return out
     # f = a + b ^ psi_top and g = c + d ^ psi_top give
     # f ^ g = a ^ c + (a ^ d + b ^ c_hat) ^ psi_top, where c_hat carries the

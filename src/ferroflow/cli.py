@@ -21,10 +21,19 @@ x86_64 Xeon, against a budget of 10 minutes.
 0.83-1.3 and 5.7-7.8 ms at 2, 3, 4, 5 and 6 sites (best of 3 runs of 20 to
 400 steps, in three sessions on a 2-CPU x86_64 Xeon whose load varied, BLAS
 on one thread), and single runs took up to 0.29, 0.42, 0.39, 1.9 and 9.8 ms.
-``_STEP_SECONDS`` holds those slowest runs rounded up.  A config whose steps
-would take longer than the same 10-minute budget at these costs is refused
-with exit 4 before any computation: more than 60,000 steps at 6 sites, and
-no step count the validator admits at fewer sites.
+Whole ``flow`` runs on a 1-CPU host grew by 8.4 ms per step from 500 to
+1,500 steps at 6 sites, and by 1.2 ms from 1,000 to 5,000 at 5.
+``_STEP_SECONDS`` holds twice the slowest single runs, rounded up.  A config
+whose steps would take longer than the same 10-minute budget at these costs
+is refused with exit 4 before any computation: more than 30,000 steps at 6
+sites, and no step count the validator admits at fewer sites.
+
+The trajectory keeps every state, ``16 * 4**sites`` bytes per step: an
+admitted run holds at most 26 MB, 102 MB and 410 MB of states at 2, 3 and
+4 sites, 1.6 GB at 5 sites (100,000 steps) and 2.0 GB at 6 sites (30,000
+steps), on top of about 70 MB for the interpreter and tables (the peak RSS
+of the runs above grew by 61 MiB over 1,000 steps at 6 sites and by 66 MiB
+over 4,000 at 5).  Memory is not refused.
 """
 
 from __future__ import annotations
@@ -105,10 +114,10 @@ _RANGES = {
 }
 
 
-# seconds per RK4 step of the desk flow by site count (the slowest runs of
-# the module docstring, rounded up) and the run-time budget of flow and
-# majorant
-_STEP_SECONDS = {2: 3e-4, 3: 5e-4, 4: 5e-4, 5: 2e-3, 6: 1e-2}
+# seconds per RK4 step of the desk flow by site count (twice the slowest
+# runs of the module docstring, rounded up) and the run-time budget of flow
+# and majorant
+_STEP_SECONDS = {2: 6e-4, 3: 1e-3, 4: 1e-3, 5: 4e-3, 6: 2e-2}
 _RUN_BUDGET_S = 600.0
 
 

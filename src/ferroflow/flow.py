@@ -144,19 +144,18 @@ def _rhs_table(n_gen: int, even: bool):
 
     The rank of a mask is its position in ``S``: ``mask >> 1`` for the even
     masks (of ``2r`` and ``2r + 1`` exactly one is even), the mask itself
-    otherwise.  Returns ``(index, low, src, targets, starts, chunks, unions,
-    n_gen, even)``.  ``index`` lists ``S`` in ascending order and ``low``
-    marks its masks of degree below 4.  ``src``, ``targets`` and ``starts``
-    are the Laplacian gather table in ranks, its even-target part with
-    ``even``, entry by entry as ``_laplacian_weights(a, n_gen, even)``.
-    ``chunks`` are the chunks of the pair table's even x even block with
-    ``even``, otherwise of all four blocks, as ``(j, k, sgn, seg)``: the
-    ranks of ``J`` and ``K``, the signs (complex, which multiply faster) and
-    the segment starts within the chunk.  ``unions`` holds the rank of every
-    segment's union; it is ``None`` with ``even``, where every union of
-    ``S`` owns exactly one segment and the segments come in rank order.
-    ``chunks`` is ``None`` above ``_WEDGE_LEAF``, where products split off
-    their top generator.
+    otherwise.  Returns ``(index, low, src, targets, starts, chunks, n_gen,
+    even)``.  ``index`` lists ``S`` in ascending order and ``low`` marks its
+    masks of degree below 4.  ``src``, ``targets`` and ``starts`` are the
+    Laplacian gather table in ranks, its even-target part with ``even``,
+    entry by entry as ``_laplacian_weights(a, n_gen, even)``.  With
+    ``even`` and up to ``_WEDGE_LEAF`` generators, ``chunks`` are the chunks
+    of the pair table's even x even block as ``(j, k, sgn, seg)``: the ranks
+    of ``J`` and ``K``, the signs (complex, which multiply faster) and the
+    segment starts within the chunk.  Every mask of ``S`` is the union of
+    exactly one segment, and the segments come in rank order, so the
+    segment sums are the product over ``S``.  Otherwise ``chunks`` is
+    ``None`` and products go through ``_wedge_blocks``.
     """
     key = (n_gen, even)
     tab = _RHS_TABLE.get(key)
@@ -170,31 +169,17 @@ def _rhs_table(n_gen: int, even: bool):
         if even:
             src = src[:even_entries]
             targets, starts = targets[:even_targets], starts[:even_targets]
-        chunks = unions = None
-        if n_gen <= _WEDGE_LEAF:
-            blocks = 1 if even else 4
-            pairs = _pair_table(n_gen, blocks)
-            j, k, sgn, union_masks, seg = pairs[:5]
-            chunks = [(j[p0:p1] >> shift, k[p0:p1] >> shift,
+        chunks = None
+        if even and n_gen <= _WEDGE_LEAF:
+            pairs = _pair_table(n_gen, 1)
+            j, k, sgn, _, seg = pairs[:5]
+            chunks = [(j[p0:p1] >> 1, k[p0:p1] >> 1,
                        sgn[p0:p1].astype(np.complex128), seg[s0:s1] - p0)
-                      for p0, p1, s0, s1 in _run_chunks(pairs, 0, blocks)]
-            if not even:
-                unions = union_masks
+                      for p0, p1, s0, s1 in _run_chunks(pairs, 0, 1)]
         tab = (index, pop[index] < 4, src >> shift, targets >> shift, starts,
-               chunks, unions, n_gen, even)
+               chunks, n_gen, even)
         _RHS_TABLE[key] = tab
     return tab
-
-
-def _union_sums(parts: list[np.ndarray], unions, size: int) -> np.ndarray:
-    """A product over ``S`` from the segment sums of its chunks."""
-    sums = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    if unions is None:
-        return sums
-    # a union owns one segment in each block, summed in block order
-    out = np.zeros(size, dtype=np.complex128)
-    np.add.at(out, unions, sums)
-    return out
 
 
 def _flow_rhs(weights: np.ndarray, y: np.ndarray, tab,
@@ -209,13 +194,14 @@ def _flow_rhs(weights: np.ndarray, y: np.ndarray, tab,
     Every sum runs over the same terms in the same order as the public
     ``wedge`` and ``laplacian`` on the full coefficient vector, so dF is
     bitwise the one of that product rule."""
-    index, low, src, targets, starts, chunks, unions, n_gen, even = tab
+    index, low, src, targets, starts, chunks, n_gen, even = tab
     # product rule for even F, with Delta = laplacian(rate, .):
     #   sum_ij rate_ij d_iF ^ d_jF = -(1/2) [Delta(F ^ F) - 2 F ^ Delta F]
     lap = np.zeros(y.size, dtype=np.complex128)
     lap[targets] = np.add.reduceat(weights * y.take(src), starts)
     if chunks is None:
-        # above the pair table's leaf, the products split on full vectors
+        # with odd content, or above the pair table's leaf, the products
+        # go through _wedge_blocks on full vectors
         full = np.zeros(1 << n_gen, dtype=np.complex128)
         full[index] = y
         full_lap = np.zeros(1 << n_gen, dtype=np.complex128)
@@ -237,8 +223,8 @@ def _flow_rhs(weights: np.ndarray, y: np.ndarray, tab,
             terms = lap.take(k)
             cross.append(np.add.reduceat(
                 np.multiply(left, terms, out=terms), seg))
-        square = _union_sums(square, unions, y.size)
-        cross = _union_sums(cross, unions, y.size)
+        square = square[0] if len(chunks) == 1 else np.concatenate(square)
+        cross = cross[0] if len(chunks) == 1 else np.concatenate(cross)
     lap_square = np.zeros(y.size, dtype=np.complex128)
     lap_square[targets] = np.add.reduceat(weights * square.take(src), starts)
     bil = -0.5 * (lap_square - 2.0 * cross)

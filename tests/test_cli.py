@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from ferroflow.cli import check_run_time, main, parse_config
+from ferroflow.errors import ConfigError
 
 
 @pytest.mark.parametrize("text", [
@@ -108,4 +109,6 @@ def test_run_time_within_budget_accepted():
     # every step count the validator admits is in budget below 6 sites
     for sites in range(2, 6):
         check_run_time("flow", parse_config(f"sites = {sites}\nsteps = 100000\n"))
-    check_run_time("flow", parse_config("sites = 6\nsteps = 60000\n"))
+    check_run_time("flow", parse_config("sites = 6\nsteps = 30000\n"))
+    with pytest.raises(ConfigError):
+        check_run_time("flow", parse_config("sites = 6\nsteps = 30001\n"))

@@ -154,27 +154,23 @@ class TestFlowRhs:
 
 @pytest.mark.parametrize("n_gen", [2, 4, 8, 12])
 def test_rhs_table_unions_own_one_segment_per_block(n_gen):
+    # even masks: every mask of S is the union of one segment of the
+    # even x even block, in rank order, so the segment sums are the product
+    # over S; at 12 generators the block is walked in several chunks
     pop = popcounts(1 << n_gen, n_gen)
-    seg_off = _pair_table(n_gen, 4)[6]
-    # even masks: one segment per mask of S, in rank order, so the segments
-    # of the even x even block are the ranks 0, 1, ...; at 12 generators the
-    # block is walked in several chunks
-    index, _, _, _, _, chunks, unions, _, even = _rhs_table(n_gen, True)
-    assert even and unions is None
+    index, _, _, _, _, chunks, _, even = _rhs_table(n_gen, True)
+    assert even
     assert np.array_equal(index, np.flatnonzero(pop % 2 == 0))
     assert np.array_equal(index >> 1, np.arange(len(index)))
-    assert sum(len(chunk[3]) for chunk in chunks) == seg_off[1] == len(index)
+    pairs = _pair_table(n_gen, 1)
+    seg_off = pairs[6]
+    assert np.array_equal(pairs[3][:seg_off[1]], index)
+    assert sum(len(chunk[3]) for chunk in chunks) == len(index)
     assert (len(chunks) > 1) == (n_gen == 12)
-    # all masks: each block lists every union it owns once, in ascending
-    # order, and the blocks come back to back
-    index, _, _, _, _, chunks, unions, _, _ = _rhs_table(n_gen, False)
+    # all masks: the products go through _wedge_blocks
+    index, _, _, _, _, chunks, _, even = _rhs_table(n_gen, False)
+    assert not even and chunks is None
     assert np.array_equal(index, np.arange(1 << n_gen))
-    assert sum(len(chunk[3]) for chunk in chunks) == len(unions)
-    for b in range(4):
-        parity = (b // 2 + b % 2) % 2
-        want = np.flatnonzero(pop % 2 == parity)
-        assert np.array_equal(unions[seg_off[b]:seg_off[b + 1]],
-                              want[1:] if b == 3 else want)
 
 
 class TestRgMap:
