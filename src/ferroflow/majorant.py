@@ -12,6 +12,8 @@ with ``u0`` the derivative of the datum.  Everything therefore reduces to
 inverting the cubic characteristic equation for ``z0(tau, z)`` on the branch
 continuously connected to the identity at ``tau = 0``; the inversion loses
 monotonicity at a characteristic crossing, which is the existence boundary.
+The cubics are solved in closed form (Cardano for the largest root, a stable
+quadratic for the other two, one Newton step each), all nodes at once.
 
 Two closed-form data are supported: the exact quartic datum for a purely
 quartic bare series, and a logarithmic upper-bound datum for a general
@@ -49,9 +51,10 @@ class CharacteristicSolution:
     parameter ``lam`` or ``"quartic"`` with coupling ``alpha`` and Gram shift
     ``sigma``.  ``z0_window`` bounds ``|z0|`` where the characteristic map is
     monotone, up to the first critical point (``inf`` at ``tau = 0``); the
-    inversion method is homotopy continuation from the identity with a
-    safeguarded Newton polish.  ``invert`` and ``value`` take a scalar or an
-    array of nodes and treat all nodes of an array in one pass.
+    inversion method is homotopy continuation from the identity, each step
+    solving the characteristic cubics in closed form (``_cubic_roots``), with
+    a safeguarded Newton polish.  ``invert`` and ``value`` take a scalar or
+    an array of nodes and treat all nodes of an array in one pass.
     """
 
     kind: str
@@ -127,20 +130,29 @@ class CharacteristicSolution:
             u_star = 2.0 * (1.0 - a) / ((2.0 + a) + math.sqrt(a * (a + 8.0)))
             return math.sqrt(u_star / l2)
         a, s2 = self.alpha, self.sigma ** 2
-        if a == 0.0:
-            return float("inf")
+        den = 12.0 * a * self.tau
+        if den == 0.0:
+            return float("inf")  # alpha == 0, or alpha tau below float range
         num = 1.0 - 12.0 * a * s2 * self.tau
         if num <= 0.0:
             return 0.0
-        return math.sqrt(num / (12.0 * a * self.tau))
+        return math.sqrt(num / den)
 
     @property
     def z_window(self) -> float:
         """Fold value ``forward(z0_window)``: the largest real ``z`` reached
-        by characteristics inside the window."""
+        by characteristics inside the window.
+
+        Quartic: ``12 alpha tau w^2 = 1 - 12 alpha sigma^2 tau`` at the fold
+        ``w``, so ``forward(w) = (2/3) w (1 - 12 alpha sigma^2 tau)``, which
+        stays finite where ``w**3`` would overflow (tiny ``alpha``).
+        """
         w = self.z0_window
         if not math.isfinite(w):
             return float("inf")
+        if self.kind == "quartic":
+            return (2.0 / 3.0) * w * (1.0 - 12.0 * self.alpha * self.sigma ** 2
+                                      * self.tau)
         return float(np.real(self.forward(w)))
 
     def _cubic_coeffs(self, tau: float, z):
@@ -157,12 +169,13 @@ class CharacteristicSolution:
         ``z`` is a scalar or an array of nodes; a scalar gives a ``float``
         (``complex`` for complex input).  Homotopy continuation from
         ``tau = 0`` (where ``z0 == z``) selects the branch: each step solves
-        the cubics of all nodes at once and every node keeps the root nearest
-        its previous ``z0``.  A Newton polish brings every forward residual
-        below 1e-12; a node that misses it raises
-        ``CharacteristicCrossingError`` with that node's ``z0``.  With
-        ``enforce_window`` (real inputs), a result outside the certified
-        monotonicity window raises likewise.
+        the cubics of all nodes at once by the closed form of
+        ``_cubic_roots`` and every node keeps the root nearest its previous
+        ``z0``.  A Newton polish brings every forward residual below 1e-12; a
+        node that misses it (a non-finite root included, without a numpy
+        warning) raises ``CharacteristicCrossingError`` with that node's
+        ``z0``.  With ``enforce_window`` (real inputs), a result outside the
+        certified monotonicity window raises likewise.
         """
         if self.tau == 0.0:
             return z if np.ndim(z) == 0 else np.array(z)
@@ -175,11 +188,12 @@ class CharacteristicSolution:
             coeffs = self._cubic_coeffs(tau_j, zs)
             if abs(coeffs[0]) < 1e-300:
                 continue  # linear datum: z0 stays z (alpha == 0)
-            roots = np.linalg.eigvals(_companion_matrices(coeffs, zs))
+            roots = _cubic_roots(coeffs, zs)
             pick = np.argmin(np.abs(roots - z0[:, None]), axis=1)
             z0 = roots[np.arange(len(zs)), pick]
-        z0 = self._polish(np.array(z0), zs)
-        resid = np.abs(self.forward(z0) - zs)
+        with np.errstate(all="ignore"):  # non-finite z0 fail the check below
+            z0 = self._polish(np.array(z0), zs)
+            resid = np.abs(self.forward(z0) - zs)
         bad = ~(resid <= _RESIDUAL_TOL * np.maximum(1.0, np.abs(zs)))
         if bad.any():
             i = int(np.argmax(bad))
@@ -235,18 +249,63 @@ class CharacteristicSolution:
         return self.datum(z0) - 0.5 * self.tau * u * u
 
 
-def _companion_matrices(coeffs, z: np.ndarray) -> np.ndarray:
-    """Companion matrices of the cubics ``coeffs`` (highest power first, each
-    a scalar or one value per node of ``z``), one per node, built in the
-    dtype of ``z`` as ``np.roots`` builds them."""
-    p = np.empty(z.shape + (4,), dtype=z.dtype)
-    for col, c in enumerate(coeffs):
-        p[:, col] = c
-    mats = np.zeros(z.shape + (3, 3), dtype=z.dtype)
-    mats[:, 0, :] = -p[:, 1:] / p[:, :1]
-    mats[:, 1, 0] = 1.0
-    mats[:, 2, 1] = 1.0
-    return mats
+# the cube roots of unity, written out: a complex exp at import would page
+# in numpy's complex kernels for every command
+_CUBE_UNITS = np.array([1.0, complex(-0.5, 0.75 ** 0.5),
+                        complex(-0.5, -0.75 ** 0.5)])
+
+
+def _cubic_roots(coeffs, z: np.ndarray) -> np.ndarray:
+    """All roots of the cubics ``coeffs`` (highest power first, each a
+    scalar or one value per node of ``z``), shape ``(nodes, 3)``, complex.
+
+    Closed form per node, on the monic cubic ``x^3 + B x^2 + C x + D`` of
+    ``x / scale``, where ``scale`` is a power of two near the size of the
+    roots (exact; it keeps ``p^3`` and ``q^2`` in float range when the
+    leading coefficient is tiny):
+
+    - Cardano's formula gives the root ``r`` of largest modulus; the square
+      root of the discriminant takes the sign that avoids cancellation, and
+      ``w = 0`` is the triple root;
+    - deflating by ``r`` leaves ``x^2 + B1 x + C1`` with ``B1 = B + r`` and
+      ``C1 = -D / r``, solved stably as ``q = -(B1 + s sqrt(B1^2 - 4 C1))/2``
+      with the roots ``q`` and ``C1 / q`` (both zero when ``q = 0``);
+    - one Newton step on the monic cubic polishes each root.
+
+    Non-finite coefficients give non-finite roots without a warning.
+    """
+    with np.errstate(all="ignore"):
+        a, b, c, d = (np.full(z.shape, x, dtype=np.complex128)
+                      for x in coeffs)
+        mag = np.maximum(np.abs(b) / np.abs(a), np.maximum(
+            np.sqrt(np.abs(c)) / np.sqrt(np.abs(a)),
+            np.cbrt(np.abs(d)) / np.cbrt(np.abs(a))))
+        scale = np.ldexp(1.0, np.frexp(mag)[1])
+        as1 = a * scale
+        as2 = as1 * scale
+        B, C, D = b / as1, c / as2, d / (as2 * scale)
+        shift = B / 3.0
+        p = C - B * shift
+        q = D + shift * (2.0 * shift * shift - C)
+        sq = np.sqrt(0.25 * q * q + p * p * p / 27.0)
+        sq = np.where((np.conj(q) * sq).real < 0.0, -sq, sq)
+        w = -(0.5 * q + sq)
+        u = (w ** (1.0 / 3.0))[:, None] * _CUBE_UNITS
+        big = np.where(u == 0.0, 0.0, u - p[:, None] / (3.0 * u)) \
+            - shift[:, None]
+        r = big[np.arange(len(z)), np.argmax(np.abs(big), axis=1)]
+        b1 = B + r
+        c1 = np.where(r == 0.0, 0.0, -D / r)
+        sq1 = np.sqrt(b1 * b1 - 4.0 * c1)
+        sq1 = np.where((np.conj(b1) * sq1).real < 0.0, -sq1, sq1)
+        q1 = -0.5 * (b1 + sq1)
+        roots = np.stack((r, q1, np.where(q1 == 0.0, 0.0, c1 / q1)), axis=1)
+        B, C, D = B[:, None], C[:, None], D[:, None]
+        f = ((roots + B) * roots + C) * roots + D
+        df = (3.0 * roots + 2.0 * B) * roots + C
+        step = f / df
+        return np.where(np.isfinite(step), roots - step, roots) \
+            * scale[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +428,12 @@ def majorant_coefficients(spec: MajorantSpec, t: float, m_max: int,
     """Even-degree Taylor coefficients ``phi_m(t)`` for ``m <= m_max``.
 
     Extracted by trapezoid (discrete Fourier) quadrature of the Cauchy
-    integral on a circle of half the usable radius.  No self-check of the
+    integral on a circle of half the usable radius, capped at
+    ``2**(480 // max(m_max, 2))`` so that ``radius**(2m)`` and the datum on
+    the circle stay in float range (for ``m_max <= 6`` the cap is at least
+    ``2**80``, which only a quartic coupling below about ``1e-98`` reaches).
+    A vanishing datum (quartic ``alpha = 0``, or an infinite radius) has the
+    zero majorant, and its coefficients are zeros.  No self-check of the
     quadrature is run; a caller that wants an accuracy figure can compare
     the coefficients at two node counts (say ``nodes`` and ``2 * nodes``).
     Negative values down to -1e-12 are clamped to zero: silently when they
@@ -381,13 +445,16 @@ def majorant_coefficients(spec: MajorantSpec, t: float, m_max: int,
     if not report.holds:
         raise ExistenceError(
             "majorant existence condition fails: " + report.as_text())
+    if (spec.quartic_alpha == 0.0 if spec.kind == "quartic"
+            else spec.R == math.inf):
+        return NormSeries(np.zeros(m_max))  # zero datum, zero majorant
     char = spec.characteristic(t)
     analytic = spec.R - report.sigma
     if analytic <= 0.0:
         raise ExistenceError(
             f"empty analyticity window: R={spec.R:.6g}, sigma={report.sigma:.6g}")
     usable = min(analytic, char.z_window)
-    radius = 0.5 * usable
+    radius = min(0.5 * usable, 2.0 ** (480 // max(m_max, 2)))
     if not np.isfinite(radius) or radius <= 0.0:
         raise ExistenceError(f"empty extraction window at t={t}")
 

@@ -31,6 +31,7 @@ from .schedule import ScaleSchedule, simpson_refine
 
 _TAIL_RTOL = 1e-10
 _LATTICE_GUARD = 4_000_000
+_SHARED_RATES = 16  # stacked cdot calls whose Gram rates the desk keeps
 
 
 @dataclass(frozen=True)
@@ -296,8 +297,12 @@ def build_desk_instance(params: Psi4Params, alpha: float,
     The schedule's kernel ``cdot`` is the lattice scale-derivative kernel
     over the sites, at one scale or stacked over an array of scales.  The
     Gram rate is ``4 cdot_ii``, one lattice sum per scale, since
-    translation invariance makes the diagonal uniform.  The upper scale
-    defaults to ``log(L_0/m) + 3``, far past where the flow has stopped.
+    translation invariance makes the diagonal uniform.  A stacked ``cdot``
+    call keeps the Gram rates of its scales (the last ``_SHARED_RATES``
+    arrays), and ``gram_rate`` on the same array takes them instead of
+    recomputing the weights, so the sigma table reuses the grids of the tau
+    table.  The upper scale defaults to ``log(L_0/m) + 3``, far past where
+    the flow has stopped.
     """
     if n_sites is not None:
         params = params.with_chain_sites(n_sites)
@@ -311,19 +316,30 @@ def build_desk_instance(params: Psi4Params, alpha: float,
     T = float(t_max) if t_max is not None else \
         math.log(params.lambda0 / params.mass) + 3.0
 
+    # Gram rates of the last stacked cdot calls, one float per scale, keyed
+    # by the bytes of the scale array
+    rates: dict[bytes, np.ndarray] = {}
+
     def cdot(s) -> np.ndarray:
         s_arr = np.asarray(s, dtype=float)
         w = _cdot_weights(params, s_arr, psq) * counts
         if s_arr.ndim == 0:
             mat = (phases @ w).reshape(n, n) / vol
             return 0.5 * (mat + mat.T)
+        rates[s_arr.tobytes()] = 4.0 * (w.sum(axis=-1) / vol)
+        if len(rates) > _SHARED_RATES:
+            del rates[next(iter(rates))]
         mats = np.moveaxis((phases @ w.T).reshape(n, n, -1), -1, 0) / vol
         return 0.5 * (mats + mats.transpose(0, 2, 1))
 
     def gram_rate(s) -> np.ndarray | float:
+        s_arr = np.asarray(s, dtype=float)
+        if s_arr.ndim:
+            shared = rates.pop(s_arr.tobytes(), None)
+            if shared is not None:
+                return shared
         w = _cdot_weights(params, s, psq) * counts
-        total = w.sum(axis=-1) / vol
-        return 4.0 * total
+        return 4.0 * (w.sum(axis=-1) / vol)
 
     schedule = ScaleSchedule.from_cdot(cdot, T=T, pairs=n, gram_rate=gram_rate)
     bare = quartic_bare_action(gens, alpha)

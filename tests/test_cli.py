@@ -1,4 +1,5 @@
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,28 @@ def test_rerun_is_byte_identical(tmp_path, command):
                    for out in outs]
         assert reports[0] == reports[1]
         assert b"holds = true" in reports[0]
+
+
+@pytest.mark.parametrize("alpha", ["1e-160", "1e-300"])
+def test_tiny_alpha_majorant_ends_cleanly(tmp_path, capsys, alpha):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"alpha = {alpha}\nsites = 2\nsteps = 20\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["majorant", "--config", str(cfg),
+                     "--out", str(tmp_path / "m.csv")])
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_zero_alpha_majorant_is_zero(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 0\nsites = 2\nsteps = 20\n")
+    out = tmp_path / "m.csv"
+    assert main(["majorant", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert rows[0] == "t,m,F_m,phi_m,margin" and len(rows) > 1
+    assert all(float(row.split(",")[4]) == 0.0 for row in rows[1:])
 
 
 @pytest.mark.parametrize("command", ["flow", "majorant"])

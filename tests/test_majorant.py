@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -17,6 +18,7 @@ from ferroflow.majorant import (
     _HOMOTOPY_STEPS,
     _RESIDUAL_TOL,
     CharacteristicSolution,
+    _cubic_roots,
     MajorantSpec,
     existence_check,
     hopflax_solve,
@@ -39,7 +41,6 @@ def cardano_roots(coeffs):
         raise ValueError("not a cubic")
     # depress: x = t - b / (3a)
     shift = b / (3.0 * a)
-    p = c / a - shift * b / a + 3.0 * shift * shift
     p = (3.0 * a * c - b * b) / (3.0 * a * a)
     q = (2.0 * b ** 3 - 9.0 * a * b * c + 27.0 * a * a * d) / (27.0 * a ** 3)
     roots = []
@@ -279,6 +280,109 @@ class TestCharacteristicInversion:
             CharacteristicSolution.quartic(-0.1, 0.3, 0.1)
 
 
+def assert_same_roots(got, coeffs, z, rtol, atol=4 * np.finfo(float).eps):
+    """``got`` (nodes x 3) equals the per-node ``np.roots`` of ``coeffs`` as
+    sets: under the best matching each root is within ``rtol`` of its own
+    size plus ``atol`` of the node's largest root."""
+    assert got.shape == (len(z), 3)
+    for i in range(len(z)):
+        want = np.roots([np.broadcast_to(c, z.shape)[i] for c in coeffs])
+        size = np.max(np.abs(want))
+        err = min(np.max(np.abs(got[i, list(perm)] - want)
+                         - rtol * np.abs(want) - atol * size)
+                  for perm in itertools.permutations(range(3)))
+        assert err <= 0.0, (i, got[i], want)
+
+
+def newton_correction(coeffs, roots):
+    """``|f(x) / f'(x)|`` of the cubic at each root: its distance to the
+    exact root, to first order."""
+    a, b, c, d = (np.asarray(x, dtype=complex)[..., None] for x in coeffs)
+    f = ((a * roots + b) * roots + c) * roots + d
+    df = (3.0 * a * roots + 2.0 * b) * roots + c
+    return np.abs(f / df)
+
+
+class TestCubicRoots:
+    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
+    def test_matches_np_roots_at_every_homotopy_step(self, rng, kind):
+        for _ in range(5):
+            char = random_characteristic(rng, kind)
+            circle = half_circle(0.7 * char.z_window, nodes=16)
+            line = np.linspace(-0.9, 0.9, 7) * char.z_window
+            for z in (circle, line):
+                for j in range(1, _HOMOTOPY_STEPS + 1):
+                    coeffs = char._cubic_coeffs(char.tau * j / _HOMOTOPY_STEPS, z)
+                    roots = _cubic_roots(coeffs, z)
+                    assert_same_roots(roots, coeffs, z, rtol=1e-13)
+                    # the closed form's Newton step leaves a few ulps
+                    assert np.all(newton_correction(coeffs, roots) <= 5.0
+                                  * np.finfo(float).eps * np.abs(roots))
+
+    def test_first_step_with_tiny_leading_coefficient(self):
+        # 4 alpha tau_1 = 7.5e-12: two roots near +-1/sqrt(4 alpha tau_1)
+        # = +-3.7e5 and one near z, each accurate to its own size
+        char = CharacteristicSolution.quartic(1e-9, 0.2, 0.03)
+        z = half_circle(0.4, nodes=16)
+        coeffs = char._cubic_coeffs(char.tau / _HOMOTOPY_STEPS, z)
+        roots = _cubic_roots(coeffs, z)
+        assert_same_roots(roots, coeffs, z, rtol=1e-13)
+        big = 1.0 / math.sqrt(coeffs[0])
+        mags = np.sort(np.abs(roots), axis=1)
+        np.testing.assert_allclose(mags[:, 1:], big, rtol=1e-5)
+        assert np.all(mags[:, 0] < 1.0)
+        assert np.all(newton_correction(coeffs, roots)
+                      <= 1e-15 * np.abs(roots))
+
+    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
+    def test_zero_node_has_an_exact_zero_root(self, rng, kind):
+        char = random_characteristic(rng, kind)
+        z = np.zeros(3, dtype=complex)
+        coeffs = char._cubic_coeffs(char.tau, z)
+        roots = _cubic_roots(coeffs, z)
+        assert_same_roots(roots, coeffs, z, rtol=1e-13)
+        assert np.all(np.sum(roots == 0.0, axis=1) == 1)
+
+    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
+    def test_double_root_at_the_fold(self, rng, kind):
+        char = random_characteristic(rng, kind)
+        z = np.array([char.z_window], dtype=complex)
+        coeffs = char._cubic_coeffs(char.tau, z)
+        roots = _cubic_roots(coeffs, z)
+        # a double root is conditioned like sqrt(eps), for np.roots as well
+        assert_same_roots(roots, coeffs, z, rtol=1e-7)
+        near = np.abs(roots[0] - char.z0_window) <= 1e-7 * char.z0_window
+        assert near.sum() == 2
+
+    @pytest.mark.parametrize("root", [0.0, 0.5, -1.25])
+    def test_triple_root(self, root):
+        z = np.zeros(2)
+        coeffs = [2.0, -6.0 * root, 6.0 * root ** 2, -2.0 * root ** 3]
+        roots = _cubic_roots(coeffs, z)
+        np.testing.assert_array_equal(roots, root)
+        assert_same_roots(roots, coeffs, z, rtol=1e-4)
+
+    def test_non_finite_nodes_fail_quietly(self):
+        char = CharacteristicSolution.quartic(0.2, 0.3, 0.25)
+        zs = np.array([0.1, np.inf, np.nan, 0.2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = _cubic_roots(char._cubic_coeffs(char.tau, zs), zs)
+            assert np.all(np.isfinite(roots[[0, 3]]))
+            assert not np.any(np.isfinite(roots[[1, 2]]))
+            with pytest.raises(CharacteristicCrossingError):
+                char.invert(zs)
+
+    def test_quartic_z_window_is_the_fold_value(self, rng):
+        for _ in range(20):
+            char = random_characteristic(rng, "quartic")
+            fold = char.forward(char.z0_window)
+            assert char.z_window == pytest.approx(fold, rel=1e-14, abs=0.0)
+        # where forward(z0_window) would overflow
+        tiny = CharacteristicSolution.quartic(1e-300, 0.2, 0.03)
+        assert math.isfinite(tiny.z_window) and tiny.z_window > 1e149
+
+
 class TestArrayInversion:
     @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
     def test_matches_per_node_oracle_on_circle(self, rng, kind):
@@ -455,6 +559,26 @@ class TestMajorantCoefficients:
         a = majorant_coefficients(spec, 0.8, m_max=4, nodes=128)
         b = majorant_coefficients(spec, 0.8, m_max=4, nodes=256)
         assert np.max(np.abs(a.coefficients - b.coefficients)) < 1e-10
+
+    @pytest.mark.parametrize("spec_args", [
+        {"quartic_alpha": 0.0},
+        {"bare_series": NormSeries([0.0, 0.0, 0.0])},
+    ], ids=["quartic", "logarithmic"])
+    def test_zero_datum_has_zero_majorant(self, rng, spec_args):
+        spec = MajorantSpec(schedule=synthetic_schedule(rng, 4), **spec_args)
+        for t in (0.0, 0.8):
+            phi = majorant_coefficients(spec, t, m_max=4)
+            np.testing.assert_array_equal(phi.coefficients, np.zeros(4))
+
+    @pytest.mark.parametrize("alpha", [1e-160, 1e-300, 1e-310])
+    def test_tiny_coupling_is_finite_and_quiet(self, rng, alpha):
+        sched = synthetic_schedule(rng, 4)
+        spec = MajorantSpec(schedule=sched, quartic_alpha=alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi = majorant_coefficients(spec, 0.8, m_max=6)
+        assert np.all(np.isfinite(phi.coefficients))
+        assert phi.coeff(2) == pytest.approx(alpha, rel=1e-6)
 
     def test_log_datum_series(self, rng):
         sched = synthetic_schedule(rng, 4)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ferroflow import psi4
 from ferroflow.errors import ResolutionError
 from ferroflow.norms import matrix_norm_1inf
 from ferroflow.psi4 import covariance_matrix
@@ -125,6 +126,31 @@ def test_desk_covariance_matches_lattice_sums(sites):
 def desk_schedule():
     """Schedule of the psi4 desk instance at the CLI defaults."""
     return desk_instance().schedule
+
+
+@pytest.mark.parametrize("sites", [2, 4])
+def test_desk_sigma_table_reuses_the_tau_grids(monkeypatch, sites):
+    # the sigma table of a fresh schedule computes its own weights
+    fresh = desk_instance(sites).schedule
+    fresh.sigma_squared(0.0, fresh.T)
+    calls = []
+    weights = psi4._cdot_weights
+    monkeypatch.setattr(psi4, "_cdot_weights",
+                        lambda *args: calls.append(1) or weights(*args))
+    sched = desk_instance(sites).schedule
+    sched.tau(sched.T)
+    built = len(calls)
+    assert built > 0
+    # 0 and T are table nodes, so the query evaluates nothing past the build
+    assert sched.sigma_squared(0.0, sched.T) == fresh.sigma_squared(0.0, fresh.T)
+    assert len(calls) == built
+    got, want = sched._tables["sigma"], fresh._tables["sigma"]
+    assert got.cum.tobytes() == want.cum.tobytes()
+    assert got.vals.tobytes() == want.vals.tobytes()
+    # scalar calls and unseen grids compute the rate as before
+    grid = np.linspace(0.1, 0.9, 7)
+    assert np.array_equal(sched.gram_rate_at(grid), fresh.gram_rate_at(grid))
+    assert sched.gram_rate_at(0.3) == fresh.gram_rate_at(0.3)
 
 
 def decaying_schedule(T=3.0):
