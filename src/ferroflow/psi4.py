@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .algebra import GeneratorSet, GrassmannElement
 from .errors import ResolutionError, UnsupportedDimensionError
@@ -46,6 +45,9 @@ class Psi4Params:
     cutoff_factor: float = 6.0
 
     def __post_init__(self):
+        if not float(self.dimension).is_integer():
+            raise ValueError("dimension must be an integer")
+        object.__setattr__(self, "dimension", int(self.dimension))
         if self.dimension <= 2:
             raise ValueError("dimension must exceed 2")
         if not self.mass > 0:
@@ -154,6 +156,23 @@ def _cdot_weights(params: Psi4Params, s, psq: np.ndarray) -> np.ndarray:
     return (2.0 / lam2)[:, None] * np.exp(-q[None, :] / lam2[:, None])
 
 
+def _gammaincc(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma ``Q(a, x)`` for ``2a`` a positive
+    integer and finite ``x >= 0``; each term is summed in log form, so ``x^b``
+    never overflows."""
+    n = 2.0 * a
+    if not n.is_integer() or n < 1 or not 0.0 <= x < math.inf:
+        raise ValueError(f"need 2a a positive integer and finite x >= 0, "
+                         f"got a = {a}, x = {x}")
+    if x == 0.0:
+        return 1.0
+    b, q = (0.5, math.erfc(math.sqrt(x))) if n % 2 else (1.0, math.exp(-x))
+    while b < a:
+        q += math.exp(b * math.log(x) - x - math.lgamma(b + 1.0))
+        b += 1.0
+    return q
+
+
 def _tail_certificate(params: Psi4Params, s: float) -> None:
     """Reject the truncation when its Gaussian tail bound is significant.
 
@@ -161,6 +180,12 @@ def _tail_certificate(params: Psi4Params, s: float) -> None:
     integral over ``|x| > P - h sqrt(d)`` (cells of the dual lattice of
     spacing ``h`` cover the shell) with the propagator prefactor bounded by
     ``1 / (P^2 + m^2)``; the certificate compares this to the ``p = 0`` term.
+    The Gaussian integral is ``pi^(d/2) lam^d Q(d/2, (rho/lam)^2)`` with
+    ``Q`` the regularized upper incomplete gamma.  ``Psi4Params`` keeps ``d``
+    an integer above 2, so ``a = d/2`` is an integer or a half-integer, where
+    ``Q`` has a closed form (``_gammaincc``): ``Q(1, x) = e^-x`` or
+    ``Q(1/2, x) = erfc(sqrt x)``, then ``Q(b+1, x) = Q(b, x) +
+    x^b e^-x / Gamma(b+1)`` up to ``b + 1 = a``; ``Q(a, 0) = 1``.
     """
     d = params.dimension
     h = 2.0 * math.pi / params.box
@@ -169,7 +194,7 @@ def _tail_certificate(params: Psi4Params, s: float) -> None:
     lam = params.lambda_at(s)
     m2 = params.mass ** 2
     ratio = (m2 / (radius ** 2 + m2)) * h ** -d * math.pi ** (d / 2.0) \
-        * lam ** d * float(gammaincc(d / 2.0, (rho / lam) ** 2))
+        * lam ** d * _gammaincc(d / 2.0, (rho / lam) ** 2)
     if ratio > _TAIL_RTOL:
         raise ResolutionError(
             f"momentum truncation tail bound is {ratio:.3e} of the p=0 term "

@@ -135,3 +135,12 @@ def test_run_time_within_budget_accepted():
     check_run_time("flow", parse_config("sites = 6\nsteps = 30000\n"))
     with pytest.raises(ConfigError):
         check_run_time("flow", parse_config("sites = 6\nsteps = 30001\n"))
+
+
+def test_short_cutoff_fails_the_tail_certificate_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cutoffFactor = 1.0\n")
+    out = tmp_path / "f.csv"
+    assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "tail bound is 5.188e+00" in capsys.readouterr().err
+    assert not out.exists()
