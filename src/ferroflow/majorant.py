@@ -8,12 +8,15 @@ form:
 
     z(tau) = z0 - tau * u0(z0),      phi(tau, z) = phi0(z0) - tau * u0(z0)**2 / 2,
 
-with ``u0`` the derivative of the datum.  Everything therefore reduces to
-inverting the cubic characteristic equation for ``z0(tau, z)`` on the branch
-continuously connected to the identity at ``tau = 0``; the inversion loses
-monotonicity at a characteristic crossing, which is the existence boundary.
-The cubics are solved in closed form (Cardano for the largest root, a stable
-quadratic for the other two, one Newton step each), all nodes at once.
+with ``u0`` the derivative of the datum.  Both data are power series in
+``z0``, so the Taylor coefficients that the domination test compares with
+the flow (``majorant_coefficients``) come from reverting ``z(z0)`` as a
+truncated series.  A value at one ``z`` (``majorant_value``) inverts the
+cubic characteristic equation for ``z0(tau, z)`` on the branch continuously
+connected to the identity at ``tau = 0``, in closed form (Cardano for the
+largest root, a stable quadratic for the other two, one Newton step each),
+all nodes at once.  The map loses monotonicity at a characteristic
+crossing, which is the existence boundary.
 
 Two closed-form data are supported: the exact quartic datum for a purely
 quartic bare series, and a logarithmic upper-bound datum for a general
@@ -423,23 +426,23 @@ def _datum_constant(spec: MajorantSpec, sigma: float) -> float:
     return -math.log(1.0 - sigma / spec.R)
 
 
-def majorant_coefficients(spec: MajorantSpec, t: float, m_max: int,
-                          nodes: int = 128) -> NormSeries:
+def majorant_coefficients(spec: MajorantSpec, t: float, m_max: int
+                          ) -> NormSeries:
     """Even-degree Taylor coefficients ``phi_m(t)`` for ``m <= m_max``.
 
-    Extracted by trapezoid (discrete Fourier) quadrature of the Cauchy
-    integral on a circle of half the usable radius, capped at
-    ``2**(480 // max(m_max, 2))`` so that ``radius**(2m)`` and the datum on
-    the circle stay in float range (for ``m_max <= 6`` the cap is at least
-    ``2**80``, which only a quartic coupling below about ``1e-98`` reaches).
-    A vanishing datum (quartic ``alpha = 0``, or an infinite radius) has the
-    zero majorant, and its coefficients are zeros.  No self-check of the
-    quadrature is run; a caller that wants an accuracy figure can compare
-    the coefficients at two node counts (say ``nodes`` and ``2 * nodes``).
-    Negative values down to -1e-12 are clamped to zero: silently when they
-    lie within the rounding floor ``64 eps max_j |phi(z_j)| / radius**(2m)``
-    of the quadrature over the nodes ``z_j``, with a warning otherwise.
-    Lower values raise.
+    The gradient of the solution is transported along characteristics,
+    ``dphi/dz = u0(z0)``, and ``z0 = z + tau u0(z0)``, so ``phi_m`` is
+    ``f_(m-1) / (2m)`` for the power series ``f(w) = u0(z0(z)) / z`` in
+    ``w = z**2``.  Clearing the datum's denominator turns the characteristic
+    equation into a fixed point that solves the linear term
+    ``c1 = u0'(0)`` exactly, ``f = (c1 + w P) / (1 - tau c1)`` with
+    ``y = z0 / z = 1 + tau f`` and ``P = 4 alpha y**3`` (quartic) or
+    ``P = lam**2 y**2 f`` (logarithmic).  ``f_k`` depends on ``f_j`` for
+    ``j < k`` only, so each pass of truncated convolutions fixes one more
+    coefficient and ``m_max - 1`` passes give them all, from sums of
+    nonnegative terms (``tau c1 < 1`` is the existence condition).  A
+    vanishing datum (quartic ``alpha = 0``, or an infinite radius) has the
+    zero majorant, and its coefficients are zeros.
     """
     report = existence_check(spec, t)
     if not report.holds:
@@ -449,43 +452,21 @@ def majorant_coefficients(spec: MajorantSpec, t: float, m_max: int,
             else spec.R == math.inf):
         return NormSeries(np.zeros(m_max))  # zero datum, zero majorant
     char = spec.characteristic(t)
-    analytic = spec.R - report.sigma
-    if analytic <= 0.0:
-        raise ExistenceError(
-            f"empty analyticity window: R={spec.R:.6g}, sigma={report.sigma:.6g}")
-    usable = min(analytic, char.z_window)
-    radius = min(0.5 * usable, 2.0 ** (480 // max(m_max, 2)))
-    if not np.isfinite(radius) or radius <= 0.0:
-        raise ExistenceError(f"empty extraction window at t={t}")
-
-    if nodes % 2:
-        raise ValueError("node count must be even")
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    half = nodes // 2
-    vals = np.empty(nodes, dtype=np.complex128)
-    vals[:half] = char.value(radius * np.exp(1j * theta[:half]))
-    vals[half:] = vals[:half]  # phi is even in z
-    spectrum = np.fft.fft(vals) / nodes
-    # rounding floor of one spectral coefficient, before the radius scaling
-    noise = 64.0 * np.finfo(float).eps * float(np.max(np.abs(vals)))
-    coeffs = np.zeros(m_max)
-    warned = False
-    for m in range(1, m_max + 1):
-        if 2 * m >= nodes:
-            raise ValueError("node count too small for requested degree")
-        cm = float(np.real(spectrum[2 * m])) / radius ** (2 * m)
-        if cm < 0.0:
-            if cm < -1e-12:
-                raise ValueError(
-                    f"majorant coefficient phi_{m} = {cm:.3e} is significantly "
-                    "negative; extraction radius unsuitable")
-            if -cm > noise / radius ** (2 * m) and not warned:
-                warnings.warn("clamping tiny negative majorant coefficients "
-                              f"(phi_{m} = {cm:.3e})", stacklevel=2)
-                warned = True
-            cm = 0.0
-        coeffs[m - 1] = cm
-    return NormSeries(coeffs)
+    quartic = char.kind == "quartic"
+    c1 = 12.0 * char.alpha * char.sigma ** 2 if quartic else char.lam ** 2
+    den = 1.0 - char.tau * c1
+    f = np.zeros(m_max)
+    f[:1] = c1 / den
+    for _ in range(m_max - 1):
+        y = char.tau * f
+        y[0] += 1.0
+        y2 = np.convolve(y, y)[:m_max - 1]
+        if quartic:
+            p = 4.0 * char.alpha * np.convolve(y2, y)[:m_max - 1]
+        else:
+            p = c1 * np.convolve(y2, f)[:m_max - 1]
+        f[1:] = p / den
+    return NormSeries(f / (2.0 * np.arange(1, m_max + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ class Psi4Params:
     lambda0: float
     box: float
     sites: tuple[tuple[float, ...], ...] = ()
-    cutoff_factor: float = 6.0
+    cutoff_factor: float = 7.0
 
     def __post_init__(self):
         if not float(self.dimension).is_integer():

@@ -40,12 +40,12 @@ def taylor_by_wedge(deriv_at, f):
     return acc
 
 
-def desk_instance(sites=4):
+def desk_instance(sites=4, alpha=0.002):
     """The psi4 desk instance at the CLI defaults (4 sites, 8 generators),
-    or on another number of ``sites``."""
+    or on another number of ``sites`` or coupling ``alpha``."""
     params = Psi4Params(dimension=4, mass=1.0, lambda0=2.0, box=4.0,
                         cutoff_factor=7.0)
-    return build_desk_instance(params, 0.002, n_sites=sites, t_max=2.0)
+    return build_desk_instance(params, alpha, n_sites=sites, t_max=2.0)
 
 
 def count_rate_norm_calls(monkeypatch) -> dict:

@@ -91,6 +91,15 @@ def test_tiny_alpha_majorant_ends_cleanly(tmp_path, capsys, alpha):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_tiny_alpha_majorant_dominates(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 1e-50\nsites = 2\nsteps = 20\n")
+    out = tmp_path / "m.csv"
+    assert main(["majorant", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert rows and all(float(row.split(",")[4]) >= 0.0 for row in rows)
+
+
 def test_zero_alpha_majorant_is_zero(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha = 0\nsites = 2\nsteps = 20\n")

@@ -153,6 +153,23 @@ def half_circle(radius, nodes=64):
     return radius * np.exp(1j * theta)
 
 
+def cauchy_coefficients(char, m_max, nodes=128):
+    """Oracle for ``majorant_coefficients``: the Cauchy integral of
+    ``char.value`` by trapezoid (discrete Fourier) quadrature on a circle of
+    half the smaller of ``char.z_window`` and the datum's radius (``1/lam``;
+    1 for the entire quartic datum), ``phi`` being even in ``z``.  Returns
+    the coefficients ``phi_1 .. phi_m_max`` and the oracle's rounding floor
+    ``64 eps max_j |phi(z_j)| / radius**(2m)`` of each."""
+    datum = 1.0 / char.lam if char.kind == "logarithmic" else 1.0
+    radius = 0.5 * min(char.z_window, datum)
+    half = char.value(half_circle(radius, nodes))
+    vals = np.concatenate([half, half])
+    spectrum = np.fft.fft(vals) / nodes
+    scale = radius ** (2 * np.arange(1, m_max + 1))
+    floor = 64.0 * np.finfo(float).eps * np.max(np.abs(vals)) / scale
+    return spectrum[2:2 * m_max + 1:2].real / scale, floor
+
+
 class TestRescaledTime:
     def test_zero(self, rng):
         sched = synthetic_schedule(rng, 3)
@@ -452,7 +469,8 @@ class TestArrayInversion:
         # without the window check the same array inverts
         assert char.invert(zs, enforce_window=False).shape == (4,)
 
-    def test_coefficients_invert_all_nodes_at_once(self, rng, monkeypatch):
+    def test_coefficients_invert_no_nodes(self, rng, monkeypatch):
+        # the series reversion runs no characteristic inversion
         sched = synthetic_schedule(rng, 4)
         spec = MajorantSpec(schedule=sched, quartic_alpha=0.05)
         calls = []
@@ -463,8 +481,8 @@ class TestArrayInversion:
             return invert(self, z, enforce_window)
 
         monkeypatch.setattr(CharacteristicSolution, "invert", counted)
-        majorant_coefficients(spec, 0.8, m_max=4, nodes=128)
-        assert calls == [(64,)]
+        majorant_coefficients(spec, 0.8, m_max=4)
+        assert calls == []
 
 
 class TestMajorantValue:
@@ -534,31 +552,55 @@ class TestMajorantCoefficients:
             phi = majorant_coefficients(spec, 0.0, m_max=4)
         assert phi.coeff(1) == 0.0
 
-    def test_clamp_above_rounding_floor_warns(self, rng, monkeypatch):
+    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
+    def test_series_matches_cauchy_oracle(self, rng, kind):
         sched = synthetic_schedule(rng, 4)
-        alpha = 0.05
-        spec = MajorantSpec(schedule=sched, quartic_alpha=alpha)
-        fft = np.fft.fft
+        # radius 1.3 takes lam**2 tau to 0.84 at t = 0.75
+        spec = MajorantSpec(schedule=sched, quartic_alpha=0.05) \
+            if kind == "quartic" else MajorantSpec(schedule=sched, radius=1.3)
+        for t in (0.0, 0.3, 0.6, 0.75):
+            for m_max in (1, 4, 6):
+                want, floor = cauchy_coefficients(spec.characteristic(t),
+                                                  m_max)
+                got = majorant_coefficients(spec, t, m_max).coefficients
+                assert np.all(np.abs(got - want) <= floor), (t, m_max)
 
-        def shifted(vals):
-            # at t = 0 the z**4 coefficient is alpha, which gives the radius;
-            # move phi_1 to -1e-13, far above the rounding floor
-            out = fft(vals)
-            r2 = np.sqrt(out[4].real / (len(vals) * alpha))
-            out[2] = -1e-13 * r2 * len(vals)
-            return out
+    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
+    def test_series_matches_mpmath_taylor(self, kind):
+        mpmath = pytest.importorskip("mpmath")
+        inst = desk_instance(sites=2)
+        spec = MajorantSpec(schedule=inst.schedule, quartic_alpha=inst.alpha) \
+            if kind == "quartic" else MajorantSpec(schedule=inst.schedule,
+                                                   radius=0.6)
+        for t in (0.2, 1.0, 2.0):
+            char = spec.characteristic(t)
+            with mpmath.workdps(50):
+                tau = mpmath.mpf(char.tau)
+                if kind == "quartic":
+                    a, s = mpmath.mpf(char.alpha), mpmath.mpf(char.sigma)
 
-        monkeypatch.setattr(np.fft, "fft", shifted)
-        with pytest.warns(UserWarning, match="clamping tiny negative"):
-            phi = majorant_coefficients(spec, 0.0, m_max=4)
-        assert phi.coeff(1) == 0.0
+                    def u0(x):
+                        return 12 * a * s ** 2 * x + 4 * a * x ** 3
 
-    def test_node_doubling_self_convergence(self, rng):
-        sched = synthetic_schedule(rng, 4)
-        spec = MajorantSpec(schedule=sched, quartic_alpha=0.05)
-        a = majorant_coefficients(spec, 0.8, m_max=4, nodes=128)
-        b = majorant_coefficients(spec, 0.8, m_max=4, nodes=256)
-        assert np.max(np.abs(a.coefficients - b.coefficients)) < 1e-10
+                    def phi0(x):
+                        return a * ((s + x) ** 4 + (s - x) ** 4) / 2
+                else:
+                    l2 = mpmath.mpf(char.lam) ** 2
+
+                    def u0(x):
+                        return l2 * x / (1 - l2 * x * x)
+
+                    def phi0(x):
+                        return -mpmath.log(1 - l2 * x * x) / 2
+
+                def phi(z):
+                    z0 = mpmath.findroot(lambda x: x - tau * u0(x) - z, z)
+                    return phi0(z0) - tau * u0(z0) ** 2 / 2
+
+                taylor = mpmath.taylor(phi, 0, 6)
+                want = np.array([float(taylor[2 * m]) for m in (1, 2, 3)])
+            got = majorant_coefficients(spec, t, m_max=3).coefficients
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("spec_args", [
         {"quartic_alpha": 0.0},
@@ -579,6 +621,19 @@ class TestMajorantCoefficients:
             phi = majorant_coefficients(spec, 0.8, m_max=6)
         assert np.all(np.isfinite(phi.coefficients))
         assert phi.coeff(2) == pytest.approx(alpha, rel=1e-6)
+
+    def test_tiny_coupling_dominates_the_flow(self):
+        # phi_1 ~ alpha sigma**2 sits far below the alpha z**4 term: the
+        # majorant still dominates F_1 at every t > 0
+        inst = desk_instance(sites=2, alpha=1e-50)
+        traj = flow_integrate(inst.schedule, inst.bare_action, steps=20,
+                              t_end=2.0)
+        spec = MajorantSpec(schedule=inst.schedule, quartic_alpha=1e-50)
+        for t, series in zip(traj.grid, traj.norms):
+            phi = majorant_coefficients(spec, float(t), m_max=2)
+            assert phi.coeff(1) >= series.coeff(1)
+            assert phi.coeff(2) >= series.coeff(2)
+        assert phi.coeff(1) > 0.0
 
     def test_log_datum_series(self, rng):
         sched = synthetic_schedule(rng, 4)

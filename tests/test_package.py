@@ -11,13 +11,27 @@ def test_public_names_resolve():
     assert missing == []
 
 
-def test_cli_import_pulls_in_no_scipy():
+def run_fresh(code, cwd=None):
+    """Stdout of ``code`` run in a fresh interpreter with this ``src``."""
     src = Path(ferroflow.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, cwd=cwd).stdout
+
+
+def test_cli_import_pulls_in_no_scipy():
     code = ("import sys, ferroflow.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
+
+
+def test_majorant_run_loads_no_fft(tmp_path):
+    (tmp_path / "run.cfg").write_text("sites = 2\nsteps = 20\n")
+    code = ("import sys; from ferroflow.cli import main; "
+            "assert main(['majorant', '--config', 'run.cfg', "
+            "'--out', 'm.csv']) == 0; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('numpy.fft', 'numpy.polynomial'))))")
+    assert run_fresh(code, cwd=tmp_path).splitlines()[-1] == "[]"

@@ -45,6 +45,12 @@ def test_tail_certificate_refuses_a_short_cutoff():
     build_desk_instance(cli_params(), 0.002, n_sites=2)
 
 
+def test_default_cutoff_passes_the_tail_certificate():
+    params = Psi4Params(dimension=4, mass=1.0, lambda0=2.0, box=4.0)
+    assert params == cli_params()
+    build_desk_instance(params, 0.002, n_sites=2)
+
+
 def test_dimension_is_stored_as_an_integer():
     params = Psi4Params(dimension=4.0, mass=1.0, lambda0=2.0, box=4.0,
                         cutoff_factor=7.0)
