@@ -76,7 +76,7 @@ from .majorant import (
     majorant_coefficients,
     rhs_coefficient_bound,
 )
-from .norms import gram_bound_check
+from .norms import gram_bound_check, norm_coefficients
 
 
 @dataclass
@@ -399,16 +399,16 @@ def cmd_majorant(cfg: RunConfig) -> int:
         return 2
     traj = flow_integrate(inst.schedule, inst.bare_action, steps=cfg.steps,
                           t_end=cfg.tMax, truncate_ge2=cfg.truncate)
-    series = traj.norms
     n = inst.generators.pairs
     picks = np.unique(np.linspace(0, len(traj.grid) - 1, 11).astype(int))
     lines = ["t,m,F_m,phi_m,margin"]
     worst = float("inf")
     for i in picks:
         t = float(traj.grid[i])
+        series = norm_coefficients(traj.states[i])
         phi = majorant_coefficients(spec, t, m_max=n)
         for m in range(1, n + 1):
-            fm = series[i].coeff(m)
+            fm = series.coeff(m)
             pm = phi.coeff(m)
             margin = pm - fm
             worst = min(worst, margin)

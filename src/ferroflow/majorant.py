@@ -11,12 +11,11 @@ form:
 with ``u0`` the derivative of the datum.  Both data are power series in
 ``z0``, so the Taylor coefficients that the domination test compares with
 the flow (``majorant_coefficients``) come from reverting ``z(z0)`` as a
-truncated series.  A value at one ``z`` (``majorant_value``) inverts the
-cubic characteristic equation for ``z0(tau, z)`` on the branch continuously
-connected to the identity at ``tau = 0``, in closed form (Cardano for the
-largest root, a stable quadratic for the other two, one Newton step each),
-all nodes at once.  The map loses monotonicity at a characteristic
-crossing, which is the existence boundary.
+truncated series.  A value at one real ``z`` (``majorant_value``) exists
+while the characteristic map is monotone, that is for ``|z|`` below the fold
+value ``z_window``: there ``z0`` is found by Newton's method from ``|z|``,
+all nodes at once, and every other ``z`` is refused as a characteristic
+crossing.
 
 Two closed-form data are supported: the exact quartic datum for a purely
 quartic bare series, and a logarithmic upper-bound datum for a general
@@ -37,8 +36,7 @@ from .flow import FlowTrajectory
 from .norms import NormSeries, convergence_radius
 from .schedule import ScaleSchedule, _simpson_values
 
-_HOMOTOPY_STEPS = 16
-_RESIDUAL_TOL = 1e-12
+_NEWTON_STEPS = 60
 
 
 # ---------------------------------------------------------------------------
@@ -53,11 +51,10 @@ class CharacteristicSolution:
     ``kind`` tags the closed-form initial datum: ``"logarithmic"`` with
     parameter ``lam`` or ``"quartic"`` with coupling ``alpha`` and Gram shift
     ``sigma``.  ``z0_window`` bounds ``|z0|`` where the characteristic map is
-    monotone, up to the first critical point (``inf`` at ``tau = 0``); the
-    inversion method is homotopy continuation from the identity, each step
-    solving the characteristic cubics in closed form (``_cubic_roots``), with
-    a safeguarded Newton polish.  ``invert`` and ``value`` take a scalar or
-    an array of nodes and treat all nodes of an array in one pass.
+    monotone, up to its fold (``inf`` at ``tau = 0``), and ``z_window`` is
+    the map's value there.  ``invert`` and ``value`` take a real scalar or a
+    real array inside that window and treat all nodes of an array in one
+    pass.
     """
 
     kind: str
@@ -156,159 +153,59 @@ class CharacteristicSolution:
         if self.kind == "quartic":
             return (2.0 / 3.0) * w * (1.0 - 12.0 * self.alpha * self.sigma ** 2
                                       * self.tau)
-        return float(np.real(self.forward(w)))
+        return float(self.forward(w))
 
-    def _cubic_coeffs(self, tau: float, z):
-        """Coefficients (highest power first) of the characteristic cubic."""
-        if self.kind == "logarithmic":
-            l2 = self.lam ** 2
-            return [-l2, l2 * z, 1.0 - l2 * tau, -z]
-        a, s2 = self.alpha, self.sigma ** 2
-        return [4.0 * a * tau, 0.0, 12.0 * a * s2 * tau - 1.0, z]
+    def invert(self, z):
+        """Initial point ``z0`` with ``forward(z0) == z`` for a real ``z``
+        inside the window, ``|z| < z_window``.
 
-    def invert(self, z, enforce_window: bool = True):
-        """Initial points ``z0`` with ``forward(z0) == z``, continuous in tau.
-
-        ``z`` is a scalar or an array of nodes; a scalar gives a ``float``
-        (``complex`` for complex input).  Homotopy continuation from
-        ``tau = 0`` (where ``z0 == z``) selects the branch: each step solves
-        the cubics of all nodes at once by the closed form of
-        ``_cubic_roots`` and every node keeps the root nearest its previous
-        ``z0``.  A Newton polish brings every forward residual below 1e-12; a
-        node that misses it (a non-finite root included, without a numpy
-        warning) raises ``CharacteristicCrossingError`` with that node's
-        ``z0``.  With ``enforce_window`` (real inputs), a result outside the
-        certified monotonicity window raises likewise.
+        A scalar gives a ``float``, an array an array of its shape (all nodes
+        in one pass).  Complex input raises ``TypeError``; a node outside the
+        window or not finite raises ``CharacteristicCrossingError`` with the
+        fold on its side, ``critical_z0 = +-z0_window``.  Newton's method
+        runs on ``|z|`` from ``x = |z|``: on ``[0, z0_window)`` ``forward``
+        rises and is concave (``u0`` is convex there on both data), so
+        ``forward(x) <= x`` starts it below the root and every tangent step
+        stays below it, where the slope is positive.  A node stops once its
+        step is at most ``2 eps x`` (``z0 == z`` at ``tau = 0``); one still
+        moving after ``_NEWTON_STEPS`` steps raises as well.
         """
-        if self.tau == 0.0:
-            return z if np.ndim(z) == 0 else np.array(z)
-        zs = np.asarray(z)
-        shape = zs.shape
-        zs = zs.astype(np.result_type(zs.dtype, np.float64)).ravel()
-        z0 = zs
-        for j in range(1, _HOMOTOPY_STEPS + 1):
-            tau_j = self.tau * j / _HOMOTOPY_STEPS
-            coeffs = self._cubic_coeffs(tau_j, zs)
-            if abs(coeffs[0]) < 1e-300:
-                continue  # linear datum: z0 stays z (alpha == 0)
-            roots = _cubic_roots(coeffs, zs)
-            pick = np.argmin(np.abs(roots - z0[:, None]), axis=1)
-            z0 = roots[np.arange(len(zs)), pick]
-        with np.errstate(all="ignore"):  # non-finite z0 fail the check below
-            z0 = self._polish(np.array(z0), zs)
-            resid = np.abs(self.forward(z0) - zs)
-        bad = ~(resid <= _RESIDUAL_TOL * np.maximum(1.0, np.abs(zs)))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise CharacteristicCrossingError(
-                f"characteristic inversion failed: residual {resid[i]:.3e}",
-                critical_z0=z0[i].item())
-        if np.iscomplexobj(zs):
-            z0 = z0.astype(np.complex128)
-        else:
-            z0 = np.real(z0)
-            if enforce_window:
-                self._check_window(z0)
-        return z0.reshape(shape) if shape else z0[0].item()
-
-    def _check_window(self, z0: np.ndarray) -> None:
-        """Raise at the first real ``z0`` outside the monotonicity window."""
-        w = self.z0_window
-        outside = np.abs(z0) >= w
+        if np.iscomplexobj(z):
+            raise TypeError("characteristic inversion takes real z only")
+        zs = np.asarray(z, dtype=float)
+        target = np.abs(zs).ravel()
+        outside = ~(target < self.z_window)
         if outside.any():
-            x = float(z0[np.argmax(outside)])
+            bad = zs.flat[np.argmax(outside)]
             raise CharacteristicCrossingError(
-                f"characteristic crossing: |z0|={abs(x):.6g} outside "
-                f"certified window {w:.6g}", critical_z0=x)
-        folded = self.slope(z0) <= 0.0
-        if folded.any():
-            x = float(z0[np.argmax(folded)])
-            raise CharacteristicCrossingError(
-                f"characteristic crossing: dz/dz0 <= 0 at z0={x:.6g}",
-                critical_z0=x)
-
-    def _polish(self, z0: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Damped Newton on ``forward(z0) == z``, per node, in place."""
-        tol = 0.25 * _RESIDUAL_TOL * np.maximum(1.0, np.abs(z))
-        for _ in range(60):
-            resid = self.forward(z0) - z
-            d = self.slope(z0)
-            live = ~(np.abs(resid) <= tol) & (d != 0)
-            if not live.any():
+                f"characteristic crossing: |z|={abs(bad):.6g} outside "
+                f"certified window {self.z_window:.6g}",
+                critical_z0=math.copysign(self.z0_window, bad))
+        x = target.copy()
+        live = np.arange(x.size)
+        for _ in range(_NEWTON_STEPS):
+            xl = x[live]
+            step = (target[live] - self.forward(xl)) / self.slope(xl)
+            x[live] = xl + step
+            # a NaN step keeps its node live, so that it raises below
+            live = live[~(step <= 2.0 * np.finfo(float).eps * xl)]
+            if not live.size:
                 break
-            step = resid[live] / d[live]
-            # damp huge steps to stay on the tracked branch
-            limit = 0.5 * np.maximum(1.0, np.abs(z0[live]))
-            big = np.abs(step) > limit
-            step[big] *= limit[big] / np.abs(step[big])
-            z0[live] -= step
-        return z0
+        else:
+            bad = zs.flat[live[0]]
+            raise CharacteristicCrossingError(
+                f"characteristic inversion did not settle at z={bad:.6g}",
+                critical_z0=math.copysign(self.z0_window, bad))
+        z0 = np.copysign(x.reshape(zs.shape), zs)
+        return z0 if z0.ndim else float(z0)
 
     def value(self, z):
-        """Majorant value ``phi(tau, z)`` along the tracked characteristic,
-        at a scalar or at an array of nodes."""
-        z0 = self.invert(z, enforce_window=False)
+        """Majorant value ``phi(tau, z)`` at a real scalar or array ``z``
+        inside the certified window, along the characteristic found by
+        ``invert`` (which refuses every other ``z``)."""
+        z0 = self.invert(z)
         u = self.u0(z0)
         return self.datum(z0) - 0.5 * self.tau * u * u
-
-
-# the cube roots of unity, written out: a complex exp at import would page
-# in numpy's complex kernels for every command
-_CUBE_UNITS = np.array([1.0, complex(-0.5, 0.75 ** 0.5),
-                        complex(-0.5, -0.75 ** 0.5)])
-
-
-def _cubic_roots(coeffs, z: np.ndarray) -> np.ndarray:
-    """All roots of the cubics ``coeffs`` (highest power first, each a
-    scalar or one value per node of ``z``), shape ``(nodes, 3)``, complex.
-
-    Closed form per node, on the monic cubic ``x^3 + B x^2 + C x + D`` of
-    ``x / scale``, where ``scale`` is a power of two near the size of the
-    roots (exact; it keeps ``p^3`` and ``q^2`` in float range when the
-    leading coefficient is tiny):
-
-    - Cardano's formula gives the root ``r`` of largest modulus; the square
-      root of the discriminant takes the sign that avoids cancellation, and
-      ``w = 0`` is the triple root;
-    - deflating by ``r`` leaves ``x^2 + B1 x + C1`` with ``B1 = B + r`` and
-      ``C1 = -D / r``, solved stably as ``q = -(B1 + s sqrt(B1^2 - 4 C1))/2``
-      with the roots ``q`` and ``C1 / q`` (both zero when ``q = 0``);
-    - one Newton step on the monic cubic polishes each root.
-
-    Non-finite coefficients give non-finite roots without a warning.
-    """
-    with np.errstate(all="ignore"):
-        a, b, c, d = (np.full(z.shape, x, dtype=np.complex128)
-                      for x in coeffs)
-        mag = np.maximum(np.abs(b) / np.abs(a), np.maximum(
-            np.sqrt(np.abs(c)) / np.sqrt(np.abs(a)),
-            np.cbrt(np.abs(d)) / np.cbrt(np.abs(a))))
-        scale = np.ldexp(1.0, np.frexp(mag)[1])
-        as1 = a * scale
-        as2 = as1 * scale
-        B, C, D = b / as1, c / as2, d / (as2 * scale)
-        shift = B / 3.0
-        p = C - B * shift
-        q = D + shift * (2.0 * shift * shift - C)
-        sq = np.sqrt(0.25 * q * q + p * p * p / 27.0)
-        sq = np.where((np.conj(q) * sq).real < 0.0, -sq, sq)
-        w = -(0.5 * q + sq)
-        u = (w ** (1.0 / 3.0))[:, None] * _CUBE_UNITS
-        big = np.where(u == 0.0, 0.0, u - p[:, None] / (3.0 * u)) \
-            - shift[:, None]
-        r = big[np.arange(len(z)), np.argmax(np.abs(big), axis=1)]
-        b1 = B + r
-        c1 = np.where(r == 0.0, 0.0, -D / r)
-        sq1 = np.sqrt(b1 * b1 - 4.0 * c1)
-        sq1 = np.where((np.conj(b1) * sq1).real < 0.0, -sq1, sq1)
-        q1 = -0.5 * (b1 + sq1)
-        roots = np.stack((r, q1, np.where(q1 == 0.0, 0.0, c1 / q1)), axis=1)
-        B, C, D = B[:, None], C[:, None], D[:, None]
-        f = ((roots + B) * roots + C) * roots + D
-        df = (3.0 * roots + 2.0 * B) * roots + C
-        step = f / df
-        return np.where(np.isfinite(step), roots - step, roots) \
-            * scale[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +314,7 @@ def majorant_value(spec: MajorantSpec, t: float, z: float) -> float:
             "majorant existence condition fails: " + report.as_text())
     char = spec.characteristic(t)
     value = char.value(z)
-    return float(np.real(value)) + _datum_constant(spec, report.sigma)
+    return float(value) + _datum_constant(spec, report.sigma)
 
 
 def _datum_constant(spec: MajorantSpec, sigma: float) -> float:

@@ -6,6 +6,7 @@ import pytest
 
 from ferroflow.cli import check_run_time, main, parse_config
 from ferroflow.errors import ConfigError
+from ferroflow.norms import norm_coefficients
 
 
 @pytest.mark.parametrize("text", [
@@ -77,6 +78,25 @@ def test_rerun_is_byte_identical(tmp_path, command):
                    for out in outs]
         assert reports[0] == reports[1]
         assert b"holds = true" in reports[0]
+
+
+def test_majorant_takes_norms_of_printed_states_only(tmp_path, monkeypatch):
+    # 20 steps give 21 states, of which the CSV prints 11
+    count = [0]
+
+    def counting(state):
+        count[0] += 1
+        return norm_coefficients(state)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ferroflow") and \
+                vars(module).get("norm_coefficients") is norm_coefficients:
+            monkeypatch.setattr(module, "norm_coefficients", counting)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sites = 2\nsteps = 20\n")
+    assert main(["majorant", "--config", str(cfg),
+                 "--out", str(tmp_path / "m.csv")]) == 0
+    assert 0 < count[0] <= 11
 
 
 @pytest.mark.parametrize("alpha", ["1e-160", "1e-300"])

@@ -1,4 +1,3 @@
-import itertools
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -15,10 +14,7 @@ from ferroflow.errors import (
 )
 from ferroflow.flow import flow_integrate
 from ferroflow.majorant import (
-    _HOMOTOPY_STEPS,
-    _RESIDUAL_TOL,
     CharacteristicSolution,
-    _cubic_roots,
     MajorantSpec,
     existence_check,
     hopflax_solve,
@@ -67,54 +63,46 @@ def cardano_roots(coeffs):
     return out
 
 
-def cardano_roots_complex(coeffs):
-    """Closed-form roots of a cubic with complex coefficients (Cardano with
-    complex cube roots)."""
-    a, b, c, d = (complex(x) for x in coeffs)
-    shift = b / (3.0 * a)
-    p = (3.0 * a * c - b * b) / (3.0 * a * a)
-    q = (2.0 * b ** 3 - 9.0 * a * b * c + 27.0 * a * a * d) / (27.0 * a ** 3)
-    disc = np.sqrt(q * q / 4.0 + p ** 3 / 27.0 + 0j)
-    # the larger of -q/2 +- disc keeps u away from cancellation
-    w = -q / 2.0 + disc if abs(-q / 2.0 + disc) >= abs(-q / 2.0 - disc) \
-        else -q / 2.0 - disc
-    u = w ** (1.0 / 3.0)
-    omega = complex(-0.5, math.sqrt(3.0) / 2.0)
-    roots = []
-    for k in range(3):
-        uk = u * omega ** k
-        roots.append((uk - p / (3.0 * uk) if uk != 0 else 0.0) - shift)
-    for r in roots:
-        resid = abs(((a * r + b) * r + c) * r + d)
-        scale = max(abs(a), abs(b), abs(c), abs(d))
-        assert resid <= 1e-10 * max(scale, 1.0), "oracle root inaccurate"
-    return roots
+HOMOTOPY_STEPS = 16
+RESIDUAL_TOL = 1e-12
 
 
-def invert_by_roots(char, z, enforce_window=True):
-    """Scalar reference inversion, one node at a time: 16 homotopy steps,
-    each solving the node's cubic with ``np.roots``, then the damped Newton
-    polish and the residual and window checks."""
+def cubic_coeffs(char, tau, z):
+    """Coefficients (highest power first) of the characteristic cubic of
+    ``char`` at time ``tau``: ``forward(z0) == z`` with its denominator
+    cleared."""
+    if char.kind == "logarithmic":
+        l2 = char.lam ** 2
+        return [-l2, l2 * z, 1.0 - l2 * tau, -z]
+    a, s2 = char.alpha, char.sigma ** 2
+    return [4.0 * a * tau, 0.0, 12.0 * a * s2 * tau - 1.0, z]
+
+
+def invert_by_roots(char, z):
+    """Reference inversion of one real or complex node by another method
+    than ``CharacteristicSolution.invert``: 16 homotopy steps from the
+    identity at ``tau = 0``, each solving the node's cubic with ``np.roots``
+    and keeping the root nearest the previous one, then a damped Newton
+    polish and the residual check; a real node also gets the window check."""
     if char.tau == 0.0:
         return z
     z0 = z
-    for j in range(1, _HOMOTOPY_STEPS + 1):
-        tau_j = char.tau * j / _HOMOTOPY_STEPS
-        coeffs = char._cubic_coeffs(tau_j, z)
+    for j in range(1, HOMOTOPY_STEPS + 1):
+        tau_j = char.tau * j / HOMOTOPY_STEPS
+        coeffs = cubic_coeffs(char, tau_j, z)
         if abs(coeffs[0]) < 1e-300:
             continue
         roots = np.roots(coeffs)
         z0 = roots[np.argmin(np.abs(roots - z0))]
     z0 = polish_by_node(char, z0, z)
     resid = abs(char.forward(z0) - z)
-    if not np.isfinite(resid) or resid > _RESIDUAL_TOL * max(1.0, abs(z)):
+    if not np.isfinite(resid) or resid > RESIDUAL_TOL * max(1.0, abs(z)):
         raise CharacteristicCrossingError("inversion failed", critical_z0=z0)
     if isinstance(z, complex):
         return complex(z0)
     z0 = float(np.real(z0))
-    if enforce_window:
-        if abs(z0) >= char.z0_window or char.slope(z0) <= 0.0:
-            raise CharacteristicCrossingError("crossing", critical_z0=z0)
+    if abs(z0) >= char.z0_window or char.slope(z0) <= 0.0:
+        raise CharacteristicCrossingError("crossing", critical_z0=z0)
     return z0
 
 
@@ -122,7 +110,7 @@ def polish_by_node(char, z0, z):
     """Scalar reference of the damped Newton polish of one node."""
     for _ in range(60):
         resid = char.forward(z0) - z
-        if abs(resid) <= 0.25 * _RESIDUAL_TOL * max(1.0, abs(z)):
+        if abs(resid) <= 0.25 * RESIDUAL_TOL * max(1.0, abs(z)):
             break
         d = char.slope(z0)
         if d == 0:
@@ -155,14 +143,18 @@ def half_circle(radius, nodes=64):
 
 def cauchy_coefficients(char, m_max, nodes=128):
     """Oracle for ``majorant_coefficients``: the Cauchy integral of
-    ``char.value`` by trapezoid (discrete Fourier) quadrature on a circle of
-    half the smaller of ``char.z_window`` and the datum's radius (``1/lam``;
-    1 for the entire quartic datum), ``phi`` being even in ``z``.  Returns
-    the coefficients ``phi_1 .. phi_m_max`` and the oracle's rounding floor
-    ``64 eps max_j |phi(z_j)| / radius**(2m)`` of each."""
+    ``phi = datum(z0) - tau u0(z0)**2 / 2``, with ``z0`` from
+    ``invert_by_roots``, by trapezoid (discrete Fourier) quadrature on a
+    circle of half the smaller of ``char.z_window`` and the datum's radius
+    (``1/lam``; 1 for the entire quartic datum), ``phi`` being even in ``z``.
+    Returns the coefficients ``phi_1 .. phi_m_max`` and the oracle's rounding
+    floor ``64 eps max_j |phi(z_j)| / radius**(2m)`` of each."""
     datum = 1.0 / char.lam if char.kind == "logarithmic" else 1.0
     radius = 0.5 * min(char.z_window, datum)
-    half = char.value(half_circle(radius, nodes))
+    z0 = np.array([invert_by_roots(char, complex(z))
+                   for z in half_circle(radius, nodes)])
+    u = char.u0(z0)
+    half = char.datum(z0) - 0.5 * char.tau * u * u
     vals = np.concatenate([half, half])
     spectrum = np.fft.fft(vals) / nodes
     scale = radius ** (2 * np.arange(1, m_max + 1))
@@ -234,7 +226,7 @@ class TestCharacteristicInversion:
             char = CharacteristicSolution.quartic(alpha, sigma, tau)
             z = 0.7 * char.z_window
             z0 = char.invert(z)
-            roots = cardano_roots(char._cubic_coeffs(tau, z))
+            roots = cardano_roots(cubic_coeffs(char, tau, z))
             assert min(abs(z0 - r) for r in roots) <= 1e-11
 
     def test_crossing_detected_with_critical_point(self):
@@ -296,100 +288,6 @@ class TestCharacteristicInversion:
         with pytest.raises(ValueError):
             CharacteristicSolution.quartic(-0.1, 0.3, 0.1)
 
-
-def assert_same_roots(got, coeffs, z, rtol, atol=4 * np.finfo(float).eps):
-    """``got`` (nodes x 3) equals the per-node ``np.roots`` of ``coeffs`` as
-    sets: under the best matching each root is within ``rtol`` of its own
-    size plus ``atol`` of the node's largest root."""
-    assert got.shape == (len(z), 3)
-    for i in range(len(z)):
-        want = np.roots([np.broadcast_to(c, z.shape)[i] for c in coeffs])
-        size = np.max(np.abs(want))
-        err = min(np.max(np.abs(got[i, list(perm)] - want)
-                         - rtol * np.abs(want) - atol * size)
-                  for perm in itertools.permutations(range(3)))
-        assert err <= 0.0, (i, got[i], want)
-
-
-def newton_correction(coeffs, roots):
-    """``|f(x) / f'(x)|`` of the cubic at each root: its distance to the
-    exact root, to first order."""
-    a, b, c, d = (np.asarray(x, dtype=complex)[..., None] for x in coeffs)
-    f = ((a * roots + b) * roots + c) * roots + d
-    df = (3.0 * a * roots + 2.0 * b) * roots + c
-    return np.abs(f / df)
-
-
-class TestCubicRoots:
-    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
-    def test_matches_np_roots_at_every_homotopy_step(self, rng, kind):
-        for _ in range(5):
-            char = random_characteristic(rng, kind)
-            circle = half_circle(0.7 * char.z_window, nodes=16)
-            line = np.linspace(-0.9, 0.9, 7) * char.z_window
-            for z in (circle, line):
-                for j in range(1, _HOMOTOPY_STEPS + 1):
-                    coeffs = char._cubic_coeffs(char.tau * j / _HOMOTOPY_STEPS, z)
-                    roots = _cubic_roots(coeffs, z)
-                    assert_same_roots(roots, coeffs, z, rtol=1e-13)
-                    # the closed form's Newton step leaves a few ulps
-                    assert np.all(newton_correction(coeffs, roots) <= 5.0
-                                  * np.finfo(float).eps * np.abs(roots))
-
-    def test_first_step_with_tiny_leading_coefficient(self):
-        # 4 alpha tau_1 = 7.5e-12: two roots near +-1/sqrt(4 alpha tau_1)
-        # = +-3.7e5 and one near z, each accurate to its own size
-        char = CharacteristicSolution.quartic(1e-9, 0.2, 0.03)
-        z = half_circle(0.4, nodes=16)
-        coeffs = char._cubic_coeffs(char.tau / _HOMOTOPY_STEPS, z)
-        roots = _cubic_roots(coeffs, z)
-        assert_same_roots(roots, coeffs, z, rtol=1e-13)
-        big = 1.0 / math.sqrt(coeffs[0])
-        mags = np.sort(np.abs(roots), axis=1)
-        np.testing.assert_allclose(mags[:, 1:], big, rtol=1e-5)
-        assert np.all(mags[:, 0] < 1.0)
-        assert np.all(newton_correction(coeffs, roots)
-                      <= 1e-15 * np.abs(roots))
-
-    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
-    def test_zero_node_has_an_exact_zero_root(self, rng, kind):
-        char = random_characteristic(rng, kind)
-        z = np.zeros(3, dtype=complex)
-        coeffs = char._cubic_coeffs(char.tau, z)
-        roots = _cubic_roots(coeffs, z)
-        assert_same_roots(roots, coeffs, z, rtol=1e-13)
-        assert np.all(np.sum(roots == 0.0, axis=1) == 1)
-
-    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
-    def test_double_root_at_the_fold(self, rng, kind):
-        char = random_characteristic(rng, kind)
-        z = np.array([char.z_window], dtype=complex)
-        coeffs = char._cubic_coeffs(char.tau, z)
-        roots = _cubic_roots(coeffs, z)
-        # a double root is conditioned like sqrt(eps), for np.roots as well
-        assert_same_roots(roots, coeffs, z, rtol=1e-7)
-        near = np.abs(roots[0] - char.z0_window) <= 1e-7 * char.z0_window
-        assert near.sum() == 2
-
-    @pytest.mark.parametrize("root", [0.0, 0.5, -1.25])
-    def test_triple_root(self, root):
-        z = np.zeros(2)
-        coeffs = [2.0, -6.0 * root, 6.0 * root ** 2, -2.0 * root ** 3]
-        roots = _cubic_roots(coeffs, z)
-        np.testing.assert_array_equal(roots, root)
-        assert_same_roots(roots, coeffs, z, rtol=1e-4)
-
-    def test_non_finite_nodes_fail_quietly(self):
-        char = CharacteristicSolution.quartic(0.2, 0.3, 0.25)
-        zs = np.array([0.1, np.inf, np.nan, 0.2])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            roots = _cubic_roots(char._cubic_coeffs(char.tau, zs), zs)
-            assert np.all(np.isfinite(roots[[0, 3]]))
-            assert not np.any(np.isfinite(roots[[1, 2]]))
-            with pytest.raises(CharacteristicCrossingError):
-                char.invert(zs)
-
     def test_quartic_z_window_is_the_fold_value(self, rng):
         for _ in range(20):
             char = random_characteristic(rng, "quartic")
@@ -399,48 +297,75 @@ class TestCubicRoots:
         tiny = CharacteristicSolution.quartic(1e-300, 0.2, 0.03)
         assert math.isfinite(tiny.z_window) and tiny.z_window > 1e149
 
+    def test_non_finite_nodes_fail_quietly(self):
+        char = CharacteristicSolution.quartic(0.2, 0.3, 0.25)
+        for bad in (np.inf, -np.inf, np.nan):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(CharacteristicCrossingError):
+                    char.invert(np.array([0.1, bad, 0.2]))
+                with pytest.raises(CharacteristicCrossingError):
+                    CharacteristicSolution.quartic(0.2, 0.3, 0.0).invert(bad)
+
+    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
+    def test_matches_mpmath_root(self, rng, kind):
+        # the root of the float-parametrized map in 50 digits, bracketed on
+        # [0, z0_window] where forward is monotone; Newton's error is
+        # measured as a forward residual, |z0 - r| slope(r)
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        for _ in range(4):
+            char = random_characteristic(rng, kind)
+            with mpmath.workdps(50):
+                tau = mpmath.mpf(char.tau)
+                if kind == "quartic":
+                    a, s2 = mpmath.mpf(char.alpha), mpmath.mpf(char.sigma ** 2)
+
+                    def u0(x):
+                        return 12 * a * s2 * x + 4 * a * x ** 3
+                else:
+                    l2 = mpmath.mpf(char.lam ** 2)
+
+                    def u0(x):
+                        return l2 * x / (1 - l2 * x * x)
+
+                for frac in (0.5, 0.9, 0.99, 0.999):
+                    for z in (frac * char.z_window, -frac * char.z_window):
+                        r = mpmath.findroot(
+                            lambda x: x - tau * u0(x) - abs(z),
+                            (0, mpmath.mpf(char.z0_window)), solver="illinois")
+                        r = math.copysign(float(r), z)
+                        z0 = char.invert(z)
+                        err = abs(z0 - r) * char.slope(r)
+                        assert err <= 4 * eps * max(abs(z), abs(r)), (frac, z)
+
+    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
+    def test_inverts_close_to_the_fold(self, rng, kind):
+        # the fold is a double root of forward(z0) == z_window, where the
+        # slope tends to zero; Newton still settles inside the window, with
+        # a residual at the rounding of forward (of the size of z0, not z)
+        for _ in range(10):
+            char = random_characteristic(rng, kind)
+            for frac in (1.0 - 1e-10, 1.0 - 1e-14):
+                z = frac * char.z_window
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    z0 = char.invert(z)
+                assert 0.0 < z0 < char.z0_window
+                assert abs(char.forward(z0) - z) <= \
+                    4 * np.finfo(float).eps * z0
+            with pytest.raises(CharacteristicCrossingError):
+                char.invert(char.z_window)
+
 
 class TestArrayInversion:
-    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
-    def test_matches_per_node_oracle_on_circle(self, rng, kind):
-        for _ in range(10):
-            char = random_characteristic(rng, kind)
-            zs = half_circle(0.5 * char.z_window)
-            got = char.invert(zs)
-            want = np.array([invert_by_roots(char, complex(z)) for z in zs])
-            assert got.dtype == np.complex128 and got.shape == zs.shape
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
-            np.testing.assert_allclose(
-                char.value(zs), [char.value(complex(z)) for z in zs], rtol=1e-13)
-
-    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
-    def test_polish_matches_per_node_newton(self, rng, kind):
-        # starts at distances from 1e-10 to 10 take from 0 to many damped
-        # steps, so nodes stop at different iterations
-        char = random_characteristic(rng, kind)
-        zs = half_circle(0.5 * char.z_window, nodes=16)
-        exact = char.invert(zs)
-        offsets = np.logspace(-10, 1, len(zs)) * np.exp(1j * rng.uniform(0, 6.3, len(zs)))
-        start = exact + offsets * char.z0_window
-        got = char._polish(start.copy(), zs)
-        want = [polish_by_node(char, complex(s), complex(z)) for s, z in zip(start, zs)]
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
-
-    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
-    def test_complex_nodes_are_cardano_roots(self, rng, kind):
-        for _ in range(10):
-            char = random_characteristic(rng, kind)
-            zs = half_circle(0.7 * char.z_window, nodes=32)
-            z0 = char.invert(zs)
-            for z, r in zip(zs, z0):
-                roots = cardano_roots_complex(char._cubic_coeffs(char.tau, z))
-                assert min(abs(r - x) for x in roots) <= 1e-11
-                assert abs(char.forward(r) - z) <= 1e-12 * max(1.0, abs(z))
-
     def test_scalar_inputs_keep_scalar_types(self):
         char = CharacteristicSolution.quartic(0.2, 0.3, 0.25)
         assert type(char.invert(0.2)) is float
-        assert type(char.invert(0.2 + 0.1j)) is complex
+        with pytest.raises(TypeError):
+            char.invert(0.2 + 0.1j)
+        with pytest.raises(TypeError):
+            char.invert(np.array([0.2, 0.1j]))
         assert type(char.invert(np.float64(0.2))) is float
         assert char.invert(np.asarray([0.2])).shape == (1,)
 
@@ -460,14 +385,15 @@ class TestArrayInversion:
         bad = 1.1 * char.z_window
         zs = np.array([0.1 * char.z_window, -0.3 * char.z_window, bad,
                        0.2 * char.z_window])
-        with pytest.raises(CharacteristicCrossingError) as want:
+        with pytest.raises(CharacteristicCrossingError):
             invert_by_roots(char, float(bad))
         with pytest.raises(CharacteristicCrossingError) as got:
             char.invert(zs)
-        assert got.value.critical_z0 == pytest.approx(want.value.critical_z0,
-                                                      abs=1e-12)
-        # without the window check the same array inverts
-        assert char.invert(zs, enforce_window=False).shape == (4,)
+        # the fold on the node's side
+        assert got.value.critical_z0 == math.copysign(char.z0_window, bad)
+        with pytest.raises(CharacteristicCrossingError) as got:
+            char.invert(-zs)
+        assert got.value.critical_z0 == -char.z0_window
 
     def test_coefficients_invert_no_nodes(self, rng, monkeypatch):
         # the series reversion runs no characteristic inversion
@@ -476,9 +402,9 @@ class TestArrayInversion:
         calls = []
         invert = CharacteristicSolution.invert
 
-        def counted(self, z, enforce_window=True):
+        def counted(self, z):
             calls.append(np.shape(z))
-            return invert(self, z, enforce_window)
+            return invert(self, z)
 
         monkeypatch.setattr(CharacteristicSolution, "invert", counted)
         majorant_coefficients(spec, 0.8, m_max=4)
@@ -533,6 +459,23 @@ class TestMajorantValue:
         if not existence_check(spec, sched.T).holds:
             with pytest.raises(ExistenceError):
                 majorant_value(spec, sched.T, 0.1)
+
+    @pytest.mark.parametrize("spec_args", [
+        {"quartic_alpha": 0.3},
+        {"radius": 1.5},
+    ], ids=["quartic", "logarithmic"])
+    def test_beyond_the_window_raises(self, spec_args):
+        # past the fold a crossed characteristic gave a negative value
+        # (quartic, 10 z_window) or nan (logarithmic, 3 z_window)
+        sched = synthetic_schedule(np.random.Generator(np.random.Philox(3)), 4)
+        spec = MajorantSpec(schedule=sched, **spec_args)
+        z_window = spec.characteristic(0.9).z_window
+        assert majorant_value(spec, 0.9, 0.5 * z_window) > 0.0
+        for factor in (1.01, 3.0, 10.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(CharacteristicCrossingError):
+                    majorant_value(spec, 0.9, factor * z_window)
 
 
 class TestMajorantCoefficients:

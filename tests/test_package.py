@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -35,3 +36,25 @@ def test_majorant_run_loads_no_fft(tmp_path):
             "print(sorted(m for m in sys.modules "
             "if m.startswith(('numpy.fft', 'numpy.polynomial'))))")
     assert run_fresh(code, cwd=tmp_path).splitlines()[-1] == "[]"
+
+
+def test_tracer_targets_resolve():
+    # the benchmark's tracer wraps these names; a rename must not wait for
+    # the benchmark smoke run to surface
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    missing = []
+    for module, attr, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"ferroflow.{module}")
+        cls_name, _, meth = attr.rpartition(".")
+        if cls_name:
+            owner = vars(owner).get(cls_name)
+            found = owner is not None and meth in vars(owner)
+        else:
+            found = hasattr(owner, meth)
+        if not found:
+            missing.append(f"{module}.{attr}")
+    assert missing == []
