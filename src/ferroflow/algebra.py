@@ -19,14 +19,15 @@ Sign conventions
 
 Parity blocks
 -------------
-The disjoint pairs ``(J, K)`` of a product fall into four blocks by
-``(|J| mod 2, |K| mod 2)``, laid out back to back in one pair table.  A
-product sums only the blocks whose operand parts are nonzero, so even x even
-(the effective action and its flow) reads a quarter of the pairs.  Which
-parts are nonzero is found from exact zeros only: an operand whose
-odd-degree coefficients are all exactly zero is even, and any other operand
-counts as having both parts.  A tolerance would silently drop small odd
-terms.
+The disjoint pairs ``(J, K)`` of a product fall into four parity blocks by
+``(|J| mod 2, |K| mod 2)``.  Each block has its own cached table, cut into
+chunks of whole unions ``J | K``.  A product reads only the blocks whose
+operand parts are nonzero, in ascending block order, so even x even (the
+effective action and its flow) reads a quarter of the pairs; the flow's
+right-hand side reads the same chunks of the even x even block.  Which parts
+are nonzero is found from exact zeros only: an operand whose odd-degree
+coefficients are all exactly zero is even, and any other operand counts as
+having both parts.  A tolerance would silently drop small odd terms.
 
 Elements are immutable after construction; all operations are pure functions
 and safe for concurrent use.
@@ -34,7 +35,6 @@ and safe for concurrent use.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -43,22 +43,27 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError, LogDomainError
+from .errors import CapacityError, DimensionMismatchError, LogDomainError, ParityError
 
 MAX_GENERATORS = 16
 
 # Largest generator count that ``wedge`` multiplies through the disjoint-pair
-# table; larger products split off their top generator until they reach it.
-# The table holds 3**n_gen pairs in four parity blocks of about 3**n_gen / 4
-# pairs; one block takes 24 bytes of indices and signs per pair, 3.2 MB at
-# 12 generators (it would be 29 MB at 14), and its keys must fit the uint16
-# radix sort.
+# tables; larger products split off their top generator until they reach it.
+# A parity block holds about 3**n_gen / 4 pairs at 24 bytes of indices and
+# signs each: 3.2 MB at 12 generators, 29 MB at 14.  Its sort key, the union
+# J | K, fits the uint16 radix sort up to 16 generators, so memory alone sets
+# the leaf.
 _WEDGE_LEAF = 12
 
-# Largest number of pairs one pass of a product multiplies.  Its temporaries
-# (256 KB each) stay in cache and in reused heap pages; arrays the size of a
+# Largest number of pairs in one chunk of a parity block, unless one union
+# has more; a product multiplies one chunk per pass.  Its temporaries (256 KB
+# each) stay in cache and in reused heap pages; arrays the size of a
 # 12-generator block (2.1 MB) cost as much in fresh pages as in arithmetic.
 _WEDGE_CHUNK = 16384
+
+# Odd content, relative to the even content (at least 1), that the callers
+# needing an even element tolerate.
+_PARITY_ATOL = 1e-12
 
 # Parity parts an operand may hold, as the degree parities (0 even, 1 odd)
 # whose coefficients are not all exactly zero.
@@ -70,20 +75,13 @@ _BOTH = (0, 1)
 # cached index tables, keyed by generator count
 # ---------------------------------------------------------------------------
 
-_POPCOUNT: dict[int, np.ndarray] = {}
-_ODD_INDEX: dict[int, np.ndarray] = {}
-_PAIR_TABLE: dict[int, tuple] = {}
-_DERIV_TABLE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def _popcount_table(n_gen: int) -> np.ndarray:
-    tab = _POPCOUNT.get(n_gen)
-    if tab is None:
-        idx = np.arange(1 << n_gen, dtype=np.uint32)
-        tab = np.zeros(1 << n_gen, dtype=np.uint8)
-        for b in range(n_gen):
-            tab += ((idx >> b) & 1).astype(np.uint8)
-        _POPCOUNT[n_gen] = tab
+    idx = np.arange(1 << n_gen, dtype=np.uint32)
+    tab = np.zeros(1 << n_gen, dtype=np.uint8)
+    for b in range(n_gen):
+        tab += ((idx >> b) & 1).astype(np.uint8)
     return tab
 
 
@@ -109,13 +107,10 @@ def merge_sign(j: int, k: int) -> int:
     return -1 if inv & 1 else 1
 
 
+@functools.cache
 def _odd_index(n_gen: int) -> np.ndarray:
     """Indices of the odd-degree coefficients."""
-    idx = _ODD_INDEX.get(n_gen)
-    if idx is None:
-        idx = np.flatnonzero(_popcount_table(n_gen) & 1)
-        _ODD_INDEX[n_gen] = idx
-    return idx
+    return np.flatnonzero(_popcount_table(n_gen) & 1)
 
 
 def _is_exactly_even(coeffs: np.ndarray) -> bool:
@@ -123,122 +118,67 @@ def _is_exactly_even(coeffs: np.ndarray) -> bool:
     return not coeffs.take(_odd_index(coeffs.size.bit_length() - 1)).any()
 
 
-def _parity_parts(coeffs: np.ndarray) -> tuple[int, ...]:
-    """``_EVEN`` when every odd-degree coefficient is exactly zero, else
-    ``_BOTH``."""
-    return _EVEN if _is_exactly_even(coeffs) else _BOTH
-
-
 def _zero_below_degree(coeffs: np.ndarray, n_gen: int, d: int) -> None:
     """Zero, in place, every coefficient of monomial degree below ``d``."""
     coeffs[_popcount_table(n_gen) < d] = 0.0
 
 
-def _pair_table(n_gen: int, blocks: int):
-    """The disjoint pairs (J, K) of the first ``blocks`` parity blocks, with
-    their merge signs, grouped by block and union.
+@functools.cache
+def _pair_table(n_gen: int, block: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The disjoint pairs (J, K) of one parity block, with their merge
+    signs, as chunks ``(j, k, sgn, unions, seg)``.
 
-    Block ``2 * (|J| mod 2) + (|K| mod 2)`` comes in the order even x even,
-    even x odd, odd x even, odd x odd; the four blocks together hold all
-    3**n_gen disjoint pairs.  Returns ``(j, k, sgn, unions, starts,
-    pair_off, seg_off)``: block ``b`` owns the pairs from ``pair_off[b]`` to
-    ``pair_off[b + 1]``, listed in ascending order of the union
-    ``U = J | K`` (descending ``J`` within one union), and the segments from
-    ``seg_off[b]`` to ``seg_off[b + 1]``; segment ``s`` holds the pairs of
-    union ``unions[s]`` from ``starts[s]`` on, so ``np.add.reduceat(...,
-    starts)`` sums a product per block and union.  A table built for fewer
-    blocks is rebuilt when a product needs more.  The table is cut into
-    chunks of whole segments, at most ``_WEDGE_CHUNK`` pairs each unless one
-    segment is longer: chunk ``c`` holds the pairs from ``cut_p[c]`` and
-    the segments from ``cut_s[c]`` on, up to those of chunk ``c + 1``; the
-    returned tuple ends with ``cut_p`` and ``cut_s``, each closed by the
-    table's length.
+    Block ``2 * (|J| mod 2) + (|K| mod 2)`` is 0 for even x even, 1 for
+    even x odd, 2 for odd x even and 3 for odd x odd; the four blocks
+    together hold all 3**n_gen disjoint pairs.  The pairs come in ascending
+    order of the union ``U = J | K``, descending ``J`` within one union.  A
+    chunk holds whole unions, at most ``_WEDGE_CHUNK`` pairs unless one
+    union has more: its pairs ``j``, ``k`` and signs ``sgn``, its unions in
+    ascending order, and the start ``seg`` of each union's pairs within the
+    chunk, so ``np.add.reduceat(..., seg)`` sums a product per union.
     """
-    tab = _PAIR_TABLE.get(n_gen)
-    if tab is None or len(tab[5]) <= blocks:
-        # each generator, lowest first, goes into J, into K or into neither;
-        # its J block comes first, so after a stable sort by block and
-        # union, J descends within every union
-        j = np.zeros(1, dtype=np.uint16)
-        k = np.zeros(1, dtype=np.uint16)
-        for b in range(n_gen):
-            bit = 1 << b
-            j = np.concatenate((j | bit, j, j))
-            k = np.concatenate((k, k | bit, k))
-        pop = _popcount_table(n_gen)
-        block = 2 * (pop[j] & 1) + (pop[k] & 1)
-        keep = np.flatnonzero(block < blocks)
-        # block and union fit 16 bits up to _WEDGE_LEAF, where numpy sorts
-        # by radix
-        key = (block[keep].astype(np.uint16) << n_gen) | j[keep] | k[keep]
-        order = np.argsort(key, kind="stable")
-        key = key[order].astype(np.intp)
-        j = j[keep[order]].astype(np.intp)
-        k = k[keep[order]].astype(np.intp)
-        sgn = _merge_sign_array(j, k, n_gen)
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        segments = key[starts]
-        bounds = np.arange(blocks + 1) << n_gen
-        ends = np.append(starts[1:], len(j))
-        cut_s = [0]
-        while cut_s[-1] < len(starts):
-            # the next chunk: the segments that end within _WEDGE_CHUNK
-            # pairs of its start, at least one
-            first = cut_s[-1]
-            cut_s.append(max(first + 1, int(np.searchsorted(
-                ends, starts[first] + _WEDGE_CHUNK, side="right"))))
-        tab = (j, k, sgn, segments & ((1 << n_gen) - 1), starts,
-               np.searchsorted(key, bounds).tolist(),
-               np.searchsorted(segments, bounds).tolist(),
-               np.append(starts, len(j))[cut_s].tolist(), cut_s)
-        _PAIR_TABLE[n_gen] = tab
-    return tab
-
-
-def _run_chunks(tab, first: int, end: int) -> list[tuple[int, int, int, int]]:
-    """The chunks of the pair table ``tab`` that overlap the parity blocks
-    ``first`` to ``end - 1``, clipped to them, as ``(p0, p1, s0, s1)``: the
-    pairs from ``p0`` to ``p1`` and their segments from ``s0`` to ``s1``.
-    Blocks hold whole segments, so a clipped chunk does too."""
-    pair_off, seg_off, cut_p, cut_s = tab[5:]
-    lo, hi = pair_off[first], pair_off[end]
-    c = bisect.bisect_right(cut_p, lo) - 1
+    # each generator, lowest first, goes into J, into K or into neither;
+    # its J branch comes first, so after a stable sort by union, J descends
+    # within every union
+    j = np.zeros(1, dtype=np.uint16)
+    k = np.zeros(1, dtype=np.uint16)
+    for b in range(n_gen):
+        bit = 1 << b
+        j = np.concatenate((j | bit, j, j))
+        k = np.concatenate((k, k | bit, k))
+    pop = _popcount_table(n_gen)
+    keep = np.flatnonzero(2 * (pop[j] & 1) + (pop[k] & 1) == block)
+    union = j[keep] | k[keep]
+    order = np.argsort(union, kind="stable")  # a radix sort on uint16
+    union = union[order].astype(np.intp)
+    j = j[keep[order]].astype(np.intp)
+    k = k[keep[order]].astype(np.intp)
+    sgn = _merge_sign_array(j, k, n_gen)
+    starts = np.flatnonzero(np.diff(union, prepend=-1))
+    ends = np.append(starts[1:], len(j))
     chunks = []
-    while cut_p[c] < hi:
-        chunks.append((max(cut_p[c], lo), min(cut_p[c + 1], hi),
-                       max(cut_s[c], seg_off[first]),
-                       min(cut_s[c + 1], seg_off[end])))
-        c += 1
-    return chunks
+    s0 = 0
+    while s0 < len(starts):
+        # the unions that end within _WEDGE_CHUNK pairs of the chunk's
+        # start, at least one
+        s1 = max(s0 + 1, int(np.searchsorted(
+            ends, starts[s0] + _WEDGE_CHUNK, side="right")))
+        p0, p1 = starts[s0], ends[s1 - 1]
+        chunks.append((j[p0:p1], k[p0:p1], sgn[p0:p1], union[starts[s0:s1]],
+                       starts[s0:s1] - p0))
+        s0 = s1
+    return tuple(chunks)
 
 
-@functools.lru_cache(maxsize=None)
-def _block_runs(f_parts: tuple[int, ...], g_parts: tuple[int, ...]
-                ) -> tuple[tuple[int, int], ...]:
-    """The parity blocks a product of operands with these parts reads, as
-    maximal runs ``(first, end)`` of adjacent blocks."""
-    runs: list[list[int]] = []
-    for b in sorted(2 * pj + pk for pj in f_parts for pk in g_parts):
-        if runs and runs[-1][1] == b:
-            runs[-1][1] = b + 1
-        else:
-            runs.append([b, b + 1])
-    return tuple((first, end) for first, end in runs)
-
-
+@functools.cache
 def _deriv_table(n_gen: int, k: int):
     """(source, target, sign) arrays for the left derivative by psi_k."""
-    key = (n_gen, k)
-    tab = _DERIV_TABLE.get(key)
-    if tab is None:
-        idx = np.arange(1 << n_gen, dtype=np.uint32)
-        src = idx[(idx >> k) & 1 == 1]
-        dst = src ^ (1 << k)
-        pop = _popcount_table(n_gen)
-        sgn = 1.0 - 2.0 * (pop[src & ((1 << k) - 1)] & 1)
-        tab = (src, dst, sgn)
-        _DERIV_TABLE[key] = tab
-    return tab
+    idx = np.arange(1 << n_gen, dtype=np.uint32)
+    src = idx[(idx >> k) & 1 == 1]
+    dst = src ^ (1 << k)
+    pop = _popcount_table(n_gen)
+    sgn = 1.0 - 2.0 * (pop[src & ((1 << k) - 1)] & 1)
+    return src, dst, sgn
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +193,7 @@ class GeneratorSet:
     ``count`` is the total number of generators (2n), at most
     ``MAX_GENERATORS``.  Dense elements take 16 * 2**count bytes.  A product
     sums over the 3**count disjoint pairs, a quarter of them when both
-    operands are even, so each generator above the 12 of the pair table
+    operands are even, so each generator above the 12 of the pair tables
     triples its cost: a dense complex product of even elements took about
     0.001 s at 12, 0.01 s at 14 and 0.1 s at 16 generators, and one of
     elements with both parities 0.004, 0.04 and 0.4 s, on a loaded 2-CPU
@@ -446,23 +386,16 @@ def wedge(f: GrassmannElement, g: GrassmannElement) -> GrassmannElement:
 
     Basis monomials multiply to zero when their subsets intersect, otherwise
     to the merged subset times the merge sign.  Up to ``_WEDGE_LEAF``
-    generators the product sums over the parity blocks of the disjoint-pair
-    table that the operands' nonzero parts select: an operand whose odd
+    generators the product sums over the parity blocks of disjoint pairs
+    that the operands' nonzero parts select: an operand whose odd
     coefficients are all exactly zero takes part through its even block
     only.  Above the leaf, the top generator is split off recursively.
     """
     f._check_same(g)
-    n_gen = f.gens.count
+    f_parts, g_parts = (_EVEN if _is_exactly_even(c) else _BOTH
+                        for c in (f.coeffs, g.coeffs))
     return GrassmannElement._adopt(f.gens, _wedge_blocks(
-        f.coeffs, g.coeffs, n_gen, _parity_parts(f.coeffs), _parity_parts(g.coeffs)))
-
-
-def _wedge_coeffs(f: np.ndarray, g: np.ndarray, n_gen: int, even: bool
-                  ) -> np.ndarray:
-    """Coefficients of ``f ^ g`` for raw coefficient arrays; with ``even``
-    every odd-degree coefficient of both must be exactly zero."""
-    parts = _EVEN if even else _BOTH
-    return _wedge_blocks(f, g, n_gen, parts, parts)
+        f.coeffs, g.coeffs, f.gens.count, f_parts, g_parts))
 
 
 def _wedge_blocks(f: np.ndarray, g: np.ndarray, n_gen: int,
@@ -471,19 +404,16 @@ def _wedge_blocks(f: np.ndarray, g: np.ndarray, n_gen: int,
     parity outside ``f_parts`` (``g_parts``) must be exactly zero in ``f``
     (``g``)."""
     if n_gen <= _WEDGE_LEAF:
-        runs = _block_runs(f_parts, g_parts)
-        tab = _pair_table(n_gen, runs[-1][1])
-        j, k, sgn, unions, starts = tab[:5]
         out = np.zeros(1 << n_gen, dtype=np.complex128)
-        for first, end in runs:
-            for p0, p1, s0, s1 in _run_chunks(tab, first, end):
-                terms = f.take(j[p0:p1])
-                terms *= g.take(k[p0:p1])
-                terms *= sgn[p0:p1]
-                # a union owns one segment in each block of the run, summed
-                # in block order
-                np.add.at(out, unions[s0:s1],
-                          np.add.reduceat(terms, starts[s0:s1] - p0))
+        for pj in f_parts:
+            for pk in g_parts:
+                for j, k, sgn, unions, seg in _pair_table(n_gen, 2 * pj + pk):
+                    terms = f.take(j)
+                    terms *= g.take(k)
+                    terms *= sgn
+                    # a union owns one chunk segment per block, added in
+                    # ascending block order
+                    np.add.at(out, unions, np.add.reduceat(terms, seg))
         return out
     # f = a + b ^ psi_top and g = c + d ^ psi_top give
     # f ^ g = a ^ c + (a ^ d + b ^ c_hat) ^ psi_top, where c_hat carries the
@@ -590,6 +520,7 @@ def analytic_apply(jet: Sequence[complex] | Callable[[int], complex],
     nilpotent = f.coeffs.copy()
     nilpotent[0] = 0.0
     even = _is_exactly_even(nilpotent)
+    parts = _EVEN if even else _BOTH
     # an even nilpotent part has degree >= 2, so its powers above
     # n_gen // 2 vanish
     top = n_gen // 2 if even else n_gen
@@ -599,7 +530,7 @@ def analytic_apply(jet: Sequence[complex] | Callable[[int], complex],
     kfact = 1.0
     for k in range(1, top + 1):
         if k > 1:
-            power = _wedge_coeffs(power, nilpotent, n_gen, even)
+            power = _wedge_blocks(power, nilpotent, n_gen, parts, parts)
         kfact *= k
         if not power.any():
             break
@@ -638,6 +569,14 @@ def parity_magnitudes(f: GrassmannElement) -> tuple[float, float]:
     absv = np.abs(f.coeffs)
     return (float(absv[~odd].max(initial=0.0)),
             float(absv[odd].max(initial=0.0)))
+
+
+def _require_even(f: GrassmannElement, who: str) -> None:
+    """Refuse ``f`` with ``ParityError`` when its largest odd coefficient
+    exceeds ``_PARITY_ATOL * max(1, largest even coefficient)``."""
+    even, odd = parity_magnitudes(f)
+    if odd > _PARITY_ATOL * max(1.0, even):
+        raise ParityError(f"{who} requires an even element (odd content {odd:.3e})")
 
 
 def parity_split(f: GrassmannElement) -> tuple[GrassmannElement, GrassmannElement]:

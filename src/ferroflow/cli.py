@@ -489,7 +489,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which is the
+        # code of an inadmissible instance here
+        return 4 if exc.code else 0
     try:
         text = Path(args.config).read_text() if args.config else ""
         cfg = parse_config(text)

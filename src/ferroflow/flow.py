@@ -19,25 +19,26 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .algebra import (
     _BOTH,
     _EVEN,
+    _PARITY_ATOL,
     _WEDGE_LEAF,
     GrassmannElement,
     _is_exactly_even,
     _pair_table,
     _popcount_table,
-    _run_chunks,
+    _require_even,
     _wedge_blocks,
     exp_of,
     log_of,
     parity_magnitudes,
 )
-from .errors import IntegrationError, LogDomainError, ParityError
+from .errors import IntegrationError, LogDomainError
 from .gaussian import (
     _check_dimension,
     _laplacian_table,
@@ -50,7 +51,6 @@ from .schedule import ScaleSchedule
 # pinned by the exact-path cross-validation tests.
 _BILINEAR_SIGN = 1.0
 
-_PARITY_ATOL = 1e-12
 _SCALAR_WARN_FLOOR = 0.1
 
 
@@ -87,12 +87,6 @@ class FlowTrajectory:
             _, odd = parity_magnitudes(state)
             worst = max(worst, odd)
         return worst
-
-
-def _require_even(f: GrassmannElement, who: str) -> None:
-    even, odd = parity_magnitudes(f)
-    if odd > _PARITY_ATOL * max(1.0, even):
-        raise ParityError(f"{who} requires an even element (odd content {odd:.3e})")
 
 
 def rg_map(a, f: GrassmannElement) -> GrassmannElement:
@@ -134,10 +128,7 @@ def effective_action_exact(schedule: ScaleSchedule, f0: GrassmannElement,
     return out
 
 
-# index tables of the right-hand side, keyed by (generator count, even)
-_RHS_TABLE: dict[tuple[int, bool], tuple] = {}
-
-
+@cache
 def _rhs_table(n_gen: int, even: bool):
     """Index tables of the flow's right-hand side over the index set ``S``:
     the even masks with ``even``, otherwise all of them.
@@ -149,37 +140,29 @@ def _rhs_table(n_gen: int, even: bool):
     masks of degree below 4.  ``src``, ``targets`` and ``starts`` are the
     Laplacian gather table in ranks, its even-target part with ``even``,
     entry by entry as ``_laplacian_weights(a, n_gen, even)``.  With
-    ``even`` and up to ``_WEDGE_LEAF`` generators, ``chunks`` are the chunks
-    of the pair table's even x even block as ``(j, k, sgn, seg)``: the ranks
-    of ``J`` and ``K``, the signs (complex, which multiply faster) and the
-    segment starts within the chunk.  Every mask of ``S`` is the union of
-    exactly one segment, and the segments come in rank order, so the
-    segment sums are the product over ``S``.  Otherwise ``chunks`` is
-    ``None`` and products go through ``_wedge_blocks``.
+    ``even`` and up to ``_WEDGE_LEAF`` generators, ``chunks`` are the
+    chunks of ``_pair_table(n_gen, 0)``, the even x even block, as ``(j, k,
+    sgn, seg)``: the ranks of ``J`` and ``K``, the signs (complex, which
+    multiply faster) and the union starts within the chunk.  The block's
+    unions are exactly the masks of ``S``, in rank order, so the chunks'
+    union sums, concatenated, are the product over ``S``.  Otherwise
+    ``chunks`` is ``None`` and products go through ``_wedge_blocks``.
     """
-    key = (n_gen, even)
-    tab = _RHS_TABLE.get(key)
-    if tab is None:
-        shift = 1 if even else 0
-        pop = _popcount_table(n_gen)
-        index = (np.flatnonzero((pop & 1) == 0) if even
-                 else np.arange(1 << n_gen))
-        _, _, src, _, targets, starts, even_targets, even_entries = \
-            _laplacian_table(n_gen)
-        if even:
-            src = src[:even_entries]
-            targets, starts = targets[:even_targets], starts[:even_targets]
-        chunks = None
-        if even and n_gen <= _WEDGE_LEAF:
-            pairs = _pair_table(n_gen, 1)
-            j, k, sgn, _, seg = pairs[:5]
-            chunks = [(j[p0:p1] >> 1, k[p0:p1] >> 1,
-                       sgn[p0:p1].astype(np.complex128), seg[s0:s1] - p0)
-                      for p0, p1, s0, s1 in _run_chunks(pairs, 0, 1)]
-        tab = (index, pop[index] < 4, src >> shift, targets >> shift, starts,
-               chunks, n_gen, even)
-        _RHS_TABLE[key] = tab
-    return tab
+    shift = 1 if even else 0
+    pop = _popcount_table(n_gen)
+    index = (np.flatnonzero((pop & 1) == 0) if even
+             else np.arange(1 << n_gen))
+    _, _, src, _, targets, starts, even_targets, even_entries = \
+        _laplacian_table(n_gen)
+    if even:
+        src = src[:even_entries]
+        targets, starts = targets[:even_targets], starts[:even_targets]
+    chunks = None
+    if even and n_gen <= _WEDGE_LEAF:
+        chunks = [(j >> 1, k >> 1, sgn.astype(np.complex128), seg)
+                  for j, k, sgn, _, seg in _pair_table(n_gen, 0)]
+    return (index, pop[index] < 4, src >> shift, targets >> shift, starts,
+            chunks, n_gen, even)
 
 
 def _flow_rhs(weights: np.ndarray, y: np.ndarray, tab,

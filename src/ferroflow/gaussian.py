@@ -14,6 +14,7 @@ and it is pinned by the moment-consistency tests.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,9 +26,8 @@ from .errors import DimensionMismatchError, GramSplitError
 # derivatives; pinned by the heat-kernel/moment consistency test.
 _LAPLACIAN_SIGN = -1.0
 
-_LAPLACIAN_TABLE: dict[int, tuple[np.ndarray, ...]] = {}
 
-
+@functools.cache
 def _laplacian_table(n_gen: int):
     """Gather table of ``d_i d_j`` over the generator pairs ``i < j``.
 
@@ -44,36 +44,32 @@ def _laplacian_table(n_gen: int):
     ``_laplacian_weights`` reads ``rows``, ``cols`` and ``pair`` once per
     covariance, and ``_laplacian_coeffs`` the gather once per element.
     """
-    tab = _LAPLACIAN_TABLE.get(n_gen)
-    if tab is None:
-        rows, cols = np.triu_indices(n_gen, 1)
-        idx = np.arange(1 << n_gen, dtype=np.intp)
-        pop = _popcount_table(n_gen)
-        dst_parts, src_parts, pair_parts = [], [], []
-        for p, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
-            both = (1 << i) | (1 << j)
-            dst = idx[(idx & both) == 0]
-            src = dst | both
-            # d_j first, then d_i (i < j): each removes its generator with
-            # the parity of the source bits below it
-            odd = (pop[src & ((1 << j) - 1)] + pop[src & ((1 << i) - 1)]) & 1
-            dst_parts.append(dst)
-            src_parts.append(src)
-            pair_parts.append(p + rows.size * odd.astype(np.intp))
-        # sort key: the target, with its parity as the bit above it
-        key = np.concatenate(dst_parts)
-        key[pop[key] & 1 == 1] |= 1 << n_gen
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        targets = key[starts]
-        even_targets = int(np.searchsorted(targets, 1 << n_gen))
-        even_entries = int(np.searchsorted(key, 1 << n_gen))
-        tab = (rows, cols, np.concatenate(src_parts)[order],
-               np.concatenate(pair_parts)[order], targets & ((1 << n_gen) - 1),
-               starts, even_targets, even_entries)
-        _LAPLACIAN_TABLE[n_gen] = tab
-    return tab
+    rows, cols = np.triu_indices(n_gen, 1)
+    idx = np.arange(1 << n_gen, dtype=np.intp)
+    pop = _popcount_table(n_gen)
+    dst_parts, src_parts, pair_parts = [], [], []
+    for p, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+        both = (1 << i) | (1 << j)
+        dst = idx[(idx & both) == 0]
+        src = dst | both
+        # d_j first, then d_i (i < j): each removes its generator with
+        # the parity of the source bits below it
+        odd = (pop[src & ((1 << j) - 1)] + pop[src & ((1 << i) - 1)]) & 1
+        dst_parts.append(dst)
+        src_parts.append(src)
+        pair_parts.append(p + rows.size * odd.astype(np.intp))
+    # sort key: the target, with its parity as the bit above it
+    key = np.concatenate(dst_parts)
+    key[pop[key] & 1 == 1] |= 1 << n_gen
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    targets = key[starts]
+    even_targets = int(np.searchsorted(targets, 1 << n_gen))
+    even_entries = int(np.searchsorted(key, 1 << n_gen))
+    return (rows, cols, np.concatenate(src_parts)[order],
+            np.concatenate(pair_parts)[order], targets & ((1 << n_gen) - 1),
+            starts, even_targets, even_entries)
 
 
 def _laplacian_weights(a, n_gen: int, even: bool) -> np.ndarray:

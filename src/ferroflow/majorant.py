@@ -166,9 +166,13 @@ class CharacteristicSolution:
         runs on ``|z|`` from ``x = |z|``: on ``[0, z0_window)`` ``forward``
         rises and is concave (``u0`` is convex there on both data), so
         ``forward(x) <= x`` starts it below the root and every tangent step
-        stays below it, where the slope is positive.  A node stops once its
-        step is at most ``2 eps x`` (``z0 == z`` at ``tau = 0``); one still
-        moving after ``_NEWTON_STEPS`` steps raises as well.
+        stays below it, where the slope is positive.  Near the fold, where
+        ``z_window`` is the rounded ``forward(z0_window)`` and the slope
+        tends to zero, rounding can still ask for a step back, past the fold,
+        or a NaN or infinite one: an iterate never falls and never passes
+        ``z0_window``.  A node stops once its step is at most ``2 eps x``
+        (``z0 == z`` at ``tau = 0``) or it did not move; one still moving
+        after ``_NEWTON_STEPS`` steps raises as well.
         """
         if np.iscomplexobj(z):
             raise TypeError("characteristic inversion takes real z only")
@@ -185,10 +189,12 @@ class CharacteristicSolution:
         live = np.arange(x.size)
         for _ in range(_NEWTON_STEPS):
             xl = x[live]
-            step = (target[live] - self.forward(xl)) / self.slope(xl)
-            x[live] = xl + step
-            # a NaN step keeps its node live, so that it raises below
-            live = live[~(step <= 2.0 * np.finfo(float).eps * xl)]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = (target[live] - self.forward(xl)) / self.slope(xl)
+            # fmax drops a NaN step, so that its node stops where it is
+            x[live] = np.fmin(xl + np.fmax(step, 0.0), self.z0_window)
+            live = live[(step > 2.0 * np.finfo(float).eps * xl)
+                        & (x[live] != xl)]
             if not live.size:
                 break
         else:

@@ -10,12 +10,12 @@ parameter ``z``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .algebra import GrassmannElement, _popcount_table, parity_magnitudes
-from .errors import ParityError
+from .algebra import GrassmannElement, _popcount_table, _require_even
 from .gaussian import AntisymmetricCovariance, gaussian_moment
 
 
@@ -75,36 +75,25 @@ def matrix_norm_1inf(a) -> float:
     return float(np.max(np.sum(np.abs(m), axis=1)))
 
 
-_NORM_TABLE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def _norm_table(n_gen: int) -> tuple[np.ndarray, np.ndarray]:
     """For each generator ``i`` in turn, the subsets containing it (in
     increasing order) and their bins ``i * (n_gen + 1) + |J|``, concatenated:
     one ``bincount`` then sums every per-generator degree in subset order."""
-    tab = _NORM_TABLE.get(n_gen)
-    if tab is None:
-        idx = np.arange(1 << n_gen)
-        pop = _popcount_table(n_gen).astype(np.intp)
-        sel = [idx[(idx >> i) & 1 == 1] for i in range(n_gen)]
-        tab = (np.concatenate(sel),
-               np.concatenate([i * (n_gen + 1) + pop[s] for i, s in enumerate(sel)]))
-        _NORM_TABLE[n_gen] = tab
-    return tab
+    idx = np.arange(1 << n_gen)
+    pop = _popcount_table(n_gen).astype(np.intp)
+    sel = [idx[(idx >> i) & 1 == 1] for i in range(n_gen)]
+    return (np.concatenate(sel),
+            np.concatenate([i * (n_gen + 1) + pop[s] for i, s in enumerate(sel)]))
 
 
-def norm_coefficients(f: GrassmannElement, atol: float = 1e-12) -> NormSeries:
+def norm_coefficients(f: GrassmannElement) -> NormSeries:
     """Degree-resolved seminorm coefficients of an even element.
 
-    The constant part is ignored.  Significant odd-degree content (above
-    ``atol`` relative to the largest coefficient) raises ``ParityError``.
+    The constant part is ignored.  Odd content that ``_require_even``
+    refuses raises ``ParityError``.
     """
-    even_mag, odd_mag = parity_magnitudes(f)
-    scale = max(1.0, even_mag, odd_mag)
-    if odd_mag > atol * scale:
-        raise ParityError(
-            f"element has odd-degree content {odd_mag:.3e} (threshold "
-            f"{atol * scale:.3e})")
+    _require_even(f, "norm_coefficients")
     n_gen = f.gens.count
     n = f.gens.pairs
     subsets, bins = _norm_table(n_gen)

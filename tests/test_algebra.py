@@ -162,35 +162,38 @@ def _pair_table_by_enumeration(n_gen, pj, pk):
     return js, ks, sgn, unions, starts
 
 
+@pytest.fixture
+def fresh_pair_tables():
+    """Empty the pair-table cache before and after the test: a table cut at
+    another chunk size must not outlive it."""
+    _pair_table.cache_clear()
+    yield
+    _pair_table.cache_clear()
+
+
 @pytest.mark.parametrize("n_gen", [2, 4, 6, 8])
-def test_pair_table_matches_enumeration(n_gen, monkeypatch):
-    # at the default chunk size, and at one that cuts the larger tables
+def test_pair_table_matches_enumeration(n_gen, monkeypatch, fresh_pair_tables):
+    # at the default chunk size, and at one that cuts the larger blocks
+    total = 0
     for chunk_size in (algebra._WEDGE_CHUNK, 64):
         monkeypatch.setattr(algebra, "_WEDGE_CHUNK", chunk_size)
-        monkeypatch.setattr(algebra, "_PAIR_TABLE", {})
-        # the even x even block alone, then all four back to back
-        for blocks in (1, 4):
-            (j, k, sgn, unions, starts, pair_off, seg_off, cut_p,
-             cut_s) = _pair_table(n_gen, blocks)
-            assert len(pair_off) == len(seg_off) == blocks + 1
-            assert pair_off[0] == seg_off[0] == 0
-            assert pair_off[-1] == len(j) == len(k) == len(sgn)
-            assert seg_off[-1] == len(unions) == len(starts)
-            for b in range(blocks):
-                p0, p1 = pair_off[b], pair_off[b + 1]
-                s0, s1 = seg_off[b], seg_off[b + 1]
-                block = (j[p0:p1], k[p0:p1], sgn[p0:p1], unions[s0:s1],
-                         starts[s0:s1] - p0)
-                want = _pair_table_by_enumeration(n_gen, b // 2, b % 2)
-                for got, ref in zip(block, want):
-                    assert np.array_equal(got, np.asarray(ref))
-            # chunks: whole segments, within the size unless one segment
-            assert cut_s[0] == 0 and cut_s[-1] == len(starts)
-            assert cut_p == np.append(starts, len(j))[cut_s].tolist()
-            for c in range(len(cut_s) - 1):
-                assert cut_s[c] < cut_s[c + 1]
-                assert cut_p[c + 1] - cut_p[c] <= chunk_size or cut_s[c + 1] == cut_s[c] + 1
-    assert len(j) == 3 ** n_gen
+        _pair_table.cache_clear()
+        for b in range(4):
+            chunks = _pair_table(n_gen, b)
+            j, k, sgn, unions = (np.concatenate([c[i] for c in chunks])
+                                 for i in range(4))
+            sizes = [len(c[0]) for c in chunks]
+            starts = np.concatenate([c[4] + p0 for c, p0 in zip(
+                chunks, np.cumsum([0] + sizes[:-1]))])
+            want = _pair_table_by_enumeration(n_gen, b // 2, b % 2)
+            for got, ref in zip((j, k, sgn, unions, starts), want):
+                assert np.array_equal(got, np.asarray(ref))
+            # chunks: whole unions, within the size unless one union
+            for c, size in zip(chunks, sizes):
+                assert c[4][0] == 0 and len(c[3]) == len(c[4])
+                assert size <= chunk_size or len(c[3]) == 1
+            total += len(j)
+    assert total == 2 * 3 ** n_gen
 
 
 def parity_operand(rng, gens, parity, terms=60):
@@ -213,18 +216,34 @@ def parity_operand(rng, gens, parity, terms=60):
 @pytest.mark.parametrize("parities", [("even", "even"), ("even", "odd"),
                                       ("odd", "even"), ("odd", "odd"),
                                       ("mixed", "mixed"), ("mixed", "even")])
-def test_chunked_product_matches_one_pass(rng, parities, monkeypatch):
-    # chunks clipped to the blocks a product reads sum every union exactly
-    # as one pass over those blocks does
+def test_chunked_product_matches_one_pass(rng, parities, monkeypatch,
+                                          fresh_pair_tables):
+    # chunks of at most 64 pairs sum every union exactly as one pass over
+    # each block does
     g = GeneratorSet(8)
     a, b = (parity_operand(rng, g, p) for p in parities)
     results = []
     for chunk_size in (3 ** 8, 64):
         monkeypatch.setattr(algebra, "_WEDGE_CHUNK", chunk_size)
-        monkeypatch.setattr(algebra, "_PAIR_TABLE", {})
+        _pair_table.cache_clear()
         results.append(wedge(a, b).coeffs)
     assert np.array_equal(results[0], results[1])
     assert np.any(results[0] != 0.0)
+
+
+def test_odd_product_builds_only_its_block(rng, fresh_pair_tables):
+    # a product of two odd parts (as the split above the leaf makes them)
+    # reads block 3 alone, and no other block's table is built for it
+    g = GeneratorSet(6)
+    a, b = (parity_operand(rng, g, "odd") for _ in range(2))
+    got = algebra._wedge_blocks(a.coeffs, b.coeffs, 6, (1,), (1,))
+    info = _pair_table.cache_info()
+    assert info.currsize == 1
+    _pair_table(6, 3)
+    assert _pair_table.cache_info().misses == info.misses
+    # the blocks that wedge adds for both parts hold only zeros here
+    assert np.array_equal(got, wedge(a, b).coeffs)
+    assert np.any(got != 0.0)
 
 
 @pytest.mark.parametrize("n_gen", [4, 8, 12, 14])

@@ -28,6 +28,20 @@ def test_odd_generators_flag_exits_4(capsys):
     assert "generators must be even" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["flow", "--bogus"], ["nosuch"], [],
+                                  ["verify", "--seed", "abc"]],
+                         ids=["unknown-flag", "unknown-command", "no-command",
+                              "bad-seed"])
+def test_usage_error_exits_4(capsys, argv):
+    assert main(argv) == 4
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["flow", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
+
+
 def test_psi4_rerun_is_byte_identical(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sites = 3  # comment\ntMax = 1.5\n")

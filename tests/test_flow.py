@@ -162,9 +162,8 @@ def test_rhs_table_unions_own_one_segment_per_block(n_gen):
     assert even
     assert np.array_equal(index, np.flatnonzero(pop % 2 == 0))
     assert np.array_equal(index >> 1, np.arange(len(index)))
-    pairs = _pair_table(n_gen, 1)
-    seg_off = pairs[6]
-    assert np.array_equal(pairs[3][:seg_off[1]], index)
+    unions = np.concatenate([chunk[3] for chunk in _pair_table(n_gen, 0)])
+    assert np.array_equal(unions, index)
     assert sum(len(chunk[3]) for chunk in chunks) == len(index)
     assert (len(chunks) > 1) == (n_gen == 12)
     # all masks: the products go through _wedge_blocks

@@ -357,6 +357,25 @@ class TestCharacteristicInversion:
             with pytest.raises(CharacteristicCrossingError):
                 char.invert(char.z_window)
 
+    def test_last_float_below_the_window_stays_inside_the_fold(self, rng):
+        # z_window is forward(z0_window) rounded, and the fold is a double
+        # root, so a free Newton step there can land past z0_window: an
+        # unclamped iteration ended past it on this characteristic and on
+        # 33 of the 600 random ones
+        eps = np.finfo(float).eps
+        chars = [CharacteristicSolution.logarithmic(
+            lam=1.358286645890059, tau=0.46878139744642633)]
+        chars += [random_characteristic(rng, kind)
+                  for _ in range(300) for kind in ("quartic", "logarithmic")]
+        for char in chars:
+            z = np.nextafter(char.z_window, 0.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                z0 = char.invert(z)
+                assert char.invert(-z) == -z0
+            assert 0.0 < z0 <= char.z0_window, (char, z0)
+            assert abs(char.forward(z0) - z) <= 4 * eps * z0, char
+
 
 class TestArrayInversion:
     def test_scalar_inputs_keep_scalar_types(self):

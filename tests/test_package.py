@@ -58,3 +58,17 @@ def test_tracer_targets_resolve():
         if not found:
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_sweep_cases_run():
+    # bench/sweep.py builds its kernels through the public constructors and
+    # calls them by name; a break there must not wait for the benchmark's
+    # own, slower tests
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, 'bench'); "
+            "import numpy as np, sweep; "
+            "cases = sweep.cases(4, np.random.Generator(np.random.Philox(4))); "
+            "[call() for call in cases.values()]; "
+            "print(' '.join(sorted(cases)))")
+    names = run_fresh(code, cwd=root).split()
+    assert {"wedge", "rg_map", "flow_rk4_step"} <= set(names)
