@@ -19,15 +19,19 @@ Sign conventions
 
 Parity blocks
 -------------
-The disjoint pairs ``(J, K)`` of a product fall into four parity blocks by
-``(|J| mod 2, |K| mod 2)``.  Each block has its own cached table, cut into
-chunks of whole unions ``J | K``.  A product reads only the blocks whose
-operand parts are nonzero, in ascending block order, so even x even (the
-effective action and its flow) reads a quarter of the pairs; the flow's
-right-hand side reads the same chunks of the even x even block.  Which parts
-are nonzero is found from exact zeros only: an operand whose odd-degree
-coefficients are all exactly zero is even, and any other operand counts as
-having both parts.  A tolerance would silently drop small odd terms.
+The masks of one degree parity, in ascending order, are
+``_parity_index(n_gen, p)``; of ``2r`` and ``2r + 1`` exactly one has each
+parity, so a mask's rank among them is ``mask >> 1``, and the kernel tables
+are written in these ranks.  The disjoint pairs ``(J, K)`` of a product fall
+into four parity blocks by ``(|J| mod 2, |K| mod 2)``, each with its own
+cached table of ranks, cut into chunks of whole unions ``J | K``.  A product
+gathers each operand's nonzero parity parts once and reads only their
+blocks, so even x even (the effective action and its flow) reads a quarter
+of the pairs; the flow, which carries the even coefficients in rank order,
+reads that block's chunks as they are.  Which parts are nonzero is found
+from exact zeros only: an operand whose odd-degree coefficients are all
+exactly zero is even, and any other counts as having both parts.  A
+tolerance would silently drop small odd terms.
 
 Elements are immutable after construction; all operations are pure functions
 and safe for concurrent use.
@@ -49,8 +53,8 @@ MAX_GENERATORS = 16
 
 # Largest generator count that ``wedge`` multiplies through the disjoint-pair
 # tables; larger products split off their top generator until they reach it.
-# A parity block holds about 3**n_gen / 4 pairs at 24 bytes of indices and
-# signs each: 3.2 MB at 12 generators, 29 MB at 14.  Its sort key, the union
+# A parity block holds about 3**n_gen / 4 pairs at 32 bytes of indices and
+# complex signs each: 4.3 MB at 12 generators, 38 MB at 14.  Its sort key, the union
 # J | K, fits the uint16 radix sort up to 16 generators, so memory alone sets
 # the leaf.
 _WEDGE_LEAF = 12
@@ -108,14 +112,21 @@ def merge_sign(j: int, k: int) -> int:
 
 
 @functools.cache
-def _odd_index(n_gen: int) -> np.ndarray:
-    """Indices of the odd-degree coefficients."""
-    return np.flatnonzero(_popcount_table(n_gen) & 1)
+def _parity_index(n_gen: int, parity: int) -> np.ndarray:
+    """The masks of degree parity ``parity``, ascending (rank ``mask >> 1``)."""
+    return np.flatnonzero((_popcount_table(n_gen) & 1) == parity)
+
+
+@functools.cache
+def _index_set(n_gen: int, even: bool) -> np.ndarray:
+    """The index set of the flow and the Laplacian table: the even masks
+    with ``even`` (rank ``mask >> 1``), otherwise all (rank = mask)."""
+    return _parity_index(n_gen, 0) if even else np.arange(1 << n_gen)
 
 
 def _is_exactly_even(coeffs: np.ndarray) -> bool:
     """Whether every odd-degree coefficient of a raw array is exactly zero."""
-    return not coeffs.take(_odd_index(coeffs.size.bit_length() - 1)).any()
+    return not coeffs.take(_parity_index(coeffs.size.bit_length() - 1, 1)).any()
 
 
 def _zero_below_degree(coeffs: np.ndarray, n_gen: int, d: int) -> None:
@@ -133,9 +144,10 @@ def _pair_table(n_gen: int, block: int) -> tuple[tuple[np.ndarray, ...], ...]:
     together hold all 3**n_gen disjoint pairs.  The pairs come in ascending
     order of the union ``U = J | K``, descending ``J`` within one union.  A
     chunk holds whole unions, at most ``_WEDGE_CHUNK`` pairs unless one
-    union has more: its pairs ``j``, ``k`` and signs ``sgn``, its unions in
-    ascending order, and the start ``seg`` of each union's pairs within the
-    chunk, so ``np.add.reduceat(..., seg)`` sums a product per union.
+    union has more: the ranks ``j`` and ``k`` of ``J`` and ``K`` within
+    their parities, the merge signs ``sgn`` (complex, which multiply faster),
+    the unions as masks, ascending, and the start ``seg`` of each union's
+    pairs, so ``np.add.reduceat(..., seg)`` sums a product per union.
     """
     # each generator, lowest first, goes into J, into K or into neither;
     # its J branch comes first, so after a stable sort by union, J descends
@@ -153,7 +165,9 @@ def _pair_table(n_gen: int, block: int) -> tuple[tuple[np.ndarray, ...], ...]:
     union = union[order].astype(np.intp)
     j = j[keep[order]].astype(np.intp)
     k = k[keep[order]].astype(np.intp)
-    sgn = _merge_sign_array(j, k, n_gen)
+    sgn = _merge_sign_array(j, k, n_gen).astype(np.complex128)
+    j >>= 1
+    k >>= 1
     starts = np.flatnonzero(np.diff(union, prepend=-1))
     ends = np.append(starts[1:], len(j))
     chunks = []
@@ -317,9 +331,6 @@ class GrassmannElement:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
 
-    def is_even(self, tol: float = 0.0) -> bool:
-        return parity_magnitudes(self)[1] <= tol
-
     def degrees(self) -> np.ndarray:
         """Monomial degree |J| for every stored index."""
         return _popcount_table(self.gens.count).copy()
@@ -405,11 +416,13 @@ def _wedge_blocks(f: np.ndarray, g: np.ndarray, n_gen: int,
     (``g``)."""
     if n_gen <= _WEDGE_LEAF:
         out = np.zeros(1 << n_gen, dtype=np.complex128)
+        g_of = {pk: g.take(_parity_index(n_gen, pk)) for pk in g_parts}
         for pj in f_parts:
+            fp = f.take(_parity_index(n_gen, pj))
             for pk in g_parts:
                 for j, k, sgn, unions, seg in _pair_table(n_gen, 2 * pj + pk):
-                    terms = f.take(j)
-                    terms *= g.take(k)
+                    terms = fp.take(j)
+                    terms *= g_of[pk].take(k)
                     terms *= sgn
                     # a union owns one chunk segment per block, added in
                     # ascending block order
@@ -565,10 +578,9 @@ def log_of(f: GrassmannElement) -> GrassmannElement:
 
 def parity_magnitudes(f: GrassmannElement) -> tuple[float, float]:
     """Largest absolute coefficient of even degree and of odd degree."""
-    odd = (_popcount_table(f.gens.count) & 1).astype(bool)
     absv = np.abs(f.coeffs)
-    return (float(absv[~odd].max(initial=0.0)),
-            float(absv[odd].max(initial=0.0)))
+    return tuple(float(absv.take(_parity_index(f.gens.count, p)).max(initial=0.0))
+                 for p in (0, 1))
 
 
 def _require_even(f: GrassmannElement, who: str) -> None:
@@ -581,13 +593,11 @@ def _require_even(f: GrassmannElement, who: str) -> None:
 
 def parity_split(f: GrassmannElement) -> tuple[GrassmannElement, GrassmannElement]:
     """Decompose ``f`` into its even-degree and odd-degree parts."""
-    pop = _popcount_table(f.gens.count)
-    odd = (pop & 1).astype(bool)
-    even_c = f.coeffs.copy()
-    odd_c = f.coeffs.copy()
-    even_c[odd] = 0.0
-    odd_c[~odd] = 0.0
-    return GrassmannElement(f.gens, even_c), GrassmannElement(f.gens, odd_c)
+    even, odd = (np.zeros(f.gens.dim, dtype=np.complex128) for _ in range(2))
+    for part, p in ((even, 0), (odd, 1)):
+        index = _parity_index(f.gens.count, p)
+        part[index] = f.coeffs.take(index)
+    return GrassmannElement._adopt(f.gens, even), GrassmannElement._adopt(f.gens, odd)
 
 
 def project_degree_ge(f: GrassmannElement, d: int) -> GrassmannElement:

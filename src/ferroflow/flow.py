@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .algebra import (
     _PARITY_ATOL,
     _WEDGE_LEAF,
     GrassmannElement,
+    _index_set,
     _is_exactly_even,
     _pair_table,
     _popcount_table,
@@ -36,14 +37,9 @@ from .algebra import (
     _wedge_blocks,
     exp_of,
     log_of,
-    parity_magnitudes,
 )
 from .errors import IntegrationError, LogDomainError
-from .gaussian import (
-    _check_dimension,
-    _laplacian_table,
-    _laplacian_weights,
-)
+from .gaussian import _check_dimension, _laplacian_coeffs, _laplacian_weights
 from .norms import NormSeries, norm_coefficients
 from .schedule import ScaleSchedule
 
@@ -80,13 +76,6 @@ class FlowTrajectory:
     def norms(self) -> tuple[NormSeries, ...]:
         """Seminorm coefficients of every state, in grid order."""
         return tuple(norm_coefficients(state) for state in self.states)
-
-    def max_odd_content(self) -> float:
-        worst = 0.0
-        for state in self.states:
-            _, odd = parity_magnitudes(state)
-            worst = max(worst, odd)
-        return worst
 
 
 def rg_map(a, f: GrassmannElement) -> GrassmannElement:
@@ -128,63 +117,28 @@ def effective_action_exact(schedule: ScaleSchedule, f0: GrassmannElement,
     return out
 
 
-@cache
-def _rhs_table(n_gen: int, even: bool):
-    """Index tables of the flow's right-hand side over the index set ``S``:
-    the even masks with ``even``, otherwise all of them.
+def _flow_rhs(weights: np.ndarray, y: np.ndarray, n_gen: int, even: bool,
+              low: np.ndarray | None) -> tuple[np.ndarray, complex]:
+    """Flow right-hand side on coefficients ``y`` over the index set ``S =
+    _index_set(n_gen, even)``, for a rate with Laplacian weights ``weights
+    = _laplacian_weights(rate, n_gen, even)``; returns (dF, dlog_norm), dF
+    over ``S`` with the entries that ``low`` marks, if given, zeroed.
 
-    The rank of a mask is its position in ``S``: ``mask >> 1`` for the even
-    masks (of ``2r`` and ``2r + 1`` exactly one is even), the mask itself
-    otherwise.  Returns ``(index, low, src, targets, starts, chunks, n_gen,
-    even)``.  ``index`` lists ``S`` in ascending order and ``low`` marks its
-    masks of degree below 4.  ``src``, ``targets`` and ``starts`` are the
-    Laplacian gather table in ranks, its even-target part with ``even``,
-    entry by entry as ``_laplacian_weights(a, n_gen, even)``.  With
-    ``even`` and up to ``_WEDGE_LEAF`` generators, ``chunks`` are the
-    chunks of ``_pair_table(n_gen, 0)``, the even x even block, as ``(j, k,
-    sgn, seg)``: the ranks of ``J`` and ``K``, the signs (complex, which
-    multiply faster) and the union starts within the chunk.  The block's
-    unions are exactly the masks of ``S``, in rank order, so the chunks'
-    union sums, concatenated, are the product over ``S``.  Otherwise
-    ``chunks`` is ``None`` and products go through ``_wedge_blocks``.
-    """
-    shift = 1 if even else 0
-    pop = _popcount_table(n_gen)
-    index = (np.flatnonzero((pop & 1) == 0) if even
-             else np.arange(1 << n_gen))
-    _, _, src, _, targets, starts, even_targets, even_entries = \
-        _laplacian_table(n_gen)
-    if even:
-        src = src[:even_entries]
-        targets, starts = targets[:even_targets], starts[:even_targets]
-    chunks = None
-    if even and n_gen <= _WEDGE_LEAF:
-        chunks = [(j >> 1, k >> 1, sgn.astype(np.complex128), seg)
-                  for j, k, sgn, _, seg in _pair_table(n_gen, 0)]
-    return (index, pop[index] < 4, src >> shift, targets >> shift, starts,
-            chunks, n_gen, even)
-
-
-def _flow_rhs(weights: np.ndarray, y: np.ndarray, tab,
-              truncate_ge2: bool) -> tuple[np.ndarray, complex]:
-    """Flow right-hand side on the coefficients ``y`` over the index set of
-    ``tab = _rhs_table(n_gen, even)``, for a rate with Laplacian weights
-    ``weights = _laplacian_weights(rate, n_gen, even)``; returns
-    (dF, dlog_norm) with dF over the same index set.
-
-    The bilinear term takes two Laplacian gathers and the products
-    ``F ^ F`` and ``F ^ Delta F``, which share one gather of ``F[J] * sgn``.
+    The bilinear term takes two Laplacians and the products ``F ^ F`` and
+    ``F ^ Delta F``.  For even ``F`` up to ``_WEDGE_LEAF`` generators these
+    walk the chunks of the even x even ``_pair_table(n_gen, 0)`` as they
+    are: its pairs are ranks in ``S`` and its unions are ``S`` in rank
+    order, so the union sums, concatenated, are the product over ``S``.
     Every sum runs over the same terms in the same order as the public
     ``wedge`` and ``laplacian`` on the full coefficient vector, so dF is
     bitwise the one of that product rule."""
-    index, low, src, targets, starts, chunks, n_gen, even = tab
     # product rule for even F, with Delta = laplacian(rate, .):
     #   sum_ij rate_ij d_iF ^ d_jF = -(1/2) [Delta(F ^ F) - 2 F ^ Delta F]
-    lap = np.zeros(y.size, dtype=np.complex128)
-    lap[targets] = np.add.reduceat(weights * y.take(src), starts)
-    if chunks is None:
+    lap = _laplacian_coeffs(weights, y, n_gen, even)
+    if not even or n_gen > _WEDGE_LEAF:
         # with odd content, or above the pair table's leaf, the products
         # go through _wedge_blocks on full vectors
+        index = _index_set(n_gen, even)
         full = np.zeros(1 << n_gen, dtype=np.complex128)
         full[index] = y
         full_lap = np.zeros(1 << n_gen, dtype=np.complex128)
@@ -193,8 +147,9 @@ def _flow_rhs(weights: np.ndarray, y: np.ndarray, tab,
         square = _wedge_blocks(full, full, n_gen, parts, parts)[index]
         cross = _wedge_blocks(full, full_lap, n_gen, parts, parts)[index]
     else:
+        chunks = _pair_table(n_gen, 0)
         square, cross = [], []
-        for j, k, sgn, seg in chunks:
+        for j, k, sgn, _, seg in chunks:
             # F ^ F and F ^ Delta F share the left factor F[J] * sgn; it
             # stays the first operand, because numpy rounds the imaginary
             # part of a complex product by operand order
@@ -208,13 +163,12 @@ def _flow_rhs(weights: np.ndarray, y: np.ndarray, tab,
                 np.multiply(left, terms, out=terms), seg))
         square = square[0] if len(chunks) == 1 else np.concatenate(square)
         cross = cross[0] if len(chunks) == 1 else np.concatenate(cross)
-    lap_square = np.zeros(y.size, dtype=np.complex128)
-    lap_square[targets] = np.add.reduceat(weights * square.take(src), starts)
+    lap_square = _laplacian_coeffs(weights, square, n_gen, even)
     bil = -0.5 * (lap_square - 2.0 * cross)
     dlog = 0.5 * lap[0]
     out = 0.5 * lap + (0.5 * _BILINEAR_SIGN) * bil
     out[0] = 0.0  # normalization: the scalar part stays exactly zero
-    if truncate_ge2:
+    if low is not None:
         out[low] = 0.0
     return out, complex(dlog)
 
@@ -294,8 +248,8 @@ def _integrate_on(schedule: ScaleSchedule, f0: GrassmannElement,
     # found from exact zeros, not from _require_even's tolerance; RK4 keeps
     # exact zeros exactly zero, so one inspection holds for every state
     even = _is_exactly_even(y0)
-    tab = _rhs_table(n_gen, even)
-    index = tab[0]
+    index = _index_set(n_gen, even)
+    low = _popcount_table(n_gen)[index] < 4 if truncate_ge2 else None
     y = y0[index]
     states = [GrassmannElement._adopt(gens, y0)]
     log_norm = [0.0 + 0.0j]
@@ -311,10 +265,10 @@ def _integrate_on(schedule: ScaleSchedule, f0: GrassmannElement,
         w1 = w4  # the rate at the end of the previous step
         w2 = _laplacian_weights(schedule.adot(t0 + 0.5 * h), n_gen, even)
         w4 = _laplacian_weights(schedule.adot(t1), n_gen, even)
-        k1, c1 = _flow_rhs(w1, y, tab, truncate_ge2)
-        k2, c2 = _flow_rhs(w2, y + 0.5 * h * k1, tab, truncate_ge2)
-        k3, c3 = _flow_rhs(w2, y + 0.5 * h * k2, tab, truncate_ge2)
-        k4, c4 = _flow_rhs(w4, y + h * k3, tab, truncate_ge2)
+        k1, c1 = _flow_rhs(w1, y, n_gen, even, low)
+        k2, c2 = _flow_rhs(w2, y + 0.5 * h * k1, n_gen, even, low)
+        k3, c3 = _flow_rhs(w2, y + 0.5 * h * k2, n_gen, even, low)
+        k4, c4 = _flow_rhs(w4, y + h * k3, n_gen, even, low)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y[0] = 0.0
         c = c + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)

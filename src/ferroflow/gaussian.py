@@ -19,7 +19,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import GrassmannElement, _is_exactly_even, _popcount_table
+from .algebra import (
+    GrassmannElement,
+    _index_set,
+    _is_exactly_even,
+    _parity_index,
+    _popcount_table,
+)
 from .errors import DimensionMismatchError, GramSplitError
 
 # Global Laplacian sign relative to sum_{ij} A_ij d_i d_j with left
@@ -28,29 +34,25 @@ _LAPLACIAN_SIGN = -1.0
 
 
 @functools.cache
-def _laplacian_table(n_gen: int):
-    """Gather table of ``d_i d_j`` over the generator pairs ``i < j``.
+def _laplacian_table(n_gen: int, even: bool):
+    """Gather table of ``d_i d_j`` over the generator pairs ``i < j``, on
+    the index set ``_index_set(n_gen, even)`` and in its ranks.
 
-    Returns ``(rows, cols, src, pair, targets, starts, even_targets,
-    even_entries)``.  Pair ``p`` is ``(rows[p], cols[p])``.  Entry ``e``
-    maps the coefficient of ``psi_{src[e]}`` to the target
-    ``v = src[e] & ~(bit_i | bit_j)``;
-    ``pair[e]`` is ``p`` where ``d_i d_j`` keeps the sign of that monomial
-    and ``p + len(rows)`` where it flips it.  Entries are sorted by target
-    parity, even first, then by target, and ``targets[t]`` owns the entries
-    from ``starts[t]`` on; the first ``even_targets`` targets are the even
-    ones, which own the first ``even_entries`` entries, all with even
-    sources.  Targets of degree above ``n_gen - 2`` have no entries.
-    ``_laplacian_weights`` reads ``rows``, ``cols`` and ``pair`` once per
-    covariance, and ``_laplacian_coeffs`` the gather once per element.
+    Returns ``(rows, cols, src, pair, targets, starts)``.  Pair ``p`` is
+    ``(rows[p], cols[p])``.  Entry ``e`` maps the coefficient of the source
+    of rank ``src[e]`` to the target ``source & ~(bit_i | bit_j)``, where
+    ``d_i d_j`` keeps the sign of the monomial if ``pair[e]`` is ``p`` and
+    flips it if ``pair[e]`` is ``p + len(rows)``.  Entries are sorted by
+    target, and the target of rank ``targets[t]`` owns the entries from
+    ``starts[t]`` on; targets of degree above ``n_gen - 2`` own none.
     """
     rows, cols = np.triu_indices(n_gen, 1)
-    idx = np.arange(1 << n_gen, dtype=np.intp)
+    index = _index_set(n_gen, even)
     pop = _popcount_table(n_gen)
     dst_parts, src_parts, pair_parts = [], [], []
     for p, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
         both = (1 << i) | (1 << j)
-        dst = idx[(idx & both) == 0]
+        dst = index[(index & both) == 0]
         src = dst | both
         # d_j first, then d_i (i < j): each removes its generator with
         # the parity of the source bits below it
@@ -58,47 +60,34 @@ def _laplacian_table(n_gen: int):
         dst_parts.append(dst)
         src_parts.append(src)
         pair_parts.append(p + rows.size * odd.astype(np.intp))
-    # sort key: the target, with its parity as the bit above it
-    key = np.concatenate(dst_parts)
-    key[pop[key] & 1 == 1] |= 1 << n_gen
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    targets = key[starts]
-    even_targets = int(np.searchsorted(targets, 1 << n_gen))
-    even_entries = int(np.searchsorted(key, 1 << n_gen))
-    return (rows, cols, np.concatenate(src_parts)[order],
-            np.concatenate(pair_parts)[order], targets & ((1 << n_gen) - 1),
-            starts, even_targets, even_entries)
+    dst = np.concatenate(dst_parts)
+    order = np.argsort(dst, kind="stable")
+    dst = dst[order]
+    starts = np.flatnonzero(np.diff(dst, prepend=-1))
+    shift = 1 if even else 0
+    return (rows, cols, np.concatenate(src_parts)[order] >> shift,
+            np.concatenate(pair_parts)[order], dst[starts] >> shift, starts)
 
 
 def _laplacian_weights(a, n_gen: int, even: bool) -> np.ndarray:
-    """Weight of every entry of the Laplacian gather table for covariance
-    ``a``, the even-target entries only with ``even``: ``_LAPLACIAN_SIGN *
-    (m - m.T)[i, j]`` for the entry's pair ``(i, j)``, negated where
-    ``d_i d_j`` flips the sign of the monomial.  A caller that applies one
-    covariance many times computes them once."""
-    rows, cols, _, pair, _, _, _, even_entries = _laplacian_table(n_gen)
+    """Weight of every entry of ``_laplacian_table(n_gen, even)`` for
+    covariance ``a``: ``_LAPLACIAN_SIGN * (m - m.T)[i, j]`` for the entry's
+    pair, negated where ``d_i d_j`` flips the sign.  A caller that applies
+    one covariance many times computes them once."""
+    rows, cols, _, pair, _, _ = _laplacian_table(n_gen, even)
     # sum_ij m_ij d_i d_j keeps only the antisymmetric part of m
     m = _as_matrix(a)
     weight = _LAPLACIAN_SIGN * (m - m.T)[rows, cols]
-    weight = np.concatenate((weight, -weight))
-    return weight[pair[:even_entries] if even else pair]
+    return np.concatenate((weight, -weight))[pair]
 
 
-def _laplacian_coeffs(weights: np.ndarray, coeffs: np.ndarray, n_gen: int,
+def _laplacian_coeffs(weights: np.ndarray, y: np.ndarray, n_gen: int,
                       even: bool) -> np.ndarray:
-    """``laplacian`` on a raw coefficient array, with the entry weights of
-    ``_laplacian_weights(a, n_gen, even)``; with ``even`` every odd-degree
-    coefficient must be exactly zero, and only the even-target entries are
-    gathered."""
-    _, _, src, _, targets, starts, even_targets, even_entries = \
-        _laplacian_table(n_gen)
-    if even:
-        src = src[:even_entries]
-        targets, starts = targets[:even_targets], starts[:even_targets]
-    out = np.zeros(1 << n_gen, dtype=np.complex128)
-    out[targets] = np.add.reduceat(weights * coeffs[src], starts)
+    """``laplacian`` on coefficients ``y`` over ``_index_set(n_gen, even)``,
+    with ``weights = _laplacian_weights(a, n_gen, even)``, as such a vector."""
+    _, _, src, _, targets, starts = _laplacian_table(n_gen, even)
+    out = np.zeros(y.size, dtype=np.complex128)
+    out[targets] = np.add.reduceat(weights * y.take(src), starts)
     return out
 
 
@@ -263,12 +252,10 @@ def gaussian_expectation(a, f: GrassmannElement) -> complex:
     """Gaussian expectation of ``f``: the moment sum over its coefficients."""
     m = _as_matrix(a)
     _check_dimension(m, f)
-    pop = _popcount_table(f.gens.count)
+    even = _parity_index(f.gens.count, 0)
     total = 0.0 + 0.0j
-    for mask in f.nonzero_masks():
-        if pop[mask] & 1:
-            continue
-        total += f.coeffs[mask] * gaussian_moment(m, int(mask))
+    for mask in even[np.flatnonzero(f.coeffs.take(even))].tolist():
+        total += f.coeffs[mask] * gaussian_moment(m, mask)
     return complex(total)
 
 
@@ -277,15 +264,18 @@ def laplacian(a, f: GrassmannElement) -> GrassmannElement:
 
     Each output monomial drops in degree by exactly two; the global sign is
     the one that makes the heat-kernel convolution consistent with Gaussian
-    moments.  An ``f`` whose odd coefficients are all exactly zero reads only
-    the even half of the gather table.
+    moments.  An ``f`` whose odd coefficients are all exactly zero is
+    gathered and transformed on its even coefficients only.
     """
     m = _as_matrix(a)
     _check_dimension(m, f)
     n_gen = f.gens.count
     even = _is_exactly_even(f.coeffs)
-    return GrassmannElement._adopt(f.gens, _laplacian_coeffs(
-        _laplacian_weights(m, n_gen, even), f.coeffs, n_gen, even))
+    index = _index_set(n_gen, even)
+    out = np.zeros(f.gens.dim, dtype=np.complex128)
+    out[index] = _laplacian_coeffs(_laplacian_weights(m, n_gen, even),
+                                   f.coeffs.take(index), n_gen, even)
+    return GrassmannElement._adopt(f.gens, out)
 
 
 def heat_kernel_convolve(a, f: GrassmannElement) -> GrassmannElement:
@@ -293,22 +283,27 @@ def heat_kernel_convolve(a, f: GrassmannElement) -> GrassmannElement:
     ``sum_k (Delta_A/2)^k f / k!``.
 
     Its scalar part equals ``gaussian_expectation(a, f)``.  The Laplacian
-    weights of ``a`` are computed once for the whole series.
+    weights of ``a`` are computed once for the whole series, and the series
+    runs on the even coefficients only when every odd one of ``f`` is
+    exactly zero (the Laplacian keeps parity).
     """
     m = _as_matrix(a)
     _check_dimension(m, f)
     n_gen = f.gens.count
-    even = _is_exactly_even(f.coeffs)  # the Laplacian keeps parity
+    even = _is_exactly_even(f.coeffs)
+    index = _index_set(n_gen, even)
     weights = _laplacian_weights(m, n_gen, even)
-    acc = f.coeffs.copy()
-    term = f.coeffs
+    term = f.coeffs.take(index)
+    acc = term.copy()
     for k in range(1, n_gen // 2 + 2):
         term = _laplacian_coeffs(weights, term, n_gen, even)
         if not term.any():
             break
         term *= 0.5 / k
         acc += term
-    return GrassmannElement._adopt(f.gens, acc)
+    out = np.zeros(f.gens.dim, dtype=np.complex128)
+    out[index] = acc
+    return GrassmannElement._adopt(f.gens, out)
 
 
 def covariance_split_check(a, b, f: GrassmannElement) -> float:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .algebra import GeneratorSet, GrassmannElement, _popcount_table
+from .algebra import GeneratorSet, GrassmannElement, _parity_index
 from .schedule import ScaleSchedule
 
 
@@ -32,7 +32,7 @@ def rand_even_normalized(rng, gens: GeneratorSet, scale: float,
     """Random even element with zero scalar part (real by default: the RG
     map logs the convolved scalar)."""
     c = rand_element(rng, gens, scale, complex_coeffs).coeffs.copy()
-    c[(_popcount_table(gens.count) & 1).astype(bool)] = 0.0
+    c[_parity_index(gens.count, 1)] = 0.0
     c[0] = 0.0
     return GrassmannElement(gens, c)
 

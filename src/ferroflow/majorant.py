@@ -418,13 +418,12 @@ def rhs_coefficient_bound(traj: FlowTrajectory, schedule: ScaleSchedule,
     n = len(series[0])
     f0 = series[0]
     sig0t = schedule.sigma_squared(0.0, float(t))
-    term1 = sum(f0.coeff(m) * math.comb(2 * m, 2 * k) * sig0t ** (m - k)
-                for m in range(k, n + 1))
+    term1 = sum(fm * math.comb(2 * m, 2 * k) * sig0t ** (m - k)
+                for m, fm in enumerate(f0.coefficients[k - 1:], start=k))
     if pos == 0:
         return float(term1)
 
-    fvals = np.array([[series[i].coeff(m) for m in range(1, n + 1)]
-                      for i in range(pos + 1)])
+    fvals = np.array([norm.coefficients for norm in series[:pos + 1]])
     svals = grid[:pos + 1]
     deg = np.arange(1, n + 1)
     gam = np.array([[_gamma_factor(l, m, k, 1.0) for m in deg] for l in deg])

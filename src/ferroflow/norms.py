@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .algebra import GrassmannElement, _popcount_table, _require_even
+from .algebra import GrassmannElement, _parity_index, _popcount_table, _require_even
 from .gaussian import AntisymmetricCovariance, gaussian_moment
 
 
@@ -77,10 +77,12 @@ def matrix_norm_1inf(a) -> float:
 
 @cache
 def _norm_table(n_gen: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each generator ``i`` in turn, the subsets containing it (in
+    """For each generator ``i`` in turn, the even subsets containing it (in
     increasing order) and their bins ``i * (n_gen + 1) + |J|``, concatenated:
-    one ``bincount`` then sums every per-generator degree in subset order."""
-    idx = np.arange(1 << n_gen)
+    one ``bincount`` then sums every per-generator even degree in subset
+    order.  Odd subsets would fill only the bins that ``norm_coefficients``
+    drops."""
+    idx = _parity_index(n_gen, 0)
     pop = _popcount_table(n_gen).astype(np.intp)
     sel = [idx[(idx >> i) & 1 == 1] for i in range(n_gen)]
     return (np.concatenate(sel),

@@ -83,19 +83,14 @@ class Psi4Params:
         return replace(self, sites=tuple(sites))
 
 
-def _chain_multiples(params: Psi4Params) -> np.ndarray | None:
-    """Integer multiples of box/8 along the first axis, if the sites form
-    such a chain (the desk placement); None otherwise."""
+def _is_chain(params: Psi4Params) -> bool:
+    """Whether the sites are integer multiples of box/8 along the first
+    axis (the desk placement)."""
     sites = np.asarray(params.sites, dtype=float)
-    if sites.size == 0:
-        return None
-    if np.any(sites[:, 1:] != 0.0):
-        return None
+    if sites.size == 0 or np.any(sites[:, 1:] != 0.0):
+        return False
     mult = sites[:, 0] * 8.0 / params.box
-    rounded = np.round(mult)
-    if np.max(np.abs(mult - rounded), initial=0.0) > 1e-12:
-        return None
-    return rounded.astype(int)
+    return bool(np.max(np.abs(mult - np.round(mult)), initial=0.0) <= 1e-12)
 
 
 @lru_cache(maxsize=8)
@@ -126,8 +121,7 @@ def _momentum_table(params: Psi4Params):
     counts = np.ones(len(ksq))
     if sites.size == 0:
         return h * h * ksq.astype(float), np.zeros((0, len(ksq))), counts
-    multiples = _chain_multiples(params)
-    if multiples is not None:
+    if _is_chain(params):
         # collapse: the phase depends on k_1 only, the weight on |k|^2 only
         key = kvecs[:, 0] * (np.max(ksq) + 1) + ksq
         _, rep, counts = np.unique(key, return_index=True, return_counts=True)

@@ -6,9 +6,11 @@ import pytest
 from ferroflow.algebra import (
     GeneratorSet,
     GrassmannElement,
+    _index_set,
     _is_exactly_even,
     _pair_table,
     derivative,
+    parity_magnitudes,
     wedge,
 )
 from ferroflow.errors import DimensionMismatchError, LogDomainError, ParityError
@@ -16,7 +18,6 @@ from ferroflow.flow import (
     _BILINEAR_SIGN,
     FlowTrajectory,
     _flow_rhs,
-    _rhs_table,
     effective_action_exact,
     flow_integrate,
     rg_map,
@@ -55,13 +56,13 @@ def flow_rhs_by_generators(rate, coeffs, gens, truncate_ge2):
 
 def flow_rhs_on_full(rate, coeffs, gens, truncate_ge2, even):
     """``_flow_rhs`` on a full coefficient vector: the coefficients are
-    gathered onto the index set of the right-hand side's table and dF is
-    scattered back."""
-    tab = _rhs_table(gens.count, even)
-    index = tab[0]
+    gathered onto the right-hand side's index set and dF is scattered
+    back."""
+    index = _index_set(gens.count, even)
+    low = popcounts(gens.dim, gens.count)[index] < 4 if truncate_ge2 else None
     out = np.zeros(gens.dim, dtype=complex)
     out[index], dlog = _flow_rhs(_laplacian_weights(rate, gens.count, even),
-                                 coeffs[index], tab, truncate_ge2)
+                                 coeffs[index], gens.count, even, low)
     return out, dlog
 
 
@@ -155,21 +156,22 @@ class TestFlowRhs:
 @pytest.mark.parametrize("n_gen", [2, 4, 8, 12])
 def test_rhs_table_unions_own_one_segment_per_block(n_gen):
     # even masks: every mask of S is the union of one segment of the
-    # even x even block, in rank order, so the segment sums are the product
-    # over S; at 12 generators the block is walked in several chunks
+    # even x even block, in rank order, and the pairs are ranks in S, so
+    # the flow reads the block's segment sums as the product over S; at 12
+    # generators the block is walked in several chunks
     pop = popcounts(1 << n_gen, n_gen)
-    index, _, _, _, _, chunks, _, even = _rhs_table(n_gen, True)
-    assert even
+    index = _index_set(n_gen, True)
     assert np.array_equal(index, np.flatnonzero(pop % 2 == 0))
     assert np.array_equal(index >> 1, np.arange(len(index)))
-    unions = np.concatenate([chunk[3] for chunk in _pair_table(n_gen, 0)])
+    chunks = _pair_table(n_gen, 0)
+    unions = np.concatenate([chunk[3] for chunk in chunks])
     assert np.array_equal(unions, index)
-    assert sum(len(chunk[3]) for chunk in chunks) == len(index)
+    for j, k, _, chunk_unions, seg in chunks:
+        owner = np.repeat(chunk_unions, np.diff(np.append(seg, len(j))))
+        assert np.array_equal(index[j] | index[k], owner)
     assert (len(chunks) > 1) == (n_gen == 12)
-    # all masks: the products go through _wedge_blocks
-    index, _, _, _, _, chunks, _, even = _rhs_table(n_gen, False)
-    assert not even and chunks is None
-    assert np.array_equal(index, np.arange(1 << n_gen))
+    # all masks: the rank is the mask
+    assert np.array_equal(_index_set(n_gen, False), np.arange(1 << n_gen))
 
 
 class TestRgMap:
@@ -280,9 +282,8 @@ class TestFlowIntegrate:
         sched = synthetic_schedule(rng, 4)
         f = quartic_bare_action(GeneratorSet(8), 0.04)
         traj = flow_integrate(sched, f, steps=50, t_end=1.0)
-        assert traj.max_odd_content() <= 1e-10 * max(
-            s.max_abs() for s in traj.states)
         for state in traj.states:
+            assert parity_magnitudes(state)[1] == 0.0
             assert state.scalar_part == 0.0
 
     def test_quadratic_terms_generated(self, rng):

@@ -118,10 +118,15 @@ class TestNormCoefficients:
 
     @pytest.mark.parametrize("n_gen", [2, 4, 8, 12])
     def test_matches_per_generator_loop(self, rng, n_gen):
-        f = rand_even_normalized(rng, GeneratorSet(n_gen), 1.0,
-                                 complex_coeffs=True)
-        got = norm_coefficients(f).coefficients
-        assert np.array_equal(got, norm_coefficients_by_generators(f))
+        gens = GeneratorSet(n_gen)
+        f = rand_even_normalized(rng, gens, 1.0, complex_coeffs=True)
+        # the same element plus odd content that the parity check tolerates
+        # (0.5e-12 relative), which the oracle sums into its odd degrees
+        odd = rng.normal(size=gens.dim) * (popcounts(gens.dim, n_gen) % 2)
+        odd *= 0.5e-12 * max(1.0, f.max_abs()) / np.max(np.abs(odd))
+        for element in (f, f + GrassmannElement(gens, odd)):
+            got = norm_coefficients(element).coefficients
+            assert np.array_equal(got, norm_coefficients_by_generators(element))
 
 
 class TestConvergenceRadius:

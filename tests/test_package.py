@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ferroflow
 
 
@@ -12,13 +14,18 @@ def test_public_names_resolve():
     assert missing == []
 
 
-def run_fresh(code, cwd=None):
-    """Stdout of ``code`` run in a fresh interpreter with this ``src``."""
+def fresh_env():
+    """The environment with this ``src`` first on ``PYTHONPATH``."""
     src = Path(ferroflow.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    return env
+
+
+def run_fresh(code, cwd=None):
+    """Stdout of ``code`` run in a fresh interpreter with this ``src``."""
+    return subprocess.run([sys.executable, "-c", code], env=fresh_env(), check=True,
                           capture_output=True, text=True, cwd=cwd).stdout
 
 
@@ -26,6 +33,20 @@ def test_cli_import_pulls_in_no_scipy():
     code = ("import sys, ferroflow.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert run_fresh(code).strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["nosuch"], 4),
+    (["--help"], 0),
+    (["flow", "--config", "long.cfg"], 4),
+    (["verify", "--debug-corrupt-pfaffian"], 1),
+], ids=["unknown-command", "help", "over-budget", "failed-check"])
+def test_module_entry_exit_codes(tmp_path, argv, code):
+    # the exit status of ``python -m ferroflow.cli`` is what main returns
+    (tmp_path / "long.cfg").write_text("sites = 6\nsteps = 100000\n")
+    run = subprocess.run([sys.executable, "-m", "ferroflow.cli", *argv],
+                         env=fresh_env(), capture_output=True, cwd=tmp_path)
+    assert run.returncode == code
 
 
 def test_majorant_run_loads_no_fft(tmp_path):

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ferroflow.errors import ResolutionError
-from ferroflow.psi4 import (Psi4Params, _gammaincc, build_desk_instance,
-                            covariance_matrix)
+from ferroflow.psi4 import (Psi4Params, _gammaincc, _is_chain,
+                            build_desk_instance, covariance_matrix)
 
 _TINY = np.finfo(float).tiny
 
@@ -62,3 +63,22 @@ def test_dimension_is_stored_as_an_integer():
     for bad in (3.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="integer"):
             Psi4Params(dimension=bad, mass=1.0, lambda0=2.0, box=4.0)
+
+
+def test_general_sites_match_the_chain_classes():
+    # a chain moved off the lattice multiples, or laid along another axis,
+    # takes the full momentum sum instead of the chain's classes; by
+    # translation and axis symmetry both give the chain's covariance and
+    # rescaled time
+    chain = cli_params().with_chain_sites(3)
+    shifted = replace(chain, sites=tuple((x[0] + 0.1,) + x[1:] for x in chain.sites))
+    turned = replace(chain, sites=tuple((0.0, x[0], 0.0, 0.0) for x in chain.sites))
+    assert _is_chain(chain)
+    want = covariance_matrix(chain, 0.0, 1.0)
+    want_tau = build_desk_instance(chain, 0.002, t_max=1.0).schedule.tau(1.0)
+    for params in (shifted, turned):
+        assert not _is_chain(params)
+        for got, ref in zip(covariance_matrix(params, 0.0, 1.0), want):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        tau = build_desk_instance(params, 0.002, t_max=1.0).schedule.tau(1.0)
+        assert abs(tau - want_tau) <= 1e-14 * abs(want_tau)
