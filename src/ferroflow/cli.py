@@ -31,9 +31,11 @@ sites, and no step count the validator admits at fewer sites.
 The trajectory keeps every state, ``16 * 4**sites`` bytes per step: an
 admitted run holds at most 26 MB, 102 MB and 410 MB of states at 2, 3 and
 4 sites, 1.6 GB at 5 sites (100,000 steps) and 2.0 GB at 6 sites (30,000
-steps), on top of about 70 MB for the interpreter and tables (the peak RSS
-of the runs above grew by 61 MiB over 1,000 steps at 6 sites and by 66 MiB
-over 4,000 at 5).  Memory is not refused.
+steps), on top of about 45 MB for the interpreter and tables (one-step
+``flow`` and ``majorant`` runs peaked at 31-33 MiB at 2 and 4 sites and at
+44-45 MiB at 6 on x86_64 Linux; the peak RSS of the runs above grew by
+61 MiB over 1,000 steps at 6 sites and by 66 MiB over 4,000 at 5).  Memory
+is not refused.
 """
 
 from __future__ import annotations

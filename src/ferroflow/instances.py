@@ -6,8 +6,6 @@ fixed order, so one seed reproduces the same instances everywhere.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .algebra import GeneratorSet, GrassmannElement, _parity_index
@@ -51,19 +49,11 @@ def synthetic_schedule(rng, pairs: int, T: float = 1.0,
     d_c = np.sum(g1 * g1, axis=1)
 
     def cdot(tau) -> np.ndarray:
-        if np.ndim(tau) == 0:
-            g = g0 + math.sin(tau) * g1
-            return g @ g.T
-        g = g0 + np.sin(np.asarray(tau, dtype=float))[:, None, None] * g1
-        return g @ g.transpose(0, 2, 1)
+        g = g0 + np.sin(np.asarray(tau, dtype=float))[..., None, None] * g1
+        return g @ g.swapaxes(-1, -2)
 
     def gram_rate(tau):
-        if np.ndim(tau) == 0:
-            s = math.sin(float(tau))
-            return 4.0 * float(np.max(d_a + 2.0 * s * d_b + s * s * d_c))
-        s = np.sin(np.asarray(tau, dtype=float))
-        diags = d_a[:, None] + 2.0 * s[None, :] * d_b[:, None] \
-            + (s * s)[None, :] * d_c[:, None]
-        return 4.0 * np.max(diags, axis=0)
+        s = np.sin(np.asarray(tau, dtype=float))[..., None]
+        return 4.0 * np.max(d_a + 2.0 * s * d_b + s * s * d_c, axis=-1)
 
     return ScaleSchedule.from_cdot(cdot, T=T, pairs=pairs, gram_rate=gram_rate)

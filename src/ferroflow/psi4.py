@@ -8,10 +8,11 @@ barred generator per site, and drive the flow with the block embedding of
 the scale-derivative kernel, which has positive Fourier weights and hence a
 positive-semidefinite position kernel at every scale.
 
-Position-space matrices are exact truncated lattice sums (with a certified
-Gaussian tail bound); the integrated Gram parameter and the rescaled clock
-are also exposed through their continuum closed forms, which is the mixed
-convention the surrounding analysis uses.
+Position-space matrices are exact truncated lattice sums, taken shell by
+shell in ``|p|^2`` (with a certified Gaussian tail bound); the integrated
+Gram parameter and the rescaled clock are also exposed through their
+continuum closed forms, which is the mixed convention the surrounding
+analysis uses.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .schedule import ScaleSchedule, simpson_refine
 
 _TAIL_RTOL = 1e-10
 _LATTICE_GUARD = 4_000_000
-_SHARED_RATES = 16  # stacked cdot calls whose Gram rates the desk keeps
 
 
 @dataclass(frozen=True)
@@ -83,24 +83,19 @@ class Psi4Params:
         return replace(self, sites=tuple(sites))
 
 
-def _is_chain(params: Psi4Params) -> bool:
-    """Whether the sites are integer multiples of box/8 along the first
-    axis (the desk placement)."""
-    sites = np.asarray(params.sites, dtype=float)
-    if sites.size == 0 or np.any(sites[:, 1:] != 0.0):
-        return False
-    mult = sites[:, 0] * 8.0 / params.box
-    return bool(np.max(np.abs(mult - np.round(mult)), initial=0.0) <= 1e-12)
-
-
 @lru_cache(maxsize=8)
 def _momentum_table(params: Psi4Params):
-    """Dual-lattice momenta within the cutoff ball, plus site-pair phases.
+    """Dual-lattice shells within the cutoff ball, with site-pair phase sums.
 
-    Returns ``(psq, phases, counts)`` where ``phases`` has one column per
-    momentum class and ``counts`` the class multiplicities.  For chain sites
-    the sum collapses exactly onto the integer classes ``(k_1, |k|^2)``,
-    which keeps every scale evaluation cheap.
+    Returns ``(psq, phases)``: ``psq`` holds the distinct shells
+    ``h^2 |k|^2`` in ascending order, and ``phases[i*n + j, q]`` is the sum
+    of ``cos(h k . (x_i - x_j))`` over the momenta ``k`` of shell ``q``, so a
+    diagonal row holds the shell multiplicities.  Every kernel weight
+    depends on ``|p|^2`` alone, so the lattice sum over momenta is exactly
+    one sum over shells for any placement of the sites.  The table is built
+    one slab of the first axis at a time, over the distinct site
+    differences only; a shell is an integer ``|k|^2`` that a kept momentum
+    takes.
     """
     d = params.dimension
     h = 2.0 * math.pi / params.box
@@ -110,27 +105,30 @@ def _momentum_table(params: Psi4Params):
         raise ResolutionError(
             f"momentum lattice too large ({(2 * kmax + 1) ** d} points); "
             "reduce the box, the cutoff factor, or the UV scale")
-    axes = [np.arange(-kmax, kmax + 1)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    kvecs = np.stack([m.ravel() for m in mesh], axis=-1)
-    ksq = np.sum(kvecs * kvecs, axis=1)
-    keep = ksq * h * h <= radius ** 2
-    kvecs = kvecs[keep]
-    ksq = ksq[keep]
-    sites = np.asarray(params.sites, dtype=float)
-    counts = np.ones(len(ksq))
-    if sites.size == 0:
-        return h * h * ksq.astype(float), np.zeros((0, len(ksq))), counts
-    if _is_chain(params):
-        # collapse: the phase depends on k_1 only, the weight on |k|^2 only
-        key = kvecs[:, 0] * (np.max(ksq) + 1) + ksq
-        _, rep, counts = np.unique(key, return_index=True, return_counts=True)
-        kvecs = kvecs[rep]
-        ksq = ksq[rep]
-        counts = counts.astype(float)
-    diffs = sites[:, None, :] - sites[None, :, :]
-    phases = np.cos(diffs.reshape(-1, d) @ (h * kvecs.astype(float)).T)
-    return h * h * ksq.astype(float), phases, counts
+    axis = np.arange(-kmax, kmax + 1)
+    rest = np.stack(np.meshgrid(*[axis] * (d - 1), indexing="ij"),
+                    axis=-1).reshape(-1, d - 1)
+    rest_sq = np.sum(rest * rest, axis=1)
+    # rest in ascending |k|^2, so each slab keeps a prefix, grouped by shell
+    order = np.argsort(rest_sq, kind="stable")
+    rest, rest_sq = rest[order], rest_sq[order]
+    sites = np.asarray(params.sites, dtype=float).reshape(-1, d)
+    diffs, pair = np.unique((sites[:, None, :] - sites[None, :, :]).reshape(-1, d),
+                            axis=0, return_inverse=True)
+    kept = np.zeros(d * kmax * kmax + 1, dtype=bool)
+    sums = np.zeros((len(diffs), len(kept)))
+    for k1 in axis:
+        ksq = k1 * k1 + rest_sq
+        ksq = ksq[ksq * h * h <= radius ** 2]
+        starts = np.flatnonzero(np.diff(ksq, prepend=-1))
+        kvecs = np.column_stack((np.full(len(ksq), k1), rest[:len(ksq)]))
+        kept[ksq] = True
+        # reduceat sums each shell pairwise; a running sum over the momenta
+        # erred about 5 times more and moved a digit of the 6-site flow CSV
+        sums[:, ksq[starts]] += np.add.reduceat(
+            np.cos(diffs @ (h * kvecs.astype(float)).T), starts, axis=1)
+    shells = np.flatnonzero(kept)
+    return h * h * shells.astype(float), sums[:, shells][pair.reshape(-1)]
 
 
 def _chat_weights(params: Psi4Params, s: float, psq: np.ndarray) -> np.ndarray:
@@ -140,14 +138,19 @@ def _chat_weights(params: Psi4Params, s: float, psq: np.ndarray) -> np.ndarray:
 
 
 def _cdot_weights(params: Psi4Params, s, psq: np.ndarray) -> np.ndarray:
-    """Scale-derivative weights (2/L_s^2) exp(-(|p|^2+m^2)/L_s^2); vectorized
-    over an array of scales (rows) when ``s`` is an array."""
-    s_arr = np.asarray(s, dtype=float)
-    lam2 = (params.lambda0 * np.exp(-s_arr)) ** 2
-    q = psq + params.mass ** 2
-    if s_arr.ndim == 0:
-        return (2.0 / lam2) * np.exp(-q / lam2)
-    return (2.0 / lam2)[:, None] * np.exp(-q[None, :] / lam2[:, None])
+    """Scale-derivative weights ``(2/L_s^2) exp(-(|p|^2+m^2)/L_s^2)`` on the
+    shells ``psq`` (last axis), broadcast over the shape of ``s``, a scale
+    or an array of scales."""
+    lam2 = (params.lambda0 * np.exp(-np.asarray(s, dtype=float)))[..., None] ** 2
+    return (2.0 / lam2) * np.exp(-(psq + params.mass ** 2) / lam2)
+
+
+def _site_kernel(w: np.ndarray, phases: np.ndarray, n: int,
+                 vol: float) -> np.ndarray:
+    """The symmetric ``n x n`` position kernel of the shell weights ``w``,
+    stacked over the leading axes of ``w``."""
+    mats = (w @ phases.T).reshape(w.shape[:-1] + (n, n)) / vol
+    return 0.5 * (mats + mats.swapaxes(-1, -2))
 
 
 def _gammaincc(a: float, x: float) -> float:
@@ -211,15 +214,11 @@ def covariance_matrix(params: Psi4Params, s: float, t: float) -> CovarianceSlice
     if not s < t:
         raise ValueError("need s < t for a covariance slice")
     _tail_certificate(params, s)
-    psq, phases, counts = _momentum_table(params)
+    psq, phases = _momentum_table(params)
     n = len(params.sites)
     vol = params.box ** params.dimension
-    ws = _chat_weights(params, s, psq) * counts
-    wt = _chat_weights(params, t, psq) * counts
-    c_s = (phases @ ws).reshape(n, n) / vol
-    c_t = (phases @ wt).reshape(n, n) / vol
-    c_s = 0.5 * (c_s + c_s.T)
-    c_t = 0.5 * (c_t + c_t.T)
+    c_s = _site_kernel(_chat_weights(params, s, psq), phases, n, vol)
+    c_t = _site_kernel(_chat_weights(params, t, psq), phases, n, vol)
     return CovarianceSlice(c_s - c_t, c_s, c_t)
 
 
@@ -314,14 +313,13 @@ def build_desk_instance(params: Psi4Params, alpha: float,
     """Assemble schedule, Gram bound, and bare action for a site chain.
 
     The schedule's kernel ``cdot`` is the lattice scale-derivative kernel
-    over the sites, at one scale or stacked over an array of scales.  The
-    Gram rate is ``4 cdot_ii``, one lattice sum per scale, since
-    translation invariance makes the diagonal uniform.  A stacked ``cdot``
-    call keeps the Gram rates of its scales (the last ``_SHARED_RATES``
-    arrays), and ``gram_rate`` on the same array takes them instead of
-    recomputing the weights, so the sigma table reuses the grids of the tau
-    table.  The upper scale defaults to ``log(L_0/m) + 3``, far past where
-    the flow has stopped.
+    over the sites, at one scale or stacked over an array of scales: one
+    product of the shell weights with the phase sums of
+    ``_momentum_table``.  Translation invariance makes the diagonal
+    uniform, so the Gram rate is ``4 C_ii``, the weights summed against the
+    shell multiplicities; each kernel computes its own weights and nothing
+    is shared between calls.  The upper scale defaults to
+    ``log(L_0/m) + 3``, far past where the flow has stopped.
     """
     if n_sites is not None:
         params = params.with_chain_sites(n_sites)
@@ -330,35 +328,16 @@ def build_desk_instance(params: Psi4Params, alpha: float,
     n = len(params.sites)
     gens = GeneratorSet(2 * n)
     _tail_certificate(params, 0.0)
-    psq, phases, counts = _momentum_table(params)
+    psq, phases = _momentum_table(params)
     vol = params.box ** params.dimension
     T = float(t_max) if t_max is not None else \
         math.log(params.lambda0 / params.mass) + 3.0
 
-    # Gram rates of the last stacked cdot calls, one float per scale, keyed
-    # by the bytes of the scale array
-    rates: dict[bytes, np.ndarray] = {}
-
     def cdot(s) -> np.ndarray:
-        s_arr = np.asarray(s, dtype=float)
-        w = _cdot_weights(params, s_arr, psq) * counts
-        if s_arr.ndim == 0:
-            mat = (phases @ w).reshape(n, n) / vol
-            return 0.5 * (mat + mat.T)
-        rates[s_arr.tobytes()] = 4.0 * (w.sum(axis=-1) / vol)
-        if len(rates) > _SHARED_RATES:
-            del rates[next(iter(rates))]
-        mats = np.moveaxis((phases @ w.T).reshape(n, n, -1), -1, 0) / vol
-        return 0.5 * (mats + mats.transpose(0, 2, 1))
+        return _site_kernel(_cdot_weights(params, s, psq), phases, n, vol)
 
-    def gram_rate(s) -> np.ndarray | float:
-        s_arr = np.asarray(s, dtype=float)
-        if s_arr.ndim:
-            shared = rates.pop(s_arr.tobytes(), None)
-            if shared is not None:
-                return shared
-        w = _cdot_weights(params, s, psq) * counts
-        return 4.0 * (w.sum(axis=-1) / vol)
+    def gram_rate(s):
+        return 4.0 * (_cdot_weights(params, s, psq) @ phases[0]) / vol
 
     schedule = ScaleSchedule.from_cdot(cdot, T=T, pairs=n, gram_rate=gram_rate)
     bare = quartic_bare_action(gens, alpha)

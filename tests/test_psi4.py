@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ferroflow.errors import ResolutionError
-from ferroflow.psi4 import (Psi4Params, _gammaincc, _is_chain,
+from ferroflow.psi4 import (Psi4Params, _gammaincc, _momentum_table,
                             build_desk_instance, covariance_matrix)
 
 _TINY = np.finfo(float).tiny
@@ -67,18 +68,102 @@ def test_dimension_is_stored_as_an_integer():
 
 def test_general_sites_match_the_chain_classes():
     # a chain moved off the lattice multiples, or laid along another axis,
-    # takes the full momentum sum instead of the chain's classes; by
-    # translation and axis symmetry both give the chain's covariance and
-    # rescaled time
+    # sums over the same shells as the chain; by translation and axis
+    # symmetry both give the chain's covariance and rescaled time
     chain = cli_params().with_chain_sites(3)
     shifted = replace(chain, sites=tuple((x[0] + 0.1,) + x[1:] for x in chain.sites))
     turned = replace(chain, sites=tuple((0.0, x[0], 0.0, 0.0) for x in chain.sites))
-    assert _is_chain(chain)
     want = covariance_matrix(chain, 0.0, 1.0)
     want_tau = build_desk_instance(chain, 0.002, t_max=1.0).schedule.tau(1.0)
+    shells = len(_momentum_table(chain)[0])
     for params in (shifted, turned):
-        assert not _is_chain(params)
+        assert len(_momentum_table(params)[0]) == shells
         for got, ref in zip(covariance_matrix(params, 0.0, 1.0), want):
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
         tau = build_desk_instance(params, 0.002, t_max=1.0).schedule.tau(1.0)
         assert abs(tau - want_tau) <= 1e-14 * abs(want_tau)
+
+
+def momentum_sum(params):
+    """Per-momentum lattice sum (an oracle for the shell table): the squared
+    momenta of the cutoff ball and one phase column per momentum."""
+    d = params.dimension
+    h = 2.0 * math.pi / params.box
+    radius = params.cutoff_factor * params.lambda0
+    kmax = int(math.floor(radius / h))
+    axes = [np.arange(-kmax, kmax + 1)] * d
+    mesh = np.meshgrid(*axes, indexing="ij")
+    kvecs = np.stack([m.ravel() for m in mesh], axis=-1)
+    ksq = np.sum(kvecs * kvecs, axis=1)
+    keep = ksq * h * h <= radius ** 2
+    kvecs = kvecs[keep]
+    ksq = ksq[keep]
+    sites = np.asarray(params.sites, dtype=float)
+    diffs = sites[:, None, :] - sites[None, :, :]
+    phases = np.cos(diffs.reshape(-1, d) @ (h * kvecs.astype(float)).T)
+    return h * h * ksq.astype(float), ksq, phases
+
+
+def kernel_by_momenta(params, weights):
+    """The symmetric site kernel of per-momentum ``weights`` (last axis)."""
+    _, _, phases = momentum_sum(params)
+    n = len(params.sites)
+    mats = (weights @ phases.T).reshape(weights.shape[:-1] + (n, n))
+    mats /= params.box ** params.dimension
+    return 0.5 * (mats + mats.swapaxes(-1, -2))
+
+
+_OFF_LATTICE = ((0.13, -0.71, 0.29, 1.07), (1.19, 0.37, -0.83, 0.41),
+                (-0.62, 1.43, 0.55, -0.17))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("placement", ["chain", "off-lattice"])
+def test_shell_sum_matches_the_momentum_sum(d, placement):
+    params = Psi4Params(dimension=d, mass=1.0, lambda0=1.5, box=4.0)
+    if placement == "chain":
+        params = params.with_chain_sites(3)
+    else:
+        params = replace(params, sites=tuple(x[:d] for x in _OFF_LATTICE))
+    psq, ksq, _ = momentum_sum(params)
+    shells, mult = np.unique(ksq, return_counts=True)
+    got_psq, phases = _momentum_table(params)
+    assert len(got_psq) == len(shells) < len(psq)
+    for i in range(3):
+        assert np.array_equal(phases[4 * i], mult.astype(float))
+    q = psq + params.mass ** 2
+
+    def rel_err(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    for s, t in ((0.0, 1.0), (0.3, 2.5)):
+        lam_s, lam_t = (params.lambda_at(x) ** 2 for x in (s, t))
+        c_s = kernel_by_momenta(params, np.exp(-q / lam_s) / q)
+        c_t = kernel_by_momenta(params, np.exp(-q / lam_t) / q)
+        for got, want in zip(covariance_matrix(params, s, t),
+                             (c_s - c_t, c_s, c_t)):
+            assert rel_err(got, want) <= 1e-13
+    cdot = build_desk_instance(params, 0.002, t_max=2.0).schedule._cdot
+    for s in (0.7, np.linspace(0.0, 2.0, 5)):
+        lam2 = np.exp(-2.0 * np.asarray(s))[..., None] * params.lambda0 ** 2
+        want = kernel_by_momenta(params, (2.0 / lam2) * np.exp(-q / lam2))
+        got = cdot(s)
+        assert got.shape == want.shape
+        assert rel_err(got, want) <= 1e-13
+
+
+@pytest.mark.parametrize("sites", [4, 6])
+def test_table_and_first_scale_integrals_stay_small(sites):
+    # the shell table and the first tau and sigma tables at the CLI
+    # defaults allocate at most 2 MB at their peak
+    params = cli_params()
+    _momentum_table.cache_clear()
+    tracemalloc.start()
+    try:
+        sched = build_desk_instance(params, 0.002, n_sites=sites).schedule
+        sched.tau(1.0)
+        sched.sigma_squared(0.0, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from ferroflow import psi4
 from ferroflow.errors import ResolutionError
 from ferroflow.norms import matrix_norm_1inf
 from ferroflow.psi4 import covariance_matrix
@@ -129,28 +128,23 @@ def desk_schedule():
 
 
 @pytest.mark.parametrize("sites", [2, 4])
-def test_desk_sigma_table_reuses_the_tau_grids(monkeypatch, sites):
-    # the sigma table of a fresh schedule computes its own weights
-    fresh = desk_instance(sites).schedule
-    fresh.sigma_squared(0.0, fresh.T)
-    calls = []
-    weights = psi4._cdot_weights
-    monkeypatch.setattr(psi4, "_cdot_weights",
-                        lambda *args: calls.append(1) or weights(*args))
+def test_desk_gram_rate_is_four_times_the_diagonal(rng, sites):
+    # the Gram rate is 4 C_ii, the same at every site, at a scale and
+    # stacked over an array of scales
     sched = desk_instance(sites).schedule
-    sched.tau(sched.T)
-    built = len(calls)
-    assert built > 0
-    # 0 and T are table nodes, so the query evaluates nothing past the build
-    assert sched.sigma_squared(0.0, sched.T) == fresh.sigma_squared(0.0, fresh.T)
-    assert len(calls) == built
-    got, want = sched._tables["sigma"], fresh._tables["sigma"]
-    assert got.cum.tobytes() == want.cum.tobytes()
-    assert got.vals.tobytes() == want.vals.tobytes()
-    # scalar calls and unseen grids compute the rate as before
-    grid = np.linspace(0.1, 0.9, 7)
-    assert np.array_equal(sched.gram_rate_at(grid), fresh.gram_rate_at(grid))
-    assert sched.gram_rate_at(0.3) == fresh.gram_rate_at(0.3)
+    grid = np.linspace(0.0, sched.T, 9)
+    for s in (0.3, grid):
+        rate = np.asarray(sched.gram_rate_at(s))[..., None]
+        diag = np.diagonal(sched._cdot(s), axis1=-2, axis2=-1)
+        assert diag.shape == np.shape(s) + (sites,)
+        assert np.all(np.abs(4.0 * diag - rate) <= 1e-14 * rate)
+    # a scalar kernel call is the stacked row at the same scale
+    for cdot in (sched._cdot, synthetic_schedule(rng, sites)._cdot):
+        stacked = cdot(grid)
+        for s, row in zip(grid, stacked):
+            got = cdot(float(s))
+            assert got.shape == (sites, sites)
+            assert np.max(np.abs(got - row)) <= 1e-14 * np.max(np.abs(row))
 
 
 def decaying_schedule(T=3.0):
