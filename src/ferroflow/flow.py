@@ -54,15 +54,14 @@ _SCALAR_WARN_FLOOR = 0.1
 class FlowTrajectory:
     """States of the effective action on an ordered time grid.
 
-    Normalized trajectories keep a zero scalar part in every state and carry
-    the accumulated log-normalization separately in ``log_norm``.  The
-    seminorm series of the states are computed once, on first use of
-    ``norms``; the states must not change after that.
+    Every state has a zero scalar part; the accumulated log-normalization
+    is carried separately in ``log_norm``.  The seminorm series of the
+    states are computed once, on first use of ``norms``; the states must
+    not change after that.
     """
 
     grid: np.ndarray
     states: list[GrassmannElement]
-    normalized: bool = True
     truncated: bool = False
     log_norm: np.ndarray | None = None
     notes: list[str] = field(default_factory=list)
@@ -105,9 +104,9 @@ def rg_map(a, f: GrassmannElement) -> GrassmannElement:
 
 def effective_action_exact(schedule: ScaleSchedule, f0: GrassmannElement,
                            t: float, normalized: bool = True) -> GrassmannElement:
-    """Effective action at scale ``t`` through the heat-kernel route."""
-    if not 0.0 <= t <= schedule.T * (1 + 1e-12):
-        raise ValueError(f"scale {t} outside [0, {schedule.T}]")
+    """Effective action at scale ``t`` through the heat-kernel route: one
+    ``rg_map`` of the slice ``schedule.covariance(0, t)``, which refuses a
+    ``t`` outside ``[0, T]``."""
     cov = schedule.covariance(0.0, t)
     out = rg_map(cov, f0)
     if normalized:
@@ -281,8 +280,7 @@ def _integrate_on(schedule: ScaleSchedule, f0: GrassmannElement,
         state[index] = y
         states.append(GrassmannElement._adopt(gens, state))
         log_norm.append(c)
-    return FlowTrajectory(grid=grid, states=states, normalized=True,
-                          truncated=truncate_ge2,
+    return FlowTrajectory(grid=grid, states=states, truncated=truncate_ge2,
                           log_norm=np.asarray(log_norm), notes=notes)
 
 

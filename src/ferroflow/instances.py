@@ -40,7 +40,7 @@ def synthetic_schedule(rng, pairs: int, T: float = 1.0,
     """Smooth random schedule with the positive-semidefinite derivative
     kernel ``G(tau) G(tau)^T``, ``G = g0 + sin(tau) g1``, at one scale or
     stacked over an array of scales, and the Gram rate ``4 max_i`` of its
-    diagonal in closed form."""
+    diagonal and the slice integrals in closed form."""
     g0 = rng.normal(size=(pairs, pairs)) * scale
     g1 = rng.normal(size=(pairs, pairs)) * (0.3 * scale)
     # diag of G G^T is quadratic in sin(tau)
@@ -56,4 +56,12 @@ def synthetic_schedule(rng, pairs: int, T: float = 1.0,
         s = np.sin(np.asarray(tau, dtype=float))[..., None]
         return 4.0 * np.max(d_a + 2.0 * s * d_b + s * s * d_c, axis=-1)
 
-    return ScaleSchedule.from_cdot(cdot, T=T, pairs=pairs, gram_rate=gram_rate)
+    # G G^T = k0 + sin(tau) k1 + sin(tau)^2 k2, integrated over [s, t]
+    k0, k1, k2 = g0 @ g0.T, g0 @ g1.T + g1 @ g0.T, g1 @ g1.T
+
+    def c_between(s: float, t: float) -> np.ndarray:
+        return (k0 * (t - s) + k1 * (np.cos(s) - np.cos(t))
+                + k2 * ((t - s) / 2.0 - (np.sin(2.0 * t) - np.sin(2.0 * s)) / 4.0))
+
+    return ScaleSchedule(cdot, T=T, pairs=pairs, gram_rate=gram_rate,
+                         c_between=c_between)

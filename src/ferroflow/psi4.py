@@ -26,7 +26,6 @@ import numpy as np
 
 from .algebra import GeneratorSet, GrassmannElement
 from .errors import ResolutionError, UnsupportedDimensionError
-from .norms import NormSeries
 from .schedule import ScaleSchedule, simpson_refine
 
 _TAIL_RTOL = 1e-10
@@ -207,12 +206,13 @@ class CovarianceSlice(NamedTuple):
 def covariance_matrix(params: Psi4Params, s: float, t: float) -> CovarianceSlice:
     """Position-space covariance between scales as exact lattice sums.
 
-    Returns the slice kernel ``C_s - C_t`` over the sites together with its
-    positive split ``(C_s, C_t)``; the imaginary parts cancel exactly by the
-    evenness of the summand.
+    Returns the slice kernel ``C_s - C_t`` over the sites, for ``s <= t``,
+    together with its positive split ``(C_s, C_t)``; the imaginary parts
+    cancel exactly by the evenness of the summand, and a slice with
+    ``s == t`` is exactly zero.
     """
-    if not s < t:
-        raise ValueError("need s < t for a covariance slice")
+    if s > t:
+        raise ValueError("need s <= t for a covariance slice")
     _tail_certificate(params, s)
     psq, phases = _momentum_table(params)
     n = len(params.sites)
@@ -304,7 +304,6 @@ class DeskInstance:
     generators: GeneratorSet
     schedule: ScaleSchedule
     bare_action: GrassmannElement
-    bare_series: NormSeries
 
 
 def build_desk_instance(params: Psi4Params, alpha: float,
@@ -317,9 +316,11 @@ def build_desk_instance(params: Psi4Params, alpha: float,
     product of the shell weights with the phase sums of
     ``_momentum_table``.  Translation invariance makes the diagonal
     uniform, so the Gram rate is ``4 C_ii``, the weights summed against the
-    shell multiplicities; each kernel computes its own weights and nothing
-    is shared between calls.  The upper scale defaults to
-    ``log(L_0/m) + 3``, far past where the flow has stopped.
+    shell multiplicities.  The slices are ``C_s - C_t`` of
+    ``covariance_matrix``, the exact integral of ``cdot``, since ``d/ds
+    exp(-q/L_s^2)/q = -(2/L_s^2) exp(-q/L_s^2)``.  Each kernel computes its
+    own weights and nothing is shared between calls.  The upper scale
+    defaults to ``log(L_0/m) + 3``, far past where the flow has stopped.
     """
     if n_sites is not None:
         params = params.with_chain_sites(n_sites)
@@ -339,10 +340,9 @@ def build_desk_instance(params: Psi4Params, alpha: float,
     def gram_rate(s):
         return 4.0 * (_cdot_weights(params, s, psq) @ phases[0]) / vol
 
-    schedule = ScaleSchedule.from_cdot(cdot, T=T, pairs=n, gram_rate=gram_rate)
-    bare = quartic_bare_action(gens, alpha)
-    series = np.zeros(n)
-    series[1] = alpha
+    schedule = ScaleSchedule(
+        cdot, T=T, pairs=n, gram_rate=gram_rate,
+        c_between=lambda s, t: covariance_matrix(params, s, t).c_between)
     return DeskInstance(params=params, alpha=alpha, generators=gens,
-                        schedule=schedule, bare_action=bare,
-                        bare_series=NormSeries(series))
+                        schedule=schedule,
+                        bare_action=quartic_bare_action(gens, alpha))

@@ -1,19 +1,18 @@
 """Continuous scale decompositions of a covariance, with quadrature access.
 
 A schedule is built from the scale derivative ``cdot(tau)`` of a symmetric
-covariance kernel over ``[0, T]`` and a Gram rate.  The rate matrix
+covariance kernel over ``[0, T]``, a Gram rate, and the slice integral
+``c_between(s, t)`` of ``cdot``, which whoever builds the kernel supplies
+(``from_cdot`` supplies Simpson quadrature of ``cdot``).  The rate matrix
 ``Adot(tau)`` is the block embedding of ``cdot(tau)``, the rescaled time is
 the integral of its norm, and every slice covariance is the block embedding
-of the integral of ``cdot``.  Integrals are evaluated by composite Simpson
-quadrature on a uniform grid, refined by doubling until two successive
-values agree to a relative tolerance.  The rescaled time and the integrated
-Gram bound come from one cumulative table per schedule and kind, built on
-``[0, T]`` on first use and certified by doubling at every even node; a
-query adds one Simpson panel from the last node below it.  Queries take a
-scale or an array of scales, and every grid of a table or of a query is one
-array evaluation of ``cdot`` or of the Gram rate.  Slice covariances
-integrate ``cdot`` over ``[s, t]`` directly, one scale at a time.  Scalar
-results are cached; evaluation is deterministic.
+of ``c_between``.  Simpson runs on a uniform grid, doubled until two
+successive values agree to a relative tolerance.  The rescaled time and the
+integrated Gram bound come from one cumulative table per schedule and kind,
+built on ``[0, T]`` on first use and certified by doubling at every even
+node; a query adds one Simpson panel from the last node below it.  Queries
+take a scale or an array of scales, and every grid of a table or of a query
+is one array evaluation of ``cdot`` or of the Gram rate.
 """
 
 from __future__ import annotations
@@ -183,14 +182,16 @@ class ScaleSchedule:
     ``cdot(tau)`` is the symmetric positive-semidefinite ``pairs x pairs``
     scale derivative of the covariance kernel; for a 1-D array of scales it
     returns the kernels stacked along axis 0.  The rate matrix is its block
-    embedding ``[[0, C], [-C, 0]]``, and the split of every slice is
-    ``(integral of cdot, 0)``.  ``gram_rate`` maps a scale, or a 1-D array of
-    scales, to a rate dominating ``4 max_i cdot(tau)_ii``; its integral is
-    the Gram parameter ``sigma^2``.
+    embedding ``[[0, C], [-C, 0]]``.  ``c_between(s, t)`` is the integral of
+    ``cdot`` over ``[s, t]`` for ``0 <= s <= t <= T``, exactly zero when
+    ``s == t``, and the split of every slice is ``(c_between(s, t), 0)``.
+    ``gram_rate`` maps a scale, or a 1-D array of scales, to a rate
+    dominating ``4 max_i cdot(tau)_ii``; its integral is the Gram parameter
+    ``sigma^2``.
     """
 
     def __init__(self, cdot: Callable, T: float, pairs: int,
-                 gram_rate: Callable):
+                 gram_rate: Callable, c_between: Callable):
         if pairs < 1:
             raise ValueError("a schedule needs at least one generator pair")
         if T < 0:
@@ -199,14 +200,16 @@ class ScaleSchedule:
         self.T = float(T)
         self._cdot = cdot
         self._gram_rate = gram_rate
-        self._cache: dict = {}
+        self._c_between = c_between
         self._tables: dict[str, _CumulativeTable] = {}
 
     @classmethod
     def from_cdot(cls, cdot: Callable, T: float, pairs: int,
                   gram_rate: Callable) -> "ScaleSchedule":
-        """The constructor, by name."""
-        return cls(cdot, T, pairs, gram_rate)
+        """A schedule whose kernel is known by its derivative alone: every
+        slice is ``simpson_refine`` of ``cdot`` over ``[s, t]``."""
+        return cls(cdot, T, pairs, gram_rate,
+                   lambda s, t: simpson_refine(cdot, s, t))
 
     # -- pointwise access ----------------------------------------------------
 
@@ -228,23 +231,15 @@ class ScaleSchedule:
     # -- integrals -----------------------------------------------------------
 
     def _cum(self, kind: str, kernel: str, fn, x):
-        """Integral of the rate ``fn`` from 0 to ``x`` (a scale or an array
-        of scales), read from the cumulative table of ``kind`` (built on
+        """Integral of the rate ``fn`` from 0 to ``x``, a scale or an array
+        of scales, read from the cumulative table of ``kind`` (built on
         first use); ``ValueError`` outside ``[0, T]``, or when the
         ``kernel`` behind ``fn`` does not map an array of scales to stacked
-        values.  Scalar results are cached."""
+        values."""
         table = self._tables.get(kind)
         if table is None:
-            table = _CumulativeTable(fn, self.T, kernel)
-            self._tables[kind] = table
-        if np.ndim(x) != 0:
-            return table.at(x)
-        key = (kind, float(x))
-        val = self._cache.get(key)
-        if val is None:
-            val = table.at(float(x))
-            self._cache[key] = val
-        return val
+            table = self._tables[kind] = _CumulativeTable(fn, self.T, kernel)
+        return table.at(x)
 
     def sigma_squared(self, s, t):
         """Integrated Gram bound between scales ``s <= t``; either may be an
@@ -263,15 +258,14 @@ class ScaleSchedule:
 
     def covariance(self, s: float, t: float) -> AntisymmetricCovariance:
         """Slice covariance over [s, t]: the block embedding of the kernel
-        integral ``C``, with the split ``(C, 0)``."""
+        integral ``C = c_between(s, t)``, with the split ``(C, 0)``;
+        ``ValueError`` if a scale lies outside ``[0, T]`` or ``s > t``."""
+        for x in (s, t):
+            if not 0.0 <= x <= self.T * (1 + 1e-12):
+                raise ValueError(f"scale {x} outside [0, {self.T}]")
         if s > t:
             raise ValueError(f"need s <= t, got s={s}, t={t}")
-        key = ("cov", float(s), float(t))
-        cov = self._cache.get(key)
-        if cov is None:
-            c = np.real(np.asarray(simpson_refine(self._cdot, s, t)))
-            cov = AntisymmetricCovariance(
-                AntisymmetricCovariance._block(c), c_matrix=c, c_plus=c,
-                c_minus=np.zeros_like(c))
-            self._cache[key] = cov
-        return cov
+        c = np.real(np.asarray(self._c_between(s, t)))
+        return AntisymmetricCovariance(
+            AntisymmetricCovariance._block(c), c_matrix=c, c_plus=c,
+            c_minus=np.zeros_like(c))

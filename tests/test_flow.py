@@ -23,10 +23,14 @@ from ferroflow.flow import (
     rg_map,
     trajectory_to_csv,
 )
+from ferroflow import schedule
 from ferroflow.gaussian import _laplacian_weights, heat_kernel_convolve, laplacian
+from ferroflow.norms import norm_coefficients
 from ferroflow.psi4 import quartic_bare_action
+from ferroflow.schedule import ScaleSchedule
 
 from conftest import (
+    desk_instance,
     popcounts,
     rand_antisymmetric,
     rand_element,
@@ -248,6 +252,43 @@ class TestEffectiveActionExact:
         out = effective_action_exact(sched, f, 1.0)
         series = FlowTrajectory(np.array([0.0]), [out]).norms[0]
         assert np.all(np.isfinite(series.coefficients))
+
+    def test_simpson_only_behind_from_cdot(self, rng, monkeypatch):
+        # desk and synthetic slices come from their builders; a kernel known
+        # by its derivative alone is integrated by Simpson, to the same slice
+        calls = []
+        simpson = schedule.simpson_refine
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return simpson(*args, **kwargs)
+
+        monkeypatch.setattr(schedule, "simpson_refine", counting)
+        f = quartic_bare_action(GeneratorSet(8), 0.03)
+        desk = desk_instance(4).schedule
+        synthetic = synthetic_schedule(rng, 4)
+        exact = [effective_action_exact(sched, f, 0.8)
+                 for sched in (desk, synthetic)]
+        assert calls == []
+        by_cdot = ScaleSchedule.from_cdot(synthetic._cdot, synthetic.T, 4,
+                                          synthetic._gram_rate)
+        out = effective_action_exact(by_cdot, f, 0.8)
+        assert calls == [(0.0, 0.8)]
+        assert np.max(np.abs(out.coeffs - exact[1].coeffs)) <= 1e-12
+
+    @pytest.mark.parametrize("sites", [2, 3, 4])
+    def test_desk_rk4_seminorms_match_exact_path(self, sites):
+        # the flow-desk benchmark's output check, at the CLI's 400 steps
+        inst = desk_instance(sites)
+        traj = flow_integrate(inst.schedule, inst.bare_action, steps=400,
+                              t_end=2.0)
+        for i in (100, 200, 400):  # t = 0.5, 1, 2
+            got = norm_coefficients(traj.states[i])
+            want = norm_coefficients(effective_action_exact(
+                inst.schedule, inst.bare_action, traj.grid[i]))
+            for m in range(1, sites + 1):
+                assert math.isclose(got.coeff(m), want.coeff(m),
+                                    rel_tol=1e-9, abs_tol=1e-12)
 
 
 class TestFlowIntegrate:

@@ -111,20 +111,47 @@ class TestScaleSchedule:
         assert sched.tau(0.7) == sched.tau(0.7)
 
 
-@pytest.mark.parametrize("sites", [2, 4])
-def test_desk_covariance_matches_lattice_sums(sites):
-    # d/ds of exp(-q/L_s^2)/q is -(2/L_s^2) exp(-q/L_s^2), so the integral
-    # of cdot over [s, t] is the exact slice C_s - C_t of the lattice sums
-    inst = desk_instance(sites)
-    for s, t in ((0.0, 0.5), (0.0, 2.0), (0.3, 1.1)):
-        got = inst.schedule.covariance(s, t).c_matrix
-        want = covariance_matrix(inst.params, s, t).c_between
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
-
-
 def desk_schedule():
     """Schedule of the psi4 desk instance at the CLI defaults."""
     return desk_instance().schedule
+
+
+def schedule_named(which, rng):
+    return desk_schedule() if which == "desk" else synthetic_schedule(rng, 4)
+
+
+@pytest.mark.parametrize("which", ["desk-2", "desk-4", "desk-6", "synthetic"])
+def test_slices_match_simpson_of_their_own_cdot(rng, which):
+    # a schedule takes its slices from its builder (the lattice sums of the
+    # desk, the closed form of the synthetic kernel); Simpson of its own
+    # cdot shares no formula with either
+    sched = synthetic_schedule(rng, 4, T=2.0) if which == "synthetic" \
+        else desk_instance(int(which[-1])).schedule
+    for s, t in ((0.0, 0.5), (0.0, sched.T), (0.3, 1.1)):
+        got = sched.covariance(s, t).c_matrix
+        want = np.real(simpson_refine(sched._cdot, s, t))
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+    for x in (0.0, 0.7, sched.T):
+        assert np.all(sched.covariance(x, x).c_matrix == 0.0)
+
+
+@pytest.mark.parametrize("which", ["desk", "synthetic"])
+def test_slices_outside_the_schedule_refused(rng, which):
+    sched = schedule_named(which, rng)
+    T = sched.T
+    sched.covariance(0.0, T * (1.0 + 1e-13))
+    for s, t in ((-0.1, 0.5), (-1e-300, 0.0), (0.0, T * (1.0 + 1e-9)),
+                 (0.2, T + 0.1), (0.0, math.nan)):
+        with pytest.raises(ValueError, match=r"outside \[0, "):
+            sched.covariance(s, t)
+    with pytest.raises(ValueError, match="need s <= t"):
+        sched.covariance(0.6, 0.5)
+    # in the words of the scale integrals
+    with pytest.raises(ValueError) as by_tau:
+        sched.tau(T + 0.1)
+    with pytest.raises(ValueError) as by_slice:
+        sched.covariance(0.0, T + 0.1)
+    assert str(by_slice.value) == str(by_tau.value)
 
 
 @pytest.mark.parametrize("sites", [2, 4])
@@ -145,6 +172,17 @@ def test_desk_gram_rate_is_four_times_the_diagonal(rng, sites):
             got = cdot(float(s))
             assert got.shape == (sites, sites)
             assert np.max(np.abs(got - row)) <= 1e-14 * np.max(np.abs(row))
+
+
+@pytest.mark.parametrize("sites", [2, 4])
+def test_desk_sigma_squared_is_four_times_the_slice_diagonal(sites):
+    # the Gram rate is 4 C_ii of cdot, so its integral over [s, t] is
+    # 4 (C_s - C_t)_ii of the lattice sums
+    inst = desk_instance(sites)
+    for s, t in ((0.0, 0.5), (0.0, inst.schedule.T), (0.3, 1.1)):
+        want = 4.0 * np.diagonal(covariance_matrix(inst.params, s, t).c_between)
+        got = inst.schedule.sigma_squared(s, t)
+        assert np.all(np.abs(got - want) <= 1e-10 * want)
 
 
 def decaying_schedule(T=3.0):
@@ -224,10 +262,6 @@ class TestCumulativeTable:
             sched.tau(sched.T * (1.0 + 1e-9))
         with pytest.raises(ValueError):
             sched.sigma_squared(0.0, sched.T + 0.1)
-
-
-def schedule_named(which, rng):
-    return desk_schedule() if which == "desk" else synthetic_schedule(rng, 4)
 
 
 class TestArrayQueries:
