@@ -1,6 +1,6 @@
 """Fermionic renormalization-group flows on finite Grassmann algebras.
 
-The library provides exact Grassmann/Berezin calculus, fermionic Gaussian
+The library provides exact Grassmann calculus, fermionic Gaussian
 integrals and heat-kernel convolutions, the matrix and algebra norms used to
 control effective actions, a direct integrator for the nonlinear flow
 equation of the effective action, a Hamilton-Jacobi norm majorant solved by
@@ -12,22 +12,17 @@ from .algebra import (
     GeneratorSet,
     GrassmannElement,
     analytic_apply,
-    berezin_integrate,
     coefficient,
-    derivative,
     exp_of,
     gradient,
     log_of,
     parity_magnitudes,
     parity_split,
-    project_degree_ge,
-    translate_double,
     wedge,
 )
 from .gaussian import (
     AntisymmetricCovariance,
     covariance_split_check,
-    det_correlation,
     gaussian_expectation,
     gaussian_moment,
     heat_kernel_convolve,
@@ -55,7 +50,6 @@ from .majorant import (
     existence_check,
     hopflax_solve,
     majorant_coefficients,
-    majorant_value,
     rhs_coefficient_bound,
 )
 from .psi4 import (
@@ -72,11 +66,10 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "GeneratorSet", "GrassmannElement", "analytic_apply", "berezin_integrate",
-    "coefficient", "derivative", "exp_of", "gradient", "log_of",
-    "parity_magnitudes", "parity_split", "project_degree_ge",
-    "translate_double", "wedge",
-    "AntisymmetricCovariance", "covariance_split_check", "det_correlation",
+    "GeneratorSet", "GrassmannElement", "analytic_apply", "coefficient",
+    "exp_of", "gradient", "log_of", "parity_magnitudes", "parity_split",
+    "wedge",
+    "AntisymmetricCovariance", "covariance_split_check",
     "gaussian_expectation", "gaussian_moment", "heat_kernel_convolve",
     "laplacian", "pfaffian",
     "NormSeries", "convergence_radius", "gram_bound_check", "matrix_norm_1inf",
@@ -85,8 +78,7 @@ __all__ = [
     "FlowTrajectory", "effective_action_exact", "flow_integrate", "rg_map",
     "trajectory_to_csv",
     "CharacteristicSolution", "MajorantSpec", "existence_check",
-    "hopflax_solve", "majorant_coefficients", "majorant_value",
-    "rhs_coefficient_bound",
+    "hopflax_solve", "majorant_coefficients", "rhs_coefficient_bound",
     "Psi4Params", "build_desk_instance", "coupling_bound", "covariance_matrix",
     "covariance_rate_norm", "effective_flow_time", "sigma_squared_closed_form",
     "errors",

@@ -11,11 +11,9 @@ Sign conventions
 ----------------
 * Products of basis monomials pick up the parity of the number of
   transpositions needed to merge the two ascending index lists.
-* The derivative is a *left* derivative: on an ascending monomial containing
-  ``psi_k`` at (1-based) position ``r`` it removes ``psi_k`` and multiplies
-  by ``(-1)**(r-1)``.
-* Berezin integration is iterated left differentiation:
-  ``berezin_integrate(f, [j1, ..., jk])`` applies ``d/dpsi_{j1}`` first.
+* ``gradient`` takes *left* derivatives: on an ascending monomial
+  containing ``psi_k`` at (1-based) position ``r`` the derivative by
+  ``psi_k`` removes it and multiplies by ``(-1)**(r-1)``.
 
 Parity blocks
 -------------
@@ -127,11 +125,6 @@ def _index_set(n_gen: int, even: bool) -> np.ndarray:
 def _is_exactly_even(coeffs: np.ndarray) -> bool:
     """Whether every odd-degree coefficient of a raw array is exactly zero."""
     return not coeffs.take(_parity_index(coeffs.size.bit_length() - 1, 1)).any()
-
-
-def _zero_below_degree(coeffs: np.ndarray, n_gen: int, d: int) -> None:
-    """Zero, in place, every coefficient of monomial degree below ``d``."""
-    coeffs[_popcount_table(n_gen) < d] = 0.0
 
 
 @functools.cache
@@ -445,16 +438,6 @@ def _wedge_blocks(f: np.ndarray, g: np.ndarray, n_gen: int,
         + _wedge_blocks(b, c_hat, low, b_parts, g_parts)))
 
 
-def derivative(f: GrassmannElement, k: int) -> GrassmannElement:
-    """Left derivative with respect to generator ``k``."""
-    if not 0 <= k < f.gens.count:
-        raise IndexError(f"generator index {k} out of range 0..{f.gens.count - 1}")
-    src, dst, sgn = _deriv_table(f.gens.count, k)
-    out = np.zeros(f.gens.dim, dtype=np.complex128)
-    out[dst] = sgn * f.coeffs[src]
-    return GrassmannElement(f.gens, out)
-
-
 def gradient(f: GrassmannElement) -> np.ndarray:
     """All left derivatives, stacked into an (n_gen, dim) coefficient array."""
     n_gen = f.gens.count
@@ -473,63 +456,17 @@ def coefficient(f: GrassmannElement, subset: Iterable[int] | int) -> complex:
     return complex(f.coeffs[mask])
 
 
-def berezin_integrate(f: GrassmannElement, indices: Sequence[int]) -> GrassmannElement:
-    """Berezin integral over the listed generators (applied in list order).
-
-    Defined as iterated left differentiation; integrating over all
-    generators extracts the top coefficient.
-    """
-    idx = list(indices)
-    if len(set(idx)) != len(idx):
-        raise ValueError("repeated index in Berezin integration list")
-    out = f
-    for k in idx:
-        out = derivative(out, k)
-    return out
-
-
-def translate_double(f: GrassmannElement) -> GrassmannElement:
-    """Substitute ``psi_i -> psi_i + theta_i`` on a doubled generator set.
-
-    The result lives on ``2 * count`` generators with the original psi block
-    first (bits ``0..count-1``) and the theta block second.  Restricting the
-    theta block to zero recovers ``f``.
-    """
-    n_gen = f.gens.count
-    doubled = GeneratorSet(2 * n_gen)
-    out = np.zeros(doubled.dim, dtype=np.complex128)
-    for mask in f.nonzero_masks():
-        mask = int(mask)
-        z = f.coeffs[mask]
-        sub = mask
-        while True:
-            t = mask ^ sub  # theta-block subset
-            out[sub | (t << n_gen)] += merge_sign(sub, t) * z
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-    return GrassmannElement(doubled, out)
-
-
-def analytic_apply(jet: Sequence[complex] | Callable[[int], complex],
+def analytic_apply(deriv_at: Callable[[int], complex],
                    f: GrassmannElement) -> GrassmannElement:
     """Apply a scalar analytic function to ``f`` through its Taylor jet.
 
-    ``jet`` supplies the derivatives ``F^(k)(f_0)`` at the scalar part, either
-    as a sequence indexed by ``k`` or as a callable.  The series terminates
-    because the nilpotent part ``f - f_0`` has vanishing powers beyond the
-    generator count, and beyond half of it when the part is even.  The
-    parity of the nilpotent part is inspected once per series.
+    ``deriv_at(k)`` is the derivative ``F^(k)(f_0)`` at the scalar part.
+    The series terminates because the nilpotent part ``f - f_0`` has
+    vanishing powers beyond the generator count, and beyond half of it when
+    the part is even.  The parity of the nilpotent part is inspected once
+    per series.
     """
     n_gen = f.gens.count
-    if callable(jet):
-        deriv_at = jet
-    else:
-        seq = list(jet)
-
-        def deriv_at(k: int) -> complex:
-            return seq[k] if k < len(seq) else 0.0
-
     nilpotent = f.coeffs.copy()
     nilpotent[0] = 0.0
     even = _is_exactly_even(nilpotent)
@@ -598,12 +535,3 @@ def parity_split(f: GrassmannElement) -> tuple[GrassmannElement, GrassmannElemen
         index = _parity_index(f.gens.count, p)
         part[index] = f.coeffs.take(index)
     return GrassmannElement._adopt(f.gens, even), GrassmannElement._adopt(f.gens, odd)
-
-
-def project_degree_ge(f: GrassmannElement, d: int) -> GrassmannElement:
-    """Zero every coefficient of monomial degree below ``d``."""
-    if d < 0:
-        raise ValueError("degree threshold must be nonnegative")
-    c = f.coeffs.copy()
-    _zero_below_degree(c, f.gens.count, d)
-    return GrassmannElement._adopt(f.gens, c)

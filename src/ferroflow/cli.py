@@ -429,30 +429,31 @@ def cmd_psi4(cfg: RunConfig) -> int:
         box=cfg.boxL, cutoff_factor=cfg.cutoffFactor)
     header_lines = []
     bound = None
+    count = min(cfg.steps, 200)
+    scales = np.linspace(0.0, cfg.tMax, count + 1)
+    clock = psi4.effective_flow_time(params, scales)
     if cfg.dimension == 4:
         bound = psi4.coupling_bound(params)
         header_lines.append(f"# coupling_bound = {_fmt(bound)}")
         if cfg.alpha > bound:
             header_lines.append(
                 f"# warning: alpha = {_fmt(cfg.alpha)} exceeds the coupling bound")
-            clock = psi4.effective_flow_time(params, cfg.tMax)
             sigma_resc = math.sqrt(
                 psi4.sigma_squared_closed_form(params, 0.0, cfg.tMax)) / params.lambda0
-            window = 1.0 - 12.0 * cfg.alpha * clock.value * sigma_resc ** 2
+            # the last scale of the linspace is exactly tMax
+            window = 1.0 - 12.0 * cfg.alpha * clock.value[-1] * sigma_resc ** 2
             if window <= 0.0:
                 print("\n".join(header_lines))
                 print(f"rescaled existence window closed ({window:.3e}); aborting")
                 return 2
     rows = ["s,Lambda_s,cdot_norm,sigma2,tau_tilde,tau_tilde_bound"]
-    count = min(cfg.steps, 200)
-    for s in np.linspace(0.0, cfg.tMax, count + 1):
-        s = float(s)
+    for s, tau_tilde, tau_bound in zip(scales.tolist(), clock.value.tolist(),
+                                       clock.bound.tolist()):
         lam = params.lambda_at(s)
         rate = psi4.covariance_rate_norm(params, s)
         sig2 = psi4.sigma_squared_closed_form(params, 0.0, s)
-        clock = psi4.effective_flow_time(params, s)
         rows.append(f"{_fmt(s)},{_fmt(lam)},{_fmt(rate)},{_fmt(sig2)},"
-                    f"{_fmt(clock.value)},{_fmt(clock.bound)}")
+                    f"{_fmt(tau_tilde)},{_fmt(tau_bound)}")
     out = cfg.out or "psi4.csv"
     _write(out, "\n".join(header_lines + rows) + "\n")
     print(f"wrote {out}")

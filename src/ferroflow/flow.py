@@ -103,17 +103,15 @@ def rg_map(a, f: GrassmannElement) -> GrassmannElement:
 
 
 def effective_action_exact(schedule: ScaleSchedule, f0: GrassmannElement,
-                           t: float, normalized: bool = True) -> GrassmannElement:
-    """Effective action at scale ``t`` through the heat-kernel route: one
-    ``rg_map`` of the slice ``schedule.covariance(0, t)``, which refuses a
-    ``t`` outside ``[0, T]``."""
-    cov = schedule.covariance(0.0, t)
-    out = rg_map(cov, f0)
-    if normalized:
-        c = out.coeffs.copy()
-        c[0] = 0.0
-        out = GrassmannElement(out.gens, c)
-    return out
+                           t: float) -> GrassmannElement:
+    """Normalized effective action at scale ``t`` through the heat-kernel
+    route: one ``rg_map`` of the slice ``schedule.covariance(0, t)``, which
+    refuses a ``t`` outside ``[0, T]``, with the scalar part that ``rg_map``
+    keeps set to zero."""
+    out = rg_map(schedule.covariance(0.0, t), f0)
+    c = out.coeffs.copy()
+    c[0] = 0.0
+    return GrassmannElement(out.gens, c)
 
 
 def _flow_rhs(weights: np.ndarray, y: np.ndarray, n_gen: int, even: bool,

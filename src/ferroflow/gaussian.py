@@ -15,7 +15,7 @@ and it is pinned by the moment-consistency tests.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -318,27 +318,3 @@ def covariance_split_check(a, b, f: GrassmannElement) -> float:
     joint = heat_kernel_convolve(ma + mb, f)
     staged = heat_kernel_convolve(mb, heat_kernel_convolve(ma, f))
     return float(np.max(np.abs(joint.coeffs - staged.coeffs)))
-
-
-def det_correlation(c: np.ndarray, j: Sequence[int], k: Sequence[int]) -> complex:
-    """Mixed correlation of unbarred/barred generators for a symmetric source.
-
-    Returns ``det C[J x K]`` when ``|J| == |K|`` and zero otherwise.  On the
-    block covariance with the barred fields stored at offset ``n``, this
-    equals the Gaussian moment of the interleaved monomial
-    ``psi_{j1} psibar_{k1} psi_{j2} psibar_{k2} ...``; relative to the
-    block-ascending monomial that is a parity factor ``(-1)**(p*(p-1)/2)``.
-    """
-    c = np.asarray(c)
-    jl = _subset_list(j)
-    kl = _subset_list(k)
-    if not jl or not kl:
-        raise ValueError("subsets must be nonempty")
-    if max(jl + kl) >= c.shape[0]:
-        raise IndexError("subset index exceeds matrix dimension")
-    if len(jl) != len(kl):
-        return 0.0 + 0.0j
-    sub = c[np.ix_(jl, kl)]
-    if sub.shape == (1, 1):
-        return complex(sub[0, 0])
-    return complex(np.linalg.det(sub))

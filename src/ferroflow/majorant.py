@@ -11,11 +11,11 @@ form:
 with ``u0`` the derivative of the datum.  Both data are power series in
 ``z0``, so the Taylor coefficients that the domination test compares with
 the flow (``majorant_coefficients``) come from reverting ``z(z0)`` as a
-truncated series.  A value at one real ``z`` (``majorant_value``) exists
-while the characteristic map is monotone, that is for ``|z|`` below the fold
-value ``z_window``: there ``z0`` is found by Newton's method from ``|z|``,
-all nodes at once, and every other ``z`` is refused as a characteristic
-crossing.
+truncated series.  The characteristic through one real ``z`` exists while
+the characteristic map is monotone, that is for ``|z|`` below the fold
+value ``z_window``: there ``invert`` finds ``z0`` by Newton's method from
+``|z|``, all nodes at once, and refuses every other ``z`` as a
+characteristic crossing.
 
 Two closed-form data are supported: the exact quartic datum for a purely
 quartic bare series, and a logarithmic upper-bound datum for a general
@@ -52,9 +52,8 @@ class CharacteristicSolution:
     parameter ``lam`` or ``"quartic"`` with coupling ``alpha`` and Gram shift
     ``sigma``.  ``z0_window`` bounds ``|z0|`` where the characteristic map is
     monotone, up to its fold (``inf`` at ``tau = 0``), and ``z_window`` is
-    the map's value there.  ``invert`` and ``value`` take a real scalar or a
-    real array inside that window and treat all nodes of an array in one
-    pass.
+    the map's value there.  ``invert`` takes a real scalar or a real array
+    inside that window and treats all nodes of an array in one pass.
     """
 
     kind: str
@@ -85,15 +84,6 @@ class CharacteristicSolution:
             return l2 * z0 / (1.0 - l2 * z0 * z0)
         a, s2 = self.alpha, self.sigma ** 2
         return 12.0 * a * s2 * z0 + 4.0 * a * z0 ** 3
-
-    def datum(self, z0):
-        """Initial value ``phi0(z0)`` of the majorant datum (z-dependent part
-        plus its constant)."""
-        if self.kind == "logarithmic":
-            l2 = self.lam ** 2
-            return -0.5 * np.log(1.0 - l2 * z0 * z0)
-        a, s = self.alpha, self.sigma
-        return 0.5 * a * ((s + z0) ** 4 + (s - z0) ** 4)
 
     # -- characteristic map ----------------------------------------------------
 
@@ -205,14 +195,6 @@ class CharacteristicSolution:
         z0 = np.copysign(x.reshape(zs.shape), zs)
         return z0 if z0.ndim else float(z0)
 
-    def value(self, z):
-        """Majorant value ``phi(tau, z)`` at a real scalar or array ``z``
-        inside the certified window, along the characteristic found by
-        ``invert`` (which refuses every other ``z``)."""
-        z0 = self.invert(z)
-        u = self.u0(z0)
-        return self.datum(z0) - 0.5 * self.tau * u * u
-
 
 # ---------------------------------------------------------------------------
 # majorant evaluation
@@ -308,25 +290,6 @@ def existence_check(spec: MajorantSpec, t: float) -> ExistenceReport:
     return ExistenceReport(radius=r, tau=tau, sigma=sigma,
                            holds=bool(lhs < r), kind="logarithmic",
                            lhs=lhs, rhs=r)
-
-
-def majorant_value(spec: MajorantSpec, t: float, z: float) -> float:
-    """Majorant ``phi(t, z)``: the Hamilton-Jacobi solution at rescaled time
-    ``tau(t)`` with the Gram-shifted datum, plus the datum's constant part.
-    """
-    report = existence_check(spec, t)
-    if not report.holds:
-        raise ExistenceError(
-            "majorant existence condition fails: " + report.as_text())
-    char = spec.characteristic(t)
-    value = char.value(z)
-    return float(value) + _datum_constant(spec, report.sigma)
-
-
-def _datum_constant(spec: MajorantSpec, sigma: float) -> float:
-    if spec.kind == "quartic":
-        return 0.0  # the quartic datum already carries its constant
-    return -math.log(1.0 - sigma / spec.R)
 
 
 def majorant_coefficients(spec: MajorantSpec, t: float, m_max: int

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .algebra import GrassmannElement, _parity_index, _popcount_table, _require_even
-from .gaussian import AntisymmetricCovariance, gaussian_moment
+from .gaussian import AntisymmetricCovariance, _subset_list, gaussian_moment
 
 
 @dataclass(frozen=True)
@@ -129,14 +129,13 @@ def gram_bound_check(cov: AntisymmetricCovariance, subset: Iterable[int] | int
 
     ``lhs`` is the absolute Gaussian moment, ``rhs`` is
     ``(4 max C^{+-}_{ii})**(|J|/2)`` with the max over both split parts and
-    the generator pairs touched by the subset.
+    the generator pairs touched by the subset.  The subset is a bitmask or
+    distinct indices, parsed as ``gaussian_moment`` parses it: a repeated
+    index raises ``ValueError``.
     """
     c_plus, c_minus = cov.require_split()
     n = cov.pairs
-    if isinstance(subset, (int, np.integer)):
-        idx = [b for b in range(int(subset).bit_length()) if (int(subset) >> b) & 1]
-    else:
-        idx = sorted(set(int(i) for i in subset))
+    idx = _subset_list(subset)
     if not idx:
         return GramBoundReport(1.0, 1.0, True)
     touched = sorted({i if i < n else i - n for i in idx})

@@ -9,10 +9,11 @@ the scale-derivative kernel, which has positive Fourier weights and hence a
 positive-semidefinite position kernel at every scale.
 
 Position-space matrices are exact truncated lattice sums, taken shell by
-shell in ``|p|^2`` (with a certified Gaussian tail bound); the integrated
-Gram parameter and the rescaled clock are also exposed through their
-continuum closed forms, which is the mixed convention the surrounding
-analysis uses.
+shell in ``|p|^2`` (with a certified Gaussian tail bound).  The integrated
+Gram parameter and the rate norm are also exposed in their continuum closed
+forms, and the rescaled clock as the continuum integral of its rate, read
+from one cumulative Simpson table; this is the mixed convention the
+surrounding analysis uses.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .algebra import GeneratorSet, GrassmannElement
 from .errors import ResolutionError, UnsupportedDimensionError
-from .schedule import ScaleSchedule, simpson_refine
+from .schedule import ScaleSchedule, _CumulativeTable
 
 _TAIL_RTOL = 1e-10
 _LATTICE_GUARD = 4_000_000
@@ -239,29 +240,32 @@ def covariance_rate_norm(params: Psi4Params, s: float) -> float:
 
 
 class FlowClock(NamedTuple):
-    value: float
-    bound: float
-    within_bound: bool
+    value: float | np.ndarray
+    bound: float | np.ndarray
 
 
-def effective_flow_time(params: Psi4Params, t: float) -> FlowClock:
-    """Rescaled clock ``integral_0^t exp(-m^2 / L_s^2) ds`` with its bound.
+def effective_flow_time(params: Psi4Params, t) -> FlowClock:
+    """Rescaled clock ``integral_0^t exp(-m^2 / L_s^2) ds`` with its bound,
+    at a time or at an array of times (then arrays of the same shape).
 
-    The analytic bound is ``1/(2e) + min(t, log(L_0 / m))``: the clock
-    essentially stops once the running cutoff falls below the mass.
+    Every time is read from one cumulative Simpson table of the rate on
+    ``[0, max t]`` (``schedule._CumulativeTable``); a time of 0 gives
+    exactly 0.  The analytic bound is ``1/(2e) + min(t, log(L_0 / m))``:
+    the clock essentially stops once the running cutoff falls below the
+    mass.
     """
-    if t < 0:
+    ts = np.asarray(t, dtype=float)
+    if not np.all(ts >= 0.0):
         raise ValueError("time must be nonnegative")
     m2 = params.mass ** 2
 
     def rate(s):
-        lam2 = (params.lambda0 * np.exp(-np.asarray(s))) ** 2
-        return np.exp(-m2 / lam2)
+        return np.exp(-m2 / (params.lambda0 * np.exp(-s)) ** 2)
 
-    value = float(np.real(simpson_refine(rate, 0.0, float(t), vectorized=True))) \
-        if t > 0 else 0.0
-    bound = 1.0 / (2.0 * math.e) + min(t, math.log(params.lambda0 / params.mass))
-    return FlowClock(value, bound, bool(value <= bound + 1e-12))
+    value = _CumulativeTable(rate, float(np.max(ts)), "clock rate").at(ts)
+    bound = 1.0 / (2.0 * math.e) + np.minimum(
+        ts, math.log(params.lambda0 / params.mass))
+    return FlowClock(value, float(bound) if ts.ndim == 0 else bound)
 
 
 def coupling_bound(params: Psi4Params) -> float:

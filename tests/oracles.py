@@ -1,0 +1,103 @@
+"""Independent routes that the tests compare the library against.
+
+None of these is reached by the CLI: the left derivative, Berezin
+integration and the double translation check the Gaussian calculus, and the
+majorant's value by Newton inversion of the characteristic map checks the
+series reversion of ``majorant_coefficients``.  Test modules import them as
+they import ``conftest``.
+"""
+
+import math
+
+import numpy as np
+
+from ferroflow.algebra import GeneratorSet, GrassmannElement, _deriv_table, merge_sign
+from ferroflow.errors import ExistenceError
+from ferroflow.majorant import CharacteristicSolution, MajorantSpec, existence_check
+
+
+def derivative(f, k):
+    """Left derivative with respect to generator ``k``: on an ascending
+    monomial containing ``psi_k`` at (1-based) position ``r`` it removes
+    ``psi_k`` and multiplies by ``(-1)**(r-1)``."""
+    if not 0 <= k < f.gens.count:
+        raise IndexError(f"generator index {k} out of range 0..{f.gens.count - 1}")
+    src, dst, sgn = _deriv_table(f.gens.count, k)
+    out = np.zeros(f.gens.dim, dtype=np.complex128)
+    out[dst] = sgn * f.coeffs[src]
+    return GrassmannElement(f.gens, out)
+
+
+def berezin_integrate(f, indices):
+    """Berezin integral over the listed generators: iterated left
+    differentiation, ``d/dpsi_{j1}`` first.  Integrating over all
+    generators extracts the top coefficient."""
+    idx = list(indices)
+    if len(set(idx)) != len(idx):
+        raise ValueError("repeated index in Berezin integration list")
+    out = f
+    for k in idx:
+        out = derivative(out, k)
+    return out
+
+
+def translate_double(f):
+    """Substitute ``psi_i -> psi_i + theta_i`` on a doubled generator set.
+
+    The result lives on ``2 * count`` generators with the original psi block
+    first (bits ``0..count-1``) and the theta block second.  Restricting the
+    theta block to zero recovers ``f``.
+    """
+    n_gen = f.gens.count
+    doubled = GeneratorSet(2 * n_gen)
+    out = np.zeros(doubled.dim, dtype=np.complex128)
+    for mask in f.nonzero_masks():
+        mask = int(mask)
+        z = f.coeffs[mask]
+        sub = mask
+        while True:
+            t = mask ^ sub  # theta-block subset
+            out[sub | (t << n_gen)] += merge_sign(sub, t) * z
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+    return GrassmannElement(doubled, out)
+
+
+def initial_datum(char: CharacteristicSolution, z0):
+    """Initial value ``phi0(z0)`` of the majorant datum of ``char``
+    (z-dependent part plus its constant)."""
+    if char.kind == "logarithmic":
+        l2 = char.lam ** 2
+        return -0.5 * np.log(1.0 - l2 * z0 * z0)
+    a, s = char.alpha, char.sigma
+    return 0.5 * a * ((s + z0) ** 4 + (s - z0) ** 4)
+
+
+def characteristic_value(char: CharacteristicSolution, z):
+    """Value ``phi(tau, z)`` at a real scalar or array ``z`` inside the
+    certified window, along the characteristic found by ``char.invert``
+    (which refuses every other ``z``)."""
+    z0 = char.invert(z)
+    u = char.u0(z0)
+    return initial_datum(char, z0) - 0.5 * char.tau * u * u
+
+
+def datum_constant(spec: MajorantSpec, sigma: float) -> float:
+    """Constant part of the Gram-shifted datum that the characteristic's
+    logarithmic datum leaves out."""
+    if spec.kind == "quartic":
+        return 0.0  # the quartic datum already carries its constant
+    return -math.log(1.0 - sigma / spec.R)
+
+
+def majorant_value(spec: MajorantSpec, t: float, z: float) -> float:
+    """Majorant ``phi(t, z)``: the Hamilton-Jacobi solution at rescaled time
+    ``tau(t)`` with the Gram-shifted datum, plus the datum's constant part.
+    """
+    report = existence_check(spec, t)
+    if not report.holds:
+        raise ExistenceError(
+            "majorant existence condition fails: " + report.as_text())
+    value = characteristic_value(spec.characteristic(t), z)
+    return float(value) + datum_constant(spec, report.sigma)

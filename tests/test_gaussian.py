@@ -1,20 +1,11 @@
 import numpy as np
 import pytest
 
-from ferroflow.algebra import (
-    GeneratorSet,
-    GrassmannElement,
-    berezin_integrate,
-    derivative,
-    exp_of,
-    translate_double,
-    wedge,
-)
+from ferroflow.algebra import GeneratorSet, GrassmannElement, exp_of, wedge
 from ferroflow.errors import GramSplitError
 from ferroflow.gaussian import (
     AntisymmetricCovariance,
     covariance_split_check,
-    det_correlation,
     gaussian_expectation,
     gaussian_moment,
     heat_kernel_convolve,
@@ -24,6 +15,7 @@ from ferroflow.gaussian import (
 )
 
 from conftest import rand_antisymmetric, rand_element
+from oracles import berezin_integrate, derivative, translate_double
 
 
 def pfaffian_matching_sum(a):
@@ -299,19 +291,6 @@ class TestExponentialPairing:
 
 
 class TestDetCorrelation:
-    def test_single_pair_entry(self, rng):
-        c = rand_antisymmetric(rng, 3) @ rand_antisymmetric(rng, 3)
-        c = c + c.T
-        assert det_correlation(c, [0], [1]) == pytest.approx(c[0, 1])
-
-    def test_unequal_sizes_vanish(self, rng):
-        c = np.eye(3)
-        assert det_correlation(c, [0, 1], [2]) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            det_correlation(np.eye(3), [], [0])
-
     def test_minor_determinant_and_pfaffian_route(self, rng):
         c = rng.normal(size=(3, 3))
         c = c + c.T
@@ -319,7 +298,7 @@ class TestDetCorrelation:
         for (jj, kk) in [([0, 1], [0, 1]), ([0, 1], [0, 2]), ([0, 2], [1, 2])]:
             minor = c[np.ix_(jj, kk)]
             expect = minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0]
-            val = det_correlation(c, jj, kk)
+            val = np.linalg.det(c[np.ix_(jj, kk)])
             assert val == pytest.approx(expect)
             # block-Pfaffian route carries the interleaving parity (-1)^(p(p-1)/2)
             block = gaussian_moment(cov.matrix, sorted(jj + [k + 3 for k in kk]))
@@ -349,4 +328,4 @@ class TestDetCorrelation:
                          ([0, 2], [1, 2])]:
             inter = GrassmannElement.monomial(
                 gens, [x for pair in zip(jj, kk) for x in (pair[0], pair[1] + n)])
-            assert mu_c(inter) == pytest.approx(det_correlation(c, jj, kk))
+            assert mu_c(inter) == pytest.approx(np.linalg.det(c[np.ix_(jj, kk)]))

@@ -19,7 +19,6 @@ from ferroflow.majorant import (
     existence_check,
     hopflax_solve,
     majorant_coefficients,
-    majorant_value,
     rhs_coefficient_bound,
     _gamma_factor,
 )
@@ -28,6 +27,7 @@ from ferroflow.psi4 import quartic_bare_action
 from ferroflow.schedule import ScaleSchedule, _simpson_values, simpson_refine
 
 from conftest import count_rate_norm_calls, desk_instance, synthetic_schedule
+from oracles import initial_datum, majorant_value
 
 
 def cardano_roots(coeffs):
@@ -154,7 +154,7 @@ def cauchy_coefficients(char, m_max, nodes=128):
     z0 = np.array([invert_by_roots(char, complex(z))
                    for z in half_circle(radius, nodes)])
     u = char.u0(z0)
-    half = char.datum(z0) - 0.5 * char.tau * u * u
+    half = initial_datum(char, z0) - 0.5 * char.tau * u * u
     vals = np.concatenate([half, half])
     spectrum = np.fft.fft(vals) / nodes
     scale = radius ** (2 * np.arange(1, m_max + 1))
@@ -563,6 +563,31 @@ class TestMajorantCoefficients:
                 want = np.array([float(taylor[2 * m]) for m in (1, 2, 3)])
             got = majorant_coefficients(spec, t, m_max=3).coefficients
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("spec_args", [
+        {"quartic_alpha": 0.02},
+        {"quartic_alpha": 0.3},
+        {"radius": 1.5},
+        {"radius": 3.0},
+    ], ids=["quartic-0.02", "quartic-0.3", "logarithmic-1.5", "logarithmic-3"])
+    def test_series_matches_newton_value(self, spec_args):
+        # series reversion against Newton inversion at real z, two routes
+        # with no formula in common: phi(t, z) - phi(t, 0) = sum phi_m z**2m
+        # inside half of the window and of the datum's radius (1/lam; 1 for
+        # the entire quartic datum)
+        sched = synthetic_schedule(np.random.Generator(np.random.Philox(3)), 4)
+        spec = MajorantSpec(schedule=sched, **spec_args)
+        for t in (0.0, 0.4, 0.9):
+            char = spec.characteristic(t)
+            datum = 1.0 / char.lam if char.kind == "logarithmic" else 1.0
+            half = 0.5 * min(char.z_window, datum)
+            phi = majorant_coefficients(spec, t, m_max=60)
+            at_origin = majorant_value(spec, t, 0.0)
+            for frac in (0.1, 0.5, 0.9):
+                z = frac * half
+                want = majorant_value(spec, t, z) - at_origin
+                assert phi.eval(z) == pytest.approx(want, rel=1e-12, abs=0.0), \
+                    (t, z)
 
     @pytest.mark.parametrize("spec_args", [
         {"quartic_alpha": 0.0},

@@ -200,6 +200,18 @@ class TestGramBound:
         assert rep.holds
         assert rep.lhs == pytest.approx(abs(cov.matrix[0, 4]))
 
+    def test_repeated_index_rejected(self, rng):
+        # psi_0 psi_2 psi_2 is zero; the Gram bound refuses it as
+        # gaussian_moment does, where it used to report the moment of psi_0 psi_2
+        g1 = rng.normal(size=(2, 2))
+        cov = AntisymmetricCovariance.from_split(
+            g1 @ g1.T + 0.1 * np.eye(2), 0.1 * np.eye(2))
+        for subset in ([0, 2, 2], (1, 1)):
+            with pytest.raises(ValueError):
+                gaussian_moment(cov.matrix, subset)
+            with pytest.raises(ValueError):
+                gram_bound_check(cov, subset)
+
     def test_exhaustive_all_subsets(self, rng):
         for _ in range(20):
             g1 = rng.normal(size=(4, 4))

@@ -14,6 +14,12 @@ def test_public_names_resolve():
     assert missing == []
 
 
+def test_moved_and_deleted_names_stay_out():
+    gone = {"berezin_integrate", "derivative", "project_degree_ge",
+            "translate_double", "det_correlation", "majorant_value"}
+    assert gone.isdisjoint(ferroflow.__all__)
+
+
 def fresh_env():
     """The environment with this ``src`` first on ``PYTHONPATH``."""
     src = Path(ferroflow.__file__).resolve().parents[1]
@@ -33,6 +39,17 @@ def test_cli_import_pulls_in_no_scipy():
     code = ("import sys, ferroflow.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert run_fresh(code).strip() == "[]"
+
+
+def test_package_loads_nothing_from_the_tests():
+    # the oracles stay on the tests' side: run from tests/, where they are
+    # importable, the library and its CLI load no module from there
+    tests = Path(__file__).resolve().parent
+    code = ("import sys, ferroflow, ferroflow.cli; "
+            "print(sorted(name for name, m in sys.modules.items() "
+            "if name in ('oracles', 'conftest') "
+            f"or (getattr(m, '__file__', None) or '').startswith({str(tests)!r})))")
+    assert run_fresh(code, cwd=tests).strip() == "[]"
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -5,9 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ferroflow.errors import ResolutionError
+from ferroflow import psi4, schedule
+from ferroflow.cli import main
+from ferroflow.errors import ResolutionError, UnsupportedDimensionError
 from ferroflow.psi4 import (Psi4Params, _gammaincc, _momentum_table,
-                            build_desk_instance, covariance_matrix)
+                            build_desk_instance, coupling_bound,
+                            covariance_matrix, effective_flow_time,
+                            sigma_squared_closed_form)
 
 _TINY = np.finfo(float).tiny
 
@@ -36,6 +40,73 @@ def test_gammaincc_matches_scipy(d):
 def test_gammaincc_refuses_arguments_outside_its_domain(a, x):
     with pytest.raises(ValueError):
         _gammaincc(a, x)
+
+
+def test_flow_time_matches_the_exponential_integral():
+    # integral_0^t exp(-a e^{2s}) ds = [E1(a) - E1(a e^{2t})] / 2, a = m^2/L_0^2
+    special = pytest.importorskip("scipy.special")
+    params = cli_params()
+    a = (params.mass / params.lambda0) ** 2
+
+    def closed_form(t):
+        return 0.5 * (special.exp1(a) - special.exp1(a * np.exp(2.0 * t)))
+
+    for t in (0.3, 1.0, 2.0):
+        clock = effective_flow_time(params, t)
+        assert isinstance(clock.value, float) and isinstance(clock.bound, float)
+        assert clock.value == pytest.approx(closed_form(t), rel=1e-10, abs=0.0)
+    ts = np.linspace(0.0, 2.0, 201)
+    clock = effective_flow_time(params, ts)
+    assert clock.value.shape == clock.bound.shape == ts.shape
+    assert clock.value[0] == 0.0
+    np.testing.assert_allclose(clock.value[1:], closed_form(ts[1:]),
+                               rtol=1e-10, atol=0.0)
+    assert np.all(clock.value <= clock.bound)
+    assert effective_flow_time(params, 0.0).value == 0.0
+    with pytest.raises(ValueError):
+        effective_flow_time(params, -0.1)
+
+
+def test_psi4_reads_its_clock_from_one_table(tmp_path, monkeypatch):
+    tables = []
+    simpson = []
+    init = schedule._CumulativeTable.__init__
+    refine = schedule.simpson_refine
+
+    def counting_init(self, *args, **kwargs):
+        tables.append(args[1:])
+        init(self, *args, **kwargs)
+
+    def counting_simpson(*args, **kwargs):
+        simpson.append(args[1:3])
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(schedule._CumulativeTable, "__init__", counting_init)
+    for module in (schedule, psi4):
+        monkeypatch.setattr(module, "simpson_refine", counting_simpson,
+                            raising=False)
+    assert main(["psi4", "--out", str(tmp_path / "psi4.csv")]) == 0
+    assert len(tables) == 1
+    assert simpson == []
+
+
+def test_sigma_squared_closed_form_is_additive():
+    params = cli_params()
+    s, t = 0.4, 1.3
+    whole = sigma_squared_closed_form(params, 0.0, t)
+    parts = (sigma_squared_closed_form(params, 0.0, s)
+             + sigma_squared_closed_form(params, s, t))
+    assert parts == pytest.approx(whole, rel=1e-14)
+    assert sigma_squared_closed_form(params, s, s) == 0.0
+    with pytest.raises(ValueError):
+        sigma_squared_closed_form(params, t, s)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_coupling_bound_is_four_dimensional(d):
+    assert coupling_bound(cli_params()) > 0.0
+    with pytest.raises(UnsupportedDimensionError):
+        coupling_bound(replace(cli_params(), dimension=d))
 
 
 def test_tail_certificate_refuses_a_short_cutoff():
