@@ -16,26 +16,32 @@ generator above 12 triples the cost of a product; ``verify --seed 42`` took
 2.5 s at 14 generators and 22 s (194 MB peak) at 16, one run each on a 2-CPU
 x86_64 Xeon, against a budget of 10 minutes.
 
-``flow`` and ``majorant`` take ``steps`` RK4 steps of the desk flow on
-``2 * sites`` generators.  One step took 0.12-0.23, 0.14-0.27, 0.20-0.35,
-0.83-1.3 and 5.7-7.8 ms at 2, 3, 4, 5 and 6 sites (best of 3 runs of 20 to
-400 steps, in three sessions on a 2-CPU x86_64 Xeon whose load varied, BLAS
-on one thread), and single runs took up to 0.29, 0.42, 0.39, 1.9 and 9.8 ms.
+``flow`` takes ``steps`` RK4 steps of the desk flow on ``2 * sites``
+generators.  One step took 0.12-0.23, 0.14-0.27, 0.20-0.35, 0.83-1.3 and
+5.7-7.8 ms at 2, 3, 4, 5 and 6 sites (best of 3 runs of 20 to 400 steps, in
+three sessions on a 2-CPU x86_64 Xeon whose load varied, BLAS on one
+thread), and single runs took up to 0.29, 0.42, 0.39, 1.9 and 9.8 ms.
 Whole ``flow`` runs on a 1-CPU host grew by 8.4 ms per step from 500 to
 1,500 steps at 6 sites, and by 1.2 ms from 1,000 to 5,000 at 5.
-``_STEP_SECONDS`` holds twice the slowest single runs, rounded up.  A config
-whose steps would take longer than the same 10-minute budget at these costs
-is refused with exit 4 before any computation: more than 30,000 steps at 6
-sites, and no step count the validator admits at fewer sites.
+``_STEP_SECONDS`` holds twice the slowest single runs, rounded up.  A
+``flow`` config whose steps would take longer than the same 10-minute budget
+at these costs is refused with exit 4 before any computation: more than
+30,000 steps at 6 sites, and no step count the validator admits at fewer
+sites.
 
 The trajectory keeps every state, ``16 * 4**sites`` bytes per step: an
-admitted run holds at most 26 MB, 102 MB and 410 MB of states at 2, 3 and
-4 sites, 1.6 GB at 5 sites (100,000 steps) and 2.0 GB at 6 sites (30,000
-steps), on top of about 45 MB for the interpreter and tables (one-step
-``flow`` and ``majorant`` runs peaked at 31-33 MiB at 2 and 4 sites and at
-44-45 MiB at 6 on x86_64 Linux; the peak RSS of the runs above grew by
-61 MiB over 1,000 steps at 6 sites and by 66 MiB over 4,000 at 5).  Memory
-is not refused.
+admitted ``flow`` run holds at most 26 MB, 102 MB and 410 MB of states at 2,
+3 and 4 sites, 1.6 GB at 5 sites (100,000 steps) and 2.0 GB at 6 sites
+(30,000 steps), on top of about 45 MB for the interpreter and tables
+(one-step runs peaked at 31-33 MiB at 2 and 4 sites and at 44-45 MiB at 6
+on x86_64 Linux; the peak RSS of the runs above grew by 61 MiB over 1,000
+steps at 6 sites and by 66 MiB over 4,000 at 5).  Memory is not refused.
+
+``majorant`` integrates no flow: at each of its 11 printed times on the
+``steps`` grid it takes the exact effective action, one ``rg_map`` on
+``2 * sites`` generators, so ``steps`` changes neither its cost nor its peak
+memory, which stays near the one-step peaks above.  One ``rg_map`` took
+0.07-0.30 ms up to 4 sites, 0.9 ms at 5 and 5.9-9.2 ms at 6 (the same Xeon).
 """
 
 from __future__ import annotations
@@ -56,7 +62,8 @@ from .errors import (
     ExistenceError,
     FerroflowError,
 )
-from .flow import flow_integrate, rg_map, trajectory_to_csv
+from .flow import (effective_action_exact, flow_integrate, rg_map,
+                   trajectory_to_csv)
 from .gaussian import (
     AntisymmetricCovariance,
     covariance_split_check,
@@ -116,9 +123,7 @@ _RANGES = {
 }
 
 
-# seconds per RK4 step of the desk flow by site count (twice the slowest
-# runs of the module docstring, rounded up) and the run-time budget of flow
-# and majorant
+# seconds per RK4 step by site count and flow's budget (module docstring)
 _STEP_SECONDS = {2: 6e-4, 3: 1e-3, 4: 1e-3, 5: 4e-3, 6: 2e-2}
 _RUN_BUDGET_S = 600.0
 
@@ -178,9 +183,9 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def check_run_time(command: str, cfg: RunConfig) -> None:
-    """Refuse a ``flow`` or ``majorant`` config whose RK4 steps would exceed
-    the run-time budget."""
-    if command not in ("flow", "majorant"):
+    """Refuse a ``flow`` config whose RK4 steps would exceed the run-time
+    budget."""
+    if command != "flow":
         return
     step = _STEP_SECONDS[cfg.sites]
     if cfg.steps * step > _RUN_BUDGET_S:
@@ -399,15 +404,15 @@ def cmd_majorant(cfg: RunConfig) -> int:
     if not report.holds:
         print("existence condition fails; no majorant CSV written")
         return 2
-    traj = flow_integrate(inst.schedule, inst.bare_action, steps=cfg.steps,
-                          t_end=cfg.tMax, truncate_ge2=cfg.truncate)
+    grid = np.linspace(0.0, cfg.tMax, cfg.steps + 1)
     n = inst.generators.pairs
-    picks = np.unique(np.linspace(0, len(traj.grid) - 1, 11).astype(int))
+    picks = np.unique(np.linspace(0, cfg.steps, 11).astype(int))
     lines = ["t,m,F_m,phi_m,margin"]
     worst = float("inf")
     for i in picks:
-        t = float(traj.grid[i])
-        series = norm_coefficients(traj.states[i])
+        t = float(grid[i])
+        series = norm_coefficients(
+            effective_action_exact(inst.schedule, inst.bare_action, t))
         phi = majorant_coefficients(spec, t, m_max=n)
         for m in range(1, n + 1):
             fm = series.coeff(m)
@@ -480,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None, help="output CSV path")
         p.add_argument("--seed", type=int, default=None, help="64-bit seed")
         p.add_argument("--truncate", action="store_true",
-                       help="project the flow onto degree >= 4")
+                       help="project the flow onto degree >= 4 (flow only)")
         p.add_argument("--generators", type=int, default=None,
                        help="generator count for randomized checks (even, "
                             "2..16; verify took 2.5 s at 14 and 22 s at 16 "
@@ -512,6 +517,8 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "debug_corrupt_pfaffian", False):
             cfg.debugCorruptPfaffian = True
         validate_config(cfg)
+        if args.command == "majorant" and cfg.truncate:
+            raise ConfigError("truncate applies to flow only")
         check_run_time(args.command, cfg)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

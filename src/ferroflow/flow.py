@@ -107,8 +107,12 @@ def effective_action_exact(schedule: ScaleSchedule, f0: GrassmannElement,
     """Normalized effective action at scale ``t`` through the heat-kernel
     route: one ``rg_map`` of the slice ``schedule.covariance(0, t)``, which
     refuses a ``t`` outside ``[0, T]``, with the scalar part that ``rg_map``
-    keeps set to zero."""
-    out = rg_map(schedule.covariance(0.0, t), f0)
+    keeps set to zero; at ``t = 0``, ``f0`` itself, free of exp/log rounding."""
+    if t == 0.0:
+        _require_even(f0, "effective_action_exact")
+        out = f0
+    else:
+        out = rg_map(schedule.covariance(0.0, t), f0)
     c = out.coeffs.copy()
     c[0] = 0.0
     return GrassmannElement(out.gens, c)

@@ -259,12 +259,12 @@ class MajorantSpec:
             return (4.0 * self.quartic_alpha) ** -0.25
         return convergence_radius(self.bare_series)
 
-    def characteristic(self, t: float) -> CharacteristicSolution:
-        tau = self.schedule.tau(t)
-        sigma = math.sqrt(self.schedule.sigma_squared(0.0, t))
+    def characteristic(self, report: ExistenceReport) -> CharacteristicSolution:
+        """The characteristic at the scale of ``existence_check``'s report,
+        from its ``tau``, ``sigma`` and ``R``."""
+        tau, sigma, r = report.tau, report.sigma, report.radius
         if self.kind == "quartic":
             return CharacteristicSolution.quartic(self.quartic_alpha, sigma, tau)
-        r = self.R
         if sigma >= r:
             raise ExistenceError(
                 f"Gram parameter sigma={sigma:.6g} reached the radius R={r:.6g}")
@@ -315,9 +315,9 @@ def majorant_coefficients(spec: MajorantSpec, t: float, m_max: int
         raise ExistenceError(
             "majorant existence condition fails: " + report.as_text())
     if (spec.quartic_alpha == 0.0 if spec.kind == "quartic"
-            else spec.R == math.inf):
+            else report.radius == math.inf):
         return NormSeries(np.zeros(m_max))  # zero datum, zero majorant
-    char = spec.characteristic(t)
+    char = spec.characteristic(report)
     quartic = char.kind == "quartic"
     c1 = 12.0 * char.alpha * char.sigma ** 2 if quartic else char.lam ** 2
     den = 1.0 - char.tau * c1

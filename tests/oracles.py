@@ -99,5 +99,5 @@ def majorant_value(spec: MajorantSpec, t: float, z: float) -> float:
     if not report.holds:
         raise ExistenceError(
             "majorant existence condition fails: " + report.as_text())
-    value = characteristic_value(spec.characteristic(t), z)
+    value = characteristic_value(spec.characteristic(report), z)
     return float(value) + datum_constant(spec, report.sigma)

@@ -1,11 +1,15 @@
+import math
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ferroflow import cli, flow
 from ferroflow.cli import check_run_time, main, parse_config
 from ferroflow.errors import ConfigError
+from ferroflow.flow import flow_integrate
 from ferroflow.norms import norm_coefficients
 
 
@@ -95,7 +99,7 @@ def test_rerun_is_byte_identical(tmp_path, command):
 
 
 def test_majorant_takes_norms_of_printed_states_only(tmp_path, monkeypatch):
-    # 20 steps give 21 states, of which the CSV prints 11
+    # 20 steps give 21 grid times, of which the CSV prints 11
     count = [0]
 
     def counting(state):
@@ -110,7 +114,42 @@ def test_majorant_takes_norms_of_printed_states_only(tmp_path, monkeypatch):
     cfg.write_text("sites = 2\nsteps = 20\n")
     assert main(["majorant", "--config", str(cfg),
                  "--out", str(tmp_path / "m.csv")]) == 0
-    assert 0 < count[0] <= 11
+    assert count[0] == 11
+
+
+def test_majorant_integrates_no_flow(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("majorant integrated the flow")
+
+    monkeypatch.setattr(cli, "flow_integrate", refuse)
+    monkeypatch.setattr(flow, "_integrate_on", refuse)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sites = 2\nsteps = 20\n")
+    assert main(["majorant", "--config", str(cfg),
+                 "--out", str(tmp_path / "m.csv")]) == 0
+
+
+@pytest.mark.parametrize("sites", [2, 3, 4])
+def test_majorant_matches_rk4_states(tmp_path, sites):
+    # the exact actions that majorant prints against the RK4 states at the
+    # same times of the CLI's default 400 steps
+    text = f"sites = {sites}\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "m.csv"
+    assert main(["majorant", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    inst = cli._desk_instance(parse_config(text))
+    traj = flow_integrate(inst.schedule, inst.bare_action, steps=400, t_end=2.0)
+    printed = {(t, int(m)): float(fm) for t, m, fm, _, _ in rows}
+    picks = np.unique(np.linspace(0, 400, 11).astype(int))
+    assert len(printed) == len(picks) * sites
+    for i in picks:
+        series = norm_coefficients(traj.states[i])
+        for m in range(1, sites + 1):
+            got = printed[(f"{traj.grid[i]:.12g}", m)]
+            assert math.isclose(got, series.coeff(m), rel_tol=1e-9,
+                                abs_tol=1e-12)
 
 
 @pytest.mark.parametrize("alpha", ["1e-160", "1e-300"])
@@ -144,14 +183,35 @@ def test_zero_alpha_majorant_is_zero(tmp_path):
     assert all(float(row.split(",")[4]) == 0.0 for row in rows[1:])
 
 
-@pytest.mark.parametrize("command", ["flow", "majorant"])
-def test_run_time_over_budget_exits_4(tmp_path, capsys, command):
+def test_run_time_over_budget_exits_4(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sites = 6\nsteps = 100000\n")
     out = tmp_path / "x.csv"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+    assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert "configuration error" in err and "over the budget of 10 min" in err
+    assert not out.exists()
+
+
+def test_majorant_cost_is_independent_of_steps(tmp_path):
+    # steps only sets the 11 printed times, so the most steps the validator
+    # admits at the most sites is in budget
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sites = 6\nsteps = 100000\n")
+    out = tmp_path / "m.csv"
+    assert main(["majorant", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 11 * 6
+
+
+@pytest.mark.parametrize("argv, text", [(["--truncate"], ""),
+                                        ([], "truncate = true\n")],
+                         ids=["flag", "config"])
+def test_majorant_refuses_truncate(tmp_path, capsys, argv, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sites = 2\nsteps = 20\n" + text)
+    out = tmp_path / "m.csv"
+    assert main(["majorant", "--config", str(cfg), "--out", str(out)] + argv) == 4
+    assert "truncate applies to flow only" in capsys.readouterr().err
     assert not out.exists()
 
 

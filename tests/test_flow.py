@@ -232,10 +232,17 @@ class TestRgMap:
 
 class TestEffectiveActionExact:
     def test_t_zero_returns_bare(self, rng):
+        # the zero slice gives f0 bitwise, its scalar part set to zero, and
+        # refuses odd content as rg_map does
         sched = synthetic_schedule(rng, 4)
         f = rand_even_normalized(rng, GeneratorSet(8), 0.05)
-        out = effective_action_exact(sched, f, 0.0)
-        assert np.max(np.abs(out.coeffs - f.coeffs)) < 1e-12
+        shifted = f.coeffs.copy()
+        shifted[0] = 0.3
+        out = effective_action_exact(sched, GrassmannElement(f.gens, shifted), 0.0)
+        assert np.array_equal(out.coeffs, f.coeffs)
+        odd = rand_element(rng, GeneratorSet(8), 0.05)
+        with pytest.raises(ParityError):
+            effective_action_exact(sched, odd, 0.0)
 
     def test_normalization_flag(self, rng):
         sched = synthetic_schedule(rng, 4)

@@ -463,7 +463,7 @@ class TestMajorantValue:
         # the value is the datum constant plus the integral of the
         # transported derivative
         spec = self._quartic_spec(rng)
-        char = spec.characteristic(0.9)
+        char = spec.characteristic(existence_check(spec, 0.9))
         v0 = majorant_value(spec, 0.9, 0.0)
         z = 0.45
         grid = np.linspace(0.0, z, 2001)
@@ -488,7 +488,7 @@ class TestMajorantValue:
         # (quartic, 10 z_window) or nan (logarithmic, 3 z_window)
         sched = synthetic_schedule(np.random.Generator(np.random.Philox(3)), 4)
         spec = MajorantSpec(schedule=sched, **spec_args)
-        z_window = spec.characteristic(0.9).z_window
+        z_window = spec.characteristic(existence_check(spec, 0.9)).z_window
         assert majorant_value(spec, 0.9, 0.5 * z_window) > 0.0
         for factor in (1.01, 3.0, 10.0):
             with warnings.catch_warnings():
@@ -522,8 +522,8 @@ class TestMajorantCoefficients:
             if kind == "quartic" else MajorantSpec(schedule=sched, radius=1.3)
         for t in (0.0, 0.3, 0.6, 0.75):
             for m_max in (1, 4, 6):
-                want, floor = cauchy_coefficients(spec.characteristic(t),
-                                                  m_max)
+                char = spec.characteristic(existence_check(spec, t))
+                want, floor = cauchy_coefficients(char, m_max)
                 got = majorant_coefficients(spec, t, m_max).coefficients
                 assert np.all(np.abs(got - want) <= floor), (t, m_max)
 
@@ -535,7 +535,7 @@ class TestMajorantCoefficients:
             if kind == "quartic" else MajorantSpec(schedule=inst.schedule,
                                                    radius=0.6)
         for t in (0.2, 1.0, 2.0):
-            char = spec.characteristic(t)
+            char = spec.characteristic(existence_check(spec, t))
             with mpmath.workdps(50):
                 tau = mpmath.mpf(char.tau)
                 if kind == "quartic":
@@ -578,7 +578,7 @@ class TestMajorantCoefficients:
         sched = synthetic_schedule(np.random.Generator(np.random.Philox(3)), 4)
         spec = MajorantSpec(schedule=sched, **spec_args)
         for t in (0.0, 0.4, 0.9):
-            char = spec.characteristic(t)
+            char = spec.characteristic(existence_check(spec, t))
             datum = 1.0 / char.lam if char.kind == "logarithmic" else 1.0
             half = 0.5 * min(char.z_window, datum)
             phi = majorant_coefficients(spec, t, m_max=60)
@@ -662,9 +662,9 @@ class TestExistence:
             for f in (0.5, 0.9, 1.1, 2.0):
                 spec = MajorantSpec(schedule=sched,
                                     radius=sigma + f * math.sqrt(tau))
-                holds = existence_check(spec, t).holds
-                assert holds == (f > 1.0)
-                assert (spec.characteristic(t).z0_window > 0.0) == holds
+                report = existence_check(spec, t)
+                assert report.holds == (f > 1.0)
+                assert (spec.characteristic(report).z0_window > 0.0) == report.holds
 
     def test_quartic_violation(self, rng):
         sched = synthetic_schedule(rng, 3, scale=1.2)
