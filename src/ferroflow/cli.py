@@ -8,8 +8,16 @@ across platforms.  CSV output uses comma separators, ``\\n`` newlines, a
 header row, and 12 significant digits; reruns with the same configuration
 and seed are byte-identical.
 
+Every command takes ``--config PATH``.  ``flow``, ``majorant`` and ``psi4``
+take ``--out PATH``, ``flow`` alone takes ``--truncate``, and ``verify``
+alone takes ``--seed``, ``--generators`` and ``--debug-corrupt-pfaffian``;
+each flag overrides the config key of its name.  Any other flag is a usage
+error, but for ``--truncate``: it and ``truncate = true`` in a config are
+refused for every command but ``flow`` as "truncate applies to flow only".
+
 Exit codes: 0 success, 1 failed verification, 2 inadmissible instance,
-3 runtime failure, 4 bad configuration or usage.
+3 runtime failure, 4 bad configuration or usage, an unreadable config or an
+output path that cannot be written included.
 
 ``generators`` (even, 2..16) sets the size of verify's RG-map checks.  Each
 generator above 12 triples the cost of a product; ``verify --seed 42`` took
@@ -182,10 +190,13 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("lambda0 must exceed mass")
 
 
-def check_run_time(command: str, cfg: RunConfig) -> None:
-    """Refuse a ``flow`` config whose RK4 steps would exceed the run-time
+def check_command(command: str, cfg: RunConfig) -> None:
+    """Refuse what ``command`` cannot honour: ``truncate`` outside ``flow``,
+    and a ``flow`` config whose RK4 steps would exceed the run-time
     budget."""
     if command != "flow":
+        if cfg.truncate:
+            raise ConfigError("truncate applies to flow only")
         return
     step = _STEP_SECONDS[cfg.sites]
     if cfg.steps * step > _RUN_BUDGET_S:
@@ -377,7 +388,10 @@ def _desk_instance(cfg: RunConfig) -> psi4.DeskInstance:
 
 
 def _write(path: str, text: str) -> None:
-    Path(path).write_bytes(text.encode("ascii"))
+    try:
+        Path(path).write_bytes(text.encode("ascii"))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def cmd_flow(cfg: RunConfig) -> int:
@@ -475,70 +489,64 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ferroflow",
         description="Fermionic RG flows with Hamilton-Jacobi norm majorants")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("verify", "run the invariant battery and print a check table"),
-            ("flow", "integrate a desk-scale flow and emit t,m,F_m CSV"),
-            ("majorant", "emit majorant coefficients, margins, and existence"),
-            ("psi4", "emit the scale summary of the quartic model")):
-        p = sub.add_parser(name, help=help_text)
+    # a flag left out is absent from the namespace, and every other dest is
+    # the RunConfig field it overrides
+    subs = {name: sub.add_parser(name, help=help_text,
+                                 argument_default=argparse.SUPPRESS)
+            for name, help_text in (
+                ("verify", "run the invariant battery and print a check table"),
+                ("flow", "integrate a desk-scale flow and emit t,m,F_m CSV"),
+                ("majorant", "emit majorant coefficients, margins, and existence"),
+                ("psi4", "emit the scale summary of the quartic model"))}
+    for name, p in subs.items():
         p.add_argument("--config", type=str, default=None, help="config file path")
-        p.add_argument("--out", type=str, default=None, help="output CSV path")
-        p.add_argument("--seed", type=int, default=None, help="64-bit seed")
+        # unlisted outside flow, where check_command refuses it by name
         p.add_argument("--truncate", action="store_true",
-                       help="project the flow onto degree >= 4 (flow only)")
-        p.add_argument("--generators", type=int, default=None,
-                       help="generator count for randomized checks (even, "
-                            "2..16; verify took 2.5 s at 14 and 22 s at 16 "
-                            "on a 2-CPU x86_64 machine)")
-        if name == "verify":
-            p.add_argument("--debug-corrupt-pfaffian", action="store_true",
-                           help="fault injection: break the Pfaffian normalization")
+                       help="project the flow onto degree >= 4"
+                       if name == "flow" else argparse.SUPPRESS)
+    for name in ("flow", "majorant", "psi4"):
+        subs[name].add_argument("--out", type=str, help="output CSV path")
+    verify = subs["verify"]
+    verify.add_argument("--seed", type=int, help="64-bit seed")
+    verify.add_argument("--generators", type=int,
+                        help="generator count of the RG-map checks (even, "
+                             "2..16; verify took 2.5 s at 14 and 22 s at 16 "
+                             "on a 2-CPU x86_64 machine)")
+    verify.add_argument("--debug-corrupt-pfaffian", action="store_true",
+                        dest="debugCorruptPfaffian",
+                        help="fault injection: break the Pfaffian normalization")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = vars(_build_parser().parse_args(argv))
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error, which is the
         # code of an inadmissible instance here
         return 4 if exc.code else 0
+    command, config = args.pop("command"), args.pop("config")
     try:
-        text = Path(args.config).read_text() if args.config else ""
-        cfg = parse_config(text)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out = args.out
-        if args.truncate:
-            cfg.truncate = True
-        if args.generators is not None:
-            cfg.generators = args.generators
-        if getattr(args, "debug_corrupt_pfaffian", False):
-            cfg.debugCorruptPfaffian = True
+        cfg = parse_config(Path(config).read_text() if config else "")
+        for key, value in args.items():
+            setattr(cfg, key, value)
         validate_config(cfg)
-        if args.command == "majorant" and cfg.truncate:
-            raise ConfigError("truncate applies to flow only")
-        check_run_time(args.command, cfg)
+        check_command(command, cfg)
+        return _COMMANDS[command](cfg)
     except (ConfigError, OSError) as exc:
+        # OSError: an unreadable config
         print(f"configuration error: {exc}", file=sys.stderr)
         return 4
-    try:
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "flow":
-            return cmd_flow(cfg)
-        if args.command == "majorant":
-            return cmd_majorant(cfg)
-        if args.command == "psi4":
-            return cmd_psi4(cfg)
     except (ExistenceError, CharacteristicCrossingError) as exc:
         print(f"inadmissible instance: {exc}", file=sys.stderr)
         return 2
     except FerroflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError("unreachable")
+
+
+_COMMANDS = {"verify": cmd_verify, "flow": cmd_flow, "majorant": cmd_majorant,
+             "psi4": cmd_psi4}
 
 
 if __name__ == "__main__":

@@ -47,10 +47,6 @@ class ExistenceError(FerroflowError):
     """The majorant existence window is empty at the requested scale."""
 
 
-class IntegrationError(FerroflowError):
-    """The flow integrator failed its step-halving convergence certificate."""
-
-
 class ResolutionError(FerroflowError):
     """A quadrature grid is too coarse for the requested tolerance."""
 

@@ -38,7 +38,7 @@ from .algebra import (
     exp_of,
     log_of,
 )
-from .errors import IntegrationError, LogDomainError
+from .errors import LogDomainError
 from .gaussian import _check_dimension, _laplacian_coeffs, _laplacian_weights
 from .norms import NormSeries, norm_coefficients
 from .schedule import ScaleSchedule
@@ -176,17 +176,14 @@ def _flow_rhs(weights: np.ndarray, y: np.ndarray, n_gen: int, even: bool,
 
 def flow_integrate(schedule: ScaleSchedule, f0: GrassmannElement,
                    grid: np.ndarray | None = None, truncate_ge2: bool = False,
-                   steps: int = 400, t_end: float | None = None,
-                   certify: bool = False, certify_tol: float = 1e-7
+                   steps: int = 400, t_end: float | None = None
                    ) -> FlowTrajectory:
     """Integrate the flow equation of the normalized effective action.
 
     ``grid`` gives the RK4 step boundaries (default: ``steps`` uniform steps
     up to ``t_end`` or the schedule's upper scale).  With ``truncate_ge2``
     the right-hand side is projected onto degree >= 4, which removes the
-    two-point insertions while keeping the normalization subtraction.  With
-    ``certify=True`` the run is repeated at half and quarter step and must
-    reproduce the states within ``certify_tol``.
+    two-point insertions while keeping the normalization subtraction.
 
     RK4 carries the even coefficients only when every odd coefficient of
     ``f0`` is exactly zero, and all of them otherwise, so odd content that
@@ -208,36 +205,7 @@ def flow_integrate(schedule: ScaleSchedule, f0: GrassmannElement,
         raise ValueError("trajectory grid must be strictly increasing")
     if grid[-1] > schedule.T * (1 + 1e-12):
         raise ValueError("trajectory grid exceeds the schedule's upper scale")
-
-    if certify:
-        base = _integrate_on(schedule, f0, grid, truncate_ge2)
-        half = _integrate_on(schedule, f0, _refine(grid, 2), truncate_ge2)
-        quarter = _integrate_on(schedule, f0, _refine(grid, 4), truncate_ge2)
-        dev = _grid_deviation(base, half, stride=2)
-        dev2 = _grid_deviation(half, quarter, stride=2)
-        if max(dev, dev2) > certify_tol:
-            raise IntegrationError(
-                f"step-halving certificate failed: deviations {dev:.3e}, "
-                f"{dev2:.3e} exceed {certify_tol:.3e}")
-        base.notes.append(
-            f"step-halving certificate: dev(h/2)={dev:.3e}, dev(h/4)={dev2:.3e}")
-        return base
     return _integrate_on(schedule, f0, grid, truncate_ge2)
-
-
-def _refine(grid: np.ndarray, factor: int) -> np.ndarray:
-    pieces = [np.linspace(grid[i], grid[i + 1], factor + 1)[:-1]
-              for i in range(len(grid) - 1)]
-    return np.concatenate(pieces + [grid[-1:]])
-
-
-def _grid_deviation(coarse: FlowTrajectory, fine: FlowTrajectory, stride: int
-                    ) -> float:
-    dev = 0.0
-    for i, state in enumerate(coarse.states):
-        other = fine.states[i * stride]
-        dev = max(dev, float(np.max(np.abs(state.coeffs - other.coeffs))))
-    return dev
 
 
 def _integrate_on(schedule: ScaleSchedule, f0: GrassmannElement,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import GeneratorSet, GrassmannElement, _parity_index
-from .schedule import ScaleSchedule
+from .schedule import ScaleSchedule, _CumulativeTable
 
 
 def rand_antisymmetric(rng, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -39,8 +39,9 @@ def synthetic_schedule(rng, pairs: int, T: float = 1.0,
                        scale: float = 0.15) -> ScaleSchedule:
     """Smooth random schedule with the positive-semidefinite derivative
     kernel ``G(tau) G(tau)^T``, ``G = g0 + sin(tau) g1``, at one scale or
-    stacked over an array of scales, and the Gram rate ``4 max_i`` of its
-    diagonal and the slice integrals in closed form."""
+    stacked over an array of scales, with its slice integrals in closed
+    form and ``sigma^2`` read from a cumulative table of the Gram rate
+    ``4 max_i`` of its diagonal."""
     g0 = rng.normal(size=(pairs, pairs)) * scale
     g1 = rng.normal(size=(pairs, pairs)) * (0.3 * scale)
     # diag of G G^T is quadratic in sin(tau)
@@ -63,5 +64,6 @@ def synthetic_schedule(rng, pairs: int, T: float = 1.0,
         return (k0 * (t - s) + k1 * (np.cos(s) - np.cos(t))
                 + k2 * ((t - s) / 2.0 - (np.sin(2.0 * t) - np.sin(2.0 * s)) / 4.0))
 
-    return ScaleSchedule(cdot, T=T, pairs=pairs, gram_rate=gram_rate,
-                         c_between=c_between)
+    return ScaleSchedule(
+        cdot, T=T, pairs=pairs, c_between=c_between,
+        sigma_between=_CumulativeTable(gram_rate, float(T), "gram_rate").between)

@@ -318,12 +318,14 @@ def build_desk_instance(params: Psi4Params, alpha: float,
     The schedule's kernel ``cdot`` is the lattice scale-derivative kernel
     over the sites, at one scale or stacked over an array of scales: one
     product of the shell weights with the phase sums of
-    ``_momentum_table``.  Translation invariance makes the diagonal
-    uniform, so the Gram rate is ``4 C_ii``, the weights summed against the
-    shell multiplicities.  The slices are ``C_s - C_t`` of
+    ``_momentum_table``.  The slices are ``C_s - C_t`` of
     ``covariance_matrix``, the exact integral of ``cdot``, since ``d/ds
-    exp(-q/L_s^2)/q = -(2/L_s^2) exp(-q/L_s^2)``.  Each kernel computes its
-    own weights and nothing is shared between calls.  The upper scale
+    exp(-q/L_s^2)/q = -(2/L_s^2) exp(-q/L_s^2)``.  Translation invariance
+    makes the diagonal uniform, so the Gram rate is ``4 C_ii`` and its
+    integral, the Gram parameter, is exactly ``4 (C_s - C_t)_00``: the
+    difference of the shell weights summed against the shell
+    multiplicities, broadcast over arrays of scales.  Each kernel computes
+    its own weights and nothing is shared between calls.  The upper scale
     defaults to ``log(L_0/m) + 3``, far past where the flow has stopped.
     """
     if n_sites is not None:
@@ -337,16 +339,22 @@ def build_desk_instance(params: Psi4Params, alpha: float,
     vol = params.box ** params.dimension
     T = float(t_max) if t_max is not None else \
         math.log(params.lambda0 / params.mass) + 3.0
+    q = psq + params.mass ** 2
 
     def cdot(s) -> np.ndarray:
         return _site_kernel(_cdot_weights(params, s, psq), phases, n, vol)
 
-    def gram_rate(s):
-        return 4.0 * (_cdot_weights(params, s, psq) @ phases[0]) / vol
+    # _chat_weights over arrays of scales; covariance_matrix keeps the
+    # scalar math.exp form, to whose rounding the slices' digits are tied
+    def chat_weights(s) -> np.ndarray:
+        lam2 = (params.lambda0 * np.exp(-np.asarray(s, dtype=float)))[..., None] ** 2
+        return np.exp(-q / lam2) / q
 
     schedule = ScaleSchedule(
-        cdot, T=T, pairs=n, gram_rate=gram_rate,
-        c_between=lambda s, t: covariance_matrix(params, s, t).c_between)
+        cdot, T=T, pairs=n,
+        c_between=lambda s, t: covariance_matrix(params, s, t).c_between,
+        sigma_between=lambda s, t: 4.0 * (
+            (chat_weights(s) - chat_weights(t)) @ phases[0]) / vol)
     return DeskInstance(params=params, alpha=alpha, generators=gens,
                         schedule=schedule,
                         bare_action=quartic_bare_action(gens, alpha))

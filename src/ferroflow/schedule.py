@@ -1,18 +1,19 @@
 """Continuous scale decompositions of a covariance, with quadrature access.
 
 A schedule is built from the scale derivative ``cdot(tau)`` of a symmetric
-covariance kernel over ``[0, T]``, a Gram rate, and the slice integral
-``c_between(s, t)`` of ``cdot``, which whoever builds the kernel supplies
-(``from_cdot`` supplies Simpson quadrature of ``cdot``).  The rate matrix
-``Adot(tau)`` is the block embedding of ``cdot(tau)``, the rescaled time is
-the integral of its norm, and every slice covariance is the block embedding
-of ``c_between``.  Simpson runs on a uniform grid, doubled until two
-successive values agree to a relative tolerance.  The rescaled time and the
-integrated Gram bound come from one cumulative table per schedule and kind,
+covariance kernel over ``[0, T]`` and from two slice integrals that whoever
+builds the kernel supplies: the kernel integral ``c_between(s, t)`` of
+``cdot`` and the Gram parameter ``sigma_between(s, t)``, the integral of a
+rate dominating ``4 max_i cdot(tau)_ii`` (``from_cdot`` supplies both by
+Simpson quadrature).  The rate matrix ``Adot(tau)`` is the block embedding
+of ``cdot(tau)``, and every slice covariance is the block embedding of
+``c_between``.  The schedule integrates only the rate it derives itself,
+the norm of ``Adot`` behind the rescaled time, in one cumulative table
 built on ``[0, T]`` on first use and certified by doubling at every even
-node; a query adds one Simpson panel from the last node below it.  Queries
-take a scale or an array of scales, and every grid of a table or of a query
-is one array evaluation of ``cdot`` or of the Gram rate.
+node; a query adds one Simpson panel from the last node below it.  Simpson
+runs on a uniform grid, doubled until two successive values agree to a
+relative tolerance.  Queries take a scale or an array of scales, and every
+grid of a table or of a query is one array evaluation of its rate.
 """
 
 from __future__ import annotations
@@ -114,26 +115,39 @@ def _cumulative_simpson(vals: np.ndarray, h: float) -> np.ndarray:
     return np.concatenate((np.zeros(1, dtype=pairs.dtype), np.cumsum(pairs)))
 
 
+def _check_scales(x, T: float) -> np.ndarray:
+    """``x`` as a flat float array; ``ValueError`` naming the first scale
+    outside ``[0, T]``, NaN included."""
+    flat = np.asarray(x, dtype=float).reshape(-1)
+    outside = ~((flat >= 0.0) & (flat <= T * (1 + 1e-12)))
+    if outside.any():
+        raise ValueError(f"scale {flat[np.argmax(outside)]} outside [0, {T}]")
+    return flat
+
+
 class _CumulativeTable:
     """Certified cumulative Simpson integral of a scalar rate on [0, T].
 
-    The table holds the integral from 0 to every even node of the first
-    doubled grid on which the doubling rule holds at every even node of the
-    previous one.  ``fn`` maps a 1-D array of scales to the rates there,
-    and a ``ValueError`` naming the schedule's kernel ``name`` says when it
-    does not.  A query ``x``, a scale or an array of scales, adds to the
-    value at the last even node ``x_k <= x`` one Simpson panel over
-    ``[x_k, x]``: one ``searchsorted`` places every query, and the midpoints
-    and ends of all queries off a node are evaluated in one call.  A node is
-    read exactly.
+    The table is built on its first query and holds the integral from 0 to
+    every even node of the first doubled grid on which the doubling rule
+    holds at every even node of the previous one.  ``fn`` maps a 1-D array
+    of scales to the rates there, and a ``ValueError`` naming the rate
+    ``name`` says when it does not.  A query ``x``, a scale or an array of
+    scales, adds to the value at the last even node ``x_k <= x`` one
+    Simpson panel over ``[x_k, x]``: one ``searchsorted`` places every
+    query, and the midpoints and ends of all queries off a node are
+    evaluated in one call.  A node is read exactly.
     """
 
     def __init__(self, fn: Callable, T: float, name: str):
         self.T = T
         self._fn = fn
         self._name = name
+        self.nodes = None
+
+    def _build(self) -> None:
         cum, nodes, vals = _refine_by_doubling(
-            self._evaluate, 0.0, T, DEFAULT_PANELS, DEFAULT_RTOL,
+            self._evaluate, 0.0, self.T, DEFAULT_PANELS, DEFAULT_RTOL,
             _cumulative_simpson, _settled_entrywise)
         self.nodes = nodes[::2]
         self.cum = np.real(cum)
@@ -153,11 +167,9 @@ class _CumulativeTable:
         same shape for an array; ``ValueError`` if any scale lies outside
         ``[0, T]``."""
         xs = np.asarray(x, dtype=float)
-        flat = xs.reshape(-1)
-        outside = ~((flat >= 0.0) & (flat <= self.T * (1 + 1e-12)))
-        if outside.any():
-            raise ValueError(
-                f"scale {flat[np.argmax(outside)]} outside [0, {self.T}]")
+        flat = _check_scales(xs, self.T)
+        if self.nodes is None:
+            self._build()
         k = np.searchsorted(self.nodes, flat, side="right") - 1
         x0 = self.nodes[k]
         out = self.cum[k]
@@ -169,6 +181,11 @@ class _CumulativeTable:
             out[off] = self.cum[ko] + (xo - x0o) / 6.0 * (
                 self.vals[ko] + 4.0 * mid + end)
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
+    def between(self, s, t):
+        """Integral over ``[s, t]``, ``at(t) - at(s)``, broadcast over
+        arrays of scales."""
+        return self.at(t) - self.at(s)
 
 
 def _as_plain_scalar(x: np.ndarray):
@@ -182,16 +199,17 @@ class ScaleSchedule:
     ``cdot(tau)`` is the symmetric positive-semidefinite ``pairs x pairs``
     scale derivative of the covariance kernel; for a 1-D array of scales it
     returns the kernels stacked along axis 0.  The rate matrix is its block
-    embedding ``[[0, C], [-C, 0]]``.  ``c_between(s, t)`` is the integral of
-    ``cdot`` over ``[s, t]`` for ``0 <= s <= t <= T``, exactly zero when
-    ``s == t``, and the split of every slice is ``(c_between(s, t), 0)``.
-    ``gram_rate`` maps a scale, or a 1-D array of scales, to a rate
-    dominating ``4 max_i cdot(tau)_ii``; its integral is the Gram parameter
-    ``sigma^2``.
+    embedding ``[[0, C], [-C, 0]]``.  The builder supplies the slice
+    integrals for ``0 <= s <= t <= T``: ``c_between(s, t)`` is the integral
+    of ``cdot`` over ``[s, t]``, exactly zero when ``s == t``, and the
+    split of every slice is ``(c_between(s, t), 0)``; ``sigma_between(s,
+    t)``, broadcast over arrays of scales, is the Gram parameter
+    ``sigma^2``, the integral of a rate dominating ``4 max_i cdot_ii``.
+    Only the rescaled time is integrated here.
     """
 
     def __init__(self, cdot: Callable, T: float, pairs: int,
-                 gram_rate: Callable, c_between: Callable):
+                 c_between: Callable, sigma_between: Callable):
         if pairs < 1:
             raise ValueError("a schedule needs at least one generator pair")
         if T < 0:
@@ -199,17 +217,22 @@ class ScaleSchedule:
         self.dim = 2 * pairs
         self.T = float(T)
         self._cdot = cdot
-        self._gram_rate = gram_rate
         self._c_between = c_between
-        self._tables: dict[str, _CumulativeTable] = {}
+        self._sigma_between = sigma_between
+        # late-bound, so the table calls adot_norm_at as the class has it
+        self._tau_table = _CumulativeTable(
+            lambda x: self.adot_norm_at(x), self.T, "cdot")
 
     @classmethod
     def from_cdot(cls, cdot: Callable, T: float, pairs: int,
                   gram_rate: Callable) -> "ScaleSchedule":
         """A schedule whose kernel is known by its derivative alone: every
-        slice is ``simpson_refine`` of ``cdot`` over ``[s, t]``."""
-        return cls(cdot, T, pairs, gram_rate,
-                   lambda s, t: simpson_refine(cdot, s, t))
+        slice is ``simpson_refine`` of ``cdot`` over ``[s, t]``, and
+        ``sigma^2`` is read from a cumulative table of ``gram_rate``, which
+        maps a 1-D array of scales to rates dominating ``4 max_i
+        cdot_ii``."""
+        return cls(cdot, T, pairs, lambda s, t: simpson_refine(cdot, s, t),
+                   _CumulativeTable(gram_rate, float(T), "gram_rate").between)
 
     # -- pointwise access ----------------------------------------------------
 
@@ -224,47 +247,33 @@ class ScaleSchedule:
         c = np.asarray(self._cdot(tau))
         return np.max(np.sum(np.abs(c), axis=-1), axis=-1)
 
-    def gram_rate_at(self, tau):
-        """Gram rate at a scale or at a 1-D array of scales."""
-        return self._gram_rate(tau)
-
     # -- integrals -----------------------------------------------------------
 
-    def _cum(self, kind: str, kernel: str, fn, x):
-        """Integral of the rate ``fn`` from 0 to ``x``, a scale or an array
-        of scales, read from the cumulative table of ``kind`` (built on
-        first use); ``ValueError`` outside ``[0, T]``, or when the
-        ``kernel`` behind ``fn`` does not map an array of scales to stacked
-        values."""
-        table = self._tables.get(kind)
-        if table is None:
-            table = self._tables[kind] = _CumulativeTable(fn, self.T, kernel)
-        return table.at(x)
-
-    def sigma_squared(self, s, t):
-        """Integrated Gram bound between scales ``s <= t``; either may be an
-        array of scales (broadcast elementwise, ``s <= t`` checked for every
-        pair)."""
+    def _check_slice(self, s, t) -> None:
+        """``ValueError`` unless ``0 <= s <= t <= T``, elementwise for
+        arrays of scales; NaN is refused."""
+        _check_scales(s, self.T)
+        _check_scales(t, self.T)
         if np.any(np.asarray(s) > np.asarray(t)):
             raise ValueError(f"need s <= t, got s={s}, t={t}")
-        rate = self.gram_rate_at
-        return (self._cum("sigma", "gram_rate", rate, t)
-                - self._cum("sigma", "gram_rate", rate, s))
+
+    def sigma_squared(self, s, t):
+        """Gram parameter between scales ``s <= t``, from the builder's
+        ``sigma_between``; either may be an array of scales (broadcast
+        elementwise)."""
+        self._check_slice(s, t)
+        return self._sigma_between(s, t)
 
     def tau(self, s):
         """Rescaled time: integral of the rate norm from 0 to ``s``, a scale
         or an array of scales."""
-        return self._cum("tau", "cdot", self.adot_norm_at, s)
+        return self._tau_table.at(s)
 
     def covariance(self, s: float, t: float) -> AntisymmetricCovariance:
         """Slice covariance over [s, t]: the block embedding of the kernel
         integral ``C = c_between(s, t)``, with the split ``(C, 0)``;
         ``ValueError`` if a scale lies outside ``[0, T]`` or ``s > t``."""
-        for x in (s, t):
-            if not 0.0 <= x <= self.T * (1 + 1e-12):
-                raise ValueError(f"scale {x} outside [0, {self.T}]")
-        if s > t:
-            raise ValueError(f"need s <= t, got s={s}, t={t}")
+        self._check_slice(s, t)
         c = np.real(np.asarray(self._c_between(s, t)))
         return AntisymmetricCovariance(
             AntisymmetricCovariance._block(c), c_matrix=c, c_plus=c,

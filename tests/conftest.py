@@ -48,6 +48,13 @@ def desk_instance(sites=4, alpha=0.002):
     return build_desk_instance(params, alpha, n_sites=sites, t_max=2.0)
 
 
+def gram_rate_of(cdot):
+    """The Gram rate ``4 max_i cdot(tau)_ii`` by its definition, at a scale
+    or over an array of scales."""
+    return lambda tau: 4.0 * np.max(
+        np.diagonal(cdot(tau), axis1=-2, axis2=-1), axis=-1)
+
+
 def count_rate_norm_calls(monkeypatch) -> dict:
     """Count ``ScaleSchedule.adot_norm_at`` calls (``"rate"``) from now on."""
     calls = {"rate": 0}

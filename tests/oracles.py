@@ -1,10 +1,11 @@
 """Independent routes that the tests compare the library against.
 
 None of these is reached by the CLI: the left derivative, Berezin
-integration and the double translation check the Gaussian calculus, and the
+integration and the double translation check the Gaussian calculus, the
 majorant's value by Newton inversion of the characteristic map checks the
-series reversion of ``majorant_coefficients``.  Test modules import them as
-they import ``conftest``.
+series reversion of ``majorant_coefficients``, and step halving checks the
+RK4 steps of ``flow_integrate``.  Test modules import them as they import
+``conftest``.
 """
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 
 from ferroflow.algebra import GeneratorSet, GrassmannElement, _deriv_table, merge_sign
 from ferroflow.errors import ExistenceError
+from ferroflow.flow import FlowTrajectory, flow_integrate
 from ferroflow.majorant import CharacteristicSolution, MajorantSpec, existence_check
 
 
@@ -101,3 +103,42 @@ def majorant_value(spec: MajorantSpec, t: float, z: float) -> float:
             "majorant existence condition fails: " + report.as_text())
     value = characteristic_value(spec.characteristic(report), z)
     return float(value) + datum_constant(spec, report.sigma)
+
+
+def refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
+    """``grid`` with every step split into ``factor`` equal steps."""
+    pieces = [np.linspace(grid[i], grid[i + 1], factor + 1)[:-1]
+              for i in range(len(grid) - 1)]
+    return np.concatenate(pieces + [grid[-1:]])
+
+
+def grid_deviation(coarse: FlowTrajectory, fine: FlowTrajectory, stride: int
+                   ) -> float:
+    """Largest coefficient deviation between the states of ``coarse`` and
+    every ``stride``-th state of ``fine``."""
+    dev = 0.0
+    for i, state in enumerate(coarse.states):
+        other = fine.states[i * stride]
+        dev = max(dev, float(np.max(np.abs(state.coeffs - other.coeffs))))
+    return dev
+
+
+def step_halving_flow(schedule, f0, steps: int, t_end: float,
+                      truncate_ge2: bool = False, tol: float = 1e-7
+                      ) -> FlowTrajectory:
+    """``flow_integrate`` on ``steps`` uniform steps, repeated at half and
+    quarter step; the states must agree within ``tol``, and the returned
+    trajectory notes both deviations."""
+    grid = np.linspace(0.0, t_end, steps + 1)
+    base, half, quarter = (
+        flow_integrate(schedule, f0, grid=refine_grid(grid, factor),
+                       truncate_ge2=truncate_ge2) for factor in (1, 2, 4))
+    dev = grid_deviation(base, half, stride=2)
+    dev2 = grid_deviation(half, quarter, stride=2)
+    if max(dev, dev2) > tol:
+        raise AssertionError(
+            f"step-halving certificate failed: deviations {dev:.3e}, "
+            f"{dev2:.3e} exceed {tol:.3e}")
+    base.notes.append(
+        f"step-halving certificate: dev(h/2)={dev:.3e}, dev(h/4)={dev2:.3e}")
+    return base

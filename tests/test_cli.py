@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ferroflow import cli, flow
-from ferroflow.cli import check_run_time, main, parse_config
+from ferroflow.cli import check_command, main, parse_config
 from ferroflow.errors import ConfigError
 from ferroflow.flow import flow_integrate
 from ferroflow.norms import norm_coefficients
@@ -231,13 +231,13 @@ def bench_configs():
 
 def test_run_time_within_budget_accepted():
     for command, text in [("flow", ""), ("majorant", "")] + bench_configs():
-        check_run_time(command, parse_config(text))
+        check_command(command, parse_config(text))
     # every step count the validator admits is in budget below 6 sites
     for sites in range(2, 6):
-        check_run_time("flow", parse_config(f"sites = {sites}\nsteps = 100000\n"))
-    check_run_time("flow", parse_config("sites = 6\nsteps = 30000\n"))
+        check_command("flow", parse_config(f"sites = {sites}\nsteps = 100000\n"))
+    check_command("flow", parse_config("sites = 6\nsteps = 30000\n"))
     with pytest.raises(ConfigError):
-        check_run_time("flow", parse_config("sites = 6\nsteps = 30001\n"))
+        check_command("flow", parse_config("sites = 6\nsteps = 30001\n"))
 
 
 def test_short_cutoff_fails_the_tail_certificate_exits_3(tmp_path, capsys):
@@ -247,3 +247,57 @@ def test_short_cutoff_fails_the_tail_certificate_exits_3(tmp_path, capsys):
     assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 3
     assert "tail bound is 5.188e+00" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["flow", "majorant", "psi4"])
+def test_unwritable_output_exits_4(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sites = 2\nsteps = 20\n")
+    out = tmp_path / "missing" / "x.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+    # majorant writes its existence report first
+    first = f"{out}.existence.txt" if command == "majorant" else str(out)
+    assert capsys.readouterr().err == (
+        f"configuration error: cannot write {first}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("argv", [["flow", "--seed", "3"],
+                                  ["flow", "--generators", "8"],
+                                  ["majorant", "--debug-corrupt-pfaffian"],
+                                  ["psi4", "--seed", "3"],
+                                  ["verify", "--out", "v.csv"]],
+                         ids=["flow-seed", "flow-generators", "majorant-debug",
+                              "psi4-seed", "verify-out"])
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys,
+                                                        argv):
+    assert main(argv) == 4
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, text", [(["psi4", "--truncate"], ""),
+                                        (["verify", "--truncate"], ""),
+                                        (["psi4"], "truncate = true\n"),
+                                        (["verify"], "truncate = true\n")],
+                         ids=["psi4-flag", "verify-flag", "psi4-config",
+                              "verify-config"])
+def test_truncate_refused_outside_flow(tmp_path, capsys, argv, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    extra = ["--out", str(out)] if argv[0] == "psi4" else []
+    assert main(argv + ["--config", str(cfg)] + extra) == 4
+    captured = capsys.readouterr()
+    assert "truncate applies to flow only" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_flow_takes_truncate(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sites = 2\nsteps = 20\n")
+    plain, cut = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["flow", "--config", str(cfg), "--out", str(plain)]) == 0
+    assert main(["flow", "--config", str(cfg), "--out", str(cut),
+                 "--truncate"]) == 0
+    rows = [line.split(",") for line in cut.read_text().splitlines()[1:]]
+    assert all(float(f) == 0.0 for _, m, f in rows if m == "1")
+    assert plain.read_bytes() != cut.read_bytes()

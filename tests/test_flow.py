@@ -30,6 +30,7 @@ from ferroflow.schedule import ScaleSchedule
 
 from conftest import (
     desk_instance,
+    gram_rate_of,
     popcounts,
     rand_antisymmetric,
     rand_element,
@@ -37,7 +38,7 @@ from conftest import (
     synthetic_schedule,
     taylor_by_wedge,
 )
-from oracles import derivative
+from oracles import derivative, step_halving_flow
 
 
 def flow_rhs_by_generators(rate, coeffs, gens, truncate_ge2):
@@ -278,7 +279,7 @@ class TestEffectiveActionExact:
                  for sched in (desk, synthetic)]
         assert calls == []
         by_cdot = ScaleSchedule.from_cdot(synthetic._cdot, synthetic.T, 4,
-                                          synthetic._gram_rate)
+                                          gram_rate_of(synthetic._cdot))
         out = effective_action_exact(by_cdot, f, 0.8)
         assert calls == [(0.0, 0.8)]
         assert np.max(np.abs(out.coeffs - exact[1].coeffs)) <= 1e-12
@@ -343,14 +344,13 @@ class TestFlowIntegrate:
         assert series[-1].coeff(1) > 0.0
 
     @pytest.mark.parametrize("pairs", [3, 5])
-    @pytest.mark.parametrize("certify", [False, True])
-    def test_schedule_dimension_must_match(self, rng, pairs, certify):
+    def test_schedule_dimension_must_match(self, rng, pairs):
         # a schedule on more generators than f0 must not be read through its
         # top-left block, nor one on fewer fail with an index error
         sched = synthetic_schedule(rng, pairs)
         f = quartic_bare_action(GeneratorSet(8), 0.04)
         with pytest.raises(DimensionMismatchError):
-            flow_integrate(sched, f, steps=4, t_end=0.5, certify=certify)
+            flow_integrate(sched, f, steps=4, t_end=0.5)
 
     def test_truncated_flow_keeps_low_degrees_empty(self, rng):
         sched = synthetic_schedule(rng, 4)
@@ -372,7 +372,7 @@ class TestFlowIntegrate:
     def test_certificate(self, rng):
         sched = synthetic_schedule(rng, 4)
         f = quartic_bare_action(GeneratorSet(8), 0.04)
-        traj = flow_integrate(sched, f, steps=40, t_end=1.0, certify=True)
+        traj = step_halving_flow(sched, f, steps=40, t_end=1.0)
         assert any("certificate" in note for note in traj.notes)
 
     def test_one_rate_evaluation_per_node(self, rng, monkeypatch):

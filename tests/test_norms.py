@@ -12,7 +12,8 @@ from ferroflow.norms import (
     norm_coefficients,
 )
 
-from conftest import popcounts, rand_even_normalized, synthetic_schedule
+from conftest import (gram_rate_of, popcounts, rand_even_normalized,
+                      synthetic_schedule)
 
 
 def norm_coefficients_by_generators(f):
@@ -168,14 +169,15 @@ class TestSigmaSquared:
     def test_homogeneity(self, rng):
         # scaling the Gram integrand scales sigma^2 exactly (linearity of
         # the quadrature)
-        sched = synthetic_schedule(rng, 3)
-        base = sched.sigma_squared(0.1, 0.9)
         from ferroflow.schedule import ScaleSchedule
 
+        cdot = synthetic_schedule(rng, 3)._cdot
+        rate = gram_rate_of(cdot)
+        base = ScaleSchedule.from_cdot(cdot, T=1.0, pairs=3, gram_rate=rate)
         scaled = ScaleSchedule.from_cdot(
-            sched._cdot, T=sched.T, pairs=sched.dim // 2,
-            gram_rate=lambda tau: 3.0 * sched.gram_rate_at(tau))
-        assert scaled.sigma_squared(0.1, 0.9) == pytest.approx(3.0 * base, rel=1e-12)
+            cdot, T=1.0, pairs=3, gram_rate=lambda tau: 3.0 * rate(tau))
+        assert scaled.sigma_squared(0.1, 0.9) == pytest.approx(
+            3.0 * base.sigma_squared(0.1, 0.9), rel=1e-12)
 
 
 class TestGramBound:

@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -18,6 +19,19 @@ def test_moved_and_deleted_names_stay_out():
     gone = {"berezin_integrate", "derivative", "project_degree_ge",
             "translate_double", "det_correlation", "majorant_value"}
     assert gone.isdisjoint(ferroflow.__all__)
+    # step halving moved to tests/oracles.py, and its error went with it;
+    # schedules take sigma^2 from their builders
+    from ferroflow import errors, flow, schedule
+
+    sched = schedule.ScaleSchedule.from_cdot(lambda t: [[1.0]], 1.0, 1,
+                                             lambda t: 4.0 + 0.0 * t)
+    left = [f"{owner!r}.{name}" for owner, names in (
+        (flow, ("_refine", "_grid_deviation")),
+        (errors, ("IntegrationError",)),
+        (sched, ("gram_rate_at", "_cum", "_tables", "_gram_rate")))
+        for name in names if hasattr(owner, name)]
+    assert left == []
+    assert "certify" not in inspect.signature(flow.flow_integrate).parameters
 
 
 def fresh_env():

@@ -90,6 +90,33 @@ def test_psi4_reads_its_clock_from_one_table(tmp_path, monkeypatch):
     assert simpson == []
 
 
+@pytest.mark.parametrize("sites", [2, 4])
+def test_majorant_builds_one_table(tmp_path, monkeypatch, sites):
+    # the desk supplies sigma^2 from its lattice sums, so a run integrates
+    # the rescaled time alone, in one table built once
+    tables = []
+    builds = []
+    init = schedule._CumulativeTable.__init__
+    build = schedule._CumulativeTable._build
+
+    def counting_init(self, *args, **kwargs):
+        tables.append(args[2])
+        init(self, *args, **kwargs)
+
+    def counting_build(self):
+        builds.append(self._name)
+        build(self)
+
+    monkeypatch.setattr(schedule._CumulativeTable, "__init__", counting_init)
+    monkeypatch.setattr(schedule._CumulativeTable, "_build", counting_build)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sites = {sites}\nsteps = 20\n")
+    assert main(["majorant", "--config", str(cfg),
+                 "--out", str(tmp_path / "m.csv")]) == 0
+    assert tables == ["cdot"]
+    assert builds == ["cdot"]
+
+
 def test_sigma_squared_closed_form_is_additive():
     params = cli_params()
     s, t = 0.4, 1.3

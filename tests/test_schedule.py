@@ -13,7 +13,8 @@ from ferroflow.schedule import (
     simpson_refine,
 )
 
-from conftest import count_rate_norm_calls, desk_instance, synthetic_schedule
+from conftest import (count_rate_norm_calls, desk_instance, gram_rate_of,
+                      synthetic_schedule)
 
 
 class TestSimpson:
@@ -154,18 +155,19 @@ def test_slices_outside_the_schedule_refused(rng, which):
     assert str(by_slice.value) == str(by_tau.value)
 
 
-@pytest.mark.parametrize("sites", [2, 4])
+@pytest.mark.parametrize("sites", [2, 3, 4, 5, 6])
 def test_desk_gram_rate_is_four_times_the_diagonal(rng, sites):
-    # the Gram rate is 4 C_ii, the same at every site, at a scale and
-    # stacked over an array of scales
+    # the desk's sigma^2 is the integral of the Gram rate 4 max_i C_ii of
+    # its own cdot, by Simpson, which shares no formula with the lattice
+    # sums of the builder
     sched = desk_instance(sites).schedule
-    grid = np.linspace(0.0, sched.T, 9)
-    for s in (0.3, grid):
-        rate = np.asarray(sched.gram_rate_at(s))[..., None]
-        diag = np.diagonal(sched._cdot(s), axis1=-2, axis2=-1)
-        assert diag.shape == np.shape(s) + (sites,)
-        assert np.all(np.abs(4.0 * diag - rate) <= 1e-14 * rate)
+    for s, t in ((0.0, 0.5), (0.0, sched.T), (0.3, 1.1)):
+        want = np.real(simpson_refine(gram_rate_of(sched._cdot), s, t,
+                                      vectorized=True))
+        assert sched.sigma_squared(s, t) == pytest.approx(want, rel=1e-10,
+                                                          abs=0.0)
     # a scalar kernel call is the stacked row at the same scale
+    grid = np.linspace(0.0, sched.T, 9)
     for cdot in (sched._cdot, synthetic_schedule(rng, sites)._cdot):
         stacked = cdot(grid)
         for s, row in zip(grid, stacked):
@@ -183,6 +185,29 @@ def test_desk_sigma_squared_is_four_times_the_slice_diagonal(sites):
         want = 4.0 * np.diagonal(covariance_matrix(inst.params, s, t).c_between)
         got = inst.schedule.sigma_squared(s, t)
         assert np.all(np.abs(got - want) <= 1e-10 * want)
+
+
+@pytest.mark.parametrize("which", ["desk", "synthetic"])
+def test_sigma_squared_refuses_scales_outside_the_schedule(rng, which):
+    # the range check runs before the builder's sigma_between, and in the
+    # words of the slices
+    sched = schedule_named(which, rng)
+    T = sched.T
+
+    def unreached(s, t):
+        raise AssertionError("sigma_between reached")
+
+    sched._sigma_between = unreached
+    for s, t in ((0.0, math.nan), (math.nan, 0.5), (-0.1, 0.5),
+                 (0.0, T * (1.0 + 1e-9)), (np.array([0.0, -1e-300]), 0.5),
+                 (0.0, np.array([0.5, T + 0.1]))):
+        with pytest.raises(ValueError, match=r"outside \[0, "):
+            sched.sigma_squared(s, t)
+    with pytest.raises(ValueError) as by_sigma:
+        sched.sigma_squared(0.0, T + 0.1)
+    with pytest.raises(ValueError) as by_slice:
+        sched.covariance(0.0, T + 0.1)
+    assert str(by_sigma.value) == str(by_slice.value)
 
 
 def decaying_schedule(T=3.0):
@@ -219,8 +244,8 @@ class TestCumulativeTable:
             x = float(x)
             want_tau = np.real(simpson_refine(sched.adot_norm_at, 0.0, x,
                                               vectorized=True))
-            want_sig = np.real(simpson_refine(sched.gram_rate_at, 0.0, x,
-                                              vectorized=True))
+            want_sig = np.real(simpson_refine(gram_rate_of(sched._cdot), 0.0,
+                                              x, vectorized=True))
             assert sched.tau(x) == pytest.approx(want_tau, rel=1e-10, abs=0.0)
             assert sched.sigma_squared(0.0, x) == pytest.approx(
                 want_sig, rel=1e-10, abs=0.0)
@@ -282,7 +307,7 @@ class TestArrayQueries:
         T = sched.T
         sched.tau(T)
         sched.sigma_squared(0.0, T)
-        nodes = sched._tables["tau"].nodes
+        nodes = sched._tau_table.nodes
         xs = np.concatenate([[0.0, T], nodes[1::97],
                              rng.uniform(0.0, T, 30)])
         got_tau = sched.tau(xs)
@@ -301,7 +326,7 @@ class TestArrayQueries:
             x = float(xs[j])
             want_tau = simpson_refine(
                 lambda s: matrix_norm_1inf(sched.adot(s)), 0.0, x)
-            want_sig = simpson_refine(sched.gram_rate_at, 0.0, x,
+            want_sig = simpson_refine(gram_rate_of(sched._cdot), 0.0, x,
                                       vectorized=True)
             assert got_tau[j] == pytest.approx(np.real(want_tau), rel=1e-10)
             assert got_from0[j] == pytest.approx(np.real(want_sig), rel=1e-10)
