@@ -37,13 +37,11 @@ at these costs is refused with exit 4 before any computation: more than
 30,000 steps at 6 sites, and no step count the validator admits at fewer
 sites.
 
-The trajectory keeps every state, ``16 * 4**sites`` bytes per step: an
-admitted ``flow`` run holds at most 26 MB, 102 MB and 410 MB of states at 2,
-3 and 4 sites, 1.6 GB at 5 sites (100,000 steps) and 2.0 GB at 6 sites
-(30,000 steps), on top of about 45 MB for the interpreter and tables
-(one-step runs peaked at 31-33 MiB at 2 and 4 sites and at 44-45 MiB at 6
-on x86_64 Linux; the peak RSS of the runs above grew by 61 MiB over 1,000
-steps at 6 sites and by 66 MiB over 4,000 at 5).  Memory is not refused.
+``flow`` keeps the seminorm series of each state, not its ``16 * 4**sites``
+bytes: a 6-site run of 30,000 steps peaked at 76 MiB RSS in 191 s, against
+44 MiB for one step, where keeping every state took 242 MiB at 3,000 steps
+(one run each, x86_64 Linux, the same Xeon); one-step runs peaked at
+31-33 MiB at 2 and 4 sites.
 
 ``majorant`` integrates no flow: at each of its 11 printed times on the
 ``steps`` grid it takes the exact effective action, one ``rg_map`` on
@@ -55,6 +53,7 @@ memory, which stays near the one-step peaks above.  One ``rg_map`` took
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -379,12 +378,15 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _desk_instance(cfg: RunConfig) -> psi4.DeskInstance:
-    params = psi4.Psi4Params(
+def _psi4_params(cfg: RunConfig) -> psi4.Psi4Params:
+    return psi4.Psi4Params(
         dimension=cfg.dimension, mass=cfg.mass, lambda0=cfg.lambda0,
         box=cfg.boxL, cutoff_factor=cfg.cutoffFactor)
-    return psi4.build_desk_instance(params, cfg.alpha, n_sites=cfg.sites,
-                                    t_max=cfg.tMax)
+
+
+def _desk_instance(cfg: RunConfig) -> psi4.DeskInstance:
+    return psi4.build_desk_instance(_psi4_params(cfg), cfg.alpha,
+                                    n_sites=cfg.sites, t_max=cfg.tMax)
 
 
 def _write(path: str, text: str) -> None:
@@ -443,9 +445,7 @@ def cmd_majorant(cfg: RunConfig) -> int:
 
 
 def cmd_psi4(cfg: RunConfig) -> int:
-    params = psi4.Psi4Params(
-        dimension=cfg.dimension, mass=cfg.mass, lambda0=cfg.lambda0,
-        box=cfg.boxL, cutoff_factor=cfg.cutoffFactor)
+    params = _psi4_params(cfg)
     header_lines = []
     bound = None
     count = min(cfg.steps, 200)
@@ -484,6 +484,7 @@ def cmd_psi4(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ferroflow",

@@ -48,7 +48,7 @@ class ExistenceError(FerroflowError):
 
 
 class ResolutionError(FerroflowError):
-    """A quadrature grid is too coarse for the requested tolerance."""
+    """A grid or lattice cannot resolve a computation to a finite, accurate result."""
 
 
 class ConfigError(FerroflowError):

@@ -13,13 +13,16 @@ otherwise.  The sign of the quadratic term is tied to the Laplacian
 convention of :mod:`ferroflow.gaussian`; the pair is pinned by
 cross-validating the two paths against each other, which the test suite
 does continuously.
+
+``flow_states`` yields the states one grid time at a time; a trajectory
+keeps only their seminorm series, all that the checks downstream read.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +41,7 @@ from .algebra import (
     exp_of,
     log_of,
 )
-from .errors import LogDomainError
+from .errors import LogDomainError, ResolutionError
 from .gaussian import _check_dimension, _laplacian_coeffs, _laplacian_weights
 from .norms import NormSeries, norm_coefficients
 from .schedule import ScaleSchedule
@@ -52,29 +55,16 @@ _SCALAR_WARN_FLOOR = 0.1
 
 @dataclass
 class FlowTrajectory:
-    """States of the effective action on an ordered time grid.
-
-    Every state has a zero scalar part; the accumulated log-normalization
-    is carried separately in ``log_norm``.  The seminorm series of the
-    states are computed once, on first use of ``norms``; the states must
-    not change after that.
-    """
+    """The seminorm series of the effective action on an ordered time grid:
+    ``norms[i]`` is ``norm_coefficients`` of the state at ``grid[i]``, whose
+    scalar part is zero, and ``log_norm[i]`` the log-normalization
+    accumulated up to it.  The states are not kept."""
 
     grid: np.ndarray
-    states: list[GrassmannElement]
+    norms: tuple[NormSeries, ...]
+    log_norm: np.ndarray
     truncated: bool = False
-    log_norm: np.ndarray | None = None
     notes: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        if len(self.grid) != len(self.states):
-            raise ValueError("grid and states must align")
-
-    @cached_property
-    def norms(self) -> tuple[NormSeries, ...]:
-        """Seminorm coefficients of every state, in grid order."""
-        return tuple(norm_coefficients(state) for state in self.states)
 
 
 def rg_map(a, f: GrassmannElement) -> GrassmannElement:
@@ -174,30 +164,26 @@ def _flow_rhs(weights: np.ndarray, y: np.ndarray, n_gen: int, even: bool,
     return out, complex(dlog)
 
 
-def flow_integrate(schedule: ScaleSchedule, f0: GrassmannElement,
-                   grid: np.ndarray | None = None, truncate_ge2: bool = False,
-                   steps: int = 400, t_end: float | None = None
-                   ) -> FlowTrajectory:
-    """Integrate the flow equation of the normalized effective action.
+def flow_states(schedule: ScaleSchedule, f0: GrassmannElement,
+                grid: np.ndarray, truncate_ge2: bool = False
+                ) -> Iterator[tuple[GrassmannElement, complex]]:
+    """Integrate the flow equation of the normalized effective action by
+    RK4 on the step boundaries ``grid``, yielding ``(state, log_norm)`` at
+    each grid time, ``f0`` with a zero scalar part first; each state is a
+    fresh element that the generator does not keep.
 
-    ``grid`` gives the RK4 step boundaries (default: ``steps`` uniform steps
-    up to ``t_end`` or the schedule's upper scale).  With ``truncate_ge2``
-    the right-hand side is projected onto degree >= 4, which removes the
-    two-point insertions while keeping the normalization subtraction.
-
-    RK4 carries the even coefficients only when every odd coefficient of
-    ``f0`` is exactly zero, and all of them otherwise, so odd content that
-    the parity check tolerates is still integrated.  Each step reads the
-    rate at its midpoint and end, and computes the rate's Laplacian weights
-    once for both evaluations there; the rate at the start is the previous
-    step's end.
+    With ``truncate_ge2`` the right-hand side is projected onto degree >= 4,
+    which removes the two-point insertions while keeping the normalization
+    subtraction.  RK4 carries the even coefficients only when every odd
+    coefficient of ``f0`` is exactly zero, and all of them otherwise, so odd
+    content that the parity check tolerates is still integrated.  Each step
+    reads the rate at its midpoint and end, and computes the rate's
+    Laplacian weights once for both evaluations there; the rate at the
+    start is the previous step's end.
     """
-    _require_even(f0, "flow_integrate")
+    _require_even(f0, "flow_states")
     if abs(f0.scalar_part) > _PARITY_ATOL * max(1.0, f0.max_abs()):
         raise ValueError("bare action must be normalized (zero scalar part)")
-    if grid is None:
-        end = schedule.T if t_end is None else float(t_end)
-        grid = np.linspace(0.0, end, steps + 1)
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0:
         raise ValueError("trajectory grid must start at 0")
@@ -205,11 +191,6 @@ def flow_integrate(schedule: ScaleSchedule, f0: GrassmannElement,
         raise ValueError("trajectory grid must be strictly increasing")
     if grid[-1] > schedule.T * (1 + 1e-12):
         raise ValueError("trajectory grid exceeds the schedule's upper scale")
-    return _integrate_on(schedule, f0, grid, truncate_ge2)
-
-
-def _integrate_on(schedule: ScaleSchedule, f0: GrassmannElement,
-                  grid: np.ndarray, truncate_ge2: bool) -> FlowTrajectory:
     gens = f0.gens
     n_gen = gens.count
     y0 = f0.coeffs.copy()
@@ -220,14 +201,11 @@ def _integrate_on(schedule: ScaleSchedule, f0: GrassmannElement,
     index = _index_set(n_gen, even)
     low = _popcount_table(n_gen)[index] < 4 if truncate_ge2 else None
     y = y0[index]
-    states = [GrassmannElement._adopt(gens, y0)]
-    log_norm = [0.0 + 0.0j]
-    notes: list[str] = []
     c = 0.0 + 0.0j
-    warned = False
     a4 = schedule.adot(grid[0])
     _check_dimension(a4, f0)
     w4 = _laplacian_weights(a4, n_gen, even)
+    yield GrassmannElement._adopt(gens, y0), c
     for i in range(len(grid) - 1):
         t0, t1 = grid[i], grid[i + 1]
         h = t1 - t0
@@ -241,17 +219,42 @@ def _integrate_on(schedule: ScaleSchedule, f0: GrassmannElement,
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y[0] = 0.0
         c = c + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        if not warned and np.exp(-c.real) < _SCALAR_WARN_FLOOR:
-            notes.append(
-                f"normalization scalar exp(-{c.real:.3g}) below "
-                f"{_SCALAR_WARN_FLOOR} at t={t1:.6g}; conditioning degrades")
-            warned = True
         state = np.zeros(1 << n_gen, dtype=np.complex128)
         state[index] = y
-        states.append(GrassmannElement._adopt(gens, state))
-        log_norm.append(c)
-    return FlowTrajectory(grid=grid, states=states, truncated=truncate_ge2,
-                          log_norm=np.asarray(log_norm), notes=notes)
+        yield GrassmannElement._adopt(gens, state), c
+
+
+def flow_integrate(schedule: ScaleSchedule, f0: GrassmannElement,
+                   grid: np.ndarray | None = None, truncate_ge2: bool = False,
+                   steps: int = 400, t_end: float | None = None
+                   ) -> FlowTrajectory:
+    """The trajectory of ``flow_states`` on ``grid`` (default: ``steps``
+    uniform steps up to ``t_end`` or the schedule's upper scale): the
+    seminorm series of each state, taken as it comes.  A series or
+    log-normalization that is not finite raises ``ResolutionError`` at its
+    grid time, in place of overflow warnings; the first time
+    ``exp(-log_norm)`` falls below 0.1 is noted."""
+    if grid is None:
+        end = schedule.T if t_end is None else float(t_end)
+        grid = np.linspace(0.0, end, steps + 1)
+    grid = np.asarray(grid, dtype=float)
+    norms, log_norm, notes = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, (state, c) in zip(grid, flow_states(schedule, f0, grid,
+                                                   truncate_ge2)):
+            series = norm_coefficients(state)
+            if not (np.isfinite(c) and np.isfinite(series.coefficients).all()):
+                raise ResolutionError(
+                    f"the flow diverged: its seminorm series or "
+                    f"log-normalization is not finite at t={t:.6g}")
+            if not notes and np.exp(-c.real) < _SCALAR_WARN_FLOOR:
+                notes.append(
+                    f"normalization scalar exp(-{c.real:.3g}) below "
+                    f"{_SCALAR_WARN_FLOOR} at t={t:.6g}; conditioning degrades")
+            norms.append(series)
+            log_norm.append(c)
+    return FlowTrajectory(grid, tuple(norms), np.asarray(log_norm),
+                          truncated=truncate_ge2, notes=notes)
 
 
 def trajectory_to_csv(traj: FlowTrajectory) -> str:

@@ -131,8 +131,10 @@ def _momentum_table(params: Psi4Params):
     return h * h * shells.astype(float), sums[:, shells][pair.reshape(-1)]
 
 
-def _chat_weights(params: Psi4Params, s: float, psq: np.ndarray) -> np.ndarray:
-    lam2 = params.lambda_at(s) ** 2
+def _chat_weights(params: Psi4Params, s, psq: np.ndarray) -> np.ndarray:
+    """Covariance weights ``exp(-(|p|^2+m^2)/L_s^2) / (|p|^2+m^2)``, on the
+    shells and scales as ``_cdot_weights`` takes them."""
+    lam2 = (params.lambda0 * np.exp(-np.asarray(s, dtype=float)))[..., None] ** 2
     q = psq + params.mass ** 2
     return np.exp(-q / lam2) / q
 
@@ -198,29 +200,20 @@ def _tail_certificate(params: Psi4Params, s: float) -> None:
             f"(tolerance {_TAIL_RTOL}); raise the cutoff factor")
 
 
-class CovarianceSlice(NamedTuple):
-    c_between: np.ndarray
-    c_plus: np.ndarray
-    c_minus: np.ndarray
-
-
-def covariance_matrix(params: Psi4Params, s: float, t: float) -> CovarianceSlice:
-    """Position-space covariance between scales as exact lattice sums.
-
-    Returns the slice kernel ``C_s - C_t`` over the sites, for ``s <= t``,
-    together with its positive split ``(C_s, C_t)``; the imaginary parts
-    cancel exactly by the evenness of the summand, and a slice with
-    ``s == t`` is exactly zero.
+def covariance_matrix(params: Psi4Params, s: float, t: float) -> np.ndarray:
+    """Position-space covariance slice ``C_s - C_t`` over the sites, for
+    ``s <= t``, as exact lattice sums: the site kernel of the difference of
+    the shell weights at ``s`` and ``t``.  The imaginary parts cancel
+    exactly by the evenness of the summand, and a slice with ``s == t`` is
+    exactly zero.
     """
     if s > t:
         raise ValueError("need s <= t for a covariance slice")
     _tail_certificate(params, s)
     psq, phases = _momentum_table(params)
-    n = len(params.sites)
-    vol = params.box ** params.dimension
-    c_s = _site_kernel(_chat_weights(params, s, psq), phases, n, vol)
-    c_t = _site_kernel(_chat_weights(params, t, psq), phases, n, vol)
-    return CovarianceSlice(c_s - c_t, c_s, c_t)
+    w = _chat_weights(params, s, psq) - _chat_weights(params, t, psq)
+    return _site_kernel(w, phases, len(params.sites),
+                        params.box ** params.dimension)
 
 
 def sigma_squared_closed_form(params: Psi4Params, s: float, t: float) -> float:
@@ -339,22 +332,16 @@ def build_desk_instance(params: Psi4Params, alpha: float,
     vol = params.box ** params.dimension
     T = float(t_max) if t_max is not None else \
         math.log(params.lambda0 / params.mass) + 3.0
-    q = psq + params.mass ** 2
 
     def cdot(s) -> np.ndarray:
         return _site_kernel(_cdot_weights(params, s, psq), phases, n, vol)
 
-    # _chat_weights over arrays of scales; covariance_matrix keeps the
-    # scalar math.exp form, to whose rounding the slices' digits are tied
-    def chat_weights(s) -> np.ndarray:
-        lam2 = (params.lambda0 * np.exp(-np.asarray(s, dtype=float)))[..., None] ** 2
-        return np.exp(-q / lam2) / q
-
     schedule = ScaleSchedule(
         cdot, T=T, pairs=n,
-        c_between=lambda s, t: covariance_matrix(params, s, t).c_between,
-        sigma_between=lambda s, t: 4.0 * (
-            (chat_weights(s) - chat_weights(t)) @ phases[0]) / vol)
+        c_between=lambda s, t: covariance_matrix(params, s, t),
+        sigma_between=lambda s, t: 4.0 * ((
+            _chat_weights(params, s, psq) - _chat_weights(params, t, psq))
+            @ phases[0]) / vol)
     return DeskInstance(params=params, alpha=alpha, generators=gens,
                         schedule=schedule,
                         bare_action=quartic_bare_action(gens, alpha))

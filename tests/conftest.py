@@ -8,6 +8,7 @@ from ferroflow.instances import (  # noqa: F401  (test modules import them from 
     synthetic_schedule,
 )
 from ferroflow.algebra import GrassmannElement, wedge
+from ferroflow.flow import flow_states
 from ferroflow.psi4 import Psi4Params, build_desk_instance
 from ferroflow.schedule import ScaleSchedule
 
@@ -66,3 +67,15 @@ def count_rate_norm_calls(monkeypatch) -> dict:
 
     monkeypatch.setattr(ScaleSchedule, "adot_norm_at", counting_rate)
     return calls
+
+
+def states_on(schedule, f0, grid, truncate_ge2=False):
+    """Every state that ``flow_states`` yields on ``grid``, kept in a list:
+    the library keeps none."""
+    return [state for state, _ in flow_states(schedule, f0, grid, truncate_ge2)]
+
+
+def uniform_grid(steps, t_end):
+    """``flow_integrate``'s default grid: ``steps`` uniform steps up to
+    ``t_end``."""
+    return np.linspace(0.0, float(t_end), steps + 1)

@@ -122,7 +122,7 @@ def test_majorant_integrates_no_flow(tmp_path, monkeypatch):
         raise AssertionError("majorant integrated the flow")
 
     monkeypatch.setattr(cli, "flow_integrate", refuse)
-    monkeypatch.setattr(flow, "_integrate_on", refuse)
+    monkeypatch.setattr(flow, "flow_states", refuse)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sites = 2\nsteps = 20\n")
     assert main(["majorant", "--config", str(cfg),
@@ -145,7 +145,7 @@ def test_majorant_matches_rk4_states(tmp_path, sites):
     picks = np.unique(np.linspace(0, 400, 11).astype(int))
     assert len(printed) == len(picks) * sites
     for i in picks:
-        series = norm_coefficients(traj.states[i])
+        series = traj.norms[i]
         for m in range(1, sites + 1):
             got = printed[(f"{traj.grid[i]:.12g}", m)]
             assert math.isclose(got, series.coeff(m), rel_tol=1e-9,
@@ -240,6 +240,21 @@ def test_run_time_within_budget_accepted():
         check_command("flow", parse_config("sites = 6\nsteps = 30001\n"))
 
 
+def test_diverging_flow_exits_3(tmp_path, capsys):
+    # a box of side 1e-6 is admitted, and its flow leaves the floating-point
+    # range at the second step
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("boxL = 1e-6\n")
+    out = tmp_path / "f.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("error: the flow diverged: its seminorm series or "
+                            "log-normalization is not finite at t=0.01\n")
+    assert captured.out == "" and not out.exists()
+
+
 def test_short_cutoff_fails_the_tail_certificate_exits_3(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("cutoffFactor = 1.0\n")
@@ -301,3 +316,15 @@ def test_flow_takes_truncate(tmp_path):
     rows = [line.split(",") for line in cut.read_text().splitlines()[1:]]
     assert all(float(f) == 0.0 for _, m, f in rows if m == "1")
     assert plain.read_bytes() != cut.read_bytes()
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    # a flag of one call does not reach the next, which shares the parser
+    cli._build_parser.cache_clear()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sites = 2\nsteps = 20\n")
+    assert main(["flow", "--config", str(cfg), "--out", str(tmp_path / "f.csv"),
+                 "--truncate"]) == 0
+    assert main(["verify", "--seed", "3"]) == 0
+    assert cli._build_parser.cache_info().misses == 1
+    assert "10/10 checks passed" in capsys.readouterr().out

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,20 +14,25 @@ from ferroflow.algebra import (
     parity_magnitudes,
     wedge,
 )
-from ferroflow.errors import DimensionMismatchError, LogDomainError, ParityError
+from ferroflow.errors import (
+    DimensionMismatchError,
+    LogDomainError,
+    ParityError,
+    ResolutionError,
+)
 from ferroflow.flow import (
     _BILINEAR_SIGN,
-    FlowTrajectory,
     _flow_rhs,
     effective_action_exact,
     flow_integrate,
+    flow_states,
     rg_map,
     trajectory_to_csv,
 )
 from ferroflow import schedule
 from ferroflow.gaussian import _laplacian_weights, heat_kernel_convolve, laplacian
 from ferroflow.norms import norm_coefficients
-from ferroflow.psi4 import quartic_bare_action
+from ferroflow.psi4 import Psi4Params, build_desk_instance, quartic_bare_action
 from ferroflow.schedule import ScaleSchedule
 
 from conftest import (
@@ -35,8 +42,10 @@ from conftest import (
     rand_antisymmetric,
     rand_element,
     rand_even_normalized,
+    states_on,
     synthetic_schedule,
     taylor_by_wedge,
+    uniform_grid,
 )
 from oracles import derivative, step_halving_flow
 
@@ -150,12 +159,13 @@ class TestFlowRhs:
         f = rand_even_normalized(rng, GeneratorSet(n_gen), 0.4 / n_gen,
                                  complex_coeffs=complex_coeffs)
         grid = np.linspace(0.0, 0.05 * steps, steps + 1)
-        traj = flow_integrate(sched, f, grid=grid, truncate_ge2=truncate)
+        got = list(flow_states(sched, f, grid, truncate))
         states, log_norm = rk4_by_product_rule(sched, f, grid, truncate)
+        assert len(got) == len(states)
         assert np.max(np.abs(states[-1] - f.coeffs)) > 0.0
-        for got, want in zip(traj.states, states):
-            assert bitwise_equal(got.coeffs, want)
-        assert bitwise_equal(traj.log_norm, log_norm)
+        for (state, _), want in zip(got, states):
+            assert bitwise_equal(state.coeffs, want)
+        assert bitwise_equal([c for _, c in got], log_norm)
 
 
 @pytest.mark.parametrize("n_gen", [2, 4, 8, 12])
@@ -258,7 +268,7 @@ class TestEffectiveActionExact:
         sched = synthetic_schedule(rng, 4)
         f = quartic_bare_action(GeneratorSet(8), 0.03)
         out = effective_action_exact(sched, f, 1.0)
-        series = FlowTrajectory(np.array([0.0]), [out]).norms[0]
+        series = norm_coefficients(out)
         assert np.all(np.isfinite(series.coefficients))
 
     def test_simpson_only_behind_from_cdot(self, rng, monkeypatch):
@@ -291,7 +301,7 @@ class TestEffectiveActionExact:
         traj = flow_integrate(inst.schedule, inst.bare_action, steps=400,
                               t_end=2.0)
         for i in (100, 200, 400):  # t = 0.5, 1, 2
-            got = norm_coefficients(traj.states[i])
+            got = traj.norms[i]
             want = norm_coefficients(effective_action_exact(
                 inst.schedule, inst.bare_action, traj.grid[i]))
             for m in range(1, sites + 1):
@@ -302,18 +312,18 @@ class TestEffectiveActionExact:
 class TestFlowIntegrate:
     def test_zero_action_stays_zero(self, rng):
         sched = synthetic_schedule(rng, 4)
-        traj = flow_integrate(sched, GrassmannElement.zero(GeneratorSet(8)),
-                              steps=20, t_end=1.0)
-        for state in traj.states:
+        for state in states_on(sched, GrassmannElement.zero(GeneratorSet(8)),
+                               uniform_grid(20, 1.0)):
             assert np.all(state.coeffs == 0.0)
 
     def test_matches_exact_path(self, rng):
         sched = synthetic_schedule(rng, 4)
         f = quartic_bare_action(GeneratorSet(8), 0.04)
-        traj = flow_integrate(sched, f, steps=200, t_end=1.0)
+        grid = uniform_grid(200, 1.0)
+        states = states_on(sched, f, grid)
         for i in (50, 120, 200):
-            exact = effective_action_exact(sched, f, traj.grid[i])
-            dev = np.max(np.abs(traj.states[i].coeffs - exact.coeffs))
+            exact = effective_action_exact(sched, f, grid[i])
+            dev = np.max(np.abs(states[i].coeffs - exact.coeffs))
             assert dev <= 1e-9
 
     def test_fourth_order_convergence(self, rng):
@@ -322,16 +332,15 @@ class TestFlowIntegrate:
         exact = effective_action_exact(sched, f, 1.0)
         devs = []
         for steps in (8, 16, 32):
-            traj = flow_integrate(sched, f, steps=steps, t_end=1.0)
-            devs.append(np.max(np.abs(traj.states[-1].coeffs - exact.coeffs)))
+            last = states_on(sched, f, uniform_grid(steps, 1.0))[-1]
+            devs.append(np.max(np.abs(last.coeffs - exact.coeffs)))
         orders = [np.log2(devs[i] / devs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.7
 
     def test_parity_and_normalization_along_trajectory(self, rng):
         sched = synthetic_schedule(rng, 4)
         f = quartic_bare_action(GeneratorSet(8), 0.04)
-        traj = flow_integrate(sched, f, steps=50, t_end=1.0)
-        for state in traj.states:
+        for state in states_on(sched, f, uniform_grid(50, 1.0)):
             assert parity_magnitudes(state)[1] == 0.0
             assert state.scalar_part == 0.0
 
@@ -364,9 +373,9 @@ class TestFlowIntegrate:
     def test_truncated_differs_from_full(self, rng):
         sched = synthetic_schedule(rng, 4)
         f = quartic_bare_action(GeneratorSet(8), 0.04)
-        full = flow_integrate(sched, f, steps=50, t_end=1.0)
-        trunc = flow_integrate(sched, f, steps=50, t_end=1.0, truncate_ge2=True)
-        dev = np.max(np.abs(full.states[-1].coeffs - trunc.states[-1].coeffs))
+        full, trunc = (states_on(sched, f, uniform_grid(50, 1.0), truncate)[-1]
+                       for truncate in (False, True))
+        dev = np.max(np.abs(full.coeffs - trunc.coeffs))
         assert dev > 0.0
 
     def test_certificate(self, rng):
@@ -429,9 +438,8 @@ class TestExactParity:
     def test_exactly_even_action_keeps_odd_coefficients_zero(self, rng):
         sched = synthetic_schedule(rng, 4)
         f = rand_even_normalized(rng, GeneratorSet(8), 0.05)
-        traj = flow_integrate(sched, f, steps=20, t_end=1.0)
         odd = popcounts(f.gens.dim, f.gens.count) % 2 == 1
-        for state in traj.states:
+        for state in states_on(sched, f, uniform_grid(20, 1.0)):
             assert np.all(state.coeffs[odd] == 0.0)
 
     def test_tolerated_odd_content_keeps_every_block(self, rng):
@@ -443,7 +451,7 @@ class TestExactParity:
         f = with_tolerated_odd_content(rng, gens)
         odd = popcounts(gens.dim, gens.count) % 2 == 1
         grid = np.linspace(0.0, 1.0, 11)
-        traj = flow_integrate(sched, f, grid=grid)
+        states = states_on(sched, f, grid)
         y = f.coeffs.copy()
         for i in range(len(grid) - 1):
             t0, h = grid[i], grid[i + 1] - grid[i]
@@ -454,7 +462,7 @@ class TestExactParity:
             k4, _ = flow_rhs_on_full(a4, y + h * k3, gens, False, even=False)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             y[0] = 0.0
-            assert np.max(np.abs(traj.states[i + 1].coeffs - y)) <= 1e-14
+            assert np.max(np.abs(states[i + 1].coeffs - y)) <= 1e-14
         # the odd part moves by more than five times the tolerance of the check
         assert np.max(np.abs(y[odd] - f.coeffs[odd])) > 5e-14
 
@@ -490,3 +498,74 @@ class TestTrajectoryNorms:
         assert lines[0] == "t,m,F_m"
         assert len(lines) == 1 + 5 * 4  # header + grid points x degrees
         assert lines[2].startswith("0,2,0.07")
+
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_norms_are_the_series_of_the_yielded_states(self, rng, truncate):
+        sched = synthetic_schedule(rng, 4)
+        f = quartic_bare_action(GeneratorSet(8), 0.07)
+        grid = uniform_grid(30, 1.0)
+        traj = flow_integrate(sched, f, steps=30, t_end=1.0,
+                              truncate_ge2=truncate)
+        yielded = list(flow_states(sched, f, grid, truncate))
+        assert np.array_equal(traj.grid, grid)
+        assert len(traj.norms) == len(yielded) == len(grid)
+        for series, (state, _) in zip(traj.norms, yielded):
+            want = norm_coefficients(state).coefficients
+            assert series.coefficients.tobytes() == want.tobytes()
+        assert bitwise_equal(traj.log_norm, [c for _, c in yielded])
+
+    def test_memory_does_not_grow_with_the_steps(self):
+        # a trajectory keeps the seminorm series of its states, not the
+        # 16 * 4**sites bytes of each: at 5 sites, ten times the steps
+        # leave the peak where it was
+        inst = desk_instance(5)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                flow_integrate(inst.schedule, inst.bare_action, steps=steps,
+                               t_end=2.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the cached index and pair tables are built outside the measurement
+        flow_integrate(inst.schedule, inst.bare_action, steps=1, t_end=2.0)
+        assert peak(200) <= 1.25 * peak(20)
+
+    def test_normalization_note_names_the_first_time_below_the_floor(self):
+        # one pair, a unit rate and F = a psi_0 psi_1: the normalization
+        # scalar exp(-log_norm) is 1 - a t, below 0.1 first at t = 0.95 on
+        # the 20-step grid when a = 0.95
+        sched = ScaleSchedule(
+            lambda t: np.ones(np.shape(t) + (1, 1)), T=1.0, pairs=1,
+            c_between=lambda s, t: np.array([[t - s]]),
+            sigma_between=lambda s, t: 4.0 * (np.asarray(t) - s))
+        f = GrassmannElement.monomial(GeneratorSet(2), [0, 1], 0.95)
+        traj = flow_integrate(sched, f, steps=20, t_end=1.0)
+        assert np.allclose(np.exp(-traj.log_norm.real), 1.0 - 0.95 * traj.grid,
+                           rtol=1e-2, atol=0.0)
+        assert len(traj.notes) == 1
+        assert "below 0.1 at t=0.95;" in traj.notes[0]
+
+
+def tiny_box_instance(sites=4):
+    """The desk instance in a box of side 1e-6, which the config validator
+    admits: the kernel grows as the inverse box volume, and the flow leaves
+    the floating-point range within two steps."""
+    params = Psi4Params(dimension=4, mass=1.0, lambda0=2.0, box=1e-6)
+    return build_desk_instance(params, 0.002, n_sites=sites, t_max=2.0)
+
+
+def test_diverging_flow_raises_at_the_first_time_it_is_not_finite():
+    inst = tiny_box_instance()
+    grid = uniform_grid(400, 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = [norm_coefficients(state).coefficients for state in
+                  states_on(inst.schedule, inst.bare_action, grid[:4])]
+    assert [bool(np.all(np.isfinite(s))) for s in series] == [
+        True, True, False, False]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResolutionError, match=r"not finite at t=0\.01$"):
+            flow_integrate(inst.schedule, inst.bare_action, grid=grid)

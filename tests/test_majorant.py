@@ -791,7 +791,6 @@ class TestCoefficientBound:
     def test_seminorms_computed_once_per_trajectory(self, rng, monkeypatch):
         sched = synthetic_schedule(rng, 4)
         bare = quartic_bare_action(GeneratorSet(8), 0.04)
-        traj = flow_integrate(sched, bare, steps=30, t_end=1.0)
         calls = []
 
         def counting(state):
@@ -799,10 +798,12 @@ class TestCoefficientBound:
             return norm_coefficients(state)
 
         monkeypatch.setattr(flow_module, "norm_coefficients", counting)
+        traj = flow_integrate(sched, bare, steps=30, t_end=1.0)
+        assert len(calls) == len(traj.grid) == 31
         for i in (10, 20, 30):
             for k in range(1, 5):
                 rhs_coefficient_bound(traj, sched, k, float(traj.grid[i]))
-        assert len(calls) == len(traj.states)
+        assert len(calls) == 31
 
     def test_resolution_error_on_tight_tolerance(self, rng):
         sched = synthetic_schedule(rng, 4)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import inspect
 import os
@@ -20,18 +21,22 @@ def test_moved_and_deleted_names_stay_out():
             "translate_double", "det_correlation", "majorant_value"}
     assert gone.isdisjoint(ferroflow.__all__)
     # step halving moved to tests/oracles.py, and its error went with it;
-    # schedules take sigma^2 from their builders
-    from ferroflow import errors, flow, schedule
+    # schedules take sigma^2 from their builders; trajectories keep no
+    # states, and a desk slice is one array
+    from ferroflow import errors, flow, psi4, schedule
 
     sched = schedule.ScaleSchedule.from_cdot(lambda t: [[1.0]], 1.0, 1,
                                              lambda t: 4.0 + 0.0 * t)
     left = [f"{owner!r}.{name}" for owner, names in (
-        (flow, ("_refine", "_grid_deviation")),
+        (flow, ("_refine", "_grid_deviation", "_integrate_on")),
         (errors, ("IntegrationError",)),
+        (psi4, ("CovarianceSlice",)),
         (sched, ("gram_rate_at", "_cum", "_tables", "_gram_rate")))
         for name in names if hasattr(owner, name)]
     assert left == []
     assert "certify" not in inspect.signature(flow.flow_integrate).parameters
+    assert [f.name for f in dataclasses.fields(flow.FlowTrajectory)] == [
+        "grid", "norms", "log_norm", "truncated", "notes"]
 
 
 def fresh_env():

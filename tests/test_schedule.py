@@ -182,7 +182,7 @@ def test_desk_sigma_squared_is_four_times_the_slice_diagonal(sites):
     # 4 (C_s - C_t)_ii of the lattice sums
     inst = desk_instance(sites)
     for s, t in ((0.0, 0.5), (0.0, inst.schedule.T), (0.3, 1.1)):
-        want = 4.0 * np.diagonal(covariance_matrix(inst.params, s, t).c_between)
+        want = 4.0 * np.diagonal(covariance_matrix(inst.params, s, t))
         got = inst.schedule.sigma_squared(s, t)
         assert np.all(np.abs(got - want) <= 1e-10 * want)
 
