@@ -42,7 +42,6 @@ from .flow import (
     effective_action_exact,
     flow_integrate,
     rg_map,
-    trajectory_to_csv,
 )
 from .majorant import (
     CharacteristicSolution,
@@ -76,7 +75,6 @@ __all__ = [
     "norm_coefficients",
     "ScaleSchedule",
     "FlowTrajectory", "effective_action_exact", "flow_integrate", "rg_map",
-    "trajectory_to_csv",
     "CharacteristicSolution", "MajorantSpec", "existence_check",
     "hopflax_solve", "majorant_coefficients", "rhs_coefficient_bound",
     "Psi4Params", "build_desk_instance", "coupling_bound", "covariance_matrix",

@@ -37,11 +37,12 @@ at these costs is refused with exit 4 before any computation: more than
 30,000 steps at 6 sites, and no step count the validator admits at fewer
 sites.
 
-``flow`` keeps the seminorm series of each state, not its ``16 * 4**sites``
-bytes: a 6-site run of 30,000 steps peaked at 76 MiB RSS in 191 s, against
-44 MiB for one step, where keeping every state took 242 MiB at 3,000 steps
-(one run each, x86_64 Linux, the same Xeon); one-step runs peaked at
-31-33 MiB at 2 and 4 sites.
+``flow`` keeps the seminorm series of each state as one array row of
+``8 * sites`` bytes, not its ``16 * 4**sites`` bytes, and writes its CSV
+row by row: a 6-site run of 30,000 steps peaked at 44 MiB RSS in 197 s, as
+one step does, where the series as one object per state took 76 MiB and
+keeping every state took 242 MiB at 3,000 steps (one run each, x86_64
+Linux, a 2-CPU Xeon); one-step runs peaked at 31-33 MiB at 2 and 4 sites.
 
 ``majorant`` integrates no flow: at each of its 11 printed times on the
 ``steps`` grid it takes the exact effective action, one ``rg_map`` on
@@ -54,8 +55,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -69,8 +72,7 @@ from .errors import (
     ExistenceError,
     FerroflowError,
 )
-from .flow import (effective_action_exact, flow_integrate, rg_map,
-                   trajectory_to_csv)
+from .flow import effective_action_exact, flow_integrate, rg_map
 from .gaussian import (
     AntisymmetricCovariance,
     covariance_split_check,
@@ -331,13 +333,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     sched = synthetic_schedule(rng, 4)
     bare = psi4.quartic_bare_action(GeneratorSet(8), 0.02)
     traj = flow_integrate(sched, bare, steps=200, t_end=1.0)
-    series = traj.norms
     ok = True
     worst_margin = float("inf")
     for i in (66, 133, 200):
         for k in range(1, 5):
             bound = rhs_coefficient_bound(traj, sched, k, traj.grid[i])
-            margin = bound - series[i].coeff(k)
+            margin = bound - traj.norms[i, k - 1]
             worst_margin = min(worst_margin, margin)
             ok = ok and margin >= -1e-8
     table.add("coefficient-bound", ok, f"worst margin {worst_margin:.3e}")
@@ -350,7 +351,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         for i in (66, 133, 200):
             phi = majorant_coefficients(spec, traj.grid[i], m_max=4)
             for m in range(1, 5):
-                margin = phi.coeff(m) - series[i].coeff(m)
+                margin = phi.coeff(m) - traj.norms[i, m - 1]
                 worst_margin = min(worst_margin, margin)
                 ok = ok and margin >= -1e-8
     table.add("majorant-domination", ok, f"worst margin {worst_margin:.3e}")
@@ -389,9 +390,15 @@ def _desk_instance(cfg: RunConfig) -> psi4.DeskInstance:
                                     n_sites=cfg.sites, t_max=cfg.tMax)
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, lines: Iterable[str | tuple]) -> None:
+    """Write ``lines`` to ``path`` as they come, a string as it is and a
+    tuple as its fields by ``_fmt``, comma-separated."""
     try:
-        Path(path).write_bytes(text.encode("ascii"))
+        with open(path, "w", encoding="ascii", newline="\n") as out:
+            for line in lines:
+                if not isinstance(line, str):
+                    line = ",".join(map(_fmt, line))
+                out.write(line + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
@@ -400,9 +407,10 @@ def cmd_flow(cfg: RunConfig) -> int:
     inst = _desk_instance(cfg)
     traj = flow_integrate(inst.schedule, inst.bare_action, steps=cfg.steps,
                           t_end=cfg.tMax, truncate_ge2=cfg.truncate)
-    csv = trajectory_to_csv(traj)
     out = cfg.out or "flow.csv"
-    _write(out, csv)
+    rows = ((t, m, fm) for t, row in zip(traj.grid.tolist(), traj.norms)
+            for m, fm in enumerate(row.tolist(), start=1))
+    _write(out, itertools.chain(["t,m,F_m"], rows))
     print(f"wrote {out} ({len(traj.grid)} grid points)")
     for note in traj.notes:
         print(f"note: {note}")
@@ -415,7 +423,7 @@ def cmd_majorant(cfg: RunConfig) -> int:
     report = existence_check(spec, cfg.tMax)
     out = cfg.out or "majorant.csv"
     report_path = out + ".existence.txt"
-    _write(report_path, report.as_text())
+    _write(report_path, report.as_text().splitlines())
     print(report.as_text(), end="")
     if not report.holds:
         print("existence condition fails; no majorant CSV written")
@@ -423,7 +431,7 @@ def cmd_majorant(cfg: RunConfig) -> int:
     grid = np.linspace(0.0, cfg.tMax, cfg.steps + 1)
     n = inst.generators.pairs
     picks = np.unique(np.linspace(0, cfg.steps, 11).astype(int))
-    lines = ["t,m,F_m,phi_m,margin"]
+    rows = ["t,m,F_m,phi_m,margin"]
     worst = float("inf")
     for i in picks:
         t = float(grid[i])
@@ -431,12 +439,11 @@ def cmd_majorant(cfg: RunConfig) -> int:
             effective_action_exact(inst.schedule, inst.bare_action, t))
         phi = majorant_coefficients(spec, t, m_max=n)
         for m in range(1, n + 1):
-            fm = series.coeff(m)
-            pm = phi.coeff(m)
+            fm, pm = series.coeff(m), phi.coeff(m)
             margin = pm - fm
             worst = min(worst, margin)
-            lines.append(f"{_fmt(t)},{m},{_fmt(fm)},{_fmt(pm)},{_fmt(margin)}")
-    _write(out, "\n".join(lines) + "\n")
+            rows.append((t, m, fm, pm, margin))
+    _write(out, rows)
     print(f"wrote {out}; worst margin {worst:.3e}")
     if worst < -cfg.tolerance:
         print("margin below tolerance")
@@ -471,10 +478,9 @@ def cmd_psi4(cfg: RunConfig) -> int:
         lam = params.lambda_at(s)
         rate = psi4.covariance_rate_norm(params, s)
         sig2 = psi4.sigma_squared_closed_form(params, 0.0, s)
-        rows.append(f"{_fmt(s)},{_fmt(lam)},{_fmt(rate)},{_fmt(sig2)},"
-                    f"{_fmt(tau_tilde)},{_fmt(tau_bound)}")
+        rows.append((s, lam, rate, sig2, tau_tilde, tau_bound))
     out = cfg.out or "psi4.csv"
-    _write(out, "\n".join(header_lines + rows) + "\n")
+    _write(out, header_lines + rows)
     print(f"wrote {out}")
     return 0
 

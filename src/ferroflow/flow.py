@@ -15,7 +15,7 @@ cross-validating the two paths against each other, which the test suite
 does continuously.
 
 ``flow_states`` yields the states one grid time at a time; a trajectory
-keeps only their seminorm series, all that the checks downstream read.
+keeps only their seminorm series, in one array: all that checks read.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .algebra import (
 )
 from .errors import LogDomainError, ResolutionError
 from .gaussian import _check_dimension, _laplacian_coeffs, _laplacian_weights
-from .norms import NormSeries, norm_coefficients
+from .norms import norm_coefficients
 from .schedule import ScaleSchedule
 
 # Sign of the quadratic gradient pairing relative to sum_ij rate_ij d_iF ^ d_jF;
@@ -56,12 +56,13 @@ _SCALAR_WARN_FLOOR = 0.1
 @dataclass
 class FlowTrajectory:
     """The seminorm series of the effective action on an ordered time grid:
-    ``norms[i]`` is ``norm_coefficients`` of the state at ``grid[i]``, whose
-    scalar part is zero, and ``log_norm[i]`` the log-normalization
-    accumulated up to it.  The states are not kept."""
+    ``norms[i, m - 1]`` is ``F_m`` of ``norm_coefficients`` of the state at
+    ``grid[i]``, whose scalar part is zero, in one read-only float64 array
+    of shape ``(len(grid), pairs)``; ``log_norm[i]`` is the
+    log-normalization accumulated up to it.  The states are not kept."""
 
     grid: np.ndarray
-    norms: tuple[NormSeries, ...]
+    norms: np.ndarray
     log_norm: np.ndarray
     truncated: bool = False
     notes: list[str] = field(default_factory=list)
@@ -230,20 +231,23 @@ def flow_integrate(schedule: ScaleSchedule, f0: GrassmannElement,
                    ) -> FlowTrajectory:
     """The trajectory of ``flow_states`` on ``grid`` (default: ``steps``
     uniform steps up to ``t_end`` or the schedule's upper scale): the
-    seminorm series of each state, taken as it comes.  A series or
-    log-normalization that is not finite raises ``ResolutionError`` at its
-    grid time, in place of overflow warnings; the first time
-    ``exp(-log_norm)`` falls below 0.1 is noted."""
+    seminorm series of each state, written into its row of ``norms`` as it
+    comes.  A series or log-normalization that is not finite raises
+    ``ResolutionError`` at its grid time, in place of overflow warnings; the
+    first time ``exp(-log_norm)`` falls below 0.1 is noted."""
     if grid is None:
         end = schedule.T if t_end is None else float(t_end)
         grid = np.linspace(0.0, end, steps + 1)
     grid = np.asarray(grid, dtype=float)
-    norms, log_norm, notes = [], [], []
+    norms = np.empty((len(grid), f0.gens.pairs))
+    log_norm = np.empty(len(grid), dtype=np.complex128)
+    notes = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, (state, c) in zip(grid, flow_states(schedule, f0, grid,
+        for i, (state, c) in enumerate(flow_states(schedule, f0, grid,
                                                    truncate_ge2)):
-            series = norm_coefficients(state)
-            if not (np.isfinite(c) and np.isfinite(series.coefficients).all()):
+            t = grid[i]
+            norms[i] = norm_coefficients(state).coefficients
+            if not (np.isfinite(c) and np.isfinite(norms[i]).all()):
                 raise ResolutionError(
                     f"the flow diverged: its seminorm series or "
                     f"log-normalization is not finite at t={t:.6g}")
@@ -251,16 +255,7 @@ def flow_integrate(schedule: ScaleSchedule, f0: GrassmannElement,
                 notes.append(
                     f"normalization scalar exp(-{c.real:.3g}) below "
                     f"{_SCALAR_WARN_FLOOR} at t={t:.6g}; conditioning degrades")
-            norms.append(series)
-            log_norm.append(c)
-    return FlowTrajectory(grid, tuple(norms), np.asarray(log_norm),
-                          truncated=truncate_ge2, notes=notes)
-
-
-def trajectory_to_csv(traj: FlowTrajectory) -> str:
-    """Render a trajectory as ``t,m,F_m`` rows with 12 significant digits."""
-    lines = ["t,m,F_m"]
-    for t, s in zip(traj.grid, traj.norms):
-        for m in range(1, len(s) + 1):
-            lines.append(f"{t:.12g},{m},{s.coeff(m):.12g}")
-    return "\n".join(lines) + "\n"
+            log_norm[i] = c
+    norms.setflags(write=False)
+    return FlowTrajectory(grid, norms, log_norm, truncated=truncate_ge2,
+                          notes=notes)

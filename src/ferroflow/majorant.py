@@ -242,8 +242,12 @@ class MajorantSpec:
         if self.quartic_alpha is None and self.bare_series is None \
                 and self.radius is None:
             raise ValueError("need a bare series, a quartic coupling, or a radius")
-        if self.quartic_alpha is not None and self.quartic_alpha < 0:
+        # NaN passes ``< 0``, and convergence_radius would skip it
+        if self.quartic_alpha is not None and not self.quartic_alpha >= 0:
             raise ValueError("quartic coupling must be nonnegative")
+        if self.bare_series is not None \
+                and np.isnan(self.bare_series.coefficients).any():
+            raise ValueError("bare series must not hold NaN")
 
     @property
     def kind(self) -> str:
@@ -377,26 +381,22 @@ def rhs_coefficient_bound(traj: FlowTrajectory, schedule: ScaleSchedule,
     pos = int(np.argmin(np.abs(grid - t)))
     if abs(grid[pos] - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"time {t} is not on the trajectory grid")
-    series = traj.norms
-    n = len(series[0])
-    f0 = series[0]
     sig0t = schedule.sigma_squared(0.0, float(t))
     term1 = sum(fm * math.comb(2 * m, 2 * k) * sig0t ** (m - k)
-                for m, fm in enumerate(f0.coefficients[k - 1:], start=k))
+                for m, fm in enumerate(traj.norms[0, k - 1:], start=k))
     if pos == 0:
         return float(term1)
 
-    fvals = np.array([norm.coefficients for norm in series[:pos + 1]])
+    fvals = traj.norms[:pos + 1]
     svals = grid[:pos + 1]
-    deg = np.arange(1, n + 1)
+    deg = np.arange(1, fvals.shape[1] + 1)
     gam = np.array([[_gamma_factor(l, m, k, 1.0) for m in deg] for l in deg])
     power = np.maximum(deg[:, None] + deg[None, :] - 1 - k, 0)
 
     def simpson_on(level: int) -> float:
         # level-fold midpoint refinement with linear interpolation of F
         ss = np.linspace(svals[0], svals[-1], level * pos + 1)
-        fs = np.stack([np.interp(ss, svals, fvals[:, col]) for col in range(n)],
-                      axis=1)
+        fs = np.stack([np.interp(ss, svals, col) for col in fvals.T], axis=1)
         xi2 = np.maximum(schedule.sigma_squared(ss, float(t)), 0.0)
         rate = schedule.adot_norm_at(ss)
         source = np.einsum("il,im,lm,ilm->i", fs, fs, gam,

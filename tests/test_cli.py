@@ -145,10 +145,9 @@ def test_majorant_matches_rk4_states(tmp_path, sites):
     picks = np.unique(np.linspace(0, 400, 11).astype(int))
     assert len(printed) == len(picks) * sites
     for i in picks:
-        series = traj.norms[i]
         for m in range(1, sites + 1):
             got = printed[(f"{traj.grid[i]:.12g}", m)]
-            assert math.isclose(got, series.coeff(m), rel_tol=1e-9,
+            assert math.isclose(got, traj.norms[i, m - 1], rel_tol=1e-9,
                                 abs_tol=1e-12)
 
 
@@ -316,6 +315,18 @@ def test_flow_takes_truncate(tmp_path):
     rows = [line.split(",") for line in cut.read_text().splitlines()[1:]]
     assert all(float(f) == 0.0 for _, m, f in rows if m == "1")
     assert plain.read_bytes() != cut.read_bytes()
+
+
+def test_flow_csv_format(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 0.07\nsteps = 4\ntMax = 0.5\n")
+    out = tmp_path / "f.csv"
+    assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "t,m,F_m"
+    assert len(lines) == 1 + 5 * 4  # header + grid points x degrees
+    assert lines[2].startswith("0,2,0.07")
+    assert "(5 grid points)" in capsys.readouterr().out
 
 
 def test_parser_is_built_once_per_process(tmp_path, capsys):

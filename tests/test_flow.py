@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 import warnings
@@ -27,7 +28,6 @@ from ferroflow.flow import (
     flow_integrate,
     flow_states,
     rg_map,
-    trajectory_to_csv,
 )
 from ferroflow import schedule
 from ferroflow.gaussian import _laplacian_weights, heat_kernel_convolve, laplacian
@@ -305,7 +305,7 @@ class TestEffectiveActionExact:
             want = norm_coefficients(effective_action_exact(
                 inst.schedule, inst.bare_action, traj.grid[i]))
             for m in range(1, sites + 1):
-                assert math.isclose(got.coeff(m), want.coeff(m),
+                assert math.isclose(got[m - 1], want.coeff(m),
                                     rel_tol=1e-9, abs_tol=1e-12)
 
 
@@ -348,9 +348,8 @@ class TestFlowIntegrate:
         sched = synthetic_schedule(rng, 4)
         f = quartic_bare_action(GeneratorSet(8), 0.04)
         traj = flow_integrate(sched, f, steps=50, t_end=1.0)
-        series = traj.norms
-        assert series[0].coeff(1) == 0.0
-        assert series[-1].coeff(1) > 0.0
+        assert traj.norms[0, 0] == 0.0
+        assert traj.norms[-1, 0] > 0.0
 
     @pytest.mark.parametrize("pairs", [3, 5])
     def test_schedule_dimension_must_match(self, rng, pairs):
@@ -366,9 +365,8 @@ class TestFlowIntegrate:
         f = quartic_bare_action(GeneratorSet(8), 0.04)
         traj = flow_integrate(sched, f, steps=50, t_end=1.0, truncate_ge2=True)
         assert traj.truncated
-        series = traj.norms
-        for s in series:
-            assert s.coeff(1) == 0.0
+        for row in traj.norms:
+            assert row[0] == 0.0
 
     def test_truncated_differs_from_full(self, rng):
         sched = synthetic_schedule(rng, 4)
@@ -484,20 +482,9 @@ class TestTrajectoryNorms:
         sched = synthetic_schedule(rng, 4)
         f = quartic_bare_action(GeneratorSet(8), 0.07)
         traj = flow_integrate(sched, f, steps=10, t_end=0.5)
-        series = traj.norms
-        assert series[0].coeff(2) == pytest.approx(0.07)
-        for s in series:
-            assert np.all(s.coefficients >= 0.0)
-
-    def test_csv_format(self, rng):
-        sched = synthetic_schedule(rng, 4)
-        f = quartic_bare_action(GeneratorSet(8), 0.07)
-        traj = flow_integrate(sched, f, steps=4, t_end=0.5)
-        csv = trajectory_to_csv(traj)
-        lines = csv.strip().split("\n")
-        assert lines[0] == "t,m,F_m"
-        assert len(lines) == 1 + 5 * 4  # header + grid points x degrees
-        assert lines[2].startswith("0,2,0.07")
+        assert traj.norms[0, 1] == pytest.approx(0.07)
+        for row in traj.norms:
+            assert np.all(row >= 0.0)
 
     @pytest.mark.parametrize("truncate", [False, True])
     def test_norms_are_the_series_of_the_yielded_states(self, rng, truncate):
@@ -509,9 +496,9 @@ class TestTrajectoryNorms:
         yielded = list(flow_states(sched, f, grid, truncate))
         assert np.array_equal(traj.grid, grid)
         assert len(traj.norms) == len(yielded) == len(grid)
-        for series, (state, _) in zip(traj.norms, yielded):
+        for row, (state, _) in zip(traj.norms, yielded):
             want = norm_coefficients(state).coefficients
-            assert series.coefficients.tobytes() == want.tobytes()
+            assert row.tobytes() == want.tobytes()
         assert bitwise_equal(traj.log_norm, [c for _, c in yielded])
 
     def test_memory_does_not_grow_with_the_steps(self):
@@ -532,6 +519,28 @@ class TestTrajectoryNorms:
         # the cached index and pair tables are built outside the measurement
         flow_integrate(inst.schedule, inst.bare_action, steps=1, t_end=2.0)
         assert peak(200) <= 1.25 * peak(20)
+
+    def test_trajectory_keeps_one_array_row_per_grid_point(self):
+        # the grid, one float64 per degree and one complex log-normalization
+        # take 40 bytes per point at 2 sites; an object per point takes more.
+        # gc.collect() also empties the interpreter's free lists, which
+        # would otherwise count as kept
+        inst = desk_instance(2)
+        steps = 400
+        flow_integrate(inst.schedule, inst.bare_action, steps=steps,
+                       t_end=2.0)
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            traj = flow_integrate(inst.schedule, inst.bare_action,
+                                  steps=steps, t_end=2.0)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 64 * (steps + 1)
+        assert traj.norms.shape == (steps + 1, 2)
 
     def test_normalization_note_names_the_first_time_below_the_floor(self):
         # one pair, a unit rate and F = a psi_0 psi_1: the normalization

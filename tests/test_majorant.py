@@ -616,11 +616,28 @@ class TestMajorantCoefficients:
         traj = flow_integrate(inst.schedule, inst.bare_action, steps=20,
                               t_end=2.0)
         spec = MajorantSpec(schedule=inst.schedule, quartic_alpha=1e-50)
-        for t, series in zip(traj.grid, traj.norms):
+        for t, row in zip(traj.grid, traj.norms):
             phi = majorant_coefficients(spec, float(t), m_max=2)
-            assert phi.coeff(1) >= series.coeff(1)
-            assert phi.coeff(2) >= series.coeff(2)
+            assert phi.coeff(1) >= row[0]
+            assert phi.coeff(2) >= row[1]
         assert phi.coeff(1) > 0.0
+
+    @pytest.mark.parametrize("coefficients", [[math.nan], [math.nan, 0.02]],
+                             ids=["nan", "nan-and-quartic"])
+    def test_nan_bare_series_refused(self, rng, coefficients):
+        # NaN passes NormSeries' sign check and convergence_radius skips it:
+        # unrefused, [nan] would read as R = inf and the zero majorant, and
+        # [nan, 0.02] as the radius of F_2 alone
+        with pytest.raises(ValueError, match="NaN"):
+            MajorantSpec(schedule=synthetic_schedule(rng, 4),
+                         bare_series=NormSeries(coefficients))
+
+    def test_nan_quartic_coupling_refused(self, rng):
+        # NaN passes ``< 0``; unrefused, it would surface as an
+        # ExistenceError at R = nan
+        with pytest.raises(ValueError, match="nonnegative"):
+            MajorantSpec(schedule=synthetic_schedule(rng, 4),
+                         quartic_alpha=math.nan)
 
     def test_log_datum_series(self, rng):
         sched = synthetic_schedule(rng, 4)
@@ -636,12 +653,11 @@ class TestMajorantCoefficients:
         alpha = 0.03
         bare = quartic_bare_action(GeneratorSet(8), alpha)
         traj = flow_integrate(sched, bare, steps=80, t_end=1.0)
-        series = traj.norms
         spec = MajorantSpec(schedule=sched, quartic_alpha=alpha)
         for i in (20, 50, 80):
             phi = majorant_coefficients(spec, float(traj.grid[i]), m_max=4)
             for m in range(1, 5):
-                assert phi.coeff(m) >= series[i].coeff(m) - 1e-8
+                assert phi.coeff(m) >= traj.norms[i, m - 1] - 1e-8
 
 
 class TestExistence:
@@ -700,12 +716,12 @@ def rhs_coefficient_bound_by_loop(traj, schedule, k, t):
     and sums ``_gamma_factor`` over degree pairs."""
     grid = traj.grid
     pos = int(np.argmin(np.abs(grid - t)))
-    series = traj.norms
-    n = len(series[0])
+    norms = traj.norms
+    n = norms.shape[1]
     sig0t = schedule.sigma_squared(0.0, float(t))
-    term1 = sum(series[0].coeff(m) * math.comb(2 * m, 2 * k) * sig0t ** (m - k)
+    term1 = sum(norms[0, m - 1] * math.comb(2 * m, 2 * k) * sig0t ** (m - k)
                 for m in range(k, n + 1))
-    fvals = np.array([[series[i].coeff(m) for m in range(1, n + 1)]
+    fvals = np.array([[norms[i, m - 1] for m in range(1, n + 1)]
                       for i in range(pos + 1)])
     svals = grid[:pos + 1]
 
@@ -782,11 +798,10 @@ class TestCoefficientBound:
         sched = synthetic_schedule(rng, 4)
         bare = quartic_bare_action(GeneratorSet(8), 0.04)
         traj = flow_integrate(sched, bare, steps=150, t_end=1.0)
-        series = traj.norms
         for i in (50, 100, 150):
             for k in range(1, 5):
                 bound = rhs_coefficient_bound(traj, sched, k, float(traj.grid[i]))
-                assert bound >= series[i].coeff(k) - 1e-8
+                assert bound >= traj.norms[i, k - 1] - 1e-8
 
     def test_seminorms_computed_once_per_trajectory(self, rng, monkeypatch):
         sched = synthetic_schedule(rng, 4)

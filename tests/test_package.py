@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ferroflow
@@ -18,17 +19,19 @@ def test_public_names_resolve():
 
 def test_moved_and_deleted_names_stay_out():
     gone = {"berezin_integrate", "derivative", "project_degree_ge",
-            "translate_double", "det_correlation", "majorant_value"}
+            "translate_double", "det_correlation", "majorant_value",
+            "trajectory_to_csv"}
     assert gone.isdisjoint(ferroflow.__all__)
     # step halving moved to tests/oracles.py, and its error went with it;
     # schedules take sigma^2 from their builders; trajectories keep no
-    # states, and a desk slice is one array
+    # states, and a desk slice is one array; the CLI writes every CSV
     from ferroflow import errors, flow, psi4, schedule
 
     sched = schedule.ScaleSchedule.from_cdot(lambda t: [[1.0]], 1.0, 1,
                                              lambda t: 4.0 + 0.0 * t)
     left = [f"{owner!r}.{name}" for owner, names in (
-        (flow, ("_refine", "_grid_deviation", "_integrate_on")),
+        (flow, ("_refine", "_grid_deviation", "_integrate_on",
+                "trajectory_to_csv")),
         (errors, ("IntegrationError",)),
         (psi4, ("CovarianceSlice",)),
         (sched, ("gram_rate_at", "_cum", "_tables", "_gram_rate")))
@@ -37,6 +40,12 @@ def test_moved_and_deleted_names_stay_out():
     assert "certify" not in inspect.signature(flow.flow_integrate).parameters
     assert [f.name for f in dataclasses.fields(flow.FlowTrajectory)] == [
         "grid", "norms", "log_norm", "truncated", "notes"]
+    # a trajectory's series is one read-only array, not an object per point
+    f0 = ferroflow.GrassmannElement.monomial(ferroflow.GeneratorSet(2), [0, 1],
+                                             0.1)
+    norms = flow.flow_integrate(sched, f0, steps=3).norms
+    assert isinstance(norms, np.ndarray) and norms.dtype == np.float64
+    assert norms.shape == (4, 1) and not norms.flags.writeable
 
 
 def fresh_env():
