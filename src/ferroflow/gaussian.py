@@ -5,6 +5,11 @@ moments are Pfaffians of submatrices.  The Pfaffian is normalized so that
 ``pfaffian([[0, a], [-a, 0]]) == a`` and ``pfaffian(A)**2 == det(A)``, which
 makes the two-point moment of generators ``i < j`` equal to ``A[i, j]``.
 
+``pfaffian`` takes one matrix or a stack of shape ``(..., n, n)`` and
+reduces the whole stack at once.  ``gaussian_moment`` takes one subset (a
+bitmask or distinct indices) or a 1-D integer array of bitmasks; it stacks
+the submatrices of the masks by size, one ``pfaffian`` call per even size.
+
 The weighted Laplacian here carries a global sign chosen so that the
 heat-kernel convolution ``exp(Delta_A / 2) f`` evaluated at zero fields
 reproduces the Gaussian expectation of ``f``.  That consistency (not any
@@ -15,6 +20,7 @@ and it is pinned by the moment-consistency tests.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterable
 
 import numpy as np
@@ -185,62 +191,106 @@ def _as_matrix(a) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128)
 
 
-def pfaffian(a) -> complex:
-    """Pfaffian of an even-dimensional antisymmetric matrix.
+def pfaffian(a) -> complex | np.ndarray:
+    """Pfaffian of an even-dimensional antisymmetric matrix, or of each
+    matrix of a stack of shape ``(..., n, n)``.
 
-    Skew-symmetric tridiagonalization with partial pivoting; O(dim^3) and
-    stable.  ``pfaffian(A)**2 == det(A)`` and ``pfaffian([[0,a],[-a,0]]) == a``.
+    Skew-symmetric tridiagonalization with partial pivoting (Parlett-Reid),
+    run on the whole stack at once; O(n^3) per matrix and stable.
+    ``pfaffian(A)**2 == det(A)`` and ``pfaffian([[0,a],[-a,0]]) == a``.  A
+    2-D input returns a ``complex``, a stack an array of its batch shape.  A
+    member whose pivot column vanishes is exactly 0 and leaves the others
+    unchanged: each member's value is the one it has alone.
     """
-    m = _as_matrix(a).copy()
-    n = m.shape[0]
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = _as_matrix(a)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("pfaffian needs a square matrix")
+    n = m.shape[-1]
     if n % 2 != 0:
         raise ValueError("singular: odd dimension")
-    if n == 0:
-        return 1.0 + 0.0j
-    value = 1.0 + 0.0j
+    batch = m.shape[:-2]
+    count = math.prod(batch)
+    m = m.reshape(count, n, n).copy()
+    every = np.arange(count)
+    value = np.ones(count, dtype=np.complex128)
     for k in range(0, n - 1, 2):
-        pivot = k + 1 + int(np.argmax(np.abs(m[k + 1:, k])))
-        if pivot != k + 1:
-            m[[k + 1, pivot], :] = m[[pivot, k + 1], :]
-            m[:, [k + 1, pivot]] = m[:, [pivot, k + 1]]
-            value = -value
-        if m[k + 1, k] == 0:
-            return 0.0 + 0.0j
-        value *= m[k, k + 1]
+        pivot = k + 1 + np.argmax(np.abs(m[:, k + 1:, k]), axis=1)
+        m[every, k + 1], m[every, pivot] = m[every, pivot], m[every, k + 1]
+        m[every, :, k + 1], m[every, :, pivot] = m[every, :, pivot], m[every, :, k + 1]
+        flip = pivot != k + 1
+        value[flip] = -value[flip]
+        # a zero pivot column: the Pfaffian is 0, and the zeroed member
+        # stays 0 through the remaining steps
+        dead = m[:, k + 1, k] == 0
+        m[dead] = 0
+        value[dead] = 0
+        head = m[:, k, k + 1]
+        # value * head by the scalar formula: numpy's vectorized complex
+        # product can differ from it in the last bit, and this keeps each
+        # member bitwise the value of the one-matrix reduction
+        prod = np.empty_like(value)
+        prod.real = value.real * head.real - value.imag * head.imag
+        prod.imag = value.real * head.imag + value.imag * head.real
+        value = prod
         if k + 2 < n:
-            tau = m[k, k + 2:] / m[k, k + 1]
-            col = m[k + 2:, k + 1]
-            m[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
-    return complex(value)
+            tau = m[:, k, k + 2:] / np.where(dead, 1, head)[:, None]
+            col = m[:, k + 2:, k + 1]
+            m[:, k + 2:, k + 2:] += (tau[:, :, None] * col[:, None, :]
+                                     - col[:, :, None] * tau[:, None, :])
+    return complex(value[0]) if not batch else value.reshape(batch)
 
 
-def _subset_list(subset: Iterable[int] | int) -> list[int]:
+def _subset_bits(subset, dim: int) -> tuple[np.ndarray, bool]:
+    """Membership table of shape ``(count, dim)``, and whether ``subset``
+    named one subset: one row for a bitmask or distinct indices, one row per
+    mask for a 1-D integer array of bitmasks."""
+    if isinstance(subset, np.ndarray):
+        if subset.ndim != 1 or subset.dtype.kind not in "iu":
+            raise ValueError("subset bitmasks must be a 1-D integer array")
+        masks = subset.astype(np.int64)
+        if masks.size and masks.min() < 0:
+            raise ValueError("a subset bitmask must be nonnegative")
+        if masks.size and int(masks.max()) >> dim:
+            raise IndexError(f"subset index out of range 0..{dim - 1}")
+        return (masks[:, None] >> np.arange(dim)) & 1 == 1, False
     if isinstance(subset, (int, np.integer)):
         mask = int(subset)
-        return [b for b in range(mask.bit_length()) if (mask >> b) & 1]
-    idx = sorted(int(i) for i in subset)
-    if len(set(idx)) != len(idx):
-        raise ValueError("subset has repeated indices")
-    return idx
+        if mask < 0:
+            raise ValueError("a subset bitmask must be nonnegative")
+        idx = [b for b in range(mask.bit_length()) if (mask >> b) & 1]
+    else:
+        idx = [int(i) for i in subset]
+        if len(set(idx)) != len(idx):
+            raise ValueError("subset has repeated indices")
+    if idx and (min(idx) < 0 or max(idx) >= dim):
+        raise IndexError(f"subset index out of range 0..{dim - 1}")
+    bits = np.zeros((1, dim), dtype=bool)
+    bits[0, idx] = True
+    return bits, True
 
 
-def gaussian_moment(a, subset: Iterable[int] | int) -> complex:
+def gaussian_moment(a, subset: Iterable[int] | int | np.ndarray
+                    ) -> complex | np.ndarray:
     """Gaussian moment of the basis monomial for ``subset`` (ascending order).
 
     Zero for odd cardinality, one for the empty set, otherwise the Pfaffian
-    of the corresponding submatrix of the covariance.
+    of the corresponding submatrix of the covariance.  ``subset`` is a
+    bitmask or distinct indices, and the moment a ``complex``; or a 1-D
+    integer array of bitmasks, and the moments an array of its length, from
+    one stacked ``pfaffian`` call per even subset size.  A repeated index
+    or a negative bitmask raises ``ValueError``, an index outside the
+    covariance ``IndexError``.
     """
     m = _as_matrix(a)
-    idx = _subset_list(subset)
-    if len(idx) % 2 != 0:
-        return 0.0 + 0.0j
-    if not idx:
-        return 1.0 + 0.0j
-    if idx and idx[-1] >= m.shape[0]:
-        raise IndexError("subset index exceeds covariance dimension")
-    return pfaffian(m[np.ix_(idx, idx)])
+    bits, one = _subset_bits(subset, m.shape[0])
+    sizes = bits.sum(axis=1)
+    out = (sizes == 0).astype(np.complex128)
+    for size in range(2, m.shape[0] + 1, 2):
+        rows = np.flatnonzero(sizes == size)
+        if rows.size:
+            idx = np.nonzero(bits[rows])[1].reshape(rows.size, size)
+            out[rows] = pfaffian(m[idx[:, :, None], idx[:, None, :]])
+    return complex(out[0]) if one else out
 
 
 def _check_dimension(m: np.ndarray, f: GrassmannElement) -> None:
@@ -249,14 +299,18 @@ def _check_dimension(m: np.ndarray, f: GrassmannElement) -> None:
 
 
 def gaussian_expectation(a, f: GrassmannElement) -> complex:
-    """Gaussian expectation of ``f``: the moment sum over its coefficients."""
+    """Gaussian expectation of ``f``: the moment sum over its coefficients,
+    with one stacked Pfaffian per even degree."""
     m = _as_matrix(a)
     _check_dimension(m, f)
     even = _parity_index(f.gens.count, 0)
+    masks = even[np.flatnonzero(f.coeffs.take(even))]
+    moments = gaussian_moment(m, masks)
     total = 0.0 + 0.0j
-    for mask in even[np.flatnonzero(f.coeffs.take(even))].tolist():
-        total += f.coeffs[mask] * gaussian_moment(m, mask)
-    return complex(total)
+    # scalar products summed in ascending mask order
+    for c, moment in zip(f.coeffs.take(masks).tolist(), moments.tolist()):
+        total += c * moment
+    return total
 
 
 def laplacian(a, f: GrassmannElement) -> GrassmannElement:

@@ -242,9 +242,12 @@ class MajorantSpec:
         if self.quartic_alpha is None and self.bare_series is None \
                 and self.radius is None:
             raise ValueError("need a bare series, a quartic coupling, or a radius")
-        # NaN passes ``< 0``, and convergence_radius would skip it
+        # NaN passes ``< 0``; convergence_radius would skip it, and a NaN
+        # radius would surface as R = nan
         if self.quartic_alpha is not None and not self.quartic_alpha >= 0:
             raise ValueError("quartic coupling must be nonnegative")
+        if self.radius is not None and not self.radius >= 0:
+            raise ValueError("radius must be nonnegative")
         if self.bare_series is not None \
                 and np.isnan(self.bare_series.coefficients).any():
             raise ValueError("bare series must not hold NaN")

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .algebra import GrassmannElement, _parity_index, _popcount_table, _require_even
-from .gaussian import AntisymmetricCovariance, _subset_list, gaussian_moment
+from .gaussian import AntisymmetricCovariance, _subset_bits, gaussian_moment
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,9 @@ class NormSeries:
 
 
 class GramBoundReport(NamedTuple):
+    """The Gram bound of one subset, or arrays of its fields for an array of
+    bitmasks."""
+
     lhs: float
     rhs: float
     holds: bool
@@ -123,24 +126,31 @@ def convergence_radius(series0: NormSeries) -> float:
     return sup ** -0.5
 
 
-def gram_bound_check(cov: AntisymmetricCovariance, subset: Iterable[int] | int
-                     ) -> GramBoundReport:
-    """Check the Gram moment bound for one subset of generators.
+def gram_bound_check(cov: AntisymmetricCovariance,
+                     subset: Iterable[int] | int | np.ndarray) -> GramBoundReport:
+    """Check the Gram moment bound for one subset of generators, or for each
+    of an array of them.
 
     ``lhs`` is the absolute Gaussian moment, ``rhs`` is
     ``(4 max C^{+-}_{ii})**(|J|/2)`` with the max over both split parts and
     the generator pairs touched by the subset.  The subset is a bitmask or
     distinct indices, parsed as ``gaussian_moment`` parses it: a repeated
-    index raises ``ValueError``.
+    index raises ``ValueError`` and an index outside the covariance
+    ``IndexError``.  A 1-D integer array of bitmasks gives a report of
+    arrays, one entry per mask, from one stacked Pfaffian per even size.
     """
     c_plus, c_minus = cov.require_split()
     n = cov.pairs
-    idx = _subset_list(subset)
-    if not idx:
-        return GramBoundReport(1.0, 1.0, True)
-    touched = sorted({i if i < n else i - n for i in idx})
-    diag_max = max(max(c_plus[i, i] for i in touched),
-                   max(c_minus[i, i] for i in touched))
-    rhs = (4.0 * diag_max) ** (len(idx) / 2.0)
-    lhs = abs(gaussian_moment(cov.matrix, idx))
-    return GramBoundReport(lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-9)))
+    bits, one = _subset_bits(subset, cov.dim)
+    # an untouched pair, and so the empty subset, reads 0, and 0**0 == 1
+    touched = bits[:, :n] | bits[:, n:]
+    diag_max = np.max(touched * np.maximum(np.diag(c_plus), np.diag(c_minus)),
+                      axis=1, initial=0.0)
+    # libm's pow per subset: numpy's vectorized power may round otherwise
+    rhs = np.array([(4.0 * d) ** (size / 2.0) for d, size
+                    in zip(diag_max.tolist(), bits.sum(axis=1).tolist())])
+    lhs = np.abs(gaussian_moment(cov.matrix, subset))
+    holds = lhs <= rhs * (1.0 + 1e-9)
+    if one:
+        return GramBoundReport(float(lhs), float(rhs[0]), bool(holds[0]))
+    return GramBoundReport(lhs, rhs, holds)

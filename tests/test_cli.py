@@ -6,11 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ferroflow import cli, flow
+from ferroflow import cli, flow, gaussian
+from ferroflow.algebra import GeneratorSet
 from ferroflow.cli import check_command, main, parse_config
 from ferroflow.errors import ConfigError
 from ferroflow.flow import flow_integrate
+from ferroflow.gaussian import gaussian_expectation
 from ferroflow.norms import norm_coefficients
+
+from conftest import rand_antisymmetric, rand_element
 
 
 @pytest.mark.parametrize("text", [
@@ -62,6 +66,41 @@ def test_corrupt_pfaffian_fails_verification(capsys):
     out = capsys.readouterr().out
     assert "FAIL  pfaffian-identity" in out
     assert "9/10 checks passed" in out
+
+
+@pytest.fixture
+def pfaffian_calls(monkeypatch):
+    """The shapes passed to ``gaussian.pfaffian``, under every name the
+    package binds it to."""
+    original = gaussian.pfaffian
+    calls = []
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ferroflow" \
+                and getattr(module, "pfaffian", None) is original:
+            monkeypatch.setattr(module, "pfaffian", counted)
+    return calls
+
+
+def test_verify_stacks_its_pfaffians(rng, pfaffian_calls, capsys):
+    # one stacked call per subset size, where one call per subset made
+    # about 1,700 calls per verify
+    a = rand_antisymmetric(rng, 8, 0.3)
+    f = rand_element(rng, GeneratorSet(8), 0.5)
+    assert np.all(f.coeffs != 0)
+    gaussian_expectation(a, f)
+    assert len(pfaffian_calls) <= 4
+    pfaffian_calls.clear()
+    assert main(["verify"]) == 0
+    # pfaffian-identity: one per dimension 2..12; moment-oracle: Pf(A) and
+    # sizes 2, 4, 6; 10 expectations and 3 Gram sweeps: sizes 2, 4, 6, 8
+    assert 0 < len(pfaffian_calls) <= 6 + 1 + 3 + 10 * 4 + 3 * 4 < 100
+    assert main(["verify", "--debug-corrupt-pfaffian"]) == 1
+    assert "FAIL  pfaffian-identity" in capsys.readouterr().out
 
 
 def test_inadmissible_majorant_exits_2(tmp_path, capsys):

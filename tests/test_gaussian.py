@@ -15,7 +15,7 @@ from ferroflow.gaussian import (
 )
 
 from conftest import rand_antisymmetric, rand_element
-from oracles import berezin_integrate, derivative, translate_double
+from oracles import berezin_integrate, derivative, pfaffian_by_loop, translate_double
 
 
 def pfaffian_matching_sum(a):
@@ -33,6 +33,12 @@ def pfaffian_matching_sum(a):
         minor = a[np.ix_(sub, sub)]
         total += (-1.0) ** pos * a[0, k] * pfaffian_matching_sum(minor)
     return total
+
+
+def bits(z):
+    """Bit patterns of complex values: equal bits are equal values, signed
+    zeros included."""
+    return np.array(z, dtype=np.complex128, ndmin=1).view(np.uint64)
 
 
 def expectation_density_oracle(a, f):
@@ -116,6 +122,56 @@ class TestPfaffian:
     def test_singular(self):
         assert pfaffian(np.zeros((4, 4))) == 0.0
 
+    @pytest.mark.parametrize("a", [np.float64(3.0), np.zeros(4), np.zeros((3, 2, 4))],
+                             ids=["0-d", "1-d", "non-square"])
+    def test_non_square_refused(self, a):
+        # a 0-d input used to fail with IndexError on its shape
+        with pytest.raises(ValueError, match="square matrix"):
+            pfaffian(a)
+
+    @pytest.mark.parametrize("dim", range(2, 13, 2))
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_stack_is_the_loop_bitwise(self, rng, dim, kind):
+        stack = np.stack([rand_antisymmetric(rng, dim) for _ in range(24)])
+        if kind == "complex":
+            stack = stack + 1j * np.stack([rand_antisymmetric(rng, dim) for _ in range(24)])
+        expect = np.array([pfaffian_by_loop(a) for a in stack])
+        assert np.array_equal(bits(pfaffian(stack)), bits(expect))
+        assert all(np.array_equal(bits(pfaffian(a)), bits(e)) for a, e in zip(stack, expect))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_stack_matches_matching_sum(self, rng, kind):
+        for dim in (2, 4, 6, 8):
+            stack = np.stack([rand_antisymmetric(rng, dim) for _ in range(6)])
+            if kind == "complex":
+                stack = stack + 1j * np.stack([rand_antisymmetric(rng, dim) for _ in range(6)])
+            for pf, a in zip(pfaffian(stack), stack):
+                assert pf == pytest.approx(pfaffian_matching_sum(a), rel=1e-11)
+
+    def test_singular_members_leave_the_others_alone(self, rng):
+        # generator 2 pairs with nothing: column 2 is still zero at the
+        # second step, after the first step has pivoted and updated
+        stack = np.stack([rand_antisymmetric(rng, 8) for _ in range(7)]).astype(complex)
+        singular = [1, 4, 5]
+        stack[singular, 2, :] = 0.0
+        stack[singular, :, 2] = 0.0
+        regular = [0, 2, 3, 6]
+        with np.errstate(all="raise"):
+            mixed = pfaffian(stack)
+            alone = pfaffian(stack[regular])
+        assert np.array_equal(bits(mixed[singular]), bits(np.zeros(3)))
+        assert np.array_equal(bits(mixed[regular]), bits(alone))
+        expect = np.array([pfaffian_by_loop(a) for a in stack])
+        assert np.array_equal(bits(mixed), bits(expect))
+
+    def test_batch_shape_and_empty_matrices(self, rng):
+        stack = np.stack([rand_antisymmetric(rng, 6) for _ in range(6)])
+        pf = pfaffian(stack.reshape(2, 3, 6, 6))
+        assert pf.shape == (2, 3)
+        assert np.array_equal(pf.ravel(), pfaffian(stack))
+        assert np.array_equal(pfaffian(np.zeros((2, 3, 0, 0))), np.ones((2, 3)))
+        assert pfaffian(np.zeros((0, 0))) == 1.0
+
 
 class TestMoments:
     def test_pair_moment_is_entry(self, rng):
@@ -132,6 +188,30 @@ class TestMoments:
         a = rand_antisymmetric(rng, 8)
         expect = a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
         assert gaussian_moment(a, [0, 1, 2, 3]) == pytest.approx(expect)
+
+    def test_mask_array_is_each_mask_bitwise(self, rng):
+        a = rand_antisymmetric(rng, 8) + 1j * rand_antisymmetric(rng, 8)
+        masks = rng.permutation(256)
+        moments = gaussian_moment(a, masks)
+        expect = np.array([gaussian_moment(a, int(mask)) for mask in masks])
+        assert np.array_equal(bits(moments), bits(expect))
+        assert gaussian_moment(a, np.arange(0)).shape == (0,)
+
+    def test_negative_index_refused(self):
+        # it used to wrap: [-1, 0] gave -3, the moment of psi_3 psi_0
+        a = np.array([[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 6], [-3, -5, -6, 0]])
+        with pytest.raises(IndexError):
+            gaussian_moment(a, [-1, 0])
+
+    @pytest.mark.parametrize("masks, error", [
+        (np.array([3, -1]), ValueError),
+        (np.array([3, 16]), IndexError),
+        (np.array([[3]]), ValueError),
+        (np.array([3.0]), ValueError),
+    ], ids=["negative", "past-dimension", "2-d", "float"])
+    def test_bad_mask_array_refused(self, masks, error):
+        with pytest.raises(error):
+            gaussian_moment(np.zeros((4, 4)), masks)
 
     def test_expectation_of_one(self, rng):
         a = rand_antisymmetric(rng, 6)

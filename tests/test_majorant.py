@@ -639,6 +639,16 @@ class TestMajorantCoefficients:
             MajorantSpec(schedule=synthetic_schedule(rng, 4),
                          quartic_alpha=math.nan)
 
+    @pytest.mark.parametrize("radius", [math.nan, -1.0, -math.inf])
+    def test_nan_or_negative_radius_refused(self, rng, radius):
+        # unrefused, NaN surfaced as R = nan in the existence report
+        with pytest.raises(ValueError, match="radius"):
+            MajorantSpec(schedule=synthetic_schedule(rng, 4), radius=radius)
+
+    def test_infinite_radius_allowed(self, rng):
+        spec = MajorantSpec(schedule=synthetic_schedule(rng, 4), radius=math.inf)
+        assert spec.R == math.inf
+
     def test_log_datum_series(self, rng):
         sched = synthetic_schedule(rng, 4)
         spec = MajorantSpec(schedule=sched,

@@ -214,6 +214,26 @@ class TestGramBound:
             with pytest.raises(ValueError):
                 gram_bound_check(cov, subset)
 
+    def test_negative_index_refused(self, rng):
+        # it used to wrap: [-1, 0] read as the moment of psi_3 psi_0, with
+        # the diagonal of pair -1
+        cov = AntisymmetricCovariance.from_split(2.0 * np.eye(2), np.eye(2))
+        with pytest.raises(IndexError):
+            gram_bound_check(cov, [-1, 0])
+
+    def test_mask_array_is_each_mask_bitwise(self, rng):
+        g1 = rng.normal(size=(4, 4))
+        g2 = rng.normal(size=(4, 4))
+        cov = AntisymmetricCovariance.from_split(
+            g1 @ g1.T + 0.05 * np.eye(4), g2 @ g2.T + 0.05 * np.eye(4))
+        masks = np.arange(256)
+        rep = gram_bound_check(cov, masks)
+        expect = [gram_bound_check(cov, int(mask)) for mask in masks]
+        assert np.array_equal(rep.lhs, [e.lhs for e in expect])
+        assert np.array_equal(rep.rhs, [e.rhs for e in expect])
+        assert np.array_equal(rep.holds, [e.holds for e in expect])
+        assert expect[0] == (1.0, 1.0, True)
+
     def test_exhaustive_all_subsets(self, rng):
         for _ in range(20):
             g1 = rng.normal(size=(4, 4))
