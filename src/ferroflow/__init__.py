@@ -12,12 +12,10 @@ from .algebra import (
     GeneratorSet,
     GrassmannElement,
     analytic_apply,
-    coefficient,
     exp_of,
     gradient,
     log_of,
     parity_magnitudes,
-    parity_split,
     wedge,
 )
 from .gaussian import (
@@ -65,9 +63,8 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "GeneratorSet", "GrassmannElement", "analytic_apply", "coefficient",
-    "exp_of", "gradient", "log_of", "parity_magnitudes", "parity_split",
-    "wedge",
+    "GeneratorSet", "GrassmannElement", "analytic_apply", "exp_of",
+    "gradient", "log_of", "parity_magnitudes", "wedge",
     "AntisymmetricCovariance", "covariance_split_check",
     "gaussian_expectation", "gaussian_moment", "heat_kernel_convolve",
     "laplacian", "pfaffian",

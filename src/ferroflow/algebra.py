@@ -5,7 +5,9 @@ is represented densely: an element is a complex coefficient for every subset
 ``J`` of generators, the subset encoded as a bitmask (bit ``k`` set means
 ``psi_k`` is a factor).  The basis monomial for ``J = {i_1 < ... < i_p}`` is
 ``psi_{i_1} ^ ... ^ psi_{i_p}`` with indices ascending; every stored
-coefficient refers to this order.  Generator indices are 0-based.
+coefficient refers to this order, and is read as ``f.coeffs[mask]``.
+Generator indices are 0-based.  The product is ``wedge(f, g)``, spelled
+``f * g``; ``^`` below is notation, not an operator of the elements.
 
 Sign conventions
 ----------------
@@ -41,7 +43,7 @@ import functools
 import math
 from dataclasses import dataclass
 from numbers import Number
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -227,18 +229,6 @@ class GeneratorSet:
         """Dimension of the algebra, 2**count."""
         return 1 << self.count
 
-    def mask(self, indices: Iterable[int]) -> int:
-        """Bitmask of a subset given as an index iterable (must be distinct)."""
-        m = 0
-        for i in indices:
-            if not 0 <= i < self.count:
-                raise IndexError(f"generator index {i} out of range 0..{self.count - 1}")
-            bit = 1 << i
-            if m & bit:
-                raise ValueError(f"repeated generator index {i}")
-            m |= bit
-        return m
-
 
 class GrassmannElement:
     """An element of the algebra: one complex coefficient per generator subset.
@@ -287,10 +277,6 @@ class GrassmannElement:
         return cls(gens, c)
 
     @classmethod
-    def generator(cls, gens: GeneratorSet, k: int) -> "GrassmannElement":
-        return cls.monomial(gens, [k])
-
-    @classmethod
     def monomial(cls, gens: GeneratorSet, indices: Sequence[int], coeff: complex = 1.0
                  ) -> "GrassmannElement":
         """``coeff * psi_{i_1} ^ ... ^ psi_{i_p}`` for indices in any order.
@@ -318,15 +304,8 @@ class GrassmannElement:
     def scalar_part(self) -> complex:
         return complex(self.coeffs[0])
 
-    def nonzero_masks(self) -> np.ndarray:
-        return np.nonzero(self.coeffs)[0]
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
-    def degrees(self) -> np.ndarray:
-        """Monomial degree |J| for every stored index."""
-        return _popcount_table(self.gens.count).copy()
 
     # -- operators ----------------------------------------------------------
 
@@ -369,15 +348,10 @@ class GrassmannElement:
             return GrassmannElement(self.gens, self.coeffs * other)
         return NotImplemented
 
-    def __xor__(self, other):
-        if isinstance(other, GrassmannElement):
-            return wedge(self, other)
-        return NotImplemented
-
     def __repr__(self):
-        nz = self.nonzero_masks()
         return (f"GrassmannElement(n_gen={self.gens.count}, "
-                f"nonzero={len(nz)}, scalar={self.coeffs[0]:.6g})")
+                f"nonzero={np.count_nonzero(self.coeffs)}, "
+                f"scalar={self.coeffs[0]:.6g})")
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +420,6 @@ def gradient(f: GrassmannElement) -> np.ndarray:
         src, dst, sgn = _deriv_table(n_gen, k)
         out[k, dst] = sgn * f.coeffs[src]
     return out
-
-
-def coefficient(f: GrassmannElement, subset: Iterable[int] | int) -> complex:
-    """Coefficient of the ascending basis monomial for the given subset."""
-    mask = subset if isinstance(subset, (int, np.integer)) else f.gens.mask(subset)
-    if not 0 <= mask < f.gens.dim:
-        raise IndexError(f"subset mask {mask} out of range")
-    return complex(f.coeffs[mask])
 
 
 def analytic_apply(deriv_at: Callable[[int], complex],
@@ -526,12 +492,3 @@ def _require_even(f: GrassmannElement, who: str) -> None:
     even, odd = parity_magnitudes(f)
     if odd > _PARITY_ATOL * max(1.0, even):
         raise ParityError(f"{who} requires an even element (odd content {odd:.3e})")
-
-
-def parity_split(f: GrassmannElement) -> tuple[GrassmannElement, GrassmannElement]:
-    """Decompose ``f`` into its even-degree and odd-degree parts."""
-    even, odd = (np.zeros(f.gens.dim, dtype=np.complex128) for _ in range(2))
-    for part, p in ((even, 0), (odd, 1)):
-        index = _parity_index(f.gens.count, p)
-        part[index] = f.coeffs.take(index)
-    return GrassmannElement._adopt(f.gens, even), GrassmannElement._adopt(f.gens, odd)

@@ -44,6 +44,10 @@ one step does, where the series as one object per state took 76 MiB and
 keeping every state took 242 MiB at 3,000 steps (one run each, x86_64
 Linux, a 2-CPU Xeon); one-step runs peaked at 31-33 MiB at 2 and 4 sites.
 
+``psi4`` writes one CSV row per scale of a uniform grid on ``[0, tMax]``:
+at most 201 rows (``min(steps, 200) + 1``) below its header, whatever
+``steps`` is.
+
 ``majorant`` integrates no flow: at each of its 11 printed times on the
 ``steps`` grid it takes the exact effective action, one ``rg_map`` on
 ``2 * sites`` generators, so ``steps`` changes neither its cost nor its peak
@@ -163,13 +167,13 @@ def parse_config(text: str) -> RunConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        kind = types[key]
+        kind = types[key]  # a string under postponed annotations
         try:
-            if kind in ("bool", bool):
+            if kind == "bool":
                 value = _parse_bool(raw, key)
-            elif kind in ("int", int):
+            elif kind == "int":
                 value = int(raw, 0)
-            elif kind in ("float", float):
+            elif kind == "float":
                 value = float(raw)
             else:
                 value = raw
@@ -212,10 +216,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -244,7 +244,7 @@ class _CheckTable:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    rng = _make_rng(cfg.seed)
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
     table = _CheckTable()
     corrupt = 1.0005 if cfg.debugCorruptPfaffian else 1.0
 

@@ -180,12 +180,15 @@ def flow_states(schedule: ScaleSchedule, f0: GrassmannElement,
     content that the parity check tolerates is still integrated.  Each step
     reads the rate at its midpoint and end, and computes the rate's
     Laplacian weights once for both evaluations there; the rate at the
-    start is the previous step's end.
+    start is the previous step's end.  A grid with a NaN or infinite time
+    is refused before anything else.
     """
+    grid = np.asarray(grid, dtype=float)
+    if not np.isfinite(grid).all():
+        raise ValueError("trajectory grid must be finite")
     _require_even(f0, "flow_states")
     if abs(f0.scalar_part) > _PARITY_ATOL * max(1.0, f0.max_abs()):
         raise ValueError("bare action must be normalized (zero scalar part)")
-    grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0:
         raise ValueError("trajectory grid must start at 0")
     if np.any(np.diff(grid) <= 0):
@@ -226,19 +229,19 @@ def flow_states(schedule: ScaleSchedule, f0: GrassmannElement,
 
 
 def flow_integrate(schedule: ScaleSchedule, f0: GrassmannElement,
-                   grid: np.ndarray | None = None, truncate_ge2: bool = False,
-                   steps: int = 400, t_end: float | None = None
-                   ) -> FlowTrajectory:
-    """The trajectory of ``flow_states`` on ``grid`` (default: ``steps``
-    uniform steps up to ``t_end`` or the schedule's upper scale): the
-    seminorm series of each state, written into its row of ``norms`` as it
-    comes.  A series or log-normalization that is not finite raises
-    ``ResolutionError`` at its grid time, in place of overflow warnings; the
-    first time ``exp(-log_norm)`` falls below 0.1 is noted."""
-    if grid is None:
-        end = schedule.T if t_end is None else float(t_end)
-        grid = np.linspace(0.0, end, steps + 1)
-    grid = np.asarray(grid, dtype=float)
+                   truncate_ge2: bool = False, steps: int = 400,
+                   t_end: float | None = None) -> FlowTrajectory:
+    """The trajectory of ``flow_states`` on ``steps`` uniform steps up to
+    ``t_end`` (default: the schedule's upper scale): the seminorm series of
+    each state, written into its row of ``norms`` as it comes.  A NaN or
+    infinite ``t_end`` raises ``ValueError``.  A series or log-normalization
+    that is not finite raises ``ResolutionError`` at its grid time, in place
+    of overflow warnings; the first time ``exp(-log_norm)`` falls below 0.1
+    is noted."""
+    end = schedule.T if t_end is None else float(t_end)
+    if not np.isfinite(end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
+    grid = np.linspace(0.0, end, steps + 1)
     norms = np.empty((len(grid), f0.gens.pairs))
     log_norm = np.empty(len(grid), dtype=np.complex128)
     notes = []

@@ -6,9 +6,10 @@ moments are Pfaffians of submatrices.  The Pfaffian is normalized so that
 makes the two-point moment of generators ``i < j`` equal to ``A[i, j]``.
 
 ``pfaffian`` takes one matrix or a stack of shape ``(..., n, n)`` and
-reduces the whole stack at once.  ``gaussian_moment`` takes one subset (a
-bitmask or distinct indices) or a 1-D integer array of bitmasks; it stacks
-the submatrices of the masks by size, one ``pfaffian`` call per even size.
+reduces the whole stack at once.  ``gaussian_moment`` takes its subsets as
+a 1-D integer array of bitmasks (bit ``k`` set means generator ``k``); it
+stacks the submatrices of the masks by size, one ``pfaffian`` call per even
+size.
 
 The weighted Laplacian here carries a global sign chosen so that the
 heat-kernel convolution ``exp(Delta_A / 2) f`` evaluated at zero fields
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -100,15 +100,15 @@ def _laplacian_coeffs(weights: np.ndarray, y: np.ndarray, n_gen: int,
 class AntisymmetricCovariance:
     """A 2n x 2n antisymmetric covariance, optionally with a symmetric source.
 
-    When built from a symmetric matrix ``C`` (or a split ``C = C+ - C-`` of
-    two positive-definite matrices) the covariance has the block form
+    When built from a split ``C = C+ - C-`` of two positive-definite
+    matrices the covariance has the block form
     ``[[0, C], [-C, 0]]`` and the split is retained for Gram-type bounds.
     """
 
-    __slots__ = ("matrix", "c_matrix", "c_plus", "c_minus")
+    __slots__ = ("matrix", "c_plus", "c_minus")
 
-    def __init__(self, matrix: np.ndarray, c_matrix: np.ndarray | None = None,
-                 c_plus: np.ndarray | None = None, c_minus: np.ndarray | None = None):
+    def __init__(self, matrix: np.ndarray, c_plus: np.ndarray | None = None,
+                 c_minus: np.ndarray | None = None):
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise DimensionMismatchError(f"covariance must be square, got {matrix.shape}")
@@ -120,7 +120,6 @@ class AntisymmetricCovariance:
         m = 0.5 * (matrix - matrix.T)  # enforce A.T == -A exactly
         m.setflags(write=False)
         self.matrix = m
-        self.c_matrix = None if c_matrix is None else np.asarray(c_matrix, dtype=float)
         self.c_plus = None if c_plus is None else np.asarray(c_plus, dtype=float)
         self.c_minus = None if c_minus is None else np.asarray(c_minus, dtype=float)
 
@@ -132,9 +131,6 @@ class AntisymmetricCovariance:
     def pairs(self) -> int:
         return self.dim // 2
 
-    def has_split(self) -> bool:
-        return self.c_plus is not None and self.c_minus is not None
-
     @staticmethod
     def _block(c: np.ndarray) -> np.ndarray:
         n = c.shape[0]
@@ -142,18 +138,6 @@ class AntisymmetricCovariance:
         a[:n, n:] = c
         a[n:, :n] = -c
         return a
-
-    @classmethod
-    def zero(cls, dim: int) -> "AntisymmetricCovariance":
-        return cls(np.zeros((dim, dim)))
-
-    @classmethod
-    def from_block(cls, c: np.ndarray) -> "AntisymmetricCovariance":
-        """Block covariance ``[[0, C], [-C, 0]]`` for symmetric ``C``."""
-        c = np.asarray(c, dtype=float)
-        if np.max(np.abs(c - c.T), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(c))):
-            raise ValueError("C must be symmetric")
-        return cls(cls._block(c), c_matrix=c)
 
     @classmethod
     def from_split(cls, c_plus: np.ndarray, c_minus: np.ndarray
@@ -170,17 +154,11 @@ class AntisymmetricCovariance:
                 np.linalg.cholesky(m)
             except np.linalg.LinAlgError as exc:
                 raise ValueError(f"{name} is not positive-definite") from exc
-        c = c_plus - c_minus
-        cov = cls(cls._block(c), c_matrix=c, c_plus=c_plus, c_minus=c_minus)
-        return cov
-
-    def __add__(self, other: "AntisymmetricCovariance") -> "AntisymmetricCovariance":
-        if self.dim != other.dim:
-            raise DimensionMismatchError("covariance dimensions differ")
-        return AntisymmetricCovariance(self.matrix + other.matrix)
+        return cls(cls._block(c_plus - c_minus), c_plus=c_plus, c_minus=c_minus)
 
     def require_split(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.has_split():
+        """The parts ``(C+, C-)``; ``GramSplitError`` if there are none."""
+        if self.c_plus is None or self.c_minus is None:
             raise GramSplitError("covariance carries no C+/C- split")
         return self.c_plus, self.c_minus
 
@@ -240,49 +218,35 @@ def pfaffian(a) -> complex | np.ndarray:
     return complex(value[0]) if not batch else value.reshape(batch)
 
 
-def _subset_bits(subset, dim: int) -> tuple[np.ndarray, bool]:
-    """Membership table of shape ``(count, dim)``, and whether ``subset``
-    named one subset: one row for a bitmask or distinct indices, one row per
-    mask for a 1-D integer array of bitmasks."""
-    if isinstance(subset, np.ndarray):
-        if subset.ndim != 1 or subset.dtype.kind not in "iu":
-            raise ValueError("subset bitmasks must be a 1-D integer array")
-        masks = subset.astype(np.int64)
-        if masks.size and masks.min() < 0:
-            raise ValueError("a subset bitmask must be nonnegative")
-        if masks.size and int(masks.max()) >> dim:
-            raise IndexError(f"subset index out of range 0..{dim - 1}")
-        return (masks[:, None] >> np.arange(dim)) & 1 == 1, False
-    if isinstance(subset, (int, np.integer)):
-        mask = int(subset)
-        if mask < 0:
-            raise ValueError("a subset bitmask must be nonnegative")
-        idx = [b for b in range(mask.bit_length()) if (mask >> b) & 1]
-    else:
-        idx = [int(i) for i in subset]
-        if len(set(idx)) != len(idx):
-            raise ValueError("subset has repeated indices")
-    if idx and (min(idx) < 0 or max(idx) >= dim):
+def _subset_bits(masks, dim: int) -> np.ndarray:
+    """Membership table of shape ``(len(masks), dim)`` of a 1-D integer
+    array of bitmasks, one row per mask.  Anything else, a list included,
+    and a negative mask raise ``ValueError``; a mask naming a generator
+    outside ``0..dim-1`` raises ``IndexError``."""
+    if (not isinstance(masks, np.ndarray) or masks.ndim != 1
+            or masks.dtype.kind not in "iu"):
+        raise ValueError("subset bitmasks must be a 1-D integer array")
+    masks = masks.astype(np.int64)
+    if masks.size and masks.min() < 0:
+        raise ValueError("a subset bitmask must be nonnegative")
+    if masks.size and int(masks.max()) >> dim:
         raise IndexError(f"subset index out of range 0..{dim - 1}")
-    bits = np.zeros((1, dim), dtype=bool)
-    bits[0, idx] = True
-    return bits, True
+    return (masks[:, None] >> np.arange(dim)) & 1 == 1
 
 
-def gaussian_moment(a, subset: Iterable[int] | int | np.ndarray
-                    ) -> complex | np.ndarray:
-    """Gaussian moment of the basis monomial for ``subset`` (ascending order).
+def gaussian_moment(a, masks: np.ndarray) -> np.ndarray:
+    """Gaussian moments of the basis monomials (ascending order) of the
+    subsets ``masks``, a 1-D integer array of bitmasks, as an array of its
+    length.
 
     Zero for odd cardinality, one for the empty set, otherwise the Pfaffian
-    of the corresponding submatrix of the covariance.  ``subset`` is a
-    bitmask or distinct indices, and the moment a ``complex``; or a 1-D
-    integer array of bitmasks, and the moments an array of its length, from
-    one stacked ``pfaffian`` call per even subset size.  A repeated index
-    or a negative bitmask raises ``ValueError``, an index outside the
-    covariance ``IndexError``.
+    of the corresponding submatrix of the covariance, from one stacked
+    ``pfaffian`` call per even subset size.  Any other form of ``masks``, a
+    list included, and a negative mask raise ``ValueError``; a mask naming a
+    generator outside the covariance raises ``IndexError``.
     """
     m = _as_matrix(a)
-    bits, one = _subset_bits(subset, m.shape[0])
+    bits = _subset_bits(masks, m.shape[0])
     sizes = bits.sum(axis=1)
     out = (sizes == 0).astype(np.complex128)
     for size in range(2, m.shape[0] + 1, 2):
@@ -290,7 +254,7 @@ def gaussian_moment(a, subset: Iterable[int] | int | np.ndarray
         if rows.size:
             idx = np.nonzero(bits[rows])[1].reshape(rows.size, size)
             out[rows] = pfaffian(m[idx[:, :, None], idx[:, None, :]])
-    return complex(out[0]) if one else out
+    return out
 
 
 def _check_dimension(m: np.ndarray, f: GrassmannElement) -> None:

@@ -3,15 +3,16 @@
 The matrix norm is the maximum absolute row sum.  The algebra seminorm of an
 even element collects, degree by degree, the largest per-generator sum of
 absolute coefficients: ``F_m = sup_i (1/2m) sum_{J ni i, |J|=2m} |zeta_J|``,
-and evaluates as the even power series ``sum_m F_m z^(2m)`` in the norm
-parameter ``z``.
+and stands for the even power series ``sum_m F_m z^(2m)`` in the norm
+parameter ``z``.  ``gram_bound_check`` takes its subsets as a 1-D integer
+array of bitmasks, as ``gaussian_moment`` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,13 +48,6 @@ class NormSeries:
             raise IndexError("degree index m starts at 1")
         return float(self.coefficients[m - 1]) if m <= len(self) else 0.0
 
-    def eval(self, z) -> float | np.ndarray:
-        z2 = np.asarray(z, dtype=float) ** 2
-        out = np.zeros_like(z2)
-        for m in range(len(self), 0, -1):
-            out = (out + self.coefficients[m - 1]) * z2
-        return out if out.ndim else float(out)
-
     def __eq__(self, other):
         if not isinstance(other, NormSeries):
             return NotImplemented
@@ -62,12 +56,12 @@ class NormSeries:
 
 
 class GramBoundReport(NamedTuple):
-    """The Gram bound of one subset, or arrays of its fields for an array of
-    bitmasks."""
+    """The Gram bound of each subset of an array of bitmasks, as arrays of
+    its length."""
 
-    lhs: float
-    rhs: float
-    holds: bool
+    lhs: np.ndarray
+    rhs: np.ndarray
+    holds: np.ndarray
 
 
 def matrix_norm_1inf(a) -> float:
@@ -127,21 +121,19 @@ def convergence_radius(series0: NormSeries) -> float:
 
 
 def gram_bound_check(cov: AntisymmetricCovariance,
-                     subset: Iterable[int] | int | np.ndarray) -> GramBoundReport:
-    """Check the Gram moment bound for one subset of generators, or for each
-    of an array of them.
+                     masks: np.ndarray) -> GramBoundReport:
+    """Check the Gram moment bound for each subset of generators of
+    ``masks``, a 1-D integer array of bitmasks, one report entry per mask.
 
     ``lhs`` is the absolute Gaussian moment, ``rhs`` is
     ``(4 max C^{+-}_{ii})**(|J|/2)`` with the max over both split parts and
-    the generator pairs touched by the subset.  The subset is a bitmask or
-    distinct indices, parsed as ``gaussian_moment`` parses it: a repeated
-    index raises ``ValueError`` and an index outside the covariance
-    ``IndexError``.  A 1-D integer array of bitmasks gives a report of
-    arrays, one entry per mask, from one stacked Pfaffian per even size.
+    the generator pairs touched by the subset.  ``masks`` is parsed, and
+    refused, as ``gaussian_moment`` parses it, and its moments come from one
+    stacked Pfaffian per even size.
     """
     c_plus, c_minus = cov.require_split()
     n = cov.pairs
-    bits, one = _subset_bits(subset, cov.dim)
+    bits = _subset_bits(masks, cov.dim)
     # an untouched pair, and so the empty subset, reads 0, and 0**0 == 1
     touched = bits[:, :n] | bits[:, n:]
     diag_max = np.max(touched * np.maximum(np.diag(c_plus), np.diag(c_minus)),
@@ -149,8 +141,5 @@ def gram_bound_check(cov: AntisymmetricCovariance,
     # libm's pow per subset: numpy's vectorized power may round otherwise
     rhs = np.array([(4.0 * d) ** (size / 2.0) for d, size
                     in zip(diag_max.tolist(), bits.sum(axis=1).tolist())])
-    lhs = np.abs(gaussian_moment(cov.matrix, subset))
-    holds = lhs <= rhs * (1.0 + 1e-9)
-    if one:
-        return GramBoundReport(float(lhs), float(rhs[0]), bool(holds[0]))
-    return GramBoundReport(lhs, rhs, holds)
+    lhs = np.abs(gaussian_moment(cov.matrix, masks))
+    return GramBoundReport(lhs, rhs, lhs <= rhs * (1.0 + 1e-9))

@@ -52,12 +52,12 @@ class Psi4Params:
             raise ValueError("dimension must exceed 2")
         if not self.mass > 0:
             raise ValueError("mass must be positive")
-        if not self.lambda0 > self.mass:
-            raise ValueError("UV cutoff must exceed the mass")
-        if not self.box > 0:
-            raise ValueError("box size must be positive")
-        if self.cutoff_factor <= 0:
-            raise ValueError("cutoff factor must be positive")
+        if not self.mass < self.lambda0 < math.inf:
+            raise ValueError("UV cutoff must be finite and exceed the mass")
+        if not 0 < self.box < math.inf:
+            raise ValueError("box size must be positive and finite")
+        if not 0 < self.cutoff_factor < math.inf:
+            raise ValueError("cutoff factor must be positive and finite")
         sites = tuple(tuple(float(x) for x in site) for site in self.sites)
         if len(set(sites)) != len(sites):
             raise ValueError("sites must be distinct")
@@ -207,8 +207,8 @@ def covariance_matrix(params: Psi4Params, s: float, t: float) -> np.ndarray:
     exactly by the evenness of the summand, and a slice with ``s == t`` is
     exactly zero.
     """
-    if s > t:
-        raise ValueError("need s <= t for a covariance slice")
+    if not s <= t:
+        raise ValueError(f"need s <= t for a covariance slice, got s={s}, t={t}")
     _tail_certificate(params, s)
     psq, phases = _momentum_table(params)
     w = _chat_weights(params, s, psq) - _chat_weights(params, t, psq)
@@ -218,8 +218,8 @@ def covariance_matrix(params: Psi4Params, s: float, t: float) -> np.ndarray:
 
 def sigma_squared_closed_form(params: Psi4Params, s: float, t: float) -> float:
     """Continuum Gram parameter ``rho_d (L_s^(d-2) - L_t^(d-2))``."""
-    if s > t:
-        raise ValueError("need s <= t")
+    if not s <= t:
+        raise ValueError(f"need s <= t, got s={s}, t={t}")
     d = params.dimension
     rho = 2.0 * math.pi ** (d / 2.0) / (d - 2.0)
     return rho * (params.lambda_at(s) ** (d - 2) - params.lambda_at(t) ** (d - 2))

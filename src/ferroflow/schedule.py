@@ -205,15 +205,16 @@ class ScaleSchedule:
     split of every slice is ``(c_between(s, t), 0)``; ``sigma_between(s,
     t)``, broadcast over arrays of scales, is the Gram parameter
     ``sigma^2``, the integral of a rate dominating ``4 max_i cdot_ii``.
-    Only the rescaled time is integrated here.
+    Only the rescaled time is integrated here.  ``T`` must be finite.
     """
 
     def __init__(self, cdot: Callable, T: float, pairs: int,
                  c_between: Callable, sigma_between: Callable):
         if pairs < 1:
             raise ValueError("a schedule needs at least one generator pair")
-        if T < 0:
-            raise ValueError("upper scale T must be nonnegative")
+        if not 0 <= T < np.inf:
+            raise ValueError(f"upper scale T must be finite and nonnegative, "
+                             f"got {T}")
         self.dim = 2 * pairs
         self.T = float(T)
         self._cdot = cdot
@@ -275,6 +276,5 @@ class ScaleSchedule:
         ``ValueError`` if a scale lies outside ``[0, T]`` or ``s > t``."""
         self._check_slice(s, t)
         c = np.real(np.asarray(self._c_between(s, t)))
-        return AntisymmetricCovariance(
-            AntisymmetricCovariance._block(c), c_matrix=c, c_plus=c,
-            c_minus=np.zeros_like(c))
+        return AntisymmetricCovariance(AntisymmetricCovariance._block(c),
+                                       c_plus=c, c_minus=np.zeros_like(c))

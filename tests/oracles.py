@@ -54,7 +54,7 @@ def translate_double(f):
     n_gen = f.gens.count
     doubled = GeneratorSet(2 * n_gen)
     out = np.zeros(doubled.dim, dtype=np.complex128)
-    for mask in f.nonzero_masks():
+    for mask in np.flatnonzero(f.coeffs):
         mask = int(mask)
         z = f.coeffs[mask]
         sub = mask
@@ -165,7 +165,8 @@ def step_halving_flow(schedule, f0, steps: int, t_end: float,
         raise AssertionError(
             f"step-halving certificate failed: deviations {dev:.3e}, "
             f"{dev2:.3e} exceed {tol:.3e}")
-    traj = flow_integrate(schedule, f0, grid=grid, truncate_ge2=truncate_ge2)
+    traj = flow_integrate(schedule, f0, truncate_ge2=truncate_ge2,
+                          steps=steps, t_end=t_end)
     traj.notes.append(
         f"step-halving certificate: dev(h/2)={dev:.3e}, dev(h/4)={dev2:.3e}")
     return traj

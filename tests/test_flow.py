@@ -210,14 +210,14 @@ class TestRgMap:
         g = GeneratorSet(8)
         f = rand_even_normalized(rng, g, 0.05)
         out = rg_map(rand_antisymmetric(rng, 8, 0.3), f)
-        pop = out.degrees()
+        pop = popcounts(g.dim, g.count)
         odd = np.abs(out.coeffs[pop % 2 == 1]).max(initial=0.0)
         assert odd <= 1e-10 * out.max_abs()
 
     def test_odd_input_rejected(self, rng):
         g = GeneratorSet(4)
         with pytest.raises(ParityError):
-            rg_map(np.zeros((4, 4)), GrassmannElement.generator(g, 0))
+            rg_map(np.zeros((4, 4)), GrassmannElement.monomial(g, [0]))
 
     def test_log_domain_error_reports_scalar(self):
         # a covariance big enough to push the convolved scalar negative
@@ -406,11 +406,33 @@ class TestFlowIntegrate:
         sched = synthetic_schedule(rng, 4)
         f = quartic_bare_action(GeneratorSet(8), 0.01)
         with pytest.raises(ValueError):
-            flow_integrate(sched, f, grid=np.array([0.1, 0.5]))
+            next(flow_states(sched, f, np.array([0.1, 0.5])))
         with pytest.raises(ValueError):
-            flow_integrate(sched, f, grid=np.array([0.0, 0.5, 0.4]))
+            next(flow_states(sched, f, np.array([0.0, 0.5, 0.4])))
         with pytest.raises(ValueError):
-            flow_integrate(sched, f, grid=np.array([0.0, 2.0]))
+            next(flow_states(sched, f, np.array([0.0, 2.0])))
+
+    def test_non_finite_grid_refused_first(self, rng):
+        # [0, nan] used to pass, and flow_integrate then reported a
+        # diverged flow; the refusal comes before that of an unnormalized f
+        sched = synthetic_schedule(rng, 4)
+        f = quartic_bare_action(GeneratorSet(8), 0.01)
+        for grid in ([0.0, math.nan], [0.0, math.inf], [math.nan, 0.5]):
+            for f0 in (f, f + 0.3):
+                with pytest.raises(ValueError, match="grid must be finite"):
+                    next(flow_states(sched, f0, np.array(grid)))
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_t_end_refused(self, rng, t_end):
+        # nan used to fail as "trajectory grid must start at 0", and inf
+        # the same after a numpy RuntimeWarning from linspace
+        sched = synthetic_schedule(rng, 4)
+        f = quartic_bare_action(GeneratorSet(8), 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="t_end must be finite"):
+                flow_integrate(sched, f, steps=10, t_end=t_end)
 
     def test_log_norm_accumulates(self, rng):
         # the accumulated normalization reproduces the unnormalized scalar
@@ -577,4 +599,5 @@ def test_diverging_flow_raises_at_the_first_time_it_is_not_finite():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ResolutionError, match=r"not finite at t=0\.01$"):
-            flow_integrate(inst.schedule, inst.bare_action, grid=grid)
+            flow_integrate(inst.schedule, inst.bare_action, steps=400,
+                           t_end=2.0)

@@ -586,8 +586,10 @@ class TestMajorantCoefficients:
             for frac in (0.1, 0.5, 0.9):
                 z = frac * half
                 want = majorant_value(spec, t, z) - at_origin
-                assert phi.eval(z) == pytest.approx(want, rel=1e-12, abs=0.0), \
-                    (t, z)
+                got = 0.0  # sum_m phi_m z**2m by Horner's rule
+                for c in phi.coefficients[::-1]:
+                    got = (got + c) * z ** 2
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (t, z)
 
     @pytest.mark.parametrize("spec_args", [
         {"quartic_alpha": 0.0},

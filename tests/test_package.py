@@ -20,12 +20,14 @@ def test_public_names_resolve():
 def test_moved_and_deleted_names_stay_out():
     gone = {"berezin_integrate", "derivative", "project_degree_ge",
             "translate_double", "det_correlation", "majorant_value",
-            "trajectory_to_csv"}
+            "trajectory_to_csv", "coefficient", "parity_split"}
     assert gone.isdisjoint(ferroflow.__all__)
+    assert len(ferroflow.__all__) == 39
     # step halving moved to tests/oracles.py, and its error went with it;
     # schedules take sigma^2 from their builders; trajectories keep no
-    # states, and a desk slice is one array; the CLI writes every CSV
-    from ferroflow import errors, flow, psi4, schedule
+    # states, and a desk slice is one array; the CLI writes every CSV; each
+    # operation has one spelling, so its aliases and other input forms went
+    from ferroflow import algebra, errors, flow, gaussian, norms, psi4, schedule
 
     sched = schedule.ScaleSchedule.from_cdot(lambda t: [[1.0]], 1.0, 1,
                                              lambda t: 4.0 + 0.0 * t)
@@ -34,10 +36,18 @@ def test_moved_and_deleted_names_stay_out():
                 "trajectory_to_csv")),
         (errors, ("IntegrationError",)),
         (psi4, ("CovarianceSlice",)),
-        (sched, ("gram_rate_at", "_cum", "_tables", "_gram_rate")))
+        (sched, ("gram_rate_at", "_cum", "_tables", "_gram_rate")),
+        (algebra, ("coefficient", "parity_split")),
+        (algebra.GeneratorSet, ("mask",)),
+        (algebra.GrassmannElement, ("generator", "nonzero_masks", "degrees",
+                                    "__xor__")),
+        (gaussian.AntisymmetricCovariance, ("from_block", "zero", "__add__",
+                                            "has_split", "c_matrix")),
+        (norms.NormSeries, ("eval",)))
         for name in names if hasattr(owner, name)]
     assert left == []
-    assert "certify" not in inspect.signature(flow.flow_integrate).parameters
+    params = inspect.signature(flow.flow_integrate).parameters
+    assert "certify" not in params and "grid" not in params
     assert [f.name for f in dataclasses.fields(flow.FlowTrajectory)] == [
         "grid", "norms", "log_norm", "truncated", "notes"]
     # a trajectory's series is one read-only array, not an object per point
@@ -104,13 +114,19 @@ def test_majorant_run_loads_no_fft(tmp_path):
     assert run_fresh(code, cwd=tmp_path).splitlines()[-1] == "[]"
 
 
+def load_bench_module(name):
+    """The module ``bench/<name>.py``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_targets_resolve():
     # the benchmark's tracer wraps these names; a rename must not wait for
     # the benchmark smoke run to surface
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_bench_module("tracer")
     assert tracer.TARGETS
     missing = []
     for module, attr, _ in tracer.TARGETS:
@@ -124,6 +140,23 @@ def test_tracer_targets_resolve():
         if not found:
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["flow-desk", "majorant-pair",
+                                      "verify-wide"])
+def test_benchmark_output_checks_pass(tmp_path, capsys, workload):
+    # the benchmark checks each run's outputs through the library's API
+    # (norm_coefficients(...).coeff, len, build_desk_instance); a break there
+    # must not wait for a benchmark run
+    from ferroflow import cli
+
+    workloads = load_bench_module("workloads")
+    text = workloads.config_text(workload, 1, 0, 0, "smoke")
+    cfg_path, out_path = tmp_path / "run.cfg", tmp_path / "out.csv"
+    cfg_path.write_text(text)
+    rc = cli.main(workloads.cli_argv(workload, cfg_path, out_path))
+    stdout = capsys.readouterr().out
+    assert workloads.check_output(workload, text, rc, stdout, out_path) is None
 
 
 def test_sweep_cases_run():

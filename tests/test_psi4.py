@@ -263,3 +263,27 @@ def test_table_and_first_scale_integrals_stay_small(sites):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000, peak
+
+
+@pytest.mark.parametrize("field, value", [
+    ("box", math.inf), ("lambda0", math.inf), ("cutoff_factor", math.nan),
+    ("cutoff_factor", math.inf),
+], ids=["box-inf", "lambda0-inf", "cutoff-nan", "cutoff-inf"])
+def test_non_finite_params_refused(field, value):
+    # each used to fail later: an infinite box as a ZeroDivisionError in
+    # build_desk_instance, the others in _gammaincc's domain check
+    args = dict(dimension=4, mass=1.0, lambda0=2.0, box=4.0, cutoff_factor=7.0)
+    args[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        Psi4Params(**args)
+
+
+def test_nan_scales_refused():
+    # covariance_matrix(p, 0, nan) used to return a NaN matrix and
+    # sigma_squared_closed_form(p, nan, 1) a NaN
+    p = cli_params()
+    for s, t in ((0.0, math.nan), (math.nan, 1.0), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="need s <= t"):
+            covariance_matrix(p, s, t)
+        with pytest.raises(ValueError, match="need s <= t"):
+            sigma_squared_closed_form(p, s, t)

@@ -5,7 +5,7 @@ import pytest
 
 from ferroflow.errors import ResolutionError
 from ferroflow.norms import matrix_norm_1inf
-from ferroflow.psi4 import covariance_matrix
+from ferroflow.psi4 import build_desk_instance, covariance_matrix
 from ferroflow.schedule import (
     _MAX_DOUBLINGS,
     DEFAULT_PANELS,
@@ -74,7 +74,7 @@ class TestScaleSchedule:
         got = sched.covariance(0.0, 2.0)
         want = (1.0 - math.exp(-4.0)) / 2.0 * c0
         assert np.max(np.abs(got.matrix[:2, 2:] - want)) < 1e-12
-        assert got.has_split()
+        got.require_split()  # GramSplitError without a split
 
     def test_tau_constant_rate(self):
         c0 = np.eye(2)
@@ -99,7 +99,7 @@ class TestScaleSchedule:
         sched = ScaleSchedule.from_cdot(lambda t: c0, T=1.0, pairs=2,
                                         gram_rate=lambda t: 1.2)
         assert np.array_equal(sched.adot(0.5)[:2, 2:], c0)
-        assert np.allclose(sched.covariance(0.0, 0.5).c_matrix, 0.5 * c0)
+        assert np.allclose(sched.covariance(0.0, 0.5).c_plus, 0.5 * c0)
         contract = "map a 1-D array of scales to values stacked along axis 0"
         with pytest.raises(ValueError, match=f"cdot must {contract}"):
             sched.tau(0.5)
@@ -129,11 +129,11 @@ def test_slices_match_simpson_of_their_own_cdot(rng, which):
     sched = synthetic_schedule(rng, 4, T=2.0) if which == "synthetic" \
         else desk_instance(int(which[-1])).schedule
     for s, t in ((0.0, 0.5), (0.0, sched.T), (0.3, 1.1)):
-        got = sched.covariance(s, t).c_matrix
+        got = sched.covariance(s, t).c_plus
         want = np.real(simpson_refine(sched._cdot, s, t))
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
     for x in (0.0, 0.7, sched.T):
-        assert np.all(sched.covariance(x, x).c_matrix == 0.0)
+        assert np.all(sched.covariance(x, x).c_plus == 0.0)
 
 
 @pytest.mark.parametrize("which", ["desk", "synthetic"])
@@ -357,3 +357,15 @@ class TestArrayQueries:
         calls = count_rate_norm_calls(monkeypatch)
         sched.tau(sched.T)
         assert 1 <= calls["rate"] <= _MAX_DOUBLINGS + 1
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_upper_scale_refused(T):
+    # a NaN T used to build a schedule whose every query then failed as
+    # "scale 0.5 outside [0, nan]"
+    with pytest.raises(ValueError, match="upper scale T must be finite"):
+        ScaleSchedule(lambda t: np.eye(1), T, 1, lambda s, t: np.zeros((1, 1)),
+                      lambda s, t: 0.0)
+    params = desk_instance(2).params
+    with pytest.raises(ValueError, match="upper scale T must be finite"):
+        build_desk_instance(params, 0.002, t_max=T)
