@@ -33,6 +33,15 @@ from exact zeros only: an operand whose odd-degree coefficients are all
 exactly zero is even, and any other counts as having both parts.  A
 tolerance would silently drop small odd terms.
 
+``exp_of`` and ``log_of`` read one more table, the even x even pairs with
+``|J|, |K| >= 2`` in degree-major order (``_degree_table``): sorted by
+``(|J | K|, J | K)``, so each degree of their recursions is one run of
+chunks.  The whole series reads each of its pairs once, 128,766 at 12
+generators, where the Taylor powers read the 132,861 pairs of the even
+block once per power, up to five times.  An odd part, and above
+``_WEDGE_LEAF`` the top generator, enter through one even x odd product
+each, so no table above the leaf is built for them.
+
 Elements are immutable after construction; all operations are pure functions
 and safe for concurrent use.
 """
@@ -54,9 +63,9 @@ MAX_GENERATORS = 16
 # Largest generator count that ``wedge`` multiplies through the disjoint-pair
 # tables; larger products split off their top generator until they reach it.
 # A parity block holds about 3**n_gen / 4 pairs at 32 bytes of indices and
-# complex signs each: 4.3 MB at 12 generators, 38 MB at 14.  Its sort key, the union
-# J | K, fits the uint16 radix sort up to 16 generators, so memory alone sets
-# the leaf.
+# complex signs each: 4.3 MB at 12 generators, 38 MB at 14.  Its sort key, the
+# union J | K, fits the uint16 radix sort up to 16 generators; the key
+# (|J | K| << n_gen) | (J | K) of the degree-major table fits it up to 12.
 _WEDGE_LEAF = 12
 
 # Largest number of pairs in one chunk of a parity block, unless one union
@@ -129,6 +138,21 @@ def _is_exactly_even(coeffs: np.ndarray) -> bool:
     return not coeffs.take(_parity_index(coeffs.size.bit_length() - 1, 1)).any()
 
 
+def _disjoint_pairs(n_gen: int) -> tuple[np.ndarray, np.ndarray]:
+    """All 3**n_gen disjoint pairs (J, K) as uint16 mask arrays, in an order
+    that a stable sort by any key of the union ``J | K`` leaves with J
+    descending within every union."""
+    # each generator, lowest first, goes into J, into K or into neither;
+    # its J branch comes first
+    j = np.zeros(1, dtype=np.uint16)
+    k = np.zeros(1, dtype=np.uint16)
+    for b in range(n_gen):
+        bit = 1 << b
+        j = np.concatenate((j | bit, j, j))
+        k = np.concatenate((k, k | bit, k))
+    return j, k
+
+
 @functools.cache
 def _pair_table(n_gen: int, block: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """The disjoint pairs (J, K) of one parity block, with their merge
@@ -144,15 +168,7 @@ def _pair_table(n_gen: int, block: int) -> tuple[tuple[np.ndarray, ...], ...]:
     the unions as masks, ascending, and the start ``seg`` of each union's
     pairs, so ``np.add.reduceat(..., seg)`` sums a product per union.
     """
-    # each generator, lowest first, goes into J, into K or into neither;
-    # its J branch comes first, so after a stable sort by union, J descends
-    # within every union
-    j = np.zeros(1, dtype=np.uint16)
-    k = np.zeros(1, dtype=np.uint16)
-    for b in range(n_gen):
-        bit = 1 << b
-        j = np.concatenate((j | bit, j, j))
-        k = np.concatenate((k, k | bit, k))
+    j, k = _disjoint_pairs(n_gen)
     pop = _popcount_table(n_gen)
     keep = np.flatnonzero(2 * (pop[j] & 1) + (pop[k] & 1) == block)
     union = j[keep] | k[keep]
@@ -163,6 +179,14 @@ def _pair_table(n_gen: int, block: int) -> tuple[tuple[np.ndarray, ...], ...]:
     sgn = _merge_sign_array(j, k, n_gen).astype(np.complex128)
     j >>= 1
     k >>= 1
+    return _union_chunks(j, k, sgn, union)
+
+
+def _union_chunks(j: np.ndarray, k: np.ndarray, sgn: np.ndarray,
+                  union: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Pairs sorted by ``union``, cut into chunks ``(j, k, sgn, unions,
+    seg)`` of whole unions: at most ``_WEDGE_CHUNK`` pairs unless one union
+    has more, the pair arrays as views."""
     starts = np.flatnonzero(np.diff(union, prepend=-1))
     ends = np.append(starts[1:], len(j))
     chunks = []
@@ -177,6 +201,44 @@ def _pair_table(n_gen: int, block: int) -> tuple[tuple[np.ndarray, ...], ...]:
                        starts[s0:s1] - p0))
         s0 = s1
     return tuple(chunks)
+
+
+@functools.cache
+def _degree_table(n_gen: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The even x even disjoint pairs (J, K) with ``|J|, |K| >= 2`` in
+    degree-major order, as chunks ``(j, k, w, unions, seg)``, up to
+    ``_WEDGE_LEAF`` generators.
+
+    The pairs come in ascending order of ``(|U|, U)`` for ``U = J | K``,
+    descending ``J`` within one union, so the union degrees ``p = 4, 6,
+    ..., n_gen`` come one after another, each cut into chunks as in
+    ``_pair_table``: the ranks ``j`` and ``k`` of ``J`` and ``K`` among the
+    even masks, the weights ``w = sgn |J| / |U|`` (complex), the unions as
+    even ranks, ascending, and the start ``seg`` of each union's pairs.
+    The chunks in order take the degrees of the recursions in
+    ``_exp_log_even`` one after another.
+    """
+    j, k = _disjoint_pairs(n_gen)
+    pop = _popcount_table(n_gen)
+    pj, pk = pop[j], pop[k]
+    keep = np.flatnonzero((pj >= 2) & (pk >= 2) & ((pj | pk) & 1 == 0))
+    del pj, pk  # 1 MB off the build's peak at 12 generators
+    union = j[keep] | k[keep]
+    # (|U| << n_gen) | U fits uint16 up to the leaf, so the sort stays radix
+    order = np.argsort((pop[union].astype(np.uint16) << n_gen) | union,
+                       kind="stable")
+    union = union[order].astype(np.intp)
+    j = j[keep[order]].astype(np.intp)
+    k = k[keep[order]].astype(np.intp)
+    degree = pop[union]
+    w = (_merge_sign_array(j, k, n_gen) * pop[j] / degree).astype(np.complex128)
+    j >>= 1
+    k >>= 1
+    union >>= 1
+    cuts = np.searchsorted(degree, np.arange(4, n_gen + 3, 2))
+    return tuple(chunk for p0, p1 in zip(cuts[:-1], cuts[1:])
+                 for chunk in _union_chunks(j[p0:p1], k[p0:p1], w[p0:p1],
+                                            union[p0:p1]))
 
 
 @functools.cache
@@ -454,14 +516,86 @@ def analytic_apply(deriv_at: Callable[[int], complex],
     return GrassmannElement._adopt(f.gens, acc)
 
 
+def _exp_log_even(x: np.ndarray, n_gen: int, log: bool) -> np.ndarray:
+    """``log(x)`` with ``log``, otherwise ``exp(x)``, for a raw coefficient
+    array whose odd-degree coefficients are exactly zero; for the logarithm
+    the scalar part's real part ``s`` must be positive, and its imaginary
+    part is ignored.
+
+    Up to ``_WEDGE_LEAF`` generators the series follow from the degree
+    derivation ``D``, which multiplies a degree-``p`` part by ``p``.  For
+    ``N = x - x_0``, ``D e^N = DN ^ e^N`` gives ``E_p = N_p + sum_q (q/p)
+    N_q ^ E_{p-q}``, and for ``x = s (1 + u)``, ``Du = (1 + u) ^ DL`` gives
+    ``L_p = u_p - sum_q (q/p) L_q ^ u_{p-q}`` (``2 <= q <= p - 2``), one
+    run of ``_degree_table``'s chunks per degree.  Above the leaf, ``x = a + b ^
+    psi_top`` with ``X = b ^ psi_top`` even and ``X ^ X = 0``, so ``F(x) =
+    F(a) + F'(a) ^ X`` (``_first_order``)."""
+    if n_gen > _WEDGE_LEAF:
+        half = 1 << (n_gen - 1)
+        fa = _exp_log_even(x[:half], n_gen - 1, log)
+        return np.concatenate((fa, _first_order(fa, x[half:], n_gen - 1, log)))
+    index = _parity_index(n_gen, 0)
+    nil = x.take(index)
+    if log:
+        scale = nil[0].real
+        nil /= scale
+    else:
+        scale = np.exp(nil[0])
+    nil[0] = 0.0
+    series = nil.copy()
+    # E_p = N_p + sum w N_J E_K, and L_p = u_p + sum w L_J (-u_K)
+    left, right = (series, -nil) if log else (nil, series)
+    for j, k, w, unions, seg in _degree_table(n_gen):
+        terms = left.take(j)
+        terms *= w
+        terms *= right.take(k)
+        series[unions] += np.add.reduceat(terms, seg)
+    if log:
+        series[0] = math.log(scale)
+    else:
+        series[0] = 1.0
+        series *= scale
+    out = np.zeros(1 << n_gen, dtype=np.complex128)
+    out[index] = series
+    return out
+
+
+def _first_order(fa: np.ndarray, x: np.ndarray, n_gen: int, log: bool) -> np.ndarray:
+    """``F'(A) ^ X`` from ``fa = F(A)``, for an even ``A`` and an ``x`` whose
+    even-degree coefficients are exactly zero: ``e^A ^ X`` for the
+    exponential and ``e^(-log A) ^ X`` for the logarithm.  For any ``X``
+    with ``X ^ X = 0`` that commutes with ``A``, ``F(A + X) = F(A) +
+    F'(A) ^ X``: an odd part, and ``b ^ psi_top`` with ``b`` odd."""
+    deriv = _exp_log_even(-fa, n_gen, False) if log else fa
+    return _wedge_blocks(deriv, x, n_gen, _EVEN, (1,))
+
+
+def _exp_log(f: GrassmannElement, log: bool) -> GrassmannElement:
+    """``log(f)`` with ``log``, otherwise ``exp(f)``: the even part through
+    ``_exp_log_even``, an odd part ``B`` added as ``F'(A) ^ B``."""
+    n_gen = f.gens.count
+    if _is_exactly_even(f.coeffs):
+        return GrassmannElement._adopt(f.gens, _exp_log_even(f.coeffs, n_gen, log))
+    even = f.coeffs.copy()
+    even[_parity_index(n_gen, 1)] = 0.0
+    out = _exp_log_even(even, n_gen, log)
+    out += _first_order(out, f.coeffs - even, n_gen, log)
+    return GrassmannElement._adopt(f.gens, out)
+
+
 def exp_of(f: GrassmannElement) -> GrassmannElement:
-    """Exponential of an algebra element (terminating Taylor series)."""
-    e0 = np.exp(f.scalar_part)
-    return analytic_apply(lambda k: e0, f)
+    """Exponential of an algebra element by the degree recursion
+    ``p E_p = sum_q q N_q ^ E_{p-q}`` of ``E = exp(N)`` for its nilpotent
+    part ``N`` (``_exp_log_even``).  An element whose odd coefficients are
+    all exactly zero gives exactly zero odd coefficients."""
+    return _exp_log(f, log=False)
 
 
 def log_of(f: GrassmannElement) -> GrassmannElement:
-    """Logarithm of an element whose scalar part is real positive.
+    """Logarithm of an element ``s + M`` whose scalar part ``s`` is real
+    positive, by the degree recursion ``s p L_p = p M_p - sum_q q L_q ^
+    M_{p-q}`` (``2 <= q < p``, ``_exp_log_even``).  An element whose odd
+    coefficients are all exactly zero gives exactly zero odd coefficients.
 
     The scalar part must satisfy ``Re f0 > 0`` and ``|Im f0| <= 1e-12 |f0|``.
     """
@@ -470,13 +604,7 @@ def log_of(f: GrassmannElement) -> GrassmannElement:
         raise LogDomainError(
             f"log requires a positive real scalar part, got {f0}", scalar_part=f0
         )
-
-    def deriv_at(k: int) -> complex:
-        if k == 0:
-            return math.log(f0.real)
-        return (-1.0) ** (k - 1) * math.factorial(k - 1) / f0.real ** k
-
-    return analytic_apply(deriv_at, f)
+    return _exp_log(f, log=True)
 
 
 def parity_magnitudes(f: GrassmannElement) -> tuple[float, float]:

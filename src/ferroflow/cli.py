@@ -21,8 +21,8 @@ output path that cannot be written included.
 
 ``generators`` (even, 2..16) sets the size of verify's RG-map checks.  Each
 generator above 12 triples the cost of a product; ``verify --seed 42`` took
-2.5 s at 14 generators and 22 s (194 MB peak) at 16, one run each on a 2-CPU
-x86_64 Xeon, against a budget of 10 minutes.
+0.71 s at 14 generators and 2.6 s (121 MB peak) at 16, one run each on a
+2-CPU x86_64 Xeon, against a budget of 10 minutes.
 
 ``flow`` takes ``steps`` RK4 steps of the desk flow on ``2 * sites``
 generators.  One step took 0.12-0.23, 0.14-0.27, 0.20-0.35, 0.83-1.3 and
@@ -52,7 +52,8 @@ at most 201 rows (``min(steps, 200) + 1``) below its header, whatever
 ``steps`` grid it takes the exact effective action, one ``rg_map`` on
 ``2 * sites`` generators, so ``steps`` changes neither its cost nor its peak
 memory, which stays near the one-step peaks above.  One ``rg_map`` took
-0.07-0.30 ms up to 4 sites, 0.9 ms at 5 and 5.9-9.2 ms at 6 (the same Xeon).
+0.05-0.09 ms up to 3 sites, 0.11 ms at 4, 0.31-0.33 ms at 5 and 2.1-2.6 ms
+at 6 (the same Xeon, best and median of 10 to 200 calls in two sessions).
 """
 
 from __future__ import annotations
@@ -518,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, help="64-bit seed")
     verify.add_argument("--generators", type=int,
                         help="generator count of the RG-map checks (even, "
-                             "2..16; verify took 2.5 s at 14 and 22 s at 16 "
+                             "2..16; verify took 0.71 s at 14 and 2.6 s at 16 "
                              "on a 2-CPU x86_64 machine)")
     verify.add_argument("--debug-corrupt-pfaffian", action="store_true",
                         dest="debugCorruptPfaffian",

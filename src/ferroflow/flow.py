@@ -181,7 +181,7 @@ def flow_states(schedule: ScaleSchedule, f0: GrassmannElement,
     reads the rate at its midpoint and end, and computes the rate's
     Laplacian weights once for both evaluations there; the rate at the
     start is the previous step's end.  A grid with a NaN or infinite time
-    is refused before anything else.
+    is refused before anything else, and an empty grid next.
     """
     grid = np.asarray(grid, dtype=float)
     if not np.isfinite(grid).all():
@@ -189,6 +189,8 @@ def flow_states(schedule: ScaleSchedule, f0: GrassmannElement,
     _require_even(f0, "flow_states")
     if abs(f0.scalar_part) > _PARITY_ATOL * max(1.0, f0.max_abs()):
         raise ValueError("bare action must be normalized (zero scalar part)")
+    if not grid.size:
+        raise ValueError("trajectory grid must not be empty")
     if grid[0] != 0.0:
         raise ValueError("trajectory grid must start at 0")
     if np.any(np.diff(grid) <= 0):
@@ -233,11 +235,14 @@ def flow_integrate(schedule: ScaleSchedule, f0: GrassmannElement,
                    t_end: float | None = None) -> FlowTrajectory:
     """The trajectory of ``flow_states`` on ``steps`` uniform steps up to
     ``t_end`` (default: the schedule's upper scale): the seminorm series of
-    each state, written into its row of ``norms`` as it comes.  A NaN or
-    infinite ``t_end`` raises ``ValueError``.  A series or log-normalization
+    each state, written into its row of ``norms`` as it comes.  A negative
+    ``steps`` or a NaN or infinite ``t_end`` raises ``ValueError``; ``steps =
+    0`` gives the one-point trajectory at 0.  A series or log-normalization
     that is not finite raises ``ResolutionError`` at its grid time, in place
     of overflow warnings; the first time ``exp(-log_norm)`` falls below 0.1
     is noted."""
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
     end = schedule.T if t_end is None else float(t_end)
     if not np.isfinite(end):
         raise ValueError(f"t_end must be finite, got {t_end}")

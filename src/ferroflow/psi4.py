@@ -202,13 +202,14 @@ def _tail_certificate(params: Psi4Params, s: float) -> None:
 
 def covariance_matrix(params: Psi4Params, s: float, t: float) -> np.ndarray:
     """Position-space covariance slice ``C_s - C_t`` over the sites, for
-    ``s <= t``, as exact lattice sums: the site kernel of the difference of
-    the shell weights at ``s`` and ``t``.  The imaginary parts cancel
-    exactly by the evenness of the summand, and a slice with ``s == t`` is
-    exactly zero.
+    ``s <= t < inf``, as exact lattice sums: the site kernel of the
+    difference of the shell weights at ``s`` and ``t``.  The imaginary parts
+    cancel exactly by the evenness of the summand, and a slice with ``s ==
+    t`` is exactly zero.
     """
-    if not s <= t:
-        raise ValueError(f"need s <= t for a covariance slice, got s={s}, t={t}")
+    if not s <= t < math.inf:
+        raise ValueError(
+            f"need s <= t < inf for a covariance slice, got s={s}, t={t}")
     _tail_certificate(params, s)
     psq, phases = _momentum_table(params)
     w = _chat_weights(params, s, psq) - _chat_weights(params, t, psq)
@@ -245,11 +246,11 @@ def effective_flow_time(params: Psi4Params, t) -> FlowClock:
     ``[0, max t]`` (``schedule._CumulativeTable``); a time of 0 gives
     exactly 0.  The analytic bound is ``1/(2e) + min(t, log(L_0 / m))``:
     the clock essentially stops once the running cutoff falls below the
-    mass.
+    mass.  A negative, NaN or infinite time raises ``ValueError``.
     """
     ts = np.asarray(t, dtype=float)
-    if not np.all(ts >= 0.0):
-        raise ValueError("time must be nonnegative")
+    if not np.all((ts >= 0.0) & (ts < math.inf)):
+        raise ValueError("time must be finite and nonnegative")
     m2 = params.mass ** 2
 
     def rate(s):

@@ -29,7 +29,7 @@ def popcounts(dim, n_gen):
 def taylor_by_wedge(deriv_at, f):
     """``sum_k deriv_at(k) x^k / k!`` for the nilpotent part ``x = f - f_0``,
     every power taken through the public ``wedge`` (an oracle for
-    ``analytic_apply``)."""
+    ``exp_of``, ``log_of`` and ``analytic_apply``)."""
     x = f - f.scalar_part
     power = GrassmannElement.scalar(f.gens, 1.0)
     acc = power * deriv_at(0)

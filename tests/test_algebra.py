@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -379,6 +381,12 @@ class TestTranslateDouble:
             translate_double(GrassmannElement.scalar(g, 1.0))
 
 
+def log_jet(s):
+    """Derivatives ``log^(k)(s)`` of the logarithm at a positive ``s``."""
+    return lambda k: (math.log(s) if k == 0
+                      else (-1.0) ** (k - 1) * math.factorial(k - 1) / s ** k)
+
+
 class TestAnalytic:
     def test_exp_of_zero(self):
         g = GeneratorSet(4)
@@ -418,6 +426,49 @@ class TestAnalytic:
         want = taylor_by_wedge(lambda k: e0, f).coeffs
         got = exp_of(f).coeffs
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_gen", [2, 4, 6, 8, 10, 12, 14])
+    @pytest.mark.parametrize("parity", ["even", "mixed"])
+    def test_exp_log_match_wedge_series(self, rng, n_gen, parity):
+        # 14 generators reach the split of the top generator above the leaf
+        g = GeneratorSet(n_gen)
+        f = rand_element(rng, g, 0.3)
+        if parity == "even":
+            f = even_part(f)
+        e0 = np.exp(f.scalar_part)
+        s = f - f.scalar_part + 1.3
+        for got, jet, x in ((exp_of(f), lambda k: e0, f),
+                            (log_of(s), log_jet(1.3), s)):
+            want = taylor_by_wedge(jet, x).coeffs
+            assert np.max(np.abs(got.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
+            if parity == "even":
+                # exact zeros, which rg_map's parity check reads
+                assert not got.coeffs[popcounts(g.dim, n_gen) % 2 == 1].any()
+
+    @pytest.mark.parametrize("n_gen", [12, 14])
+    @pytest.mark.parametrize("parity", ["even", "mixed"])
+    def test_log_exp_round_trip_wide(self, rng, n_gen, parity):
+        g = GeneratorSet(n_gen)
+        f = rand_element(rng, g, 0.4 / n_gen)
+        if parity == "even":
+            f = even_part(f)
+        f = f - 1j * f.scalar_part.imag  # a real scalar part keeps exp in log's domain
+        back = log_of(exp_of(f))
+        assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-13 * np.max(np.abs(f.coeffs))
+
+    def test_no_table_above_the_leaf(self, rng, monkeypatch):
+        # 14-generator exp and log, with odd content, ask for no table
+        # above _WEDGE_LEAF generators
+        asked = []
+        for name in ("_degree_table", "_pair_table"):
+            table = getattr(algebra, name)
+            monkeypatch.setattr(algebra, name, lambda n_gen, *block, table=table: (
+                asked.append(n_gen), table(n_gen, *block))[1])
+        f = rand_element(rng, GeneratorSet(14), 0.02)
+        f = f - f.scalar_part
+        log_of(exp_of(f))
+        log_of(exp_of(even_part(f)))
+        assert asked and max(asked) == algebra._WEDGE_LEAF
 
     def test_jet_sequence_form(self):
         g = GeneratorSet(4)

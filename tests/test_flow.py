@@ -434,6 +434,26 @@ class TestFlowIntegrate:
             with pytest.raises(ValueError, match="t_end must be finite"):
                 flow_integrate(sched, f, steps=10, t_end=t_end)
 
+    def test_empty_grid_refused(self, rng):
+        # used to raise a bare IndexError from grid[0]
+        sched = synthetic_schedule(rng, 4)
+        f = quartic_bare_action(GeneratorSet(8), 0.01)
+        with pytest.raises(ValueError, match="grid must not be empty"):
+            next(flow_states(sched, f, np.array([])))
+
+    def test_negative_steps_refused(self, rng):
+        # steps = -1 used to raise a bare IndexError through its empty
+        # linspace; steps = 0 keeps its one-point trajectory
+        sched = synthetic_schedule(rng, 4)
+        f = quartic_bare_action(GeneratorSet(8), 0.01)
+        for steps in (-1, -2):
+            with pytest.raises(ValueError, match="steps must be nonnegative"):
+                flow_integrate(sched, f, steps=steps, t_end=1.0)
+        traj = flow_integrate(sched, f, steps=0, t_end=1.0)
+        assert traj.grid.tolist() == [0.0]
+        assert traj.norms.shape == (1, 4)
+        assert traj.norms[0, 1] == pytest.approx(0.01)
+
     def test_log_norm_accumulates(self, rng):
         # the accumulated normalization reproduces the unnormalized scalar
         sched = synthetic_schedule(rng, 4)

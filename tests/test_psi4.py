@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -276,6 +277,21 @@ def test_non_finite_params_refused(field, value):
     args[field] = value
     with pytest.raises(ValueError, match="finite"):
         Psi4Params(**args)
+
+
+def test_infinite_scale_refused_without_warnings():
+    # covariance_matrix(p, 0, inf) used to leak a divide-by-zero
+    # RuntimeWarning, and effective_flow_time(p, inf) two RuntimeWarnings
+    # before a ResolutionError
+    p = cli_params().with_chain_sites(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, t in ((0.0, math.inf), (math.inf, math.inf)):
+            with pytest.raises(ValueError, match="need s <= t < inf"):
+                covariance_matrix(p, s, t)
+        for t in (math.inf, np.array([0.5, math.inf])):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                effective_flow_time(p, t)
 
 
 def test_nan_scales_refused():
