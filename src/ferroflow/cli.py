@@ -25,22 +25,24 @@ generator above 12 triples the cost of a product; ``verify --seed 42`` took
 2-CPU x86_64 Xeon, against a budget of 10 minutes.
 
 ``flow`` takes ``steps`` RK4 steps of the desk flow on ``2 * sites``
-generators.  One step took 0.12-0.23, 0.14-0.27, 0.20-0.35, 0.83-1.3 and
-5.7-7.8 ms at 2, 3, 4, 5 and 6 sites (best of 3 runs of 20 to 400 steps, in
-three sessions on a 2-CPU x86_64 Xeon whose load varied, BLAS on one
-thread), and single runs took up to 0.29, 0.42, 0.39, 1.9 and 9.8 ms.
-Whole ``flow`` runs on a 1-CPU host grew by 8.4 ms per step from 500 to
-1,500 steps at 6 sites, and by 1.2 ms from 1,000 to 5,000 at 5.
-``_STEP_SECONDS`` holds twice the slowest single runs, rounded up.  A
-``flow`` config whose steps would take longer than the same 10-minute budget
-at these costs is refused with exit 4 before any computation: more than
-30,000 steps at 6 sites, and no step count the validator admits at fewer
-sites.
+generators.  One step took 0.13-0.26, 0.15-0.26, 0.17-0.30, 0.30-0.90 and
+1.2-3.7 ms at 2, 3, 4, 5 and 6 sites (best of 3 fresh-process runs of 20,
+100 and 400 steps, table builds included, in three sessions on a 2-CPU
+x86_64 Xeon whose load varied, BLAS on one thread), and single runs took up
+to 0.34, 0.48, 0.57, 1.1 and 4.3 ms.  ``_STEP_SECONDS`` holds twice the
+slowest single runs, rounded up.  A ``flow`` config whose steps would take
+longer than the same 10-minute budget at these costs is refused with exit 4
+before any computation: more than 66,666 steps at 6 sites, and no step
+count the validator admits at fewer sites.
 
-``flow`` keeps the seminorm series of each state as one array row of
-``8 * sites`` bytes, not its ``16 * 4**sites`` bytes, and writes its CSV
-row by row: a 6-site run of 30,000 steps peaked at 44 MiB RSS in 197 s, as
-one step does, where the series as one object per state took 76 MiB and
+RK4 carries the desk's neutral real action on its neutral masks, as many
+unbarred as barred generators, in float64: ``8 * C(2 sites, sites)``
+bytes a vector, 7.4 KB at 6 sites, where the even masks in complex128 take
+``8 * 4**sites`` bytes (32 KB) and all masks twice that.  ``flow`` keeps
+the seminorm series of each yielded state as one array row of ``8 * sites``
+bytes, not the state's ``16 * 4**sites`` bytes, and writes its CSV row by
+row: a 6-site run of 30,000 steps peaked at 43 MiB RSS in 33 s, as one
+step does, where the series as one object per state took 76 MiB and
 keeping every state took 242 MiB at 3,000 steps (one run each, x86_64
 Linux, a 2-CPU Xeon); one-step runs peaked at 31-33 MiB at 2 and 4 sites.
 
@@ -138,7 +140,7 @@ _RANGES = {
 
 
 # seconds per RK4 step by site count and flow's budget (module docstring)
-_STEP_SECONDS = {2: 6e-4, 3: 1e-3, 4: 1e-3, 5: 4e-3, 6: 2e-2}
+_STEP_SECONDS = {2: 7e-4, 3: 1e-3, 4: 2e-3, 5: 3e-3, 6: 9e-3}
 _RUN_BUDGET_S = 600.0
 
 
@@ -351,7 +353,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     worst_margin = float("inf")
     if ok:
         for i in (66, 133, 200):
-            phi = majorant_coefficients(spec, traj.grid[i], m_max=4)
+            phi = majorant_coefficients(
+                spec, existence_check(spec, traj.grid[i]), m_max=4)
             for m in range(1, 5):
                 margin = phi.coeff(m) - traj.norms[i, m - 1]
                 worst_margin = min(worst_margin, margin)
@@ -435,11 +438,11 @@ def cmd_majorant(cfg: RunConfig) -> int:
     picks = np.unique(np.linspace(0, cfg.steps, 11).astype(int))
     rows = ["t,m,F_m,phi_m,margin"]
     worst = float("inf")
-    for i in picks:
-        t = float(grid[i])
+    times = grid[picks]
+    for t, at_t in zip(times.tolist(), existence_check(spec, times)):
         series = norm_coefficients(
             effective_action_exact(inst.schedule, inst.bare_action, t))
-        phi = majorant_coefficients(spec, t, m_max=n)
+        phi = majorant_coefficients(spec, at_t, m_max=n)
         for m in range(1, n + 1):
             fm, pm = series.coeff(m), phi.coeff(m)
             margin = pm - fm

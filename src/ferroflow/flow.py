@@ -7,10 +7,19 @@ the nonlinear flow of the normalized effective action
     dF/dt = (1/2) Delta_rate F + (1/2) <grad F, rate grad F> - (scalar part)
 
 with classic fixed-step RK4.  The state is the coefficient vector over the
-masks of the bare action's parity: the 2**(n_gen - 1) even masks when its
-odd coefficients are all exactly zero (the flow keeps them zero), all masks
-otherwise.  The sign of the quadratic term is tied to the Laplacian
-convention of :mod:`ferroflow.gaussian`; the pair is pinned by
+smallest of three nested carriers that holds the bare action exactly,
+chosen once from its exact zeros: the neutral masks (a subset of the even
+masks) in float64, the even masks (a subset of all) in complex128, or all
+masks in complex128.  Every rate of a ``ScaleSchedule`` is the block
+embedding ``[[0, C], [-C, 0]]`` of a real kernel, so its Laplacian pairs a
+psi only with a psibar: the flow keeps the charge ``#psi - #psibar`` of
+every monomial and keeps real data real, as it keeps the parity.  A real
+action whose charged coefficients are all exactly zero, such as the
+quartic ``psibar psi psibar psi``, is carried on the neutral masks (70 of
+the 128 even masks at 8 generators); any other action whose odd
+coefficients are all exactly zero on the 2**(n_gen - 1) even masks, and
+the rest on all masks.  The sign of the quadratic term is tied to the
+Laplacian convention of :mod:`ferroflow.gaussian`; the pair is pinned by
 cross-validating the two paths against each other, which the test suite
 does continuously.
 
@@ -34,6 +43,8 @@ from .algebra import (
     GrassmannElement,
     _index_set,
     _is_exactly_even,
+    _is_exactly_neutral_real,
+    _neutral_pair_table,
     _pair_table,
     _popcount_table,
     _require_even,
@@ -110,23 +121,28 @@ def effective_action_exact(schedule: ScaleSchedule, f0: GrassmannElement,
 
 
 def _flow_rhs(weights: np.ndarray, y: np.ndarray, n_gen: int, even: bool,
-              low: np.ndarray | None) -> tuple[np.ndarray, complex]:
+              low: np.ndarray | None, neutral: bool = False
+              ) -> tuple[np.ndarray, complex]:
     """Flow right-hand side on coefficients ``y`` over the index set ``S =
-    _index_set(n_gen, even)``, for a rate with Laplacian weights ``weights
-    = _laplacian_weights(rate, n_gen, even)``; returns (dF, dlog_norm), dF
-    over ``S`` with the entries that ``low`` marks, if given, zeroed.
+    _index_set(n_gen, even, neutral)``, for a rate with Laplacian weights
+    ``weights = _laplacian_weights(rate, n_gen, even, neutral)``; returns
+    (dF, dlog_norm), dF over ``S`` with the entries that ``low`` marks, if
+    given, zeroed.
 
     The bilinear term takes two Laplacians and the products ``F ^ F`` and
     ``F ^ Delta F``.  For even ``F`` up to ``_WEDGE_LEAF`` generators these
-    walk the chunks of the even x even ``_pair_table(n_gen, 0)`` as they
-    are: its pairs are ranks in ``S`` and its unions are ``S`` in rank
-    order, so the union sums, concatenated, are the product over ``S``.
-    Every sum runs over the same terms in the same order as the public
+    walk the chunks of the even x even ``_pair_table(n_gen, 0)``, or of its
+    neutral part ``_neutral_pair_table(n_gen)``, as they are: its pairs are
+    ranks in ``S`` and its unions are ``S`` in rank order, so the union
+    sums, concatenated, are the product over ``S``.  On the even masks
+    every sum runs over the same terms in the same order as the public
     ``wedge`` and ``laplacian`` on the full coefficient vector, so dF is
-    bitwise the one of that product rule."""
+    bitwise the one of that product rule; on the neutral masks the sums
+    leave out the terms that are exactly zero there, and float64 adds the
+    rest in its own order."""
     # product rule for even F, with Delta = laplacian(rate, .):
     #   sum_ij rate_ij d_iF ^ d_jF = -(1/2) [Delta(F ^ F) - 2 F ^ Delta F]
-    lap = _laplacian_coeffs(weights, y, n_gen, even)
+    lap = _laplacian_coeffs(weights, y, n_gen, even, neutral)
     if not even or n_gen > _WEDGE_LEAF:
         # with odd content, or above the pair table's leaf, the products
         # go through _wedge_blocks on full vectors
@@ -139,7 +155,7 @@ def _flow_rhs(weights: np.ndarray, y: np.ndarray, n_gen: int, even: bool,
         square = _wedge_blocks(full, full, n_gen, parts, parts)[index]
         cross = _wedge_blocks(full, full_lap, n_gen, parts, parts)[index]
     else:
-        chunks = _pair_table(n_gen, 0)
+        chunks = _neutral_pair_table(n_gen) if neutral else _pair_table(n_gen, 0)
         square, cross = [], []
         for j, k, sgn, _, seg in chunks:
             # F ^ F and F ^ Delta F share the left factor F[J] * sgn; it
@@ -155,7 +171,7 @@ def _flow_rhs(weights: np.ndarray, y: np.ndarray, n_gen: int, even: bool,
                 np.multiply(left, terms, out=terms), seg))
         square = square[0] if len(chunks) == 1 else np.concatenate(square)
         cross = cross[0] if len(chunks) == 1 else np.concatenate(cross)
-    lap_square = _laplacian_coeffs(weights, square, n_gen, even)
+    lap_square = _laplacian_coeffs(weights, square, n_gen, even, neutral)
     bil = -0.5 * (lap_square - 2.0 * cross)
     dlog = 0.5 * lap[0]
     out = 0.5 * lap + (0.5 * _BILINEAR_SIGN) * bil
@@ -175,13 +191,20 @@ def flow_states(schedule: ScaleSchedule, f0: GrassmannElement,
 
     With ``truncate_ge2`` the right-hand side is projected onto degree >= 4,
     which removes the two-point insertions while keeping the normalization
-    subtraction.  RK4 carries the even coefficients only when every odd
-    coefficient of ``f0`` is exactly zero, and all of them otherwise, so odd
-    content that the parity check tolerates is still integrated.  Each step
-    reads the rate at its midpoint and end, and computes the rate's
-    Laplacian weights once for both evaluations there; the rate at the
-    start is the previous step's end.  A grid with a NaN or infinite time
-    is refused before anything else, and an empty grid next.
+    subtraction.  RK4 runs on the smallest carrier that holds ``f0``
+    exactly, found once from exact zeros, not from a tolerance: up to
+    ``_WEDGE_LEAF`` generators, the neutral coefficients in float64 when
+    every charged coefficient and every imaginary part of ``f0`` is exactly
+    zero; otherwise the even coefficients in complex128 when every odd one
+    is exactly zero, and all of them otherwise, so odd content that the
+    parity check tolerates is still integrated.  The yielded states are
+    full elements on every carrier.  Each step reads the rate at its
+    midpoint and end, and computes the rate's Laplacian weights once for
+    both evaluations there; the rate at the start is the previous step's
+    end.  On the neutral carrier, a rate that is not the block embedding of
+    a real kernel would move the state off it, and is refused with a
+    ``ValueError`` naming its scale.  A grid with a NaN or infinite time is
+    refused before anything else, and an empty grid next.
     """
     grid = np.asarray(grid, dtype=float)
     if not np.isfinite(grid).all():
@@ -204,24 +227,35 @@ def flow_states(schedule: ScaleSchedule, f0: GrassmannElement,
     # found from exact zeros, not from _require_even's tolerance; RK4 keeps
     # exact zeros exactly zero, so one inspection holds for every state
     even = _is_exactly_even(y0)
-    index = _index_set(n_gen, even)
+    neutral = even and n_gen <= _WEDGE_LEAF and _is_exactly_neutral_real(y0)
+    index = _index_set(n_gen, even, neutral)
     low = _popcount_table(n_gen)[index] < 4 if truncate_ge2 else None
-    y = y0[index]
+    y = y0[index].real if neutral else y0[index]
+    half = gens.pairs
+
+    def weights_at(t):
+        rate = schedule.adot(t)
+        _check_dimension(rate, f0)
+        if neutral and (np.imag(rate).any() or rate[:half, :half].any()
+                        or rate[half:, half:].any()):
+            raise ValueError(
+                f"the rate at scale {t:.6g} is not the block embedding of a "
+                f"real kernel, which the flow of a neutral real action needs")
+        return _laplacian_weights(rate, n_gen, even, neutral)
+
     c = 0.0 + 0.0j
-    a4 = schedule.adot(grid[0])
-    _check_dimension(a4, f0)
-    w4 = _laplacian_weights(a4, n_gen, even)
+    w4 = weights_at(grid[0])
     yield GrassmannElement._adopt(gens, y0), c
     for i in range(len(grid) - 1):
         t0, t1 = grid[i], grid[i + 1]
         h = t1 - t0
         w1 = w4  # the rate at the end of the previous step
-        w2 = _laplacian_weights(schedule.adot(t0 + 0.5 * h), n_gen, even)
-        w4 = _laplacian_weights(schedule.adot(t1), n_gen, even)
-        k1, c1 = _flow_rhs(w1, y, n_gen, even, low)
-        k2, c2 = _flow_rhs(w2, y + 0.5 * h * k1, n_gen, even, low)
-        k3, c3 = _flow_rhs(w2, y + 0.5 * h * k2, n_gen, even, low)
-        k4, c4 = _flow_rhs(w4, y + h * k3, n_gen, even, low)
+        w2 = weights_at(t0 + 0.5 * h)
+        w4 = weights_at(t1)
+        k1, c1 = _flow_rhs(w1, y, n_gen, even, low, neutral)
+        k2, c2 = _flow_rhs(w2, y + 0.5 * h * k1, n_gen, even, low, neutral)
+        k3, c3 = _flow_rhs(w2, y + 0.5 * h * k2, n_gen, even, low, neutral)
+        k4, c4 = _flow_rhs(w4, y + h * k3, n_gen, even, low, neutral)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y[0] = 0.0
         c = c + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)

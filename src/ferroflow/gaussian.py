@@ -29,6 +29,7 @@ from .algebra import (
     GrassmannElement,
     _index_set,
     _is_exactly_even,
+    _neutral_rank,
     _parity_index,
     _popcount_table,
 )
@@ -40,9 +41,9 @@ _LAPLACIAN_SIGN = -1.0
 
 
 @functools.cache
-def _laplacian_table(n_gen: int, even: bool):
+def _laplacian_table(n_gen: int, even: bool, neutral: bool = False):
     """Gather table of ``d_i d_j`` over the generator pairs ``i < j``, on
-    the index set ``_index_set(n_gen, even)`` and in its ranks.
+    the index set ``_index_set(n_gen, even, neutral)`` and in its ranks.
 
     Returns ``(rows, cols, src, pair, targets, starts)``.  Pair ``p`` is
     ``(rows[p], cols[p])``.  Entry ``e`` maps the coefficient of the source
@@ -51,7 +52,29 @@ def _laplacian_table(n_gen: int, even: bool):
     flips it if ``pair[e]`` is ``p + len(rows)``.  Entries are sorted by
     target, and the target of rank ``targets[t]`` owns the entries from
     ``starts[t]`` on; targets of degree above ``n_gen - 2`` own none.
+
+    With ``neutral``, the table is the even one's entries whose pair is a
+    psi-psibar pair ``(i, n + j)`` (``n`` pairs) and whose source is
+    neutral, in the same order: a cross pair keeps the charge, and a rate
+    that is a block embedding weighs no other pair.  Its pairs are the
+    ``n**2`` cross pairs only.
     """
+    if neutral:
+        rows, cols, src, pair, targets, starts = _laplacian_table(n_gen, True)
+        cross = np.flatnonzero((rows < n_gen // 2) & (cols >= n_gen // 2))
+        # a pair of the even table -> its cross pair, -1 for the others
+        renumber = np.full(2 * rows.size, -1)
+        renumber[cross] = np.arange(cross.size)
+        renumber[cross + rows.size] = np.arange(cross.size, 2 * cross.size)
+        masks = _index_set(n_gen, True)
+        rank = _neutral_rank(n_gen)
+        src = rank[masks[src]]
+        keep = (renumber[pair] >= 0) & (src >= 0)
+        dst = rank[masks[np.repeat(targets, np.diff(starts, append=pair.size))]]
+        dst = dst[keep]
+        starts = np.flatnonzero(np.diff(dst, prepend=-1))
+        return (rows[cross], cols[cross], src[keep], renumber[pair[keep]],
+                dst[starts], starts)
     rows, cols = np.triu_indices(n_gen, 1)
     index = _index_set(n_gen, even)
     pop = _popcount_table(n_gen)
@@ -75,25 +98,32 @@ def _laplacian_table(n_gen: int, even: bool):
             np.concatenate(pair_parts)[order], dst[starts] >> shift, starts)
 
 
-def _laplacian_weights(a, n_gen: int, even: bool) -> np.ndarray:
-    """Weight of every entry of ``_laplacian_table(n_gen, even)`` for
-    covariance ``a``: ``_LAPLACIAN_SIGN * (m - m.T)[i, j]`` for the entry's
-    pair, negated where ``d_i d_j`` flips the sign.  A caller that applies
-    one covariance many times computes them once."""
-    rows, cols, _, pair, _, _ = _laplacian_table(n_gen, even)
+def _laplacian_weights(a, n_gen: int, even: bool,
+                       neutral: bool = False) -> np.ndarray:
+    """Weight of every entry of ``_laplacian_table(n_gen, even, neutral)``
+    for covariance ``a``: ``_LAPLACIAN_SIGN * (m - m.T)[i, j]`` for the
+    entry's pair, negated where ``d_i d_j`` flips the sign; with
+    ``neutral``, the real parts, which for the cross pair ``(i, n + j)`` of
+    a block embedding ``[[0, C], [-C, 0]]`` read ``C_ij + C_ji``.  A caller
+    that applies one covariance many times computes them once."""
+    rows, cols, _, pair, _, _ = _laplacian_table(n_gen, even, neutral)
     # sum_ij m_ij d_i d_j keeps only the antisymmetric part of m
     m = _as_matrix(a)
     weight = _LAPLACIAN_SIGN * (m - m.T)[rows, cols]
+    if neutral:
+        weight = weight.real
     return np.concatenate((weight, -weight))[pair]
 
 
 def _laplacian_coeffs(weights: np.ndarray, y: np.ndarray, n_gen: int,
-                      even: bool) -> np.ndarray:
-    """``laplacian`` on coefficients ``y`` over ``_index_set(n_gen, even)``,
-    with ``weights = _laplacian_weights(a, n_gen, even)``, as such a vector."""
-    _, _, src, _, targets, starts = _laplacian_table(n_gen, even)
-    out = np.zeros(y.size, dtype=np.complex128)
-    out[targets] = np.add.reduceat(weights * y.take(src), starts)
+                      even: bool, neutral: bool = False) -> np.ndarray:
+    """``laplacian`` on coefficients ``y`` over ``_index_set(n_gen, even,
+    neutral)``, with ``weights = _laplacian_weights(a, n_gen, even,
+    neutral)``, as such a vector, real where both are."""
+    _, _, src, _, targets, starts = _laplacian_table(n_gen, even, neutral)
+    sums = np.add.reduceat(weights * y.take(src), starts)
+    out = np.zeros(y.size, dtype=sums.dtype)
+    out[targets] = sums
     return out
 
 

@@ -279,13 +279,24 @@ class MajorantSpec:
         return CharacteristicSolution.logarithmic(lam, tau)
 
 
-def existence_check(spec: MajorantSpec, t: float) -> ExistenceReport:
-    """Evaluate the majorant existence inequality at scale ``t``.
+def existence_check(spec: MajorantSpec, t
+                    ) -> ExistenceReport | list[ExistenceReport]:
+    """Evaluate the majorant existence inequality at scale ``t``, or at
+    each scale of a 1-D array ``t``, one report per scale in a list.
 
     Quartic data: ``12 alpha sigma^2 tau < 1``.  Logarithmic data:
-    ``sqrt(tau) + sigma < R``.
+    ``sqrt(tau) + sigma < R``.  An array reads ``tau`` in one array query
+    of the schedule and ``sigma^2`` one scale at a time: the desk's array
+    form of ``sigma^2`` differs from its scalar values in the last bits.
     """
-    tau = spec.schedule.tau(t)
+    if np.ndim(t):
+        return [_existence_report(spec, tau, s) for tau, s in
+                zip(spec.schedule.tau(t).tolist(), np.asarray(t).tolist())]
+    return _existence_report(spec, spec.schedule.tau(t), t)
+
+
+def _existence_report(spec: MajorantSpec, tau: float, t: float
+                      ) -> ExistenceReport:
     sigma = math.sqrt(spec.schedule.sigma_squared(0.0, t))
     r = spec.R
     if spec.kind == "quartic":
@@ -299,9 +310,11 @@ def existence_check(spec: MajorantSpec, t: float) -> ExistenceReport:
                            lhs=lhs, rhs=r)
 
 
-def majorant_coefficients(spec: MajorantSpec, t: float, m_max: int
-                          ) -> NormSeries:
-    """Even-degree Taylor coefficients ``phi_m(t)`` for ``m <= m_max``.
+def majorant_coefficients(spec: MajorantSpec, report: ExistenceReport,
+                          m_max: int) -> NormSeries:
+    """Even-degree Taylor coefficients ``phi_m(t)`` for ``m <= m_max``, at
+    the scale ``t`` of ``report = existence_check(spec, t)``; a report that
+    does not hold raises ``ExistenceError``.
 
     The gradient of the solution is transported along characteristics,
     ``dphi/dz = u0(z0)``, and ``z0 = z + tau u0(z0)``, so ``phi_m`` is
@@ -317,7 +330,6 @@ def majorant_coefficients(spec: MajorantSpec, t: float, m_max: int
     vanishing datum (quartic ``alpha = 0``, or an infinite radius) has the
     zero majorant, and its coefficients are zeros.
     """
-    report = existence_check(spec, t)
     if not report.holds:
         raise ExistenceError(
             "majorant existence condition fails: " + report.as_text())

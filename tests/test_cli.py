@@ -13,6 +13,7 @@ from ferroflow.errors import ConfigError
 from ferroflow.flow import flow_integrate
 from ferroflow.gaussian import gaussian_expectation
 from ferroflow.norms import norm_coefficients
+from ferroflow.schedule import ScaleSchedule
 
 from conftest import rand_antisymmetric, rand_element
 
@@ -156,6 +157,25 @@ def test_majorant_takes_norms_of_printed_states_only(tmp_path, monkeypatch):
     assert count[0] == 11
 
 
+@pytest.mark.parametrize("sites", [2, 4])
+def test_majorant_reads_tau_in_two_queries(tmp_path, monkeypatch, sites):
+    # one scale for the printed existence report, one array of the 11
+    # printed times for the majorant coefficients
+    shapes = []
+    tau = ScaleSchedule.tau
+
+    def counting(self, s):
+        shapes.append(np.shape(s))
+        return tau(self, s)
+
+    monkeypatch.setattr(ScaleSchedule, "tau", counting)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sites = {sites}\nsteps = 20\n")
+    assert main(["majorant", "--config", str(cfg),
+                 "--out", str(tmp_path / "m.csv")]) == 0
+    assert shapes == [(), (11,)]
+
+
 def test_majorant_integrates_no_flow(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("majorant integrated the flow")
@@ -273,9 +293,9 @@ def test_run_time_within_budget_accepted():
     # every step count the validator admits is in budget below 6 sites
     for sites in range(2, 6):
         check_command("flow", parse_config(f"sites = {sites}\nsteps = 100000\n"))
-    check_command("flow", parse_config("sites = 6\nsteps = 30000\n"))
+    check_command("flow", parse_config("sites = 6\nsteps = 66666\n"))
     with pytest.raises(ConfigError):
-        check_command("flow", parse_config("sites = 6\nsteps = 30001\n"))
+        check_command("flow", parse_config("sites = 6\nsteps = 66667\n"))
 
 
 def test_diverging_flow_exits_3(tmp_path, capsys):

@@ -11,7 +11,10 @@ from ferroflow.algebra import (
     GrassmannElement,
     _index_set,
     _is_exactly_even,
+    _neutral_pair_table,
+    _neutral_rank,
     _pair_table,
+    merge_sign,
     parity_magnitudes,
     wedge,
 )
@@ -29,8 +32,14 @@ from ferroflow.flow import (
     flow_states,
     rg_map,
 )
-from ferroflow import schedule
-from ferroflow.gaussian import _laplacian_weights, heat_kernel_convolve, laplacian
+from ferroflow import flow, schedule
+from ferroflow.cli import main
+from ferroflow.gaussian import (
+    _laplacian_table,
+    _laplacian_weights,
+    heat_kernel_convolve,
+    laplacian,
+)
 from ferroflow.norms import norm_coefficients
 from ferroflow.psi4 import Psi4Params, build_desk_instance, quartic_bare_action
 from ferroflow.schedule import ScaleSchedule
@@ -187,6 +196,175 @@ def test_rhs_table_unions_own_one_segment_per_block(n_gen):
     assert (len(chunks) > 1) == (n_gen == 12)
     # all masks: the rank is the mask
     assert np.array_equal(_index_set(n_gen, False), np.arange(1 << n_gen))
+
+
+def charges(n_gen):
+    """The charge ``#unbarred - #barred`` of every mask, the generators
+    ``0..n-1`` unbarred and ``n..2n-1`` barred."""
+    n = n_gen // 2
+    masks = np.arange(1 << n_gen)
+    pop = popcounts(1 << n, n)
+    return pop[masks & ((1 << n) - 1)] - pop[masks >> n]
+
+
+@pytest.mark.parametrize("n_gen", [2, 4, 8, 12])
+def test_neutral_tables_own_the_neutral_masks(n_gen):
+    # the neutral set, its ranks, and the two tables filtered from the even
+    # ones: the pairs of two neutral masks, whose unions are the neutral set
+    # in rank order, and the psi-psibar entries of the Laplacian
+    n = n_gen // 2
+    index = _index_set(n_gen, True, True)
+    assert np.array_equal(index, np.flatnonzero(charges(n_gen) == 0))
+    assert index.size == math.comb(n_gen, n)
+    rank = _neutral_rank(n_gen)
+    assert np.array_equal(rank[index], np.arange(index.size))
+    assert np.all(np.delete(rank, index) == -1)
+
+    chunks = _neutral_pair_table(n_gen)
+    unions = np.concatenate([chunk[3] for chunk in chunks])
+    assert np.array_equal(unions, index)
+    count = 0
+    for j, k, sgn, chunk_unions, seg in chunks:
+        owner = np.repeat(chunk_unions, np.diff(np.append(seg, len(j))))
+        assert np.all(index[j] & index[k] == 0)
+        assert np.array_equal(index[j] | index[k], owner)
+        assert sgn.dtype == np.float64
+        if n_gen <= 8:
+            assert sgn.tolist() == [merge_sign(int(a), int(b))
+                                    for a, b in zip(index[j], index[k])]
+        count += len(j)
+    # every split of a neutral union into two neutral masks, once each
+    sub = (index[None, :] & ~index[:, None]) == 0  # row U, column J
+    assert count == int(sub.sum())
+    assert (len(chunks) > 1) == (n_gen == 12)
+
+    rows, cols, src, pair, targets, starts = _laplacian_table(n_gen, True, True)
+    assert np.all(rows < n) and np.all(cols >= n)
+    assert rows.size == n * n
+    assert src.size == n * n * math.comb(n_gen - 2, n - 1)
+    p = pair % rows.size
+    source = index[src]
+    target = index[np.repeat(targets, np.diff(np.append(starts, src.size)))]
+    both = (1 << rows[p]) | (1 << cols[p])
+    assert np.all(source & both == both)
+    assert np.array_equal(target, source & ~both)
+    # each entry keeps the sign flip of the even table's entry for the same
+    # source and generator pair
+    e_rows, e_cols, e_src, e_pair, _, _ = _laplacian_table(n_gen, True)
+    e_p = e_pair % e_rows.size
+    flips = dict(zip(zip(_index_set(n_gen, True)[e_src].tolist(),
+                         e_rows[e_p].tolist(), e_cols[e_p].tolist()),
+                     (e_pair >= e_rows.size).tolist()))
+    assert [flips[key] for key in zip(source.tolist(), rows[p].tolist(),
+                                      cols[p].tolist())] == \
+        (pair >= rows.size).tolist()
+
+
+def neutral_real_action(rng, gens, scale):
+    """A random real normalized action on the neutral masks."""
+    c = rng.normal(size=gens.dim) * scale
+    c[charges(gens.count) != 0] = 0.0
+    c[0] = 0.0
+    return GrassmannElement(gens, c)
+
+
+class TestNeutralCarrier:
+    @pytest.mark.parametrize("n_gen,steps", [(4, 6), (6, 6), (8, 6), (10, 4),
+                                             (12, 2)])
+    @pytest.mark.parametrize("kind", ["quartic", "random"])
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_matches_even_carrier_rk4(self, rng, n_gen, steps, kind, truncate):
+        # float64 sums over the neutral masks leave out exact zeros and add
+        # in their own order: the states moved by at most 1.4e-16 of their
+        # largest coefficient at 4-12 generators
+        sched = synthetic_schedule(rng, n_gen // 2)
+        gens = GeneratorSet(n_gen)
+        f = quartic_bare_action(gens, 0.04) if kind == "quartic" \
+            else neutral_real_action(rng, gens, 0.4 / n_gen)
+        grid = np.linspace(0.0, 0.05 * steps, steps + 1)
+        got = list(flow_states(sched, f, grid, truncate))
+        states, log_norm = rk4_by_product_rule(sched, f, grid, truncate)
+        charged = charges(n_gen) != 0
+        for (state, c), want, want_c in zip(got, states, log_norm):
+            assert np.all(state.coeffs[charged] == 0.0)
+            assert not np.imag(state.coeffs).any()
+            assert np.max(np.abs(state.coeffs - want)) <= \
+                1e-15 * np.max(np.abs(want))
+            assert abs(c - want_c) <= 1e-15 * max(1.0, abs(want_c))
+        # truncation leaves degree 4 of 4 generators where it is
+        assert (truncate and n_gen == 4) or \
+            np.max(np.abs(states[-1] - f.coeffs)) > 0.0
+
+    @pytest.mark.parametrize("content", ["charged", "imaginary"])
+    def test_tiny_content_off_the_carrier_keeps_the_even_carrier(self, rng,
+                                                                 content):
+        # one coefficient of 1e-300 off the neutral real carrier sends RK4
+        # to the even complex one, whose states are the product rule's bits
+        gens = GeneratorSet(8)
+        sched = synthetic_schedule(rng, 4)
+        c = quartic_bare_action(gens, 0.04).coeffs.copy()
+        if content == "charged":
+            c[0b11] = 1e-300  # psi_0 psi_1, charge 2
+        else:
+            c[0b10001] += 1e-300j  # psi_0 psibar_0
+        f = GrassmannElement(gens, c)
+        grid = np.linspace(0.0, 0.3, 7)
+        got = list(flow_states(sched, f, grid))
+        states, log_norm = rk4_by_product_rule(sched, f, grid, False)
+        for (state, _), want in zip(got, states):
+            assert bitwise_equal(state.coeffs, want)
+        assert bitwise_equal([c for _, c in got], log_norm)
+
+    def test_complex_rate_refused_by_scale(self, rng):
+        # a kernel with an imaginary part from scale 0.1 on: the neutral
+        # real carrier cannot hold the state it would drive
+        base = synthetic_schedule(rng, 4)
+        sched = ScaleSchedule(
+            lambda t: base._cdot(t) * (1.0 + 1e-3j * (np.asarray(t) >= 0.1)),
+            T=1.0, pairs=4, c_between=base._c_between,
+            sigma_between=base._sigma_between)
+        f = quartic_bare_action(GeneratorSet(8), 0.04)
+        with pytest.raises(ValueError, match=r"rate at scale 0\.1 is not"):
+            list(flow_states(sched, f, np.linspace(0.0, 0.2, 5)))
+        # the even carrier integrates the same schedule
+        g = rand_even_normalized(rng, GeneratorSet(8), 0.05)
+        assert len(list(flow_states(sched, g, np.linspace(0.0, 0.2, 5)))) == 5
+
+    def test_rate_off_the_block_embedding_refused(self, rng, monkeypatch):
+        sched = synthetic_schedule(rng, 4)
+        adot = sched.adot
+
+        def with_psi_psi(t):
+            rate = adot(t).copy()
+            rate[0, 1], rate[1, 0] = 1e-3, -1e-3
+            return rate
+
+        monkeypatch.setattr(sched, "adot", with_psi_psi)
+        f = quartic_bare_action(GeneratorSet(8), 0.04)
+        with pytest.raises(ValueError, match=r"rate at scale 0 is not"):
+            next(flow_states(sched, f, np.linspace(0.0, 0.2, 5)))
+
+
+@pytest.fixture
+def tables_asked(monkeypatch):
+    """The generator counts at which the flow asks for the even x even and
+    for the neutral pair table, from now on."""
+    asked = {"even": [], "neutral": []}
+    for key, name in (("even", "_pair_table"), ("neutral", "_neutral_pair_table")):
+        table = getattr(flow, name)
+        monkeypatch.setattr(flow, name, lambda n_gen, *block, table=table, key=key: (
+            asked[key].append(n_gen), table(n_gen, *block))[1])
+    return asked
+
+
+def test_cli_flows_run_on_the_neutral_carrier(tmp_path, capsys, tables_asked):
+    # flow at the defaults and verify's 8-generator quartic flow: a fall back
+    # to the even complex carrier would cost their speed silently
+    assert main(["flow", "--out", str(tmp_path / "flow.csv")]) == 0
+    assert tables_asked == {"even": [], "neutral": [8] * 4 * 400}
+    tables_asked["neutral"].clear()
+    assert main(["verify"]) == 0
+    assert tables_asked == {"even": [], "neutral": [8] * 4 * 200}
 
 
 class TestRgMap:

@@ -426,7 +426,7 @@ class TestArrayInversion:
             return invert(self, z)
 
         monkeypatch.setattr(CharacteristicSolution, "invert", counted)
-        majorant_coefficients(spec, 0.8, m_max=4)
+        majorant_coefficients(spec, existence_check(spec, 0.8), m_max=4)
         assert calls == []
 
 
@@ -501,7 +501,7 @@ class TestMajorantCoefficients:
     def test_time_zero_recovers_bare_quartic(self, rng):
         sched = synthetic_schedule(rng, 4)
         spec = MajorantSpec(schedule=sched, quartic_alpha=0.05)
-        phi = majorant_coefficients(spec, 0.0, m_max=4)
+        phi = majorant_coefficients(spec, existence_check(spec, 0.0), m_max=4)
         assert phi.coeff(2) == pytest.approx(0.05, abs=1e-12)
         assert phi.coeff(1) <= 1e-10
         assert phi.coeff(3) <= 1e-10
@@ -511,7 +511,7 @@ class TestMajorantCoefficients:
         spec = MajorantSpec(schedule=sched, quartic_alpha=0.05)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            phi = majorant_coefficients(spec, 0.0, m_max=4)
+            phi = majorant_coefficients(spec, existence_check(spec, 0.0), m_max=4)
         assert phi.coeff(1) == 0.0
 
     @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
@@ -524,7 +524,8 @@ class TestMajorantCoefficients:
             for m_max in (1, 4, 6):
                 char = spec.characteristic(existence_check(spec, t))
                 want, floor = cauchy_coefficients(char, m_max)
-                got = majorant_coefficients(spec, t, m_max).coefficients
+                got = majorant_coefficients(spec, existence_check(spec, t),
+                                            m_max).coefficients
                 assert np.all(np.abs(got - want) <= floor), (t, m_max)
 
     @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
@@ -561,7 +562,8 @@ class TestMajorantCoefficients:
 
                 taylor = mpmath.taylor(phi, 0, 6)
                 want = np.array([float(taylor[2 * m]) for m in (1, 2, 3)])
-            got = majorant_coefficients(spec, t, m_max=3).coefficients
+            got = majorant_coefficients(spec, existence_check(spec, t),
+                                        m_max=3).coefficients
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("spec_args", [
@@ -581,7 +583,7 @@ class TestMajorantCoefficients:
             char = spec.characteristic(existence_check(spec, t))
             datum = 1.0 / char.lam if char.kind == "logarithmic" else 1.0
             half = 0.5 * min(char.z_window, datum)
-            phi = majorant_coefficients(spec, t, m_max=60)
+            phi = majorant_coefficients(spec, existence_check(spec, t), m_max=60)
             at_origin = majorant_value(spec, t, 0.0)
             for frac in (0.1, 0.5, 0.9):
                 z = frac * half
@@ -598,7 +600,7 @@ class TestMajorantCoefficients:
     def test_zero_datum_has_zero_majorant(self, rng, spec_args):
         spec = MajorantSpec(schedule=synthetic_schedule(rng, 4), **spec_args)
         for t in (0.0, 0.8):
-            phi = majorant_coefficients(spec, t, m_max=4)
+            phi = majorant_coefficients(spec, existence_check(spec, t), m_max=4)
             np.testing.assert_array_equal(phi.coefficients, np.zeros(4))
 
     @pytest.mark.parametrize("alpha", [1e-160, 1e-300, 1e-310])
@@ -607,7 +609,7 @@ class TestMajorantCoefficients:
         spec = MajorantSpec(schedule=sched, quartic_alpha=alpha)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            phi = majorant_coefficients(spec, 0.8, m_max=6)
+            phi = majorant_coefficients(spec, existence_check(spec, 0.8), m_max=6)
         assert np.all(np.isfinite(phi.coefficients))
         assert phi.coeff(2) == pytest.approx(alpha, rel=1e-6)
 
@@ -619,7 +621,8 @@ class TestMajorantCoefficients:
                               t_end=2.0)
         spec = MajorantSpec(schedule=inst.schedule, quartic_alpha=1e-50)
         for t, row in zip(traj.grid, traj.norms):
-            phi = majorant_coefficients(spec, float(t), m_max=2)
+            phi = majorant_coefficients(
+                spec, existence_check(spec, float(t)), m_max=2)
             assert phi.coeff(1) >= row[0]
             assert phi.coeff(2) >= row[1]
         assert phi.coeff(1) > 0.0
@@ -656,7 +659,7 @@ class TestMajorantCoefficients:
         spec = MajorantSpec(schedule=sched,
                             bare_series=NormSeries([0.0, 0.02, 0.005, 0.001]))
         assert existence_check(spec, 1.0).holds
-        phi = majorant_coefficients(spec, 1.0, m_max=4)
+        phi = majorant_coefficients(spec, existence_check(spec, 1.0), m_max=4)
         assert np.all(phi.coefficients >= 0.0)
         assert np.all(np.isfinite(phi.coefficients))
 
@@ -667,7 +670,8 @@ class TestMajorantCoefficients:
         traj = flow_integrate(sched, bare, steps=80, t_end=1.0)
         spec = MajorantSpec(schedule=sched, quartic_alpha=alpha)
         for i in (20, 50, 80):
-            phi = majorant_coefficients(spec, float(traj.grid[i]), m_max=4)
+            phi = majorant_coefficients(
+                spec, existence_check(spec, float(traj.grid[i])), m_max=4)
             for m in range(1, 5):
                 assert phi.coeff(m) >= traj.norms[i, m - 1] - 1e-8
 
@@ -713,6 +717,29 @@ class TestExistence:
                 break
             alpha *= 0.5
         assert found
+
+    @pytest.mark.parametrize("sites", [2, 4, 6])
+    @pytest.mark.parametrize("kind", ["quartic", "logarithmic"])
+    def test_array_of_scales_gives_the_scalar_reports(self, sites, kind):
+        # one tau query for the array, and every report equal to the one of
+        # its scale alone, bit for bit
+        inst = desk_instance(sites)
+        spec = MajorantSpec(schedule=inst.schedule, quartic_alpha=inst.alpha) \
+            if kind == "quartic" else MajorantSpec(schedule=inst.schedule,
+                                                   radius=0.6)
+        times = np.linspace(0.0, 2.0, 401)[np.unique(
+            np.linspace(0, 400, 11).astype(int))]
+        reports = existence_check(spec, times)
+        assert reports == [existence_check(spec, t) for t in times.tolist()]
+        assert all(type(report.tau) is float for report in reports)
+
+    def test_coefficients_refuse_a_failed_report(self, rng):
+        sched = synthetic_schedule(rng, 3, scale=1.2)
+        alpha_bad = 1.2 / (12.0 * sched.sigma_squared(0.0, sched.T)
+                           * sched.tau(sched.T))
+        spec = MajorantSpec(schedule=sched, quartic_alpha=alpha_bad)
+        with pytest.raises(ExistenceError, match="holds = false"):
+            majorant_coefficients(spec, existence_check(spec, sched.T), 4)
 
     def test_report_text_fields(self, rng):
         sched = synthetic_schedule(rng, 3)
