@@ -33,16 +33,16 @@ from exact zeros only: an operand whose odd-degree coefficients are all
 exactly zero is even, and any other counts as having both parts.  A
 tolerance would silently drop small odd terms.
 
-The flow carries the smallest of three nested index sets
-(``_index_set``) that holds its state exactly: the neutral masks in
-float64, the even masks in complex128, or all masks in complex128; each
-set holds the one before it.  With the generators ``0..n-1`` unbarred and
-``n..2n-1`` barred, a neutral mask holds as many of each; its rank is read
-from ``_neutral_rank``.  A product of two neutral masks is neutral, so the
-neutral x neutral pairs, ``_neutral_pair_table``, are a filter of the
-even x even block with real signs whose unions are the neutral masks in
-rank order: 639 of its 1,641 pairs at 8 generators, 35,169 of 132,861 at
-12.
+The flow carries the smaller of two nested index sets (``_index_set``)
+that holds its state exactly: the neutral masks in float64, or the even
+masks in complex128; the first is a subset of the second.  With the
+generators ``0..n-1`` unbarred and ``n..2n-1`` barred, a neutral mask holds
+as many of each; every index set's ranks are read from one map,
+``_rank``.  A product of two neutral masks is neutral, so the neutral x
+neutral pairs are one more table of ``_pair_table``, built from the
+disjoint pairs as the parity blocks are, with real signs and unions that
+are the neutral masks in rank order: 639 of the even x even block's 1,641
+pairs at 8 generators, 35,169 of 132,861 at 12.
 
 ``exp_of`` and ``log_of`` read one more table, the even x even pairs with
 ``|J|, |K| >= 2`` in degree-major order (``_degree_table``): sorted by
@@ -139,14 +139,14 @@ def _parity_index(n_gen: int, parity: int) -> np.ndarray:
 
 @functools.cache
 def _index_set(n_gen: int, even: bool, neutral: bool = False) -> np.ndarray:
-    """The index set of the flow and the Laplacian table, ascending: the
-    neutral masks with ``neutral`` (rank ``_neutral_rank(n_gen)[mask]``),
-    else the even masks with ``even`` (rank ``mask >> 1``), otherwise all
-    (rank = mask).  The generators ``0..n-1`` of ``n = n_gen / 2`` pairs are
-    unbarred and ``n..2n-1`` barred, as in
-    ``AntisymmetricCovariance._block``; a mask is neutral when it holds as
-    many of each (charge ``#unbarred - #barred`` zero), so every neutral
-    mask is even."""
+    """The index set of a kernel table, ascending: the neutral masks with
+    ``neutral``, else the even masks with ``even``, otherwise all; each
+    mask's rank in it is ``_rank(n_gen, even, neutral)[mask]``.  The
+    generators ``0..n-1`` of ``n = n_gen / 2`` pairs are unbarred and
+    ``n..2n-1`` barred, as in ``AntisymmetricCovariance._block``; a mask is
+    neutral when it holds as many of each (charge ``#unbarred - #barred``
+    zero), so every neutral mask is even.  The tables of the neutral set
+    are built on it, not filtered from those of the even set."""
     if neutral:
         low = (1 << n_gen // 2) - 1
         pop = _popcount_table(n_gen)
@@ -156,10 +156,11 @@ def _index_set(n_gen: int, even: bool, neutral: bool = False) -> np.ndarray:
 
 
 @functools.cache
-def _neutral_rank(n_gen: int) -> np.ndarray:
-    """The rank of every mask among the neutral masks, -1 for a charged
-    mask."""
-    index = _index_set(n_gen, True, True)
+def _rank(n_gen: int, even: bool, neutral: bool = False) -> np.ndarray:
+    """The rank of every mask in ``_index_set(n_gen, even, neutral)``, -1
+    for a mask outside it: ``mask >> 1`` on the even masks, the mask itself
+    on all."""
+    index = _index_set(n_gen, even, neutral)
     rank = np.full(1 << n_gen, -1)
     rank[index] = np.arange(index.size)
     return rank
@@ -173,7 +174,7 @@ def _is_exactly_even(coeffs: np.ndarray) -> bool:
 def _is_exactly_neutral_real(coeffs: np.ndarray) -> bool:
     """Whether every charged coefficient and every imaginary part of a raw
     array is exactly zero."""
-    rank = _neutral_rank(coeffs.size.bit_length() - 1)
+    rank = _rank(coeffs.size.bit_length() - 1, True, True)
     return not (np.imag(coeffs).any() or coeffs[rank < 0].any())
 
 
@@ -193,9 +194,11 @@ def _disjoint_pairs(n_gen: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _pair_table(n_gen: int, block: int) -> tuple[tuple[np.ndarray, ...], ...]:
+def _pair_table(n_gen: int, block: int,
+                neutral: bool = False) -> tuple[tuple[np.ndarray, ...], ...]:
     """The disjoint pairs (J, K) of one parity block, with their merge
-    signs, as chunks ``(j, k, sgn, unions, seg)``.
+    signs, as chunks ``(j, k, sgn, unions, seg)``; with ``neutral``, those
+    of block 0 with ``J`` and ``K`` both neutral.
 
     Block ``2 * (|J| mod 2) + (|K| mod 2)`` is 0 for even x even, 1 for
     even x odd, 2 for odd x even and 3 for odd x odd; the four blocks
@@ -203,41 +206,31 @@ def _pair_table(n_gen: int, block: int) -> tuple[tuple[np.ndarray, ...], ...]:
     order of the union ``U = J | K``, descending ``J`` within one union.  A
     chunk holds whole unions, at most ``_WEDGE_CHUNK`` pairs unless one
     union has more: the ranks ``j`` and ``k`` of ``J`` and ``K`` within
-    their parities, the merge signs ``sgn`` (complex, which multiply faster),
-    the unions as masks, ascending, and the start ``seg`` of each union's
-    pairs, so ``np.add.reduceat(..., seg)`` sums a product per union.
+    their parities, or among the neutral masks, the merge signs ``sgn``
+    (complex, which multiply complex operands faster; real on the neutral
+    masks), the unions as masks, ascending, and the start ``seg`` of each
+    union's pairs, so ``np.add.reduceat(..., seg)`` sums a product per
+    union.  Charges add, so the neutral unions are the neutral masks, each
+    once and in rank order (``(U, {})`` is one of the pairs of every
+    ``U``).  Readers pass ``neutral`` only when it is true, so each table
+    has one cache entry.
     """
     j, k = _disjoint_pairs(n_gen)
-    pop = _popcount_table(n_gen)
-    keep = np.flatnonzero(2 * (pop[j] & 1) + (pop[k] & 1) == block)
+    if neutral:
+        rank = _rank(n_gen, True, True)
+        keep = np.flatnonzero((rank[j] >= 0) & (rank[k] >= 0))
+    else:
+        pop = _popcount_table(n_gen)
+        keep = np.flatnonzero(2 * (pop[j] & 1) + (pop[k] & 1) == block)
     union = j[keep] | k[keep]
     order = np.argsort(union, kind="stable")  # a radix sort on uint16
     union = union[order].astype(np.intp)
     j = j[keep[order]].astype(np.intp)
     k = k[keep[order]].astype(np.intp)
-    sgn = _merge_sign_array(j, k, n_gen).astype(np.complex128)
-    j >>= 1
-    k >>= 1
-    return _union_chunks(j, k, sgn, union)
-
-
-@functools.cache
-def _neutral_pair_table(n_gen: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The pairs of ``_pair_table(n_gen, 0)`` with ``J`` and ``K`` both
-    neutral, in the same order, as chunks ``(j, k, sgn, unions, seg)``:
-    ``j`` and ``k`` are ranks among the neutral masks and the signs are
-    real.  Charges add, so the unions are the neutral masks, each once and
-    in rank order (``(U, {})`` is one of the pairs of every neutral
-    ``U``)."""
-    even = _parity_index(n_gen, 0)
-    rank = _neutral_rank(n_gen)
-    parts = []
-    for j, k, sgn, unions, seg in _pair_table(n_gen, 0):
-        union = np.repeat(unions, np.diff(seg, append=len(j)))
-        j, k = rank[even[j]], rank[even[k]]
-        keep = (j >= 0) & (k >= 0)
-        parts.append((j[keep], k[keep], sgn[keep].real, union[keep]))
-    return _union_chunks(*(np.concatenate(part) for part in zip(*parts)))
+    sgn = _merge_sign_array(j, k, n_gen)
+    if neutral:
+        return _union_chunks(rank[j], rank[k], sgn, union)
+    return _union_chunks(j >> 1, k >> 1, sgn.astype(np.complex128), union)
 
 
 def _union_chunks(j: np.ndarray, k: np.ndarray, sgn: np.ndarray,

@@ -38,7 +38,7 @@ count the validator admits at fewer sites.
 RK4 carries the desk's neutral real action on its neutral masks, as many
 unbarred as barred generators, in float64: ``8 * C(2 sites, sites)``
 bytes a vector, 7.4 KB at 6 sites, where the even masks in complex128 take
-``8 * 4**sites`` bytes (32 KB) and all masks twice that.  ``flow`` keeps
+``8 * 4**sites`` bytes (32 KB).  ``flow`` keeps
 the seminorm series of each yielded state as one array row of ``8 * sites``
 bytes, not the state's ``16 * 4**sites`` bytes, and writes its CSV row by
 row: a 6-site run of 30,000 steps peaked at 43 MiB RSS in 33 s, as one

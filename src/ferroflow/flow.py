@@ -6,22 +6,20 @@ the nonlinear flow of the normalized effective action
 
     dF/dt = (1/2) Delta_rate F + (1/2) <grad F, rate grad F> - (scalar part)
 
-with classic fixed-step RK4.  The state is the coefficient vector over the
-smallest of three nested carriers that holds the bare action exactly,
-chosen once from its exact zeros: the neutral masks (a subset of the even
-masks) in float64, the even masks (a subset of all) in complex128, or all
-masks in complex128.  Every rate of a ``ScaleSchedule`` is the block
-embedding ``[[0, C], [-C, 0]]`` of a real kernel, so its Laplacian pairs a
-psi only with a psibar: the flow keeps the charge ``#psi - #psibar`` of
-every monomial and keeps real data real, as it keeps the parity.  A real
-action whose charged coefficients are all exactly zero, such as the
-quartic ``psibar psi psibar psi``, is carried on the neutral masks (70 of
-the 128 even masks at 8 generators); any other action whose odd
-coefficients are all exactly zero on the 2**(n_gen - 1) even masks, and
-the rest on all masks.  The sign of the quadratic term is tied to the
-Laplacian convention of :mod:`ferroflow.gaussian`; the pair is pinned by
-cross-validating the two paths against each other, which the test suite
-does continuously.
+with classic fixed-step RK4.  Every rate of a ``ScaleSchedule`` is the
+block embedding ``[[0, C], [-C, 0]]`` of a real kernel ``C``, so its
+Laplacian pairs a psi only with a psibar: the flow keeps the charge ``#psi -
+#psibar`` of every monomial and keeps real data real, as it keeps the
+parity.  The bare action must be even, every odd coefficient exactly zero,
+and the state is its coefficient vector over the smaller of two carriers
+that holds it exactly, chosen once from its exact zeros: a real action
+whose charged coefficients are all exactly zero, such as the quartic
+``psibar psi psibar psi``, is carried on the neutral masks in float64 (70
+of the 128 even masks at 8 generators), any other on the even masks in
+complex128.  Each rate is read as its kernel ``C``.  The sign of the
+quadratic term is tied to the Laplacian convention of
+:mod:`ferroflow.gaussian`; the pair is pinned by cross-validating the two
+paths against each other, which the test suite does continuously.
 
 ``flow_states`` yields the states one grid time at a time; a trajectory
 keeps only their seminorm series, in one array: all that checks read.
@@ -36,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    _BOTH,
     _EVEN,
     _PARITY_ATOL,
     _WEDGE_LEAF,
@@ -44,7 +41,6 @@ from .algebra import (
     _index_set,
     _is_exactly_even,
     _is_exactly_neutral_real,
-    _neutral_pair_table,
     _pair_table,
     _popcount_table,
     _require_even,
@@ -52,9 +48,9 @@ from .algebra import (
     exp_of,
     log_of,
 )
-from .errors import LogDomainError, ResolutionError
-from .gaussian import _check_dimension, _laplacian_coeffs, _laplacian_weights
-from .norms import norm_coefficients
+from .errors import DimensionMismatchError, LogDomainError, ParityError, ResolutionError
+from .gaussian import AntisymmetricCovariance, _laplacian_coeffs, _laplacian_weights
+from .norms import _norm_row
 from .schedule import ScaleSchedule
 
 # Sign of the quadratic gradient pairing relative to sum_ij rate_ij d_iF ^ d_jF;
@@ -120,42 +116,40 @@ def effective_action_exact(schedule: ScaleSchedule, f0: GrassmannElement,
     return GrassmannElement(out.gens, c)
 
 
-def _flow_rhs(weights: np.ndarray, y: np.ndarray, n_gen: int, even: bool,
+def _flow_rhs(weights: np.ndarray, y: np.ndarray, n_gen: int,
               low: np.ndarray | None, neutral: bool = False
               ) -> tuple[np.ndarray, complex]:
-    """Flow right-hand side on coefficients ``y`` over the index set ``S =
-    _index_set(n_gen, even, neutral)``, for a rate with Laplacian weights
-    ``weights = _laplacian_weights(rate, n_gen, even, neutral)``; returns
+    """Flow right-hand side on the coefficients ``y`` of an even ``F`` over
+    the carrier ``S = _index_set(n_gen, True, neutral)``, for a rate with
+    Laplacian weights ``weights = _laplacian_weights(rate, n_gen, True,
+    neutral)``, the rate read as its kernel on the neutral masks; returns
     (dF, dlog_norm), dF over ``S`` with the entries that ``low`` marks, if
     given, zeroed.
 
     The bilinear term takes two Laplacians and the products ``F ^ F`` and
-    ``F ^ Delta F``.  For even ``F`` up to ``_WEDGE_LEAF`` generators these
-    walk the chunks of the even x even ``_pair_table(n_gen, 0)``, or of its
-    neutral part ``_neutral_pair_table(n_gen)``, as they are: its pairs are
-    ranks in ``S`` and its unions are ``S`` in rank order, so the union
-    sums, concatenated, are the product over ``S``.  On the even masks
-    every sum runs over the same terms in the same order as the public
-    ``wedge`` and ``laplacian`` on the full coefficient vector, so dF is
-    bitwise the one of that product rule; on the neutral masks the sums
-    leave out the terms that are exactly zero there, and float64 adds the
-    rest in its own order."""
+    ``F ^ Delta F``.  Up to ``_WEDGE_LEAF`` generators these walk the
+    chunks of the carrier's ``_pair_table(n_gen, 0, neutral)`` as they are:
+    its pairs are ranks in ``S`` and its unions are ``S`` in rank order, so
+    the union sums, concatenated, are the product over ``S``; above it they
+    go through ``_wedge_blocks`` on full vectors.  On the even masks every
+    sum runs over the same terms in the same order as the public ``wedge``
+    and ``laplacian`` on the full coefficient vector, so dF is bitwise the
+    one of that product rule; on the neutral masks the sums leave out the
+    terms that are exactly zero there, and float64 adds the rest in its own
+    order."""
     # product rule for even F, with Delta = laplacian(rate, .):
     #   sum_ij rate_ij d_iF ^ d_jF = -(1/2) [Delta(F ^ F) - 2 F ^ Delta F]
-    lap = _laplacian_coeffs(weights, y, n_gen, even, neutral)
-    if not even or n_gen > _WEDGE_LEAF:
-        # with odd content, or above the pair table's leaf, the products
-        # go through _wedge_blocks on full vectors
-        index = _index_set(n_gen, even)
+    lap = _laplacian_coeffs(weights, y, n_gen, True, neutral)
+    if n_gen > _WEDGE_LEAF:
+        index = _index_set(n_gen, True)
         full = np.zeros(1 << n_gen, dtype=np.complex128)
         full[index] = y
         full_lap = np.zeros(1 << n_gen, dtype=np.complex128)
         full_lap[index] = lap
-        parts = _EVEN if even else _BOTH
-        square = _wedge_blocks(full, full, n_gen, parts, parts)[index]
-        cross = _wedge_blocks(full, full_lap, n_gen, parts, parts)[index]
+        square = _wedge_blocks(full, full, n_gen, _EVEN, _EVEN)[index]
+        cross = _wedge_blocks(full, full_lap, n_gen, _EVEN, _EVEN)[index]
     else:
-        chunks = _neutral_pair_table(n_gen) if neutral else _pair_table(n_gen, 0)
+        chunks = _pair_table(n_gen, 0, True) if neutral else _pair_table(n_gen, 0)
         square, cross = [], []
         for j, k, sgn, _, seg in chunks:
             # F ^ F and F ^ Delta F share the left factor F[J] * sgn; it
@@ -171,7 +165,7 @@ def _flow_rhs(weights: np.ndarray, y: np.ndarray, n_gen: int, even: bool,
                 np.multiply(left, terms, out=terms), seg))
         square = square[0] if len(chunks) == 1 else np.concatenate(square)
         cross = cross[0] if len(chunks) == 1 else np.concatenate(cross)
-    lap_square = _laplacian_coeffs(weights, square, n_gen, even, neutral)
+    lap_square = _laplacian_coeffs(weights, square, n_gen, True, neutral)
     bil = -0.5 * (lap_square - 2.0 * cross)
     dlog = 0.5 * lap[0]
     out = 0.5 * lap + (0.5 * _BILINEAR_SIGN) * bil
@@ -191,25 +185,27 @@ def flow_states(schedule: ScaleSchedule, f0: GrassmannElement,
 
     With ``truncate_ge2`` the right-hand side is projected onto degree >= 4,
     which removes the two-point insertions while keeping the normalization
-    subtraction.  RK4 runs on the smallest carrier that holds ``f0``
-    exactly, found once from exact zeros, not from a tolerance: up to
-    ``_WEDGE_LEAF`` generators, the neutral coefficients in float64 when
-    every charged coefficient and every imaginary part of ``f0`` is exactly
-    zero; otherwise the even coefficients in complex128 when every odd one
-    is exactly zero, and all of them otherwise, so odd content that the
-    parity check tolerates is still integrated.  The yielded states are
-    full elements on every carrier.  Each step reads the rate at its
-    midpoint and end, and computes the rate's Laplacian weights once for
-    both evaluations there; the rate at the start is the previous step's
-    end.  On the neutral carrier, a rate that is not the block embedding of
-    a real kernel would move the state off it, and is refused with a
+    subtraction.  An ``f0`` whose odd coefficients are not all exactly zero
+    is refused with ``ParityError``.  RK4 runs on the smaller carrier that
+    holds ``f0`` exactly, found once from exact zeros, not from a
+    tolerance: up to ``_WEDGE_LEAF`` generators, the neutral coefficients
+    in float64 when every charged coefficient and every imaginary part of
+    ``f0`` is exactly zero, and the even coefficients in complex128
+    otherwise.  The yielded states are full elements on either carrier.
+    Each step reads the kernel ``schedule.cdot`` at its midpoint and end,
+    and computes the rate's Laplacian weights once for both evaluations
+    there; the rate at the start is the previous step's end.  A kernel
+    whose shape is not ``(pairs, pairs)`` for the pairs of ``f0`` raises
+    ``DimensionMismatchError``; on the neutral carrier a kernel with an
+    imaginary part would move the state off it, and is refused with a
     ``ValueError`` naming its scale.  A grid with a NaN or infinite time is
     refused before anything else, and an empty grid next.
     """
     grid = np.asarray(grid, dtype=float)
     if not np.isfinite(grid).all():
         raise ValueError("trajectory grid must be finite")
-    _require_even(f0, "flow_states")
+    if not _is_exactly_even(f0.coeffs):
+        raise ParityError("flow_states requires an exactly even element")
     if abs(f0.scalar_part) > _PARITY_ATOL * max(1.0, f0.max_abs()):
         raise ValueError("bare action must be normalized (zero scalar part)")
     if not grid.size:
@@ -224,24 +220,27 @@ def flow_states(schedule: ScaleSchedule, f0: GrassmannElement,
     n_gen = gens.count
     y0 = f0.coeffs.copy()
     y0[0] = 0.0
-    # found from exact zeros, not from _require_even's tolerance; RK4 keeps
-    # exact zeros exactly zero, so one inspection holds for every state
-    even = _is_exactly_even(y0)
-    neutral = even and n_gen <= _WEDGE_LEAF and _is_exactly_neutral_real(y0)
-    index = _index_set(n_gen, even, neutral)
+    # found from exact zeros; RK4 keeps exact zeros exactly zero, so one
+    # inspection holds for every state
+    neutral = n_gen <= _WEDGE_LEAF and _is_exactly_neutral_real(y0)
+    index = _index_set(n_gen, True, neutral)
     low = _popcount_table(n_gen)[index] < 4 if truncate_ge2 else None
     y = y0[index].real if neutral else y0[index]
-    half = gens.pairs
 
     def weights_at(t):
-        rate = schedule.adot(t)
-        _check_dimension(rate, f0)
-        if neutral and (np.imag(rate).any() or rate[:half, :half].any()
-                        or rate[half:, half:].any()):
+        c = schedule.cdot(t)
+        if c.shape != (gens.pairs, gens.pairs):
+            raise DimensionMismatchError(
+                f"the schedule's kernel has shape {c.shape}; the flow on "
+                f"{n_gen} generators needs ({gens.pairs}, {gens.pairs})")
+        if not neutral:
+            return _laplacian_weights(AntisymmetricCovariance._block(c),
+                                      n_gen, True)
+        if np.imag(c).any():
             raise ValueError(
                 f"the rate at scale {t:.6g} is not the block embedding of a "
                 f"real kernel, which the flow of a neutral real action needs")
-        return _laplacian_weights(rate, n_gen, even, neutral)
+        return _laplacian_weights(np.real(c), n_gen, True, True)
 
     c = 0.0 + 0.0j
     w4 = weights_at(grid[0])
@@ -252,10 +251,10 @@ def flow_states(schedule: ScaleSchedule, f0: GrassmannElement,
         w1 = w4  # the rate at the end of the previous step
         w2 = weights_at(t0 + 0.5 * h)
         w4 = weights_at(t1)
-        k1, c1 = _flow_rhs(w1, y, n_gen, even, low, neutral)
-        k2, c2 = _flow_rhs(w2, y + 0.5 * h * k1, n_gen, even, low, neutral)
-        k3, c3 = _flow_rhs(w2, y + 0.5 * h * k2, n_gen, even, low, neutral)
-        k4, c4 = _flow_rhs(w4, y + h * k3, n_gen, even, low, neutral)
+        k1, c1 = _flow_rhs(w1, y, n_gen, low, neutral)
+        k2, c2 = _flow_rhs(w2, y + 0.5 * h * k1, n_gen, low, neutral)
+        k3, c3 = _flow_rhs(w2, y + 0.5 * h * k2, n_gen, low, neutral)
+        k4, c4 = _flow_rhs(w4, y + h * k3, n_gen, low, neutral)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y[0] = 0.0
         c = c + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
@@ -269,12 +268,13 @@ def flow_integrate(schedule: ScaleSchedule, f0: GrassmannElement,
                    t_end: float | None = None) -> FlowTrajectory:
     """The trajectory of ``flow_states`` on ``steps`` uniform steps up to
     ``t_end`` (default: the schedule's upper scale): the seminorm series of
-    each state, written into its row of ``norms`` as it comes.  A negative
-    ``steps`` or a NaN or infinite ``t_end`` raises ``ValueError``; ``steps =
-    0`` gives the one-point trajectory at 0.  A series or log-normalization
-    that is not finite raises ``ResolutionError`` at its grid time, in place
-    of overflow warnings; the first time ``exp(-log_norm)`` falls below 0.1
-    is noted."""
+    each state, exactly even, from one pass over its coefficients into its
+    row of ``norms`` as it comes.  A negative ``steps`` or a NaN or infinite
+    ``t_end`` raises ``ValueError``; ``steps = 0`` gives the one-point
+    trajectory at 0.  A series or log-normalization that is not finite
+    raises ``ResolutionError`` at its grid time, in place of overflow
+    warnings; the first time ``exp(-log_norm)`` falls below 0.1 is
+    noted."""
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     end = schedule.T if t_end is None else float(t_end)
@@ -288,7 +288,7 @@ def flow_integrate(schedule: ScaleSchedule, f0: GrassmannElement,
         for i, (state, c) in enumerate(flow_states(schedule, f0, grid,
                                                    truncate_ge2)):
             t = grid[i]
-            norms[i] = norm_coefficients(state).coefficients
+            norms[i] = _norm_row(state.coeffs, f0.gens.count)
             if not (np.isfinite(c) and np.isfinite(norms[i]).all()):
                 raise ResolutionError(
                     f"the flow diverged: its seminorm series or "

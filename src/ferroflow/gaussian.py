@@ -29,9 +29,9 @@ from .algebra import (
     GrassmannElement,
     _index_set,
     _is_exactly_even,
-    _neutral_rank,
     _parity_index,
     _popcount_table,
+    _rank,
 )
 from .errors import DimensionMismatchError, GramSplitError
 
@@ -42,8 +42,8 @@ _LAPLACIAN_SIGN = -1.0
 
 @functools.cache
 def _laplacian_table(n_gen: int, even: bool, neutral: bool = False):
-    """Gather table of ``d_i d_j`` over the generator pairs ``i < j``, on
-    the index set ``_index_set(n_gen, even, neutral)`` and in its ranks.
+    """Gather table of ``d_i d_j`` over the generator pairs ``i < j`` that
+    keep the index set ``_index_set(n_gen, even, neutral)``, in its ranks.
 
     Returns ``(rows, cols, src, pair, targets, starts)``.  Pair ``p`` is
     ``(rows[p], cols[p])``.  Entry ``e`` maps the coefficient of the source
@@ -53,30 +53,16 @@ def _laplacian_table(n_gen: int, even: bool, neutral: bool = False):
     target, and the target of rank ``targets[t]`` owns the entries from
     ``starts[t]`` on; targets of degree above ``n_gen - 2`` own none.
 
-    With ``neutral``, the table is the even one's entries whose pair is a
-    psi-psibar pair ``(i, n + j)`` (``n`` pairs) and whose source is
-    neutral, in the same order: a cross pair keeps the charge, and a rate
-    that is a block embedding weighs no other pair.  Its pairs are the
-    ``n**2`` cross pairs only.
+    On the neutral masks the pairs are the ``n**2`` psi-psibar pairs ``(i,
+    n + j)``, ``n = n_gen / 2``: the ones that keep the charge, and the only
+    ones a block embedding weighs.  The entries are those of the even table
+    with such a pair and a neutral source, in the same order.
     """
-    if neutral:
-        rows, cols, src, pair, targets, starts = _laplacian_table(n_gen, True)
-        cross = np.flatnonzero((rows < n_gen // 2) & (cols >= n_gen // 2))
-        # a pair of the even table -> its cross pair, -1 for the others
-        renumber = np.full(2 * rows.size, -1)
-        renumber[cross] = np.arange(cross.size)
-        renumber[cross + rows.size] = np.arange(cross.size, 2 * cross.size)
-        masks = _index_set(n_gen, True)
-        rank = _neutral_rank(n_gen)
-        src = rank[masks[src]]
-        keep = (renumber[pair] >= 0) & (src >= 0)
-        dst = rank[masks[np.repeat(targets, np.diff(starts, append=pair.size))]]
-        dst = dst[keep]
-        starts = np.flatnonzero(np.diff(dst, prepend=-1))
-        return (rows[cross], cols[cross], src[keep], renumber[pair[keep]],
-                dst[starts], starts)
     rows, cols = np.triu_indices(n_gen, 1)
-    index = _index_set(n_gen, even)
+    if neutral:
+        cross = (rows < n_gen // 2) & (cols >= n_gen // 2)
+        rows, cols = rows[cross], cols[cross]
+    index = _index_set(n_gen, even, neutral)
     pop = _popcount_table(n_gen)
     dst_parts, src_parts, pair_parts = [], [], []
     for p, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
@@ -93,25 +79,29 @@ def _laplacian_table(n_gen: int, even: bool, neutral: bool = False):
     order = np.argsort(dst, kind="stable")
     dst = dst[order]
     starts = np.flatnonzero(np.diff(dst, prepend=-1))
-    shift = 1 if even else 0
-    return (rows, cols, np.concatenate(src_parts)[order] >> shift,
-            np.concatenate(pair_parts)[order], dst[starts] >> shift, starts)
+    rank = _rank(n_gen, even, neutral)
+    return (rows, cols, rank[np.concatenate(src_parts)[order]],
+            np.concatenate(pair_parts)[order], rank[dst[starts]], starts)
 
 
 def _laplacian_weights(a, n_gen: int, even: bool,
                        neutral: bool = False) -> np.ndarray:
     """Weight of every entry of ``_laplacian_table(n_gen, even, neutral)``
     for covariance ``a``: ``_LAPLACIAN_SIGN * (m - m.T)[i, j]`` for the
-    entry's pair, negated where ``d_i d_j`` flips the sign; with
-    ``neutral``, the real parts, which for the cross pair ``(i, n + j)`` of
-    a block embedding ``[[0, C], [-C, 0]]`` read ``C_ij + C_ji``.  A caller
-    that applies one covariance many times computes them once."""
+    entry's pair, negated where ``d_i d_j`` flips the sign.  With
+    ``neutral``, ``a`` is the real kernel ``C`` of a block embedding
+    ``[[0, C], [-C, 0]]``, whose cross pair ``(i, n + j)`` weighs
+    ``_LAPLACIAN_SIGN * (C + C.T)[i, j]``, bitwise the weight of the
+    embedding.  A caller that applies one covariance many times computes
+    them once."""
     rows, cols, _, pair, _, _ = _laplacian_table(n_gen, even, neutral)
-    # sum_ij m_ij d_i d_j keeps only the antisymmetric part of m
-    m = _as_matrix(a)
-    weight = _LAPLACIAN_SIGN * (m - m.T)[rows, cols]
     if neutral:
-        weight = weight.real
+        c = np.asarray(a, dtype=float)
+        weight = _LAPLACIAN_SIGN * (c + c.T)[rows, cols - n_gen // 2]
+    else:
+        # sum_ij m_ij d_i d_j keeps only the antisymmetric part of m
+        m = _as_matrix(a)
+        weight = _LAPLACIAN_SIGN * (m - m.T)[rows, cols]
     return np.concatenate((weight, -weight))[pair]
 
 

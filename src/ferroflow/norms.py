@@ -93,14 +93,19 @@ def norm_coefficients(f: GrassmannElement) -> NormSeries:
     refuses raises ``ParityError``.
     """
     _require_even(f, "norm_coefficients")
-    n_gen = f.gens.count
-    n = f.gens.pairs
+    return NormSeries(_norm_row(f.coeffs, f.gens.count))
+
+
+def _norm_row(coeffs: np.ndarray, n_gen: int) -> np.ndarray:
+    """The seminorm coefficients ``F_1 .. F_n`` of a raw coefficient array
+    of ``n_gen`` generators as a float64 row, from one ``np.abs`` pass; its
+    odd coefficients are not read."""
+    n = n_gen // 2
     subsets, bins = _norm_table(n_gen)
-    sums = np.bincount(bins, weights=np.abs(f.coeffs)[subsets],
+    sums = np.bincount(bins, weights=np.abs(coeffs)[subsets],
                        minlength=n_gen * (n_gen + 1)).reshape(n_gen, n_gen + 1)
     per_m = sums[:, 2: 2 * n + 1: 2] / (2.0 * np.arange(1, n + 1))
-    best = np.max(per_m, axis=0, initial=0.0)
-    return NormSeries(best)
+    return np.max(per_m, axis=0, initial=0.0)
 
 
 def convergence_radius(series0: NormSeries) -> float:

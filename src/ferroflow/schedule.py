@@ -6,7 +6,8 @@ builds the kernel supplies: the kernel integral ``c_between(s, t)`` of
 ``cdot`` and the Gram parameter ``sigma_between(s, t)``, the integral of a
 rate dominating ``4 max_i cdot(tau)_ii`` (``from_cdot`` supplies both by
 Simpson quadrature).  The rate matrix ``Adot(tau)`` is the block embedding
-of ``cdot(tau)``, and every slice covariance is the block embedding of
+of ``cdot(tau)``; the schedule serves the kernel (``ScaleSchedule.cdot``),
+not the embedding, and every slice covariance is the block embedding of
 ``c_between``.  The schedule integrates only the rate it derives itself,
 the norm of ``Adot`` behind the rescaled time, in one cumulative table
 built on ``[0, T]`` on first use and certified by doubling at every even
@@ -198,14 +199,15 @@ class ScaleSchedule:
 
     ``cdot(tau)`` is the symmetric positive-semidefinite ``pairs x pairs``
     scale derivative of the covariance kernel; for a 1-D array of scales it
-    returns the kernels stacked along axis 0.  The rate matrix is its block
-    embedding ``[[0, C], [-C, 0]]``.  The builder supplies the slice
-    integrals for ``0 <= s <= t <= T``: ``c_between(s, t)`` is the integral
-    of ``cdot`` over ``[s, t]``, exactly zero when ``s == t``, and the
-    split of every slice is ``(c_between(s, t), 0)``; ``sigma_between(s,
-    t)``, broadcast over arrays of scales, is the Gram parameter
-    ``sigma^2``, the integral of a rate dominating ``4 max_i cdot_ii``.
-    Only the rescaled time is integrated here.  ``T`` must be finite.
+    returns the kernels stacked along axis 0, and the schedule serves it as
+    ``cdot``.  The rate matrix is its block embedding ``[[0, C], [-C,
+    0]]``.  The builder supplies the slice integrals for ``0 <= s <= t <=
+    T``: ``c_between(s, t)`` is the integral of ``cdot`` over ``[s, t]``,
+    exactly zero when ``s == t``, and the split of every slice is
+    ``(c_between(s, t), 0)``; ``sigma_between(s, t)``, broadcast over
+    arrays of scales, is the Gram parameter ``sigma^2``, the integral of a
+    rate dominating ``4 max_i cdot_ii``.  Only the rescaled time is
+    integrated here.  ``T`` must be finite.
     """
 
     def __init__(self, cdot: Callable, T: float, pairs: int,
@@ -237,15 +239,17 @@ class ScaleSchedule:
 
     # -- pointwise access ----------------------------------------------------
 
-    def adot(self, tau: float) -> np.ndarray:
-        """Rate matrix at a scale: the block embedding of ``cdot(tau)``."""
-        return AntisymmetricCovariance._block(np.asarray(self._cdot(tau)))
+    def cdot(self, tau):
+        """The kernel's scale derivative ``C`` at a scale, or the kernels
+        stacked along axis 0 at a 1-D array of scales; the rate matrix is
+        its block embedding ``[[0, C], [-C, 0]]``."""
+        return np.asarray(self._cdot(tau))
 
     def adot_norm_at(self, tau):
         """Max-row-sum norm of the rate matrix at a scale or at a 1-D array
         of scales: ``max_i sum_j |C_ij|`` over the kernel or the stacked
         kernels, which is the norm of the block embedding."""
-        c = np.asarray(self._cdot(tau))
+        c = self.cdot(tau)
         return np.max(np.sum(np.abs(c), axis=-1), axis=-1)
 
     # -- integrals -----------------------------------------------------------

@@ -9,6 +9,7 @@ from ferroflow.instances import (  # noqa: F401  (test modules import them from 
 )
 from ferroflow.algebra import GrassmannElement, wedge
 from ferroflow.flow import flow_states
+from ferroflow.gaussian import AntisymmetricCovariance
 from ferroflow.psi4 import Psi4Params, build_desk_instance
 from ferroflow.schedule import ScaleSchedule
 
@@ -54,6 +55,12 @@ def gram_rate_of(cdot):
     or over an array of scales."""
     return lambda tau: 4.0 * np.max(
         np.diagonal(cdot(tau), axis1=-2, axis2=-1), axis=-1)
+
+
+def rate_at(schedule, t):
+    """The schedule's rate matrix at scale ``t``: the block embedding
+    ``[[0, C], [-C, 0]]`` of its kernel ``C = schedule.cdot(t)``."""
+    return AntisymmetricCovariance._block(schedule.cdot(t))
 
 
 def count_rate_norm_calls(monkeypatch) -> dict:

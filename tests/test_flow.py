@@ -10,10 +10,8 @@ from ferroflow.algebra import (
     GeneratorSet,
     GrassmannElement,
     _index_set,
-    _is_exactly_even,
-    _neutral_pair_table,
-    _neutral_rank,
     _pair_table,
+    _rank,
     merge_sign,
     parity_magnitudes,
     wedge,
@@ -32,7 +30,7 @@ from ferroflow.flow import (
     flow_states,
     rg_map,
 )
-from ferroflow import flow, schedule
+from ferroflow import algebra, flow, gaussian, schedule
 from ferroflow.cli import main
 from ferroflow.gaussian import (
     _laplacian_table,
@@ -51,6 +49,7 @@ from conftest import (
     rand_antisymmetric,
     rand_element,
     rand_even_normalized,
+    rate_at,
     states_on,
     synthetic_schedule,
     taylor_by_wedge,
@@ -77,15 +76,15 @@ def flow_rhs_by_generators(rate, coeffs, gens, truncate_ge2):
     return out, 0.5 * lap[0]
 
 
-def flow_rhs_on_full(rate, coeffs, gens, truncate_ge2, even):
-    """``_flow_rhs`` on a full coefficient vector: the coefficients are
-    gathered onto the right-hand side's index set and dF is scattered
+def flow_rhs_on_full(rate, coeffs, gens, truncate_ge2):
+    """``_flow_rhs`` on the full coefficient vector of an even element: the
+    coefficients are gathered onto the even masks and dF is scattered
     back."""
-    index = _index_set(gens.count, even)
+    index = _index_set(gens.count, True)
     low = popcounts(gens.dim, gens.count)[index] < 4 if truncate_ge2 else None
     out = np.zeros(gens.dim, dtype=complex)
-    out[index], dlog = _flow_rhs(_laplacian_weights(rate, gens.count, even),
-                                 coeffs[index], gens.count, even, low)
+    out[index], dlog = _flow_rhs(_laplacian_weights(rate, gens.count, True),
+                                 coeffs[index], gens.count, low)
     return out, dlog
 
 
@@ -116,7 +115,7 @@ def rk4_by_product_rule(schedule, f0, grid, truncate_ge2):
     for i in range(len(grid) - 1):
         t0, t1 = grid[i], grid[i + 1]
         h = t1 - t0
-        a1, a2, a4 = (schedule.adot(t) for t in (t0, t0 + 0.5 * h, t1))
+        a1, a2, a4 = (rate_at(schedule, t) for t in (t0, t0 + 0.5 * h, t1))
         k1, c1 = flow_rhs_by_product_rule(a1, y, f0.gens, truncate_ge2)
         k2, c2 = flow_rhs_by_product_rule(a2, y + 0.5 * h * k1, f0.gens,
                                           truncate_ge2)
@@ -148,8 +147,7 @@ class TestFlowRhs:
             rate = rng.normal(size=(n_gen, n_gen)) + 1j * rng.normal(size=(n_gen, n_gen))
         else:
             rate = rand_antisymmetric(rng, n_gen)
-        got, got_dlog = flow_rhs_on_full(rate, f.coeffs, g, truncate,
-                                         _is_exactly_even(f.coeffs))
+        got, got_dlog = flow_rhs_on_full(rate, f.coeffs, g, truncate)
         want, want_dlog = flow_rhs_by_generators(rate, f.coeffs, g, truncate)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert got_dlog == want_dlog
@@ -209,18 +207,19 @@ def charges(n_gen):
 
 @pytest.mark.parametrize("n_gen", [2, 4, 8, 12])
 def test_neutral_tables_own_the_neutral_masks(n_gen):
-    # the neutral set, its ranks, and the two tables filtered from the even
-    # ones: the pairs of two neutral masks, whose unions are the neutral set
-    # in rank order, and the psi-psibar entries of the Laplacian
+    # the neutral set, its ranks, and the two tables built on it: the pairs
+    # of two neutral masks, whose unions are the neutral set in rank order,
+    # and the psi-psibar entries of the Laplacian, which are the even
+    # table's entries with a cross pair and a neutral source
     n = n_gen // 2
     index = _index_set(n_gen, True, True)
     assert np.array_equal(index, np.flatnonzero(charges(n_gen) == 0))
     assert index.size == math.comb(n_gen, n)
-    rank = _neutral_rank(n_gen)
+    rank = _rank(n_gen, True, True)
     assert np.array_equal(rank[index], np.arange(index.size))
     assert np.all(np.delete(rank, index) == -1)
 
-    chunks = _neutral_pair_table(n_gen)
+    chunks = _pair_table(n_gen, 0, True)
     unions = np.concatenate([chunk[3] for chunk in chunks])
     assert np.array_equal(unions, index)
     count = 0
@@ -330,30 +329,19 @@ class TestNeutralCarrier:
         g = rand_even_normalized(rng, GeneratorSet(8), 0.05)
         assert len(list(flow_states(sched, g, np.linspace(0.0, 0.2, 5)))) == 5
 
-    def test_rate_off_the_block_embedding_refused(self, rng, monkeypatch):
-        sched = synthetic_schedule(rng, 4)
-        adot = sched.adot
-
-        def with_psi_psi(t):
-            rate = adot(t).copy()
-            rate[0, 1], rate[1, 0] = 1e-3, -1e-3
-            return rate
-
-        monkeypatch.setattr(sched, "adot", with_psi_psi)
-        f = quartic_bare_action(GeneratorSet(8), 0.04)
-        with pytest.raises(ValueError, match=r"rate at scale 0 is not"):
-            next(flow_states(sched, f, np.linspace(0.0, 0.2, 5)))
-
 
 @pytest.fixture
 def tables_asked(monkeypatch):
     """The generator counts at which the flow asks for the even x even and
     for the neutral pair table, from now on."""
     asked = {"even": [], "neutral": []}
-    for key, name in (("even", "_pair_table"), ("neutral", "_neutral_pair_table")):
-        table = getattr(flow, name)
-        monkeypatch.setattr(flow, name, lambda n_gen, *block, table=table, key=key: (
-            asked[key].append(n_gen), table(n_gen, *block))[1])
+    table = flow._pair_table
+
+    def asking(n_gen, block, *neutral):
+        asked["neutral" if any(neutral) else "even"].append(n_gen)
+        return table(n_gen, block, *neutral)
+
+    monkeypatch.setattr(flow, "_pair_table", asking)
     return asked
 
 
@@ -365,6 +353,51 @@ def test_cli_flows_run_on_the_neutral_carrier(tmp_path, capsys, tables_asked):
     tables_asked["neutral"].clear()
     assert main(["verify"]) == 0
     assert tables_asked == {"even": [], "neutral": [8] * 4 * 200}
+
+
+@pytest.fixture
+def fresh_tables():
+    """Every cached table of ``algebra`` and ``gaussian`` emptied before and
+    after the test, so that it sees each table built."""
+    def clear():
+        for module in (algebra, gaussian):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_neutral_flow_builds_no_even_table(rng, monkeypatch, fresh_tables):
+    # the neutral tables are built on the neutral masks, not filtered from
+    # the even x even pair block (4.3 MB at 12 generators) or the even
+    # Laplacian table, so a 12-generator neutral flow asks for neither
+    asked = []
+
+    def wrap(module, name):
+        table = getattr(module, name)
+
+        def asking(n_gen, first, *neutral):
+            asked.append((name, n_gen, first, any(neutral)))
+            return table(n_gen, first, *neutral)
+
+        monkeypatch.setattr(module, name, asking)
+
+    wrap(algebra, "_pair_table")
+    wrap(flow, "_pair_table")
+    wrap(gaussian, "_laplacian_table")
+    gens = GeneratorSet(12)
+    sched = synthetic_schedule(rng, 6)
+    for f in (quartic_bare_action(gens, 0.04),
+              neutral_real_action(rng, gens, 0.4 / 12)):
+        last = states_on(sched, f, np.linspace(0.0, 0.1, 3))[-1]
+        assert np.max(np.abs(last.coeffs - f.coeffs)) > 0.0
+    assert ("_pair_table", 12, 0, True) in asked
+    assert ("_laplacian_table", 12, True, True) in asked
+    assert ("_pair_table", 12, 0, False) not in asked
+    assert ("_laplacian_table", 12, True, False) not in asked
 
 
 class TestRgMap:
@@ -563,14 +596,14 @@ class TestFlowIntegrate:
     def test_one_rate_evaluation_per_node(self, rng, monkeypatch):
         sched = synthetic_schedule(rng, 2)
         bare = quartic_bare_action(GeneratorSet(4), 0.05)
-        adot = sched.adot
+        cdot = sched.cdot
         calls = []
 
         def counted(t):
             calls.append(t)
-            return adot(t)
+            return cdot(t)
 
-        monkeypatch.setattr(sched, "adot", counted)
+        monkeypatch.setattr(sched, "cdot", counted)
         flow_integrate(sched, bare, steps=10, t_end=0.5)
         assert len(calls) == 2 * 10 + 1
 
@@ -644,7 +677,7 @@ class TestFlowIntegrate:
 
 def with_tolerated_odd_content(rng, gens):
     """A real normalized even action plus real odd content at half the
-    parity tolerance of ``rg_map`` and ``flow_integrate`` (1e-12 relative)."""
+    parity tolerance of ``rg_map`` (1e-12 relative)."""
     f = rand_even_normalized(rng, gens, 0.05)
     odd = rand_element(rng, gens, complex_coeffs=False).coeffs.copy()
     odd[popcounts(gens.dim, gens.count) % 2 == 0] = 0.0
@@ -661,28 +694,18 @@ class TestExactParity:
             assert np.all(state.coeffs[odd] == 0.0)
 
     def test_tolerated_odd_content_keeps_every_block(self, rng):
-        # odd content that _require_even admits must still be multiplied:
-        # the flow and rg_map agree with RK4 and rg_map through all four
-        # parity blocks
+        # odd content that _require_even admits is refused by the flow,
+        # whose carriers hold even states only, and rg_map still multiplies
+        # it: rg_map agrees with its series through all four parity blocks
         gens = GeneratorSet(8)
         sched = synthetic_schedule(rng, 4)
         f = with_tolerated_odd_content(rng, gens)
         odd = popcounts(gens.dim, gens.count) % 2 == 1
-        grid = np.linspace(0.0, 1.0, 11)
-        states = states_on(sched, f, grid)
-        y = f.coeffs.copy()
-        for i in range(len(grid) - 1):
-            t0, h = grid[i], grid[i + 1] - grid[i]
-            a1, a2, a4 = sched.adot(t0), sched.adot(t0 + 0.5 * h), sched.adot(t0 + h)
-            k1, _ = flow_rhs_on_full(a1, y, gens, False, even=False)
-            k2, _ = flow_rhs_on_full(a2, y + 0.5 * h * k1, gens, False, even=False)
-            k3, _ = flow_rhs_on_full(a2, y + 0.5 * h * k2, gens, False, even=False)
-            k4, _ = flow_rhs_on_full(a4, y + h * k3, gens, False, even=False)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            y[0] = 0.0
-            assert np.max(np.abs(states[i + 1].coeffs - y)) <= 1e-14
-        # the odd part moves by more than five times the tolerance of the check
-        assert np.max(np.abs(y[odd] - f.coeffs[odd])) > 5e-14
+        with pytest.raises(ParityError, match="flow_states requires an "
+                           "exactly even element"):
+            next(flow_states(sched, f, np.linspace(0.0, 1.0, 11)))
+        with pytest.raises(ParityError):
+            flow_integrate(sched, f, steps=10, t_end=1.0)
 
         # rg_map against -log(heat kernel(exp(-f))) with the series of exp
         # and log summed through the public wedge

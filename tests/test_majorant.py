@@ -22,7 +22,7 @@ from ferroflow.majorant import (
     rhs_coefficient_bound,
     _gamma_factor,
 )
-from ferroflow.norms import NormSeries, norm_coefficients
+from ferroflow.norms import NormSeries
 from ferroflow.psi4 import quartic_bare_action
 from ferroflow.schedule import ScaleSchedule, _simpson_values, simpson_refine
 
@@ -846,12 +846,13 @@ class TestCoefficientBound:
         sched = synthetic_schedule(rng, 4)
         bare = quartic_bare_action(GeneratorSet(8), 0.04)
         calls = []
+        row = flow_module._norm_row
 
-        def counting(state):
-            calls.append(state)
-            return norm_coefficients(state)
+        def counting(coeffs, n_gen):
+            calls.append(coeffs)
+            return row(coeffs, n_gen)
 
-        monkeypatch.setattr(flow_module, "norm_coefficients", counting)
+        monkeypatch.setattr(flow_module, "_norm_row", counting)
         traj = flow_integrate(sched, bare, steps=30, t_end=1.0)
         assert len(calls) == len(traj.grid) == 31
         for i in (10, 20, 30):

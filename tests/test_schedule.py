@@ -14,7 +14,7 @@ from ferroflow.schedule import (
 )
 
 from conftest import (count_rate_norm_calls, desk_instance, gram_rate_of,
-                      synthetic_schedule)
+                      rate_at, synthetic_schedule)
 
 
 class TestSimpson:
@@ -52,7 +52,7 @@ class TestSimpson:
 class TestScaleSchedule:
     def test_rate_is_antisymmetric_block(self, rng):
         sched = synthetic_schedule(rng, 3)
-        a = sched.adot(0.3)
+        a = rate_at(sched, 0.3)
         assert np.max(np.abs(a + a.T)) < 1e-14
         assert np.all(a[:3, :3] == 0.0)
 
@@ -63,7 +63,7 @@ class TestScaleSchedule:
         assert np.max(np.abs(whole - parts)) < 1e-10
 
     def test_covariance_against_analytic_integral(self):
-        # adot entries with a known antiderivative
+        # kernel entries with a known antiderivative
         c0 = np.array([[1.0, 0.2], [0.2, 0.5]])
 
         def cdot(tau):
@@ -89,7 +89,7 @@ class TestScaleSchedule:
         t1 = sched.tau(0.3)
         t2 = sched.tau(1.0)
         assert 0.0 <= t1 <= t2
-        mid = simpson_refine(lambda s: matrix_norm_1inf(sched.adot(s)), 0.3, 1.0)
+        mid = simpson_refine(lambda s: matrix_norm_1inf(rate_at(sched, s)), 0.3, 1.0)
         assert t1 + np.real(mid) == pytest.approx(t2, abs=1e-10)
 
     def test_scalar_only_kernels_name_the_contract(self):
@@ -98,7 +98,7 @@ class TestScaleSchedule:
         c0 = np.array([[0.3, 0.1], [0.1, 0.2]])
         sched = ScaleSchedule.from_cdot(lambda t: c0, T=1.0, pairs=2,
                                         gram_rate=lambda t: 1.2)
-        assert np.array_equal(sched.adot(0.5)[:2, 2:], c0)
+        assert np.array_equal(rate_at(sched, 0.5)[:2, 2:], c0)
         assert np.allclose(sched.covariance(0.0, 0.5).c_plus, 0.5 * c0)
         contract = "map a 1-D array of scales to values stacked along axis 0"
         with pytest.raises(ValueError, match=f"cdot must {contract}"):
@@ -297,7 +297,7 @@ class TestArrayQueries:
         xs = np.concatenate([np.linspace(0.0, sched.T, 33),
                              rng.uniform(0.0, sched.T, 40)])
         got = sched.adot_norm_at(xs)
-        want = [matrix_norm_1inf(sched.adot(float(x))) for x in xs]
+        want = [matrix_norm_1inf(rate_at(sched, float(x))) for x in xs]
         assert got.shape == xs.shape
         np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
 
@@ -325,7 +325,7 @@ class TestArrayQueries:
         for j in (-1, -2, -3):
             x = float(xs[j])
             want_tau = simpson_refine(
-                lambda s: matrix_norm_1inf(sched.adot(s)), 0.0, x)
+                lambda s: matrix_norm_1inf(rate_at(sched, s)), 0.0, x)
             want_sig = simpson_refine(gram_rate_of(sched._cdot), 0.0, x,
                                       vectorized=True)
             assert got_tau[j] == pytest.approx(np.real(want_tau), rel=1e-10)
