@@ -92,17 +92,21 @@ def _laplacian_weights(a, n_gen: int, even: bool,
     ``neutral``, ``a`` is the real kernel ``C`` of a block embedding
     ``[[0, C], [-C, 0]]``, whose cross pair ``(i, n + j)`` weighs
     ``_LAPLACIAN_SIGN * (C + C.T)[i, j]``, bitwise the weight of the
-    embedding.  A caller that applies one covariance many times computes
-    them once."""
+    embedding.  A matrix gives one row of weights, and a stack of shape
+    ``(..., dim, dim)`` (an array, not an ``AntisymmetricCovariance``) one
+    row per matrix, each bitwise the row of that matrix alone.  A caller
+    that applies one covariance many times computes them once."""
     rows, cols, _, pair, _, _ = _laplacian_table(n_gen, even, neutral)
     if neutral:
         c = np.asarray(a, dtype=float)
-        weight = _LAPLACIAN_SIGN * (c + c.T)[rows, cols - n_gen // 2]
+        weight = _LAPLACIAN_SIGN * (c + c.swapaxes(-1, -2))[
+            ..., rows, cols - n_gen // 2]
     else:
         # sum_ij m_ij d_i d_j keeps only the antisymmetric part of m
         m = _as_matrix(a)
-        weight = _LAPLACIAN_SIGN * (m - m.T)[rows, cols]
-    return np.concatenate((weight, -weight))[pair]
+        weight = _LAPLACIAN_SIGN * (m - m.swapaxes(-1, -2))[..., rows, cols]
+    # take, not [..., pair]: a stack's rows come out contiguous
+    return np.concatenate((weight, -weight), axis=-1).take(pair, axis=-1)
 
 
 def _laplacian_coeffs(weights: np.ndarray, y: np.ndarray, n_gen: int,
@@ -153,10 +157,13 @@ class AntisymmetricCovariance:
 
     @staticmethod
     def _block(c: np.ndarray) -> np.ndarray:
-        n = c.shape[0]
-        a = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        a[:n, n:] = c
-        a[n:, :n] = -c
+        """The block embedding ``[[0, C], [-C, 0]]`` of a kernel ``C``, or
+        of each kernel of a stack of shape ``(..., n, n)``, in
+        complex128."""
+        n = c.shape[-1]
+        a = np.zeros(c.shape[:-2] + (2 * n, 2 * n), dtype=np.complex128)
+        a[..., :n, n:] = c
+        a[..., n:, :n] = -c
         return a
 
     @classmethod

@@ -4,18 +4,34 @@ None of these is reached by the CLI: the left derivative, Berezin
 integration, the double translation and the one-matrix Pfaffian loop check
 the Gaussian calculus, the
 majorant's value by Newton inversion of the characteristic map checks the
-series reversion of ``majorant_coefficients``, and step halving checks the
-RK4 steps of ``flow_integrate``.  Test modules import them as they import
-``conftest``.
+series reversion of ``majorant_coefficients``, step halving checks the
+RK4 steps of ``flow_integrate``, and RK4 with the rate read one scale at a
+time checks the block reads of ``flow_states``.  Test modules import them
+as they import ``conftest``.
 """
 
 import math
 
 import numpy as np
 
-from ferroflow.algebra import GeneratorSet, GrassmannElement, _deriv_table, merge_sign
+from ferroflow.algebra import (
+    _WEDGE_LEAF,
+    GeneratorSet,
+    GrassmannElement,
+    _deriv_table,
+    _index_set,
+    _is_exactly_neutral_real,
+    _popcount_table,
+    merge_sign,
+)
 from ferroflow.errors import ExistenceError
-from ferroflow.flow import FlowTrajectory, flow_integrate, flow_states
+from ferroflow.flow import (
+    FlowTrajectory,
+    _flow_rhs,
+    flow_integrate,
+    flow_states,
+)
+from ferroflow.gaussian import AntisymmetricCovariance, _laplacian_weights
 from ferroflow.majorant import CharacteristicSolution, MajorantSpec, existence_check
 
 
@@ -170,3 +186,46 @@ def step_halving_flow(schedule, f0, steps: int, t_end: float,
     traj.notes.append(
         f"step-halving certificate: dev(h/2)={dev:.3e}, dev(h/4)={dev2:.3e}")
     return traj
+
+
+def flow_states_by_node(schedule, f0, grid, truncate_ge2: bool = False):
+    """The ``(state, log_norm)`` pairs of ``flow_states`` on ``grid`` from
+    RK4 on the same carrier and right-hand side, with the kernel read one
+    scale at a time: at the start of the grid, then at every step's
+    midpoint and end, each read followed by its own Laplacian weights.  It
+    checks none of the inputs that ``flow_states`` refuses."""
+    gens = f0.gens
+    n_gen = gens.count
+    y0 = f0.coeffs.copy()
+    y0[0] = 0.0
+    neutral = n_gen <= _WEDGE_LEAF and _is_exactly_neutral_real(y0)
+    index = _index_set(n_gen, True, neutral)
+    low = _popcount_table(n_gen)[index] < 4 if truncate_ge2 else None
+    y = y0[index].real if neutral else y0[index]
+
+    def weights_at(t):
+        c = schedule.cdot(t)
+        if not neutral:
+            return _laplacian_weights(AntisymmetricCovariance._block(c),
+                                      n_gen, True)
+        return _laplacian_weights(np.real(c), n_gen, True, True)
+
+    c = 0.0 + 0.0j
+    w4 = weights_at(grid[0])
+    yield GrassmannElement(gens, y0), c
+    for i in range(len(grid) - 1):
+        t0, t1 = grid[i], grid[i + 1]
+        h = t1 - t0
+        w1 = w4  # the rate at the end of the previous step
+        w2 = weights_at(t0 + 0.5 * h)
+        w4 = weights_at(t1)
+        k1, c1 = _flow_rhs(w1, y, n_gen, low, neutral)
+        k2, c2 = _flow_rhs(w2, y + 0.5 * h * k1, n_gen, low, neutral)
+        k3, c3 = _flow_rhs(w2, y + 0.5 * h * k2, n_gen, low, neutral)
+        k4, c4 = _flow_rhs(w4, y + h * k3, n_gen, low, neutral)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y[0] = 0.0
+        c = c + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        state = np.zeros(1 << n_gen, dtype=np.complex128)
+        state[index] = y
+        yield GrassmannElement(gens, state), c

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -55,7 +56,7 @@ from conftest import (
     taylor_by_wedge,
     uniform_grid,
 )
-from oracles import derivative, step_halving_flow
+from oracles import derivative, flow_states_by_node, step_halving_flow
 
 
 def flow_rhs_by_generators(rate, coeffs, gens, truncate_ge2):
@@ -316,18 +317,28 @@ class TestNeutralCarrier:
 
     def test_complex_rate_refused_by_scale(self, rng):
         # a kernel with an imaginary part from scale 0.1 on: the neutral
-        # real carrier cannot hold the state it would drive
+        # real carrier cannot hold the state it would drive.  0.1 is the
+        # fourth scale of the only block of 4 steps of 0.05, and the fourth
+        # of the second block of 40 steps of 0.01: the states of the start
+        # and of the first block are yielded, none of the second's
         base = synthetic_schedule(rng, 4)
         sched = ScaleSchedule(
-            lambda t: base._cdot(t) * (1.0 + 1e-3j * (np.asarray(t) >= 0.1)),
+            lambda t: base._cdot(t) * (
+                1.0 + 1e-3j * (np.asarray(t) >= 0.1)[..., None, None]),
             T=1.0, pairs=4, c_between=base._c_between,
             sigma_between=base._sigma_between)
         f = quartic_bare_action(GeneratorSet(8), 0.04)
-        with pytest.raises(ValueError, match=r"rate at scale 0\.1 is not"):
-            list(flow_states(sched, f, np.linspace(0.0, 0.2, 5)))
-        # the even carrier integrates the same schedule
         g = rand_even_normalized(rng, GeneratorSet(8), 0.05)
-        assert len(list(flow_states(sched, g, np.linspace(0.0, 0.2, 5)))) == 5
+        for steps, h, yielded in ((4, 0.05, 1), (40, 0.01, 9)):
+            grid = np.linspace(0.0, h * steps, steps + 1)
+            got = []
+            with pytest.raises(ValueError,
+                               match=r"rate at scale 0\.1 is not"):
+                for state in flow_states(sched, f, grid):
+                    got.append(state)
+            assert len(got) == yielded
+            # the even carrier integrates the same schedule
+            assert len(list(flow_states(sched, g, grid))) == steps + 1
 
 
 @pytest.fixture
@@ -353,6 +364,95 @@ def test_cli_flows_run_on_the_neutral_carrier(tmp_path, capsys, tables_asked):
     tables_asked["neutral"].clear()
     assert main(["verify"]) == 0
     assert tables_asked == {"even": [], "neutral": [8] * 4 * 200}
+
+
+def test_cli_flows_read_the_kernel_in_blocks(tmp_path, capsys, monkeypatch):
+    # flow at the defaults and verify's 8-generator quartic flow read their
+    # rates an array of scales at a time: a read at one scale, 2 * steps + 1
+    # of them per trajectory, would cost their speed silently
+    scales = []
+    cdot = ScaleSchedule.cdot
+
+    def reading(self, tau):
+        scales.append(np.ndim(tau))
+        return cdot(self, tau)
+
+    monkeypatch.setattr(ScaleSchedule, "cdot", reading)
+    assert main(["flow", "--out", str(tmp_path / "flow.csv")]) == 0
+    assert main(["verify"]) == 0
+    assert scales and 0 not in scales
+
+
+class TestBlockRead:
+    @staticmethod
+    def off_the_neutral_carrier(f):
+        # one charged coefficient of 1e-300 sends RK4 to the even carrier
+        c = f.coeffs.copy()
+        c[0b11] = 1e-300  # psi_0 psi_1
+        return GrassmannElement(f.gens, c)
+
+    @pytest.mark.parametrize("carrier", ["neutral", "even"])
+    @pytest.mark.parametrize("instance", ["desk-2", "desk-3", "desk-4",
+                                          "desk-5", "desk-6", "synthetic-8"])
+    def test_matches_reads_one_scale_at_a_time(self, instance, carrier):
+        # a stacked desk kernel differs from the kernel at one scale by up
+        # to 4.3e-16 of its largest entry; on one full block and a partial
+        # one the states moved by at most 6.8e-18 of the largest coefficient
+        kind, n = instance.split("-")
+        steps = flow._BLOCK_STEPS + 3
+        if kind == "desk":
+            inst = desk_instance(int(n))
+            sched, f = inst.schedule, inst.bare_action
+            grid = uniform_grid(steps, 2.0)
+        else:  # verify's flow
+            rng = np.random.Generator(np.random.Philox(42))
+            sched = synthetic_schedule(rng, 4)
+            f = quartic_bare_action(GeneratorSet(8), 0.02)
+            grid = uniform_grid(steps, 1.0)
+        if carrier == "even":
+            f = self.off_the_neutral_carrier(f)
+        got = list(flow_states(sched, f, grid))
+        want = list(flow_states_by_node(sched, f, grid))
+        assert len(got) == len(want) == steps + 1
+        for (state, c), (want_state, want_c) in zip(got, want):
+            scale = np.max(np.abs(want_state.coeffs))
+            assert np.max(np.abs(state.coeffs - want_state.coeffs)) <= \
+                1e-15 * scale
+            assert abs(c - want_c) <= 1e-15 * max(1.0, abs(want_c))
+        assert np.max(np.abs(got[-1][0].coeffs - f.coeffs)) > 0.0
+
+    def test_constant_kernel_holds_over_the_block(self):
+        # a kernel that does not depend on the scale returns one matrix for
+        # an array of scales; the flow takes it as the same rate at each
+        c0 = 0.1 * np.array([[1.0, 0.2], [0.2, 0.5]])
+
+        def schedule(cdot):
+            return ScaleSchedule(cdot, T=1.0, pairs=2,
+                                 c_between=lambda s, t: (t - s) * c0,
+                                 sigma_between=lambda s, t: 2.0 * (t - s))
+
+        f = quartic_bare_action(GeneratorSet(4), 0.05)
+        grid = uniform_grid(steps=flow._BLOCK_STEPS + 3, t_end=1.0)
+        constant = list(flow_states(schedule(lambda t: c0), f, grid))
+        stacked = list(flow_states(schedule(
+            lambda t: np.broadcast_to(c0, np.shape(t) + c0.shape)), f, grid))
+        assert len(constant) == len(grid)
+        for (state, c), (want, want_c) in zip(constant, stacked):
+            assert bitwise_equal(state.coeffs, want.coeffs)
+            assert bitwise_equal(c, want_c)
+        assert np.max(np.abs(constant[-1][0].coeffs - f.coeffs)) > 0.0
+
+    @pytest.mark.parametrize("shape", [(1, 3, 3), (3, 3), (2, 2, 2, 2), (2,)])
+    def test_kernel_of_another_shape_named(self, shape):
+        # a stack of kernels on one pair more, or a shape that is neither a
+        # stack nor one kernel, for the two pairs of f0
+        sched = ScaleSchedule(lambda t: np.zeros(shape), T=1.0, pairs=2,
+                              c_between=lambda s, t: np.zeros((2, 2)),
+                              sigma_between=lambda s, t: 0.0)
+        f = quartic_bare_action(GeneratorSet(4), 0.05)
+        with pytest.raises(DimensionMismatchError,
+                           match=re.escape(f"kernel has shape {shape}")):
+            flow_integrate(sched, f, steps=4, t_end=1.0)
 
 
 @pytest.fixture
@@ -594,6 +694,8 @@ class TestFlowIntegrate:
         assert any("certificate" in note for note in traj.notes)
 
     def test_one_rate_evaluation_per_node(self, rng, monkeypatch):
+        # the kernel is read at every node and midpoint once, in time order,
+        # a block of steps per call
         sched = synthetic_schedule(rng, 2)
         bare = quartic_bare_action(GeneratorSet(4), 0.05)
         cdot = sched.cdot
@@ -604,8 +706,15 @@ class TestFlowIntegrate:
             return cdot(t)
 
         monkeypatch.setattr(sched, "cdot", counted)
-        flow_integrate(sched, bare, steps=10, t_end=0.5)
-        assert len(calls) == 2 * 10 + 1
+        for steps in (1, 8, 10, 17):
+            calls.clear()
+            flow_integrate(sched, bare, steps=steps, t_end=0.5)
+            grid = uniform_grid(steps, 0.5)
+            nodes = np.sort(np.concatenate(
+                (grid, grid[:-1] + 0.5 * np.diff(grid))))
+            assert all(np.ndim(t) == 1 for t in calls)
+            assert np.concatenate(calls).tobytes() == nodes.tobytes()
+            assert len(calls) <= -(-steps // flow._BLOCK_STEPS) + 1
 
     def test_unnormalized_bare_rejected(self, rng):
         sched = synthetic_schedule(rng, 4)

@@ -12,6 +12,7 @@ from ferroflow.gaussian import (
     laplacian,
     pfaffian,
     _LAPLACIAN_SIGN,
+    _laplacian_weights,
 )
 
 from conftest import popcounts, rand_antisymmetric, rand_element
@@ -70,6 +71,15 @@ class TestCovarianceType:
         assert np.all(cov.matrix[:2, 2:] == c)
         assert np.all(cov.matrix[2:, :2] == -c)
         assert np.all(cov.matrix[:2, :2] == 0.0)
+
+    def test_block_of_a_stack_is_each_block(self, rng):
+        c = rng.normal(size=(2, 3, 3, 3))
+        stacked = AntisymmetricCovariance._block(c)
+        assert stacked.shape == (2, 3, 6, 6)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(stacked[i, j],
+                                      AntisymmetricCovariance._block(c[i, j]))
 
     def test_split_requires_positive_definite(self):
         good = np.eye(2)
@@ -253,6 +263,30 @@ class TestLaplacianAndHeatKernel:
         want *= _LAPLACIAN_SIGN
         got = laplacian(m, f).coeffs
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_gen", [2, 4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("carrier", ["neutral", "even", "even-general"])
+    def test_stacked_weights_are_each_kernels_bitwise(self, rng, n_gen,
+                                                      carrier):
+        # the flow gathers the weights of a block of rates in one call; each
+        # row must be the bits of that rate's own weights, and contiguous:
+        # a row strided across the stack read 16 times the cache lines
+        pairs = n_gen // 2
+        kernels = rng.normal(size=(5, pairs, pairs))
+        kernels[1] = 0.0  # signed zeros of a vanishing rate keep their bits
+        if carrier == "neutral":
+            rates = kernels
+        elif carrier == "even":
+            rates = AntisymmetricCovariance._block(kernels)
+        else:  # neither antisymmetric nor real
+            rates = (rng.normal(size=(5, n_gen, n_gen))
+                     + 1j * rng.normal(size=(5, n_gen, n_gen)))
+        neutral = carrier == "neutral"
+        stacked = _laplacian_weights(rates, n_gen, True, neutral)
+        assert stacked.shape[0] == 5 and stacked.flags.c_contiguous
+        for rate, row in zip(rates, stacked):
+            assert bits(row).tobytes() == bits(
+                _laplacian_weights(rate, n_gen, True, neutral)).tobytes()
 
     def test_scalar_annihilated(self, rng):
         a = rand_antisymmetric(rng, 6)
