@@ -25,16 +25,18 @@ generator above 12 triples the cost of a product; ``verify --seed 42`` took
 2-CPU x86_64 Xeon, against a budget of 10 minutes.
 
 ``flow`` takes ``steps`` RK4 steps of the desk flow on ``2 * sites``
-generators.  One step took 0.11-0.66, 0.12-0.86, 0.14-0.76, 0.27-1.3 and
-1.3-2.5 ms at 2, 3, 4, 5 and 6 sites (best of 3 fresh-process runs of 20,
-100 and 400 steps, table builds included, in two rounds on a 2-CPU
-x86_64 Xeon shared with other work, BLAS on one thread; the low end is the
-400-step run, the high end the 20-step one, which the table builds
-dominate), and single runs took up to 0.98, 0.97, 1.1, 1.6 and 4.2 ms.
-``_STEP_SECONDS`` holds twice the slowest single runs of an earlier
-measurement (0.34, 0.48, 0.57, 1.1 and 4.3 ms), rounded up: at 6 sites it
-still covers twice the slowest run above, and at 2 to 5 sites no step
-count the validator admits reaches the budget at either cost.  A ``flow``
+generators.  One step took 0.060-0.37, 0.065-0.30 and 0.099-0.50 ms at 2,
+3 and 4 sites, where the flow runs on dense operators, and 0.27-1.3 and
+1.3-2.5 ms at 5 and 6 sites (best of 3 fresh-process runs of the desk
+instance's build and ``flow_integrate`` over 20, 100 and 400 steps, table
+builds included, in two rounds on a 2-CPU x86_64 Xeon shared with other
+work; the low end is a 400- or 100-step run, the high end the 20-step one,
+which the table builds dominate), and single runs took up to 0.40, 1.0,
+0.64, 1.6 and 4.2 ms.  ``_STEP_SECONDS`` holds twice the slowest single
+runs of an earlier measurement (0.34, 0.48, 0.57, 1.1 and 4.3 ms), rounded
+up: at 6 sites it still covers twice the slowest run above, and at 2 to 5
+sites no step count the validator admits reaches the budget at either
+cost.  A ``flow``
 config whose steps would take longer than the same 10-minute budget at
 these costs is refused with exit 4 before any computation: more than
 66,666 steps at 6 sites, and no step count the validator admits at fewer
@@ -345,8 +347,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     ok = True
     worst_margin = float("inf")
     for i in (66, 133, 200):
-        for k in range(1, 5):
-            bound = rhs_coefficient_bound(traj, sched, k, traj.grid[i])
+        bounds = rhs_coefficient_bound(traj, sched, range(1, 5), traj.grid[i])
+        for k, bound in enumerate(bounds, start=1):
             margin = bound - traj.norms[i, k - 1]
             worst_margin = min(worst_margin, margin)
             ok = ok and margin >= -1e-8

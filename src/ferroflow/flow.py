@@ -17,16 +17,23 @@ whose charged coefficients are all exactly zero, such as the quartic
 ``psibar psi psibar psi``, is carried on the neutral masks in float64 (70
 of the 128 even masks at 8 generators), any other on the even masks in
 complex128.  Each rate is read as its kernel ``C``, a block of steps at a
-time.  The sign of the quadratic term is tied to the Laplacian convention
-of :mod:`ferroflow.gaussian`; the pair is pinned by cross-validating the
-two paths against each other, which the test suite does continuously.
+time.  Up to ``_DENSE_LEAF`` generators (2 to 4 sites) the neutral
+carrier's right-hand side takes four products of dense ``S x S`` operators
+on its ``S`` masks, the rate's half-Laplacian and the matrix of ``F ^ .``;
+above it, and on the even carrier, it walks the kernel tables in chunks.
+The sign of the quadratic term is tied to the Laplacian convention of
+:mod:`ferroflow.gaussian`; the pair is pinned by cross-validating the two
+paths against each other, which the test suite does continuously.
 
 ``flow_states`` yields the states one grid time at a time; a trajectory
-keeps only their seminorm series, in one array: all that checks read.
+keeps only their seminorm series, in one array: all that checks read, each
+row read off the carrier vector.  Both come from one RK4 loop on the
+carrier.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -43,13 +50,19 @@ from .algebra import (
     _is_exactly_neutral_real,
     _pair_table,
     _popcount_table,
+    _rank,
     _require_even,
     _wedge_blocks,
     exp_of,
     log_of,
 )
 from .errors import DimensionMismatchError, LogDomainError, ParityError, ResolutionError
-from .gaussian import AntisymmetricCovariance, _laplacian_coeffs, _laplacian_weights
+from .gaussian import (
+    AntisymmetricCovariance,
+    _laplacian_coeffs,
+    _laplacian_table,
+    _laplacian_weights,
+)
 from .norms import _norm_row
 from .schedule import ScaleSchedule
 
@@ -62,8 +75,18 @@ _SCALAR_WARN_FLOOR = 0.1
 # RK4 steps whose rates are read in one call of the kernel.  The block's
 # weights are held while it runs, so its length is bounded by memory: at 5
 # sites a block of 8 steps about doubles the flow's peak traced memory, and
-# a block of 16 steps triples it
+# a block of 16 steps triples it.  On the dense path the block holds
+# 2 * _BLOCK_STEPS half-Laplacians of S x S float64 on the S neutral masks,
+# 2 * _BLOCK_STEPS * 8 * S**2 bytes: 4.6 KB, 51 KB and 627 KB at 2, 3 and 4
+# sites
 _BLOCK_STEPS = 8
+
+# Most generators whose neutral flow runs on dense S x S operators.  One
+# right-hand side at 4, 6 and 8 generators took 5.1, 5.7 and 11.0 us dense
+# and 11.1, 12.3 and 18.9 us chunked, at 10 it took 62 us dense against 46
+# (best of 15 interleaved rounds of 2,000 calls, 200 at 10, on a 2-CPU
+# x86_64 Xeon), and at 12 one block of dense operators would hold 109 MB
+_DENSE_LEAF = 8
 
 
 @dataclass
@@ -181,47 +204,74 @@ def _flow_rhs(weights: np.ndarray, y: np.ndarray, n_gen: int,
     return out, complex(dlog)
 
 
-def flow_states(schedule: ScaleSchedule, f0: GrassmannElement,
-                grid: np.ndarray, truncate_ge2: bool = False
-                ) -> Iterator[tuple[GrassmannElement, complex]]:
-    """Integrate the flow equation of the normalized effective action by
-    RK4 on the step boundaries ``grid``, yielding ``(state, log_norm)`` at
-    each grid time, ``f0`` with a zero scalar part first; each state is a
-    fresh element that the generator does not keep.
+def _dense_rhs(half: np.ndarray, y: np.ndarray, table: tuple[np.ndarray, ...],
+               low: np.ndarray | None) -> tuple[np.ndarray, complex]:
+    """``_flow_rhs`` on the neutral carrier from dense ``S x S`` operators:
+    ``half`` is the half-Laplacian ``H`` of the rate, ``y`` the coefficients
+    over the ``S`` neutral masks and ``table = _dense_table(n_gen)``.  With
+    ``M`` the matrix of ``F ^ .``, filled by one scatter of ``y[J] * sgn``,
 
-    With ``truncate_ge2`` the right-hand side is projected onto degree >= 4,
-    which removes the two-point insertions while keeping the normalization
-    subtraction.  An ``f0`` whose odd coefficients are not all exactly zero
-    is refused with ``ParityError``.  RK4 runs on the smaller carrier that
-    holds ``f0`` exactly, found once from exact zeros, not from a
-    tolerance: up to ``_WEDGE_LEAF`` generators, the neutral coefficients
-    in float64 when every charged coefficient and every imaginary part of
-    ``f0`` is exactly zero, and the even coefficients in complex128
-    otherwise.  The yielded states are full elements on either carrier.
+        h = H y,  dF = h + sign (M h - (1/2) H (M y)),  dlog = h[0],
 
-    The rate is read a block of ``_BLOCK_STEPS`` steps at a time: one call
-    of ``schedule.cdot`` on the 1-D array of the block's midpoints and
-    ends, in time order, and one stacked ``_laplacian_weights`` of its
-    kernels; the rate at a step's start is the previous step's end, and
-    the start of the grid is read alone, as an array of one scale.  Every
-    node and midpoint is read once.  A block holds ``2 * _BLOCK_STEPS``
-    rows of weights, one per entry of the carrier's Laplacian table, and
-    only the last row of the previous block: at 6 sites they raised the
-    peak traced memory of a 40-step flow from 0.8 to 1.8 MB on the neutral
-    carrier and from 2.8 to 10.4 MB on the even one.  Blocks start at every
-    ``_BLOCK_STEPS``-th step of the grid, so a rerun reads the same blocks.
-    A stacked kernel may differ from the kernel at one scale in the last
-    bits (see :mod:`ferroflow.schedule`), and the states with it.
+    the product rule of ``_flow_rhs`` with ``Delta = 2 H``.  The sums run
+    over the same terms as there, the exact zeros of ``H`` and ``M`` added
+    in, in the order of the matrix products."""
+    _, j, sgn, product = table
+    size = y.size
+    m = np.zeros(size * size)
+    m[product] = y[j] * sgn
+    m = m.reshape(size, size)
+    # ndarray.dot: the matmul ufunc costs more than the product at S = 70
+    h = half.dot(y)
+    out = h + _BILINEAR_SIGN * (m.dot(h) - 0.5 * half.dot(m.dot(y)))
+    out[0] = 0.0  # normalization: the scalar part stays exactly zero
+    if low is not None:
+        out[low] = 0.0
+    return out, complex(h[0])
 
-    A kernel that does not depend on the scale, one ``(pairs, pairs)``
-    matrix for the array, holds over the block; any other shape than
-    ``(scales, pairs, pairs)`` for the pairs of ``f0`` raises
-    ``DimensionMismatchError`` naming it.  On the neutral carrier a kernel
-    with an imaginary part would move the state off it, and is refused
-    with a ``ValueError`` naming the first such scale of its block, before
-    any state of the block is yielded.  A grid with a NaN or infinite time
-    is refused before anything else, and an empty grid next.
-    """
+
+@functools.cache
+def _dense_table(n_gen: int) -> tuple[np.ndarray, ...]:
+    """Flat positions of the dense operators of ``_dense_rhs`` on the ``S``
+    neutral masks of ``n_gen`` generators, as ``(laplacian, j, sgn,
+    product)``: entry ``e`` of ``_laplacian_table(n_gen, True, True)`` sits
+    at ``laplacian[e] = target * S + source`` of the Laplacian, and pair
+    ``p`` of ``_pair_table(n_gen, 0, True)`` puts ``y[j[p]] * sgn[p]`` at
+    ``product[p] = union * S + k[p]`` of the matrix of ``F ^ .``.  Both
+    position sets are unique: a target and a source fix the generator pair
+    that ``d_i d_j`` removes, and a union and ``K`` fix ``J``."""
+    size = _index_set(n_gen, True, True).size
+    _, _, src, _, targets, starts = _laplacian_table(n_gen, True, True)
+    laplacian = np.repeat(targets, np.diff(starts, append=src.size)) * size + src
+    chunks = _pair_table(n_gen, 0, True)
+    rank = _rank(n_gen, True, True)
+    union = np.concatenate([np.repeat(rank[unions], np.diff(seg, append=j.size))
+                            for j, _, _, unions, seg in chunks])
+    j, k, sgn = (np.concatenate([chunk[i] for chunk in chunks])
+                 for i in range(3))
+    return laplacian, j, sgn, union * size + k
+
+
+def _half_laplacians(weights: np.ndarray, n_gen: int) -> np.ndarray:
+    """The dense half-Laplacians ``H`` of ``_dense_rhs`` on the ``S``
+    neutral masks of ``n_gen`` generators, for rows of weights
+    ``_laplacian_weights(c, n_gen, True, True)``: one scatter of ``weights
+    / 2`` to the positions ``_dense_table(n_gen)[0]``, shape ``(rows, S,
+    S)``."""
+    size = _index_set(n_gen, True, True).size
+    half = np.zeros((len(weights), size * size))
+    half[:, _dense_table(n_gen)[0]] = 0.5 * weights
+    return half.reshape(len(weights), size, size)
+
+
+def _carrier_flow(schedule: ScaleSchedule, f0: GrassmannElement,
+                  grid: np.ndarray, truncate_ge2: bool
+                  ) -> tuple[bool, Iterator[tuple[np.ndarray, complex]]]:
+    """The RK4 loop of ``flow_states`` on its carrier: refuses what
+    ``flow_states`` refuses, in its order, chooses the carrier, and returns
+    ``(neutral, states)``, where ``states`` yields ``(y, log_norm)`` at each
+    grid time, ``y`` a fresh vector over ``_index_set(n_gen, True,
+    neutral)``."""
     grid = np.asarray(grid, dtype=float)
     if not np.isfinite(grid).all():
         raise ValueError("trajectory grid must be finite")
@@ -237,9 +287,8 @@ def flow_states(schedule: ScaleSchedule, f0: GrassmannElement,
         raise ValueError("trajectory grid must be strictly increasing")
     if grid[-1] > schedule.T * (1 + 1e-12):
         raise ValueError("trajectory grid exceeds the schedule's upper scale")
-    gens = f0.gens
-    n_gen = gens.count
-    pairs = gens.pairs
+    n_gen = f0.gens.count
+    pairs = f0.gens.pairs
     y0 = f0.coeffs.copy()
     y0[0] = 0.0
     # found from exact zeros; RK4 keeps exact zeros exactly zero, so one
@@ -247,7 +296,6 @@ def flow_states(schedule: ScaleSchedule, f0: GrassmannElement,
     neutral = n_gen <= _WEDGE_LEAF and _is_exactly_neutral_real(y0)
     index = _index_set(n_gen, True, neutral)
     low = _popcount_table(n_gen)[index] < 4 if truncate_ge2 else None
-    y = y0[index].real if neutral else y0[index]
 
     def rate_weights(ts):
         """Laplacian weights of the rate at each scale of ``ts``, a row
@@ -272,32 +320,116 @@ def flow_states(schedule: ScaleSchedule, f0: GrassmannElement,
                 f"neutral real action needs")
         return _laplacian_weights(np.real(c), n_gen, True, True)
 
-    c = 0.0 + 0.0j
-    w_end = rate_weights(grid[:1])[0]
-    yield GrassmannElement._adopt(gens, y0), c
-    for first in range(0, len(grid) - 1, _BLOCK_STEPS):
-        ends = grid[first + 1:first + 1 + _BLOCK_STEPS]
-        starts = grid[first:first + ends.size]
-        steps = ends - starts
-        nodes = np.empty(2 * ends.size)
-        nodes[0::2] = starts + 0.5 * steps
-        nodes[1::2] = ends
-        w = rate_weights(nodes)  # midpoint and end of step i: rows 2i, 2i+1
-        for i, h in enumerate(steps):
-            k1, c1 = _flow_rhs(w_end, y, n_gen, low, neutral)
-            k2, c2 = _flow_rhs(w[2 * i], y + 0.5 * h * k1, n_gen, low, neutral)
-            k3, c3 = _flow_rhs(w[2 * i], y + 0.5 * h * k2, n_gen, low, neutral)
-            w_end = w[2 * i + 1]
-            k4, c4 = _flow_rhs(w_end, y + h * k3, n_gen, low, neutral)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            y[0] = 0.0
-            c = c + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-            state = np.zeros(1 << n_gen, dtype=np.complex128)
-            state[index] = y
-            yield GrassmannElement._adopt(gens, state), c
-        # the next block is read with only this block's last rate held
-        w_end = w_end.copy()
-        del w
+    if neutral and n_gen <= _DENSE_LEAF:
+        table = _dense_table(n_gen)
+
+        def rates(ts):
+            return _half_laplacians(rate_weights(ts), n_gen)
+
+        def rhs(half, y):
+            return _dense_rhs(half, y, table, low)
+    else:
+        rates = rate_weights
+
+        def rhs(weights, y):
+            return _flow_rhs(weights, y, n_gen, low, neutral)
+
+    def states(y):
+        c = 0.0 + 0.0j
+        r_end = rates(grid[:1])[0]
+        yield y, c
+        for first in range(0, len(grid) - 1, _BLOCK_STEPS):
+            ends = grid[first + 1:first + 1 + _BLOCK_STEPS]
+            starts = grid[first:first + ends.size]
+            steps = ends - starts
+            nodes = np.empty(2 * ends.size)
+            nodes[0::2] = starts + 0.5 * steps
+            nodes[1::2] = ends
+            r = rates(nodes)  # midpoint and end of step i: rows 2i, 2i+1
+            for i, h in enumerate(steps):
+                k1, c1 = rhs(r_end, y)
+                k2, c2 = rhs(r[2 * i], y + 0.5 * h * k1)
+                k3, c3 = rhs(r[2 * i], y + 0.5 * h * k2)
+                r_end = r[2 * i + 1]
+                k4, c4 = rhs(r_end, y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                y[0] = 0.0
+                c = c + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+                yield y, c
+            # the next block is read with only this block's last rate held
+            r_end = r_end.copy()
+            del r
+
+    return neutral, states(y0[index].real if neutral else y0[index])
+
+
+def flow_states(schedule: ScaleSchedule, f0: GrassmannElement,
+                grid: np.ndarray, truncate_ge2: bool = False
+                ) -> Iterator[tuple[GrassmannElement, complex]]:
+    """Integrate the flow equation of the normalized effective action by
+    RK4 on the step boundaries ``grid``, yielding ``(state, log_norm)`` at
+    each grid time, ``f0`` with a zero scalar part first; each state is a
+    fresh element that the generator does not keep.
+
+    With ``truncate_ge2`` the right-hand side is projected onto degree >= 4,
+    which removes the two-point insertions while keeping the normalization
+    subtraction.  An ``f0`` whose odd coefficients are not all exactly zero
+    is refused with ``ParityError``.  RK4 runs on the smaller carrier that
+    holds ``f0`` exactly, found once from exact zeros, not from a
+    tolerance: up to ``_WEDGE_LEAF`` generators, the neutral coefficients
+    in float64 when every charged coefficient and every imaginary part of
+    ``f0`` is exactly zero, and the even coefficients in complex128
+    otherwise.  The yielded states are full elements on either carrier,
+    scattered from the carrier vectors of the one RK4 loop that
+    ``flow_integrate`` reads.
+
+    Up to ``_DENSE_LEAF`` generators (2 to 4 sites) the neutral carrier's
+    right-hand side is ``_dense_rhs``: the rate becomes a dense ``S x S``
+    half-Laplacian over its ``S`` neutral masks (6, 20 and 70), and each
+    stage fills the matrix of ``F ^ .`` and takes four matrix products,
+    where the chunked ``_flow_rhs`` takes about 20 gathers and segment
+    sums; above it (at 10 generators the dense operators lost, at 12 one
+    block of them would hold 109 MB) and on the even carrier it is
+    ``_flow_rhs``.  The dense sums add the exact zeros of the operators in
+    and run in the order of the matrix products, so the states differ from
+    the chunked ones in the last bits.
+
+    The rate is read a block of ``_BLOCK_STEPS`` steps at a time: one call
+    of ``schedule.cdot`` on the 1-D array of the block's midpoints and
+    ends, in time order, and one stacked ``_laplacian_weights`` of its
+    kernels; the rate at a step's start is the previous step's end, and
+    the start of the grid is read alone, as an array of one scale.  Every
+    node and midpoint is read once.  A block holds ``2 * _BLOCK_STEPS``
+    rows of weights, one per entry of the carrier's Laplacian table, or on
+    the dense path as many half-Laplacians, ``2 * _BLOCK_STEPS * 8 * S**2``
+    bytes (4.6 KB, 51 KB and 627 KB at 2, 3 and 4 sites), and only the last
+    row of the previous block: at 6 sites they raised the peak traced
+    memory of a 40-step flow from 0.8 to 1.8 MB on the neutral carrier and
+    from 2.8 to 10.4 MB on the even one.  Blocks start at every
+    ``_BLOCK_STEPS``-th step of the grid, so a rerun reads the same blocks.
+    A stacked kernel may differ from the kernel at one scale in the last
+    bits (see :mod:`ferroflow.schedule`), and the states with it.
+
+    A kernel that does not depend on the scale, one ``(pairs, pairs)``
+    matrix for the array, holds over the block; any other shape than
+    ``(scales, pairs, pairs)`` for the pairs of ``f0`` raises
+    ``DimensionMismatchError`` naming it.  On the neutral carrier a kernel
+    with an imaginary part would move the state off it, and is refused
+    with a ``ValueError`` naming the first such scale of its block, before
+    any state of the block is yielded.  A grid with a NaN or infinite time
+    is refused before anything else, and an empty grid next.
+    """
+    neutral, states = _carrier_flow(schedule, f0, grid, truncate_ge2)
+    gens = f0.gens
+    index = _index_set(gens.count, True, neutral)
+    next(states)  # f0 itself, yielded as its full vector
+    y0 = f0.coeffs.copy()
+    y0[0] = 0.0
+    yield GrassmannElement._adopt(gens, y0), 0.0 + 0.0j
+    for y, c in states:
+        state = np.zeros(1 << gens.count, dtype=np.complex128)
+        state[index] = y
+        yield GrassmannElement._adopt(gens, state), c
 
 
 def flow_integrate(schedule: ScaleSchedule, f0: GrassmannElement,
@@ -305,27 +437,28 @@ def flow_integrate(schedule: ScaleSchedule, f0: GrassmannElement,
                    t_end: float | None = None) -> FlowTrajectory:
     """The trajectory of ``flow_states`` on ``steps`` uniform steps up to
     ``t_end`` (default: the schedule's upper scale): the seminorm series of
-    each state, exactly even, from one pass over its coefficients into its
-    row of ``norms`` as it comes.  A negative ``steps`` or a NaN or infinite
-    ``t_end`` raises ``ValueError``; ``steps = 0`` gives the one-point
-    trajectory at 0.  A series or log-normalization that is not finite
-    raises ``ResolutionError`` at its grid time, in place of overflow
-    warnings; the first time ``exp(-log_norm)`` falls below 0.1 is
-    noted."""
+    each state, exactly even, read off its carrier vector into its row of
+    ``norms`` as it comes, bitwise the row of the full state; no full state
+    is built.  A negative ``steps`` or a NaN or infinite ``t_end`` raises
+    ``ValueError``; ``steps = 0`` gives the one-point trajectory at 0.  A
+    series or log-normalization that is not finite raises
+    ``ResolutionError`` at its grid time, in place of overflow warnings;
+    the first time ``exp(-log_norm)`` falls below 0.1 is noted."""
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     end = schedule.T if t_end is None else float(t_end)
     if not np.isfinite(end):
         raise ValueError(f"t_end must be finite, got {t_end}")
     grid = np.linspace(0.0, end, steps + 1)
+    n_gen = f0.gens.count
     norms = np.empty((len(grid), f0.gens.pairs))
     log_norm = np.empty(len(grid), dtype=np.complex128)
     notes = []
+    neutral, states = _carrier_flow(schedule, f0, grid, truncate_ge2)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (state, c) in enumerate(flow_states(schedule, f0, grid,
-                                                   truncate_ge2)):
+        for i, (y, c) in enumerate(states):
             t = grid[i]
-            norms[i] = _norm_row(state.coeffs, f0.gens.count)
+            norms[i] = _norm_row(y, n_gen, True, neutral)
             if not (np.isfinite(c) and np.isfinite(norms[i]).all()):
                 raise ResolutionError(
                     f"the flow diverged: its seminorm series or "

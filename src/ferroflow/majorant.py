@@ -371,7 +371,8 @@ def _gamma_factor(l: int, m: int, k: int, xi: float) -> float:
 
 
 def rhs_coefficient_bound(traj: FlowTrajectory, schedule: ScaleSchedule,
-                          k: int, t: float, check_tol: float = 1e-6) -> float:
+                          k: int | Sequence[int], t: float,
+                          check_tol: float = 1e-6) -> float | list[float]:
     """A-priori bound on the degree-``2k`` norm coefficient at scale ``t``.
 
     Combines the Gram-spread bare series with the integrated quadratic
@@ -389,43 +390,62 @@ def rhs_coefficient_bound(traj: FlowTrajectory, schedule: ScaleSchedule,
     ``m``, after one array call each for the rate norm and for ``sigma^2``.
     A further refinement must agree to ``check_tol`` relatively, otherwise
     the grid is too coarse.
+
+    For a sequence of ``k`` the bounds come back as a list in its order,
+    each bitwise the bound of that ``k`` alone: what does not depend on
+    ``k``, ``sigma^2`` and the rate norm at the nodes of both Simpson grids
+    and the interpolated coefficients, is read once for all of them.  A
+    ``k`` below 1 is refused before anything is read, and the first ``k``
+    whose refinement disagrees raises.
     """
-    if k < 1:
+    scalar = np.ndim(k) == 0
+    ks = [k] if scalar else list(k)
+    if any(kk < 1 for kk in ks):
         raise ValueError("degree index k starts at 1")
     grid = traj.grid
     pos = int(np.argmin(np.abs(grid - t)))
     if abs(grid[pos] - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"time {t} is not on the trajectory grid")
     sig0t = schedule.sigma_squared(0.0, float(t))
-    term1 = sum(fm * math.comb(2 * m, 2 * k) * sig0t ** (m - k)
-                for m, fm in enumerate(traj.norms[0, k - 1:], start=k))
+    terms1 = [sum(fm * math.comb(2 * m, 2 * kk) * sig0t ** (m - kk)
+                  for m, fm in enumerate(traj.norms[0, kk - 1:], start=kk))
+              for kk in ks]
     if pos == 0:
-        return float(term1)
+        bounds = [float(term1) for term1 in terms1]
+        return bounds[0] if scalar else bounds
 
     fvals = traj.norms[:pos + 1]
     svals = grid[:pos + 1]
     deg = np.arange(1, fvals.shape[1] + 1)
-    gam = np.array([[_gamma_factor(l, m, k, 1.0) for m in deg] for l in deg])
-    power = np.maximum(deg[:, None] + deg[None, :] - 1 - k, 0)
 
-    def simpson_on(level: int) -> float:
+    def nodes_on(level: int) -> tuple:
         # level-fold midpoint refinement with linear interpolation of F
         ss = np.linspace(svals[0], svals[-1], level * pos + 1)
         fs = np.stack([np.interp(ss, svals, col) for col in fvals.T], axis=1)
         xi2 = np.maximum(schedule.sigma_squared(ss, float(t)), 0.0)
-        rate = schedule.adot_norm_at(ss)
+        return ss[1] - ss[0], fs, xi2, schedule.adot_norm_at(ss)
+
+    def simpson_on(nodes: tuple, gam: np.ndarray, power: np.ndarray) -> float:
+        h, fs, xi2, rate = nodes
         source = np.einsum("il,im,lm,ilm->i", fs, fs, gam,
                            xi2[:, None, None] ** power)
-        return float(_simpson_values(0.5 * rate * source, ss[1] - ss[0]))
+        return float(_simpson_values(0.5 * rate * source, h))
 
-    base = simpson_on(2)
-    refined = simpson_on(4)
-    scale = max(abs(refined), abs(term1), 1e-300)
-    if abs(refined - base) > check_tol * scale:
-        raise ResolutionError(
-            f"trajectory grid too coarse for the coefficient bound: "
-            f"Simpson refinement moved by {abs(refined - base):.3e}")
-    return float(term1 + refined)
+    coarse, fine = nodes_on(2), nodes_on(4)
+    bounds = []
+    for kk, term1 in zip(ks, terms1):
+        gam = np.array([[_gamma_factor(l, m, kk, 1.0) for m in deg]
+                        for l in deg])
+        power = np.maximum(deg[:, None] + deg[None, :] - 1 - kk, 0)
+        base = simpson_on(coarse, gam, power)
+        refined = simpson_on(fine, gam, power)
+        scale = max(abs(refined), abs(term1), 1e-300)
+        if abs(refined - base) > check_tol * scale:
+            raise ResolutionError(
+                f"trajectory grid too coarse for the coefficient bound: "
+                f"Simpson refinement moved by {abs(refined - base):.3e}")
+        bounds.append(float(term1 + refined))
+    return bounds[0] if scalar else bounds
 
 
 # ---------------------------------------------------------------------------

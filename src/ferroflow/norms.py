@@ -16,7 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import GrassmannElement, _parity_index, _popcount_table, _require_even
+from .algebra import (
+    GrassmannElement,
+    _index_set,
+    _popcount_table,
+    _rank,
+    _require_even,
+)
 from .gaussian import AntisymmetricCovariance, _subset_bits, gaussian_moment
 
 
@@ -73,16 +79,22 @@ def matrix_norm_1inf(a) -> float:
 
 
 @cache
-def _norm_table(n_gen: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each generator ``i`` in turn, the even subsets containing it (in
-    increasing order) and their bins ``i * (n_gen + 1) + |J|``, concatenated:
-    one ``bincount`` then sums every per-generator even degree in subset
-    order.  Odd subsets would fill only the bins that ``norm_coefficients``
-    drops."""
-    idx = _parity_index(n_gen, 0)
+def _norm_table(n_gen: int, even: bool = False,
+                neutral: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """For each generator ``i`` in turn, the even subsets of
+    ``_index_set(n_gen, even, neutral)`` containing it (in increasing
+    order), as their ranks in it, and their bins ``i * (n_gen + 1) + |J|``,
+    concatenated: one ``bincount`` then sums every per-generator even degree
+    in subset order.  Odd subsets would fill only the bins that
+    ``norm_coefficients`` drops.  A carrier leaves out subsets whose
+    coefficients are exactly zero on it, whose ``+0.0`` terms change no sum,
+    so a row read off a carrier vector is bitwise the row of its full
+    vector."""
+    idx = _index_set(n_gen, True, neutral)
+    rank = _rank(n_gen, even, neutral)
     pop = _popcount_table(n_gen).astype(np.intp)
     sel = [idx[(idx >> i) & 1 == 1] for i in range(n_gen)]
-    return (np.concatenate(sel),
+    return (np.concatenate([rank[s] for s in sel]),
             np.concatenate([i * (n_gen + 1) + pop[s] for i, s in enumerate(sel)]))
 
 
@@ -96,12 +108,14 @@ def norm_coefficients(f: GrassmannElement) -> NormSeries:
     return NormSeries(_norm_row(f.coeffs, f.gens.count))
 
 
-def _norm_row(coeffs: np.ndarray, n_gen: int) -> np.ndarray:
-    """The seminorm coefficients ``F_1 .. F_n`` of a raw coefficient array
-    of ``n_gen`` generators as a float64 row, from one ``np.abs`` pass; its
-    odd coefficients are not read."""
+def _norm_row(coeffs: np.ndarray, n_gen: int, even: bool = False,
+              neutral: bool = False) -> np.ndarray:
+    """The seminorm coefficients ``F_1 .. F_n`` of a coefficient vector of
+    ``n_gen`` generators over ``_index_set(n_gen, even, neutral)`` as a
+    float64 row, from one ``np.abs`` pass; odd coefficients are not
+    read."""
     n = n_gen // 2
-    subsets, bins = _norm_table(n_gen)
+    subsets, bins = _norm_table(n_gen, even, neutral)
     sums = np.bincount(bins, weights=np.abs(coeffs)[subsets],
                        minlength=n_gen * (n_gen + 1)).reshape(n_gen, n_gen + 1)
     per_m = sums[:, 2: 2 * n + 1: 2] / (2.0 * np.arange(1, n + 1))

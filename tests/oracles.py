@@ -190,10 +190,11 @@ def step_halving_flow(schedule, f0, steps: int, t_end: float,
 
 def flow_states_by_node(schedule, f0, grid, truncate_ge2: bool = False):
     """The ``(state, log_norm)`` pairs of ``flow_states`` on ``grid`` from
-    RK4 on the same carrier and right-hand side, with the kernel read one
-    scale at a time: at the start of the grid, then at every step's
-    midpoint and end, each read followed by its own Laplacian weights.  It
-    checks none of the inputs that ``flow_states`` refuses."""
+    RK4 on the same carrier with the chunked ``_flow_rhs``, which is also
+    the oracle of the dense right-hand side up to 8 generators, and with the
+    kernel read one scale at a time: at the start of the grid, then at
+    every step's midpoint and end, each read followed by its own Laplacian
+    weights.  It checks none of the inputs that ``flow_states`` refuses."""
     gens = f0.gens
     n_gen = gens.count
     y0 = f0.coeffs.copy()

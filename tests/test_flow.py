@@ -39,7 +39,7 @@ from ferroflow.gaussian import (
     heat_kernel_convolve,
     laplacian,
 )
-from ferroflow.norms import norm_coefficients
+from ferroflow.norms import _norm_row, norm_coefficients
 from ferroflow.psi4 import Psi4Params, build_desk_instance, quartic_bare_action
 from ferroflow.schedule import ScaleSchedule
 
@@ -343,27 +343,44 @@ class TestNeutralCarrier:
 
 @pytest.fixture
 def tables_asked(monkeypatch):
-    """The generator counts at which the flow asks for the even x even and
-    for the neutral pair table, from now on."""
-    asked = {"even": [], "neutral": []}
-    table = flow._pair_table
+    """The generator counts at which the flow asks for the even x even pair
+    table, for the neutral one and for the dense table, and at which it
+    runs the chunked right-hand side, from now on."""
+    asked = {"even": [], "neutral": [], "dense": [], "chunked": []}
+    pair_table, dense_table, flow_rhs = (
+        flow._pair_table, flow._dense_table, flow._flow_rhs)
 
     def asking(n_gen, block, *neutral):
         asked["neutral" if any(neutral) else "even"].append(n_gen)
-        return table(n_gen, block, *neutral)
+        return pair_table(n_gen, block, *neutral)
+
+    def asking_dense(n_gen):
+        asked["dense"].append(n_gen)
+        return dense_table(n_gen)
+
+    def chunked(weights, y, n_gen, *args):
+        asked["chunked"].append(n_gen)
+        return flow_rhs(weights, y, n_gen, *args)
 
     monkeypatch.setattr(flow, "_pair_table", asking)
+    monkeypatch.setattr(flow, "_dense_table", asking_dense)
+    monkeypatch.setattr(flow, "_flow_rhs", chunked)
     return asked
 
 
 def test_cli_flows_run_on_the_neutral_carrier(tmp_path, capsys, tables_asked):
-    # flow at the defaults and verify's 8-generator quartic flow: a fall back
-    # to the even complex carrier would cost their speed silently
-    assert main(["flow", "--out", str(tmp_path / "flow.csv")]) == 0
-    assert tables_asked == {"even": [], "neutral": [8] * 4 * 400}
-    tables_asked["neutral"].clear()
-    assert main(["verify"]) == 0
-    assert tables_asked == {"even": [], "neutral": [8] * 4 * 200}
+    # flow at the defaults and verify's 8-generator quartic flow run on the
+    # dense operators of the neutral carrier: a fall back to the chunked
+    # right-hand side or to the even complex carrier would cost their speed
+    # silently.  The neutral pair table is asked for only to build the
+    # dense table, once per process
+    for argv in (["flow", "--out", str(tmp_path / "flow.csv")], ["verify"]):
+        for asked in tables_asked.values():
+            asked.clear()
+        assert main(argv) == 0
+        assert tables_asked["dense"] and set(tables_asked["dense"]) == {8}
+        assert tables_asked["even"] == tables_asked["chunked"] == []
+        assert tables_asked["neutral"] in ([], [8])
 
 
 def test_cli_flows_read_the_kernel_in_blocks(tmp_path, capsys, monkeypatch):
@@ -457,10 +474,10 @@ class TestBlockRead:
 
 @pytest.fixture
 def fresh_tables():
-    """Every cached table of ``algebra`` and ``gaussian`` emptied before and
-    after the test, so that it sees each table built."""
+    """Every cached table of ``algebra``, ``gaussian`` and ``flow`` emptied
+    before and after the test, so that it sees each table built."""
     def clear():
-        for module in (algebra, gaussian):
+        for module in (algebra, gaussian, flow):
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
@@ -498,6 +515,58 @@ def test_neutral_flow_builds_no_even_table(rng, monkeypatch, fresh_tables):
     assert ("_laplacian_table", 12, True, True) in asked
     assert ("_pair_table", 12, 0, False) not in asked
     assert ("_laplacian_table", 12, True, False) not in asked
+
+
+@pytest.mark.parametrize("n_gen", [10, 12])
+def test_wide_neutral_flow_builds_no_dense_table(rng, monkeypatch, n_gen,
+                                                 fresh_tables):
+    # above _DENSE_LEAF the neutral carrier keeps the chunked right-hand
+    # side: at 12 generators one block of dense operators would hold 109 MB
+    calls = []
+    flow_rhs = flow._flow_rhs
+
+    def chunked(*args):
+        calls.append(args[2])
+        return flow_rhs(*args)
+
+    monkeypatch.setattr(flow, "_flow_rhs", chunked)
+    gens = GeneratorSet(n_gen)
+    sched = synthetic_schedule(rng, n_gen // 2)
+    traj = flow_integrate(sched, quartic_bare_action(gens, 0.04), steps=2,
+                          t_end=0.1)
+    assert traj.norms[-1, 1] != traj.norms[0, 1]
+    assert calls == [n_gen] * 4 * 2
+    assert flow._dense_table.cache_info().currsize == 0
+
+
+class TestDenseRhs:
+    @pytest.mark.parametrize("n_gen", [4, 6, 8])
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_matches_chunked_rhs(self, rng, n_gen, truncate):
+        # the dense products add the exact zeros of the operators in and
+        # sum in their own order.  Measured against the largest number the
+        # chunked right-hand side gives without truncation, dlog included,
+        # dF moved by at most 4.2e-16 and dlog by 7.1e-16 over 300 random
+        # draws at each of 4, 6 and 8 generators
+        index = _index_set(n_gen, True, True)
+        low = popcounts(1 << n_gen, n_gen)[index] < 4 if truncate else None
+        sched = synthetic_schedule(rng, n_gen // 2)
+        for scale in (0.1, 0.5, 0.9):
+            f = neutral_real_action(rng, GeneratorSet(n_gen), 0.4 / n_gen)
+            y = f.coeffs[index].real
+            weights = _laplacian_weights(sched.cdot(scale), n_gen, True, True)
+            half = flow._half_laplacians(weights[None], n_gen)[0]
+            got, got_dlog = flow._dense_rhs(half, y, flow._dense_table(n_gen),
+                                            low)
+            want, want_dlog = _flow_rhs(weights, y, n_gen, low, True)
+            full, _ = _flow_rhs(weights, y, n_gen, None, True)
+            tol = 1e-15 * max(np.max(np.abs(full)), abs(want_dlog))
+            assert got.dtype == want.dtype == np.float64
+            assert np.max(np.abs(got - want)) <= tol
+            assert abs(got_dlog - want_dlog) <= tol
+            assert got[0] == 0.0
+            if truncate:
+                assert not got[low].any()
 
 
 class TestRgMap:
@@ -852,6 +921,25 @@ class TestTrajectoryNorms:
             want = norm_coefficients(state).coefficients
             assert row.tobytes() == want.tobytes()
         assert bitwise_equal(traj.log_norm, [c for _, c in yielded])
+
+    @pytest.mark.parametrize("n_gen", [4, 8, 10])
+    @pytest.mark.parametrize("carrier", ["neutral", "even"])
+    def test_norms_are_bitwise_rows_of_the_full_states(self, rng, n_gen,
+                                                       carrier):
+        # flow_integrate reads each row off the carrier vector, leaving out
+        # only exact zeros, so it is bitwise the row of the full state
+        sched = synthetic_schedule(rng, n_gen // 2)
+        f = quartic_bare_action(GeneratorSet(n_gen), 0.04)
+        if carrier == "even":
+            f = TestBlockRead.off_the_neutral_carrier(f)
+        steps = 12
+        traj = flow_integrate(sched, f, steps=steps, t_end=0.6)
+        yielded = list(flow_states(sched, f, uniform_grid(steps, 0.6)))
+        assert len(traj.norms) == len(yielded) == steps + 1
+        for row, (state, _) in zip(traj.norms, yielded):
+            assert row.tobytes() == _norm_row(state.coeffs, n_gen).tobytes()
+        assert bitwise_equal(traj.log_norm, [c for _, c in yielded])
+        assert traj.norms[-1, 1] != traj.norms[0, 1]
 
     def test_memory_does_not_grow_with_the_steps(self):
         # a trajectory keeps the seminorm series of its states, not the

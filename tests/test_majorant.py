@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from ferroflow import cli as cli_module
 from ferroflow import flow as flow_module
 from ferroflow.algebra import GeneratorSet
 from ferroflow.errors import (
@@ -779,6 +780,21 @@ def rhs_coefficient_bound_by_loop(traj, schedule, k, t):
     return float(term1 + _simpson_values(ys, ss[1] - ss[0]))
 
 
+def count_schedule_reads(monkeypatch) -> dict:
+    """Count ``ScaleSchedule.sigma_squared`` and ``adot_norm_at`` calls
+    from now on."""
+    reads = {"sigma_squared": 0, "adot_norm_at": 0}
+    for name in reads:
+        read = getattr(ScaleSchedule, name)
+
+        def counting(self, *args, _name=name, _read=read):
+            reads[_name] += 1
+            return _read(self, *args)
+
+        monkeypatch.setattr(ScaleSchedule, name, counting)
+    return reads
+
+
 def bound_instance(which, rng):
     """A schedule and a flow trajectory on it: ``verify``'s synthetic
     instance or the psi4 desk instance."""
@@ -801,6 +817,60 @@ class TestCoefficientBound:
                 got = rhs_coefficient_bound(traj, sched, k, t)
                 want = rhs_coefficient_bound_by_loop(traj, sched, k, t)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("which", ["synthetic", "desk"])
+    def test_sequence_form_is_the_scalar_form(self, rng, which):
+        # every bound of a sequence of k is bitwise the bound of that k alone
+        sched, traj = bound_instance(which, rng)
+        for i in (0, 20, 40, 60):
+            t = float(traj.grid[i])
+            got = rhs_coefficient_bound(traj, sched, range(1, 5), t)
+            assert isinstance(got, list) and len(got) == 4
+            for k, bound in enumerate(got, start=1):
+                assert bound == rhs_coefficient_bound(traj, sched, k, t)
+                if i:
+                    want = rhs_coefficient_bound_by_loop(traj, sched, k, t)
+                    assert bound == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert rhs_coefficient_bound(traj, sched, [], t) == []
+
+    def test_sequence_form_reads_the_schedule_once_per_time(self, rng,
+                                                            monkeypatch):
+        # sigma^2 from 0 and at the nodes of both Simpson grids, the rate
+        # norm at those nodes: three and two reads for all four k
+        sched, traj = bound_instance("synthetic", rng)
+        reads = count_schedule_reads(monkeypatch)
+        rhs_coefficient_bound(traj, sched, range(1, 5), float(traj.grid[40]))
+        assert reads == {"sigma_squared": 3, "adot_norm_at": 2}
+
+    def test_sequence_form_refuses_a_k_below_one_before_reading(
+            self, rng, monkeypatch):
+        sched, traj = bound_instance("synthetic", rng)
+        reads = count_schedule_reads(monkeypatch)
+        with pytest.raises(ValueError, match="starts at 1"):
+            rhs_coefficient_bound(traj, sched, [1, 2, 0], float(traj.grid[40]))
+        assert reads == {"sigma_squared": 0, "adot_norm_at": 0}
+
+    def test_verify_reads_the_schedule_once_per_bound_time(self, monkeypatch,
+                                                           capsys):
+        # verify bounds k = 1..4 at three times in three calls, which read
+        # sigma^2 nine times and the rate norm six, where one call per k
+        # and time read them 36 and 24 times
+        reads = count_schedule_reads(monkeypatch)
+        bound = cli_module.rhs_coefficient_bound
+        per_call = []
+
+        def bounding(traj, sched, k, t, *args):
+            before = dict(reads)
+            out = bound(traj, sched, k, t, *args)
+            per_call.append({name: reads[name] - before[name]
+                             for name in reads})
+            return out
+
+        monkeypatch.setattr(cli_module, "rhs_coefficient_bound", bounding)
+        assert cli_module.main(["verify"]) == 0
+        assert len(per_call) == 3
+        assert sum(c["sigma_squared"] for c in per_call) == 9
+        assert sum(c["adot_norm_at"] for c in per_call) == 6
 
     def test_no_per_node_rate_norm(self, rng, monkeypatch):
         sched, traj = bound_instance("synthetic", rng)
@@ -843,18 +913,21 @@ class TestCoefficientBound:
                 assert bound >= traj.norms[i, k - 1] - 1e-8
 
     def test_seminorms_computed_once_per_trajectory(self, rng, monkeypatch):
+        # one row per grid node, read off the 70 neutral float64
+        # coefficients that RK4 carries at 8 generators
         sched = synthetic_schedule(rng, 4)
         bare = quartic_bare_action(GeneratorSet(8), 0.04)
         calls = []
         row = flow_module._norm_row
 
-        def counting(coeffs, n_gen):
-            calls.append(coeffs)
-            return row(coeffs, n_gen)
+        def counting(coeffs, n_gen, *carrier):
+            calls.append((coeffs.shape, coeffs.dtype, carrier))
+            return row(coeffs, n_gen, *carrier)
 
         monkeypatch.setattr(flow_module, "_norm_row", counting)
         traj = flow_integrate(sched, bare, steps=30, t_end=1.0)
         assert len(calls) == len(traj.grid) == 31
+        assert set(calls) == {((70,), np.dtype(np.float64), (True, True))}
         for i in (10, 20, 30):
             for k in range(1, 5):
                 rhs_coefficient_bound(traj, sched, k, float(traj.grid[i]))
