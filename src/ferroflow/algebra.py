@@ -26,9 +26,8 @@ are written in these ranks.  The disjoint pairs ``(J, K)`` of a product fall
 into four parity blocks by ``(|J| mod 2, |K| mod 2)``, each with its own
 cached table of ranks, cut into chunks of whole unions ``J | K``.  A product
 gathers each operand's nonzero parity parts once and reads only their
-blocks, so even x even (the effective action and its flow) reads a quarter
-of the pairs; the flow, which carries the even coefficients in rank order,
-reads that block's chunks as they are.  Which parts are nonzero is found
+blocks, so even x even (the effective action, and its flow on the even
+masks) reads a quarter of the pairs.  Which parts are nonzero is found
 from exact zeros only: an operand whose odd-degree coefficients are all
 exactly zero is even, and any other counts as having both parts.  A
 tolerance would silently drop small odd terms.
@@ -42,7 +41,10 @@ as many of each; every index set's ranks are read from one map,
 neutral pairs are one more table of ``_pair_table``, built from the
 disjoint pairs as the parity blocks are, with real signs and unions that
 are the neutral masks in rank order: 639 of the even x even block's 1,641
-pairs at 8 generators, 35,169 of 132,861 at 12.
+pairs at 8 generators, 35,169 of 132,861 at 12.  The neutral flow reads
+that table's chunks as they are, its union sums concatenated being the
+product over the neutral masks; the flow on the even masks multiplies
+through ``_wedge_blocks`` on full vectors, as ``wedge`` does.
 
 ``exp_of`` and ``log_of`` read one more table, the even x even pairs with
 ``|J|, |K| >= 2`` in degree-major order (``_degree_table``): sorted by
@@ -212,8 +214,11 @@ def _pair_table(n_gen: int, block: int,
     union's pairs, so ``np.add.reduceat(..., seg)`` sums a product per
     union.  Charges add, so the neutral unions are the neutral masks, each
     once and in rank order (``(U, {})`` is one of the pairs of every
-    ``U``).  Readers pass ``neutral`` only when it is true, so each table
-    has one cache entry.
+    ``U``).  ``_wedge_blocks`` reads the parity blocks, adding each union
+    sum to its mask; the neutral flow and its dense operators read the
+    neutral table, whose union sums are the product over the neutral
+    masks in rank order.  Readers pass ``neutral`` only when it is true, so
+    each table has one cache entry.
     """
     j, k = _disjoint_pairs(n_gen)
     if neutral:

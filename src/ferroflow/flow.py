@@ -10,25 +10,14 @@ with classic fixed-step RK4.  Every rate of a ``ScaleSchedule`` is the
 block embedding ``[[0, C], [-C, 0]]`` of a real kernel ``C``, so its
 Laplacian pairs a psi only with a psibar: the flow keeps the charge ``#psi -
 #psibar`` of every monomial and keeps real data real, as it keeps the
-parity.  The bare action must be even, every odd coefficient exactly zero,
-and the state is its coefficient vector over the smaller of two carriers
-that holds it exactly, chosen once from its exact zeros: a real action
-whose charged coefficients are all exactly zero, such as the quartic
-``psibar psi psibar psi``, is carried on the neutral masks in float64 (70
-of the 128 even masks at 8 generators), any other on the even masks in
-complex128.  Each rate is read as its kernel ``C``, a block of steps at a
-time.  Up to ``_DENSE_LEAF`` generators (2 to 4 sites) the neutral
-carrier's right-hand side takes four products of dense ``S x S`` operators
-on its ``S`` masks, the rate's half-Laplacian and the matrix of ``F ^ .``;
-above it, and on the even carrier, it walks the kernel tables in chunks.
-The sign of the quadratic term is tied to the Laplacian convention of
-:mod:`ferroflow.gaussian`; the pair is pinned by cross-validating the two
-paths against each other, which the test suite does continuously.
-
-``flow_states`` yields the states one grid time at a time; a trajectory
-keeps only their seminorm series, in one array: all that checks read, each
-row read off the carrier vector.  Both come from one RK4 loop on the
-carrier.
+parity.  RK4 carries a real bare action whose charged coefficients are
+all exactly zero, such as the quartic ``psibar psi psibar psi``, on the
+neutral masks in float64 (70 of the 128 even masks at 8 generators), and
+any other even one on the even masks in complex128; ``_carrier_flow``
+states the choice and its right-hand sides.  The sign of the quadratic term
+is tied to the Laplacian convention of :mod:`ferroflow.gaussian`; the pair
+is pinned by cross-validating the two paths against each other, which the
+test suite does continuously.
 """
 
 from __future__ import annotations
@@ -73,19 +62,15 @@ _BILINEAR_SIGN = 1.0
 _SCALAR_WARN_FLOOR = 0.1
 
 # RK4 steps whose rates are read in one call of the kernel.  The block's
-# weights are held while it runs, so its length is bounded by memory: at 5
-# sites a block of 8 steps about doubles the flow's peak traced memory, and
-# a block of 16 steps triples it.  On the dense path the block holds
-# 2 * _BLOCK_STEPS half-Laplacians of S x S float64 on the S neutral masks,
-# 2 * _BLOCK_STEPS * 8 * S**2 bytes: 4.6 KB, 51 KB and 627 KB at 2, 3 and 4
-# sites
+# weights are held while it runs, 2 * _BLOCK_STEPS rows of them, so its
+# length is bounded by memory; on the dense path they are half-Laplacians of
+# S x S float64, 2 * _BLOCK_STEPS * 8 * S**2 bytes.  Measured in
+# BENCH_block-read.json
 _BLOCK_STEPS = 8
 
-# Most generators whose neutral flow runs on dense S x S operators.  One
-# right-hand side at 4, 6 and 8 generators took 5.1, 5.7 and 11.0 us dense
-# and 11.1, 12.3 and 18.9 us chunked, at 10 it took 62 us dense against 46
-# (best of 15 interleaved rounds of 2,000 calls, 200 at 10, on a 2-CPU
-# x86_64 Xeon), and at 12 one block of dense operators would hold 109 MB
+# Most generators whose neutral flow runs on dense S x S operators; at 12
+# generators (S = 924) one block of them would hold 109 MB.  Measured in
+# BENCH_dense-carrier.json
 _DENSE_LEAF = 8
 
 
@@ -151,39 +136,26 @@ def _flow_rhs(weights: np.ndarray, y: np.ndarray, n_gen: int,
     """Flow right-hand side on the coefficients ``y`` of an even ``F`` over
     the carrier ``S = _index_set(n_gen, True, neutral)``, for a rate with
     Laplacian weights ``weights = _laplacian_weights(rate, n_gen, True,
-    neutral)``, the rate read as its kernel on the neutral masks; returns
-    (dF, dlog_norm), dF over ``S`` with the entries that ``low`` marks, if
-    given, zeroed.
+    neutral)``; returns (dF, dlog_norm), dF over ``S`` with the entries that
+    ``low`` marks, if given, zeroed.
 
     The bilinear term takes two Laplacians and the products ``F ^ F`` and
-    ``F ^ Delta F``.  Up to ``_WEDGE_LEAF`` generators these walk the
-    chunks of the carrier's ``_pair_table(n_gen, 0, neutral)`` as they are:
-    its pairs are ranks in ``S`` and its unions are ``S`` in rank order, so
-    the union sums, concatenated, are the product over ``S``; above it they
-    go through ``_wedge_blocks`` on full vectors.  On the even masks every
-    sum runs over the same terms in the same order as the public ``wedge``
-    and ``laplacian`` on the full coefficient vector, so dF is bitwise the
-    one of that product rule; on the neutral masks the sums leave out the
-    terms that are exactly zero there, and float64 adds the rest in its own
-    order."""
+    ``F ^ Delta F``.  On the neutral masks these walk the chunks of
+    ``_pair_table(n_gen, 0, True)`` as they are: its pairs are ranks in
+    ``S`` and its unions are ``S`` in rank order, so the union sums,
+    concatenated, are the product over ``S``; the sums leave out the terms
+    that are exactly zero there, and float64 adds the rest in its own
+    order.  On the even masks they go through ``_wedge_blocks`` on full
+    vectors, and every sum runs over the same terms in the same order as
+    the public ``wedge`` and ``laplacian`` on the full coefficient vector,
+    so dF is bitwise the one of that product rule."""
     # product rule for even F, with Delta = laplacian(rate, .):
     #   sum_ij rate_ij d_iF ^ d_jF = -(1/2) [Delta(F ^ F) - 2 F ^ Delta F]
     lap = _laplacian_coeffs(weights, y, n_gen, True, neutral)
-    if n_gen > _WEDGE_LEAF:
-        index = _index_set(n_gen, True)
-        full = np.zeros(1 << n_gen, dtype=np.complex128)
-        full[index] = y
-        full_lap = np.zeros(1 << n_gen, dtype=np.complex128)
-        full_lap[index] = lap
-        square = _wedge_blocks(full, full, n_gen, _EVEN, _EVEN)[index]
-        cross = _wedge_blocks(full, full_lap, n_gen, _EVEN, _EVEN)[index]
-    else:
-        chunks = _pair_table(n_gen, 0, True) if neutral else _pair_table(n_gen, 0)
+    if neutral:
         square, cross = [], []
-        for j, k, sgn, _, seg in chunks:
-            # F ^ F and F ^ Delta F share the left factor F[J] * sgn; it
-            # stays the first operand, because numpy rounds the imaginary
-            # part of a complex product by operand order
+        for j, k, sgn, _, seg in _pair_table(n_gen, 0, True):
+            # F ^ F and F ^ Delta F share the left factor F[J] * sgn
             left = y.take(j)
             left *= sgn
             terms = y.take(k)
@@ -192,8 +164,15 @@ def _flow_rhs(weights: np.ndarray, y: np.ndarray, n_gen: int,
             terms = lap.take(k)
             cross.append(np.add.reduceat(
                 np.multiply(left, terms, out=terms), seg))
-        square = square[0] if len(chunks) == 1 else np.concatenate(square)
-        cross = cross[0] if len(chunks) == 1 else np.concatenate(cross)
+        square, cross = np.concatenate(square), np.concatenate(cross)
+    else:
+        index = _index_set(n_gen, True)
+        full = np.zeros(1 << n_gen, dtype=np.complex128)
+        full[index] = y
+        full_lap = np.zeros(1 << n_gen, dtype=np.complex128)
+        full_lap[index] = lap
+        square = _wedge_blocks(full, full, n_gen, _EVEN, _EVEN)[index]
+        cross = _wedge_blocks(full, full_lap, n_gen, _EVEN, _EVEN)[index]
     lap_square = _laplacian_coeffs(weights, square, n_gen, True, neutral)
     bil = -0.5 * (lap_square - 2.0 * cross)
     dlog = 0.5 * lap[0]
@@ -267,16 +246,58 @@ def _half_laplacians(weights: np.ndarray, n_gen: int) -> np.ndarray:
 def _carrier_flow(schedule: ScaleSchedule, f0: GrassmannElement,
                   grid: np.ndarray, truncate_ge2: bool
                   ) -> tuple[bool, Iterator[tuple[np.ndarray, complex]]]:
-    """The RK4 loop of ``flow_states`` on its carrier: refuses what
-    ``flow_states`` refuses, in its order, chooses the carrier, and returns
-    ``(neutral, states)``, where ``states`` yields ``(y, log_norm)`` at each
-    grid time, ``y`` a fresh vector over ``_index_set(n_gen, True,
-    neutral)``."""
+    """RK4 of the flow equation from the bare action ``f0`` on the step
+    boundaries ``grid``, on the smaller carrier that holds ``f0`` exactly:
+    returns ``(neutral, states)``, where ``states`` yields ``(y,
+    log_norm)`` at each grid time, ``f0`` with a zero scalar part first,
+    ``y`` a fresh vector over ``_index_set(n_gen, True, neutral)``.  With
+    ``truncate_ge2`` the right-hand side is projected onto degree >= 4,
+    which removes the two-point insertions while keeping the normalization
+    subtraction.
+
+    The carrier is found once from exact zeros, not from a tolerance: up to
+    ``_WEDGE_LEAF`` generators, the neutral coefficients in float64 when
+    every charged coefficient and every imaginary part of ``f0`` is exactly
+    zero, and the even coefficients in complex128 otherwise.  Up to
+    ``_DENSE_LEAF`` generators the neutral carrier's right-hand side is
+    ``_dense_rhs``, whose sums add the exact zeros of its operators in and
+    run in the order of the matrix products, so its states differ from
+    those of ``_flow_rhs`` in the last bits; above it, and on the even
+    carrier, it is ``_flow_rhs``.
+
+    Refused at the call, in this order, each with a ``ValueError`` unless
+    named: a grid with a NaN or infinite time; an ``f0`` whose odd
+    coefficients are not all exactly zero (``ParityError``); an ``f0``
+    whose scalar part is not zero within ``_PARITY_ATOL`` of its largest
+    coefficient; an empty grid; a grid that does not start at 0, is not
+    strictly increasing, or ends above the schedule's upper scale.
+
+    The rate is read a block of ``_BLOCK_STEPS`` steps at a time: one call
+    of ``schedule.cdot`` on the 1-D array of the block's midpoints and
+    ends, in time order, and one stacked ``_laplacian_weights`` of its
+    kernels; the rate at a step's start is the previous step's end, and
+    the start of the grid is read alone, as an array of one scale, before
+    the first state is yielded.  Every node and midpoint is read once, and
+    blocks start at every ``_BLOCK_STEPS``-th step of the grid, so a rerun
+    reads the same blocks.  A block holds ``2 * _BLOCK_STEPS`` rows of
+    weights, one per entry of the carrier's Laplacian table, or on the
+    dense path as many half-Laplacians, ``2 * _BLOCK_STEPS * 8 * S**2``
+    bytes, and only the last row of the previous block.  A stacked kernel
+    may differ from the kernel at one scale in the last bits (see
+    :mod:`ferroflow.schedule`), and the states with it.
+
+    A kernel that does not depend on the scale, one ``(pairs, pairs)``
+    matrix for the array, holds over the block; any other shape than
+    ``(scales, pairs, pairs)`` for the pairs of ``f0`` raises
+    ``DimensionMismatchError`` naming it.  On the neutral carrier a kernel
+    with an imaginary part would move the state off it, and is refused
+    with a ``ValueError`` naming the first such scale of its block, before
+    any state of the block is yielded."""
     grid = np.asarray(grid, dtype=float)
     if not np.isfinite(grid).all():
         raise ValueError("trajectory grid must be finite")
     if not _is_exactly_even(f0.coeffs):
-        raise ParityError("flow_states requires an exactly even element")
+        raise ParityError("the flow requires an exactly even element")
     if abs(f0.scalar_part) > _PARITY_ATOL * max(1.0, f0.max_abs()):
         raise ValueError("bare action must be normalized (zero scalar part)")
     if not grid.size:
@@ -363,87 +384,23 @@ def _carrier_flow(schedule: ScaleSchedule, f0: GrassmannElement,
     return neutral, states(y0[index].real if neutral else y0[index])
 
 
-def flow_states(schedule: ScaleSchedule, f0: GrassmannElement,
-                grid: np.ndarray, truncate_ge2: bool = False
-                ) -> Iterator[tuple[GrassmannElement, complex]]:
-    """Integrate the flow equation of the normalized effective action by
-    RK4 on the step boundaries ``grid``, yielding ``(state, log_norm)`` at
-    each grid time, ``f0`` with a zero scalar part first; each state is a
-    fresh element that the generator does not keep.
-
-    With ``truncate_ge2`` the right-hand side is projected onto degree >= 4,
-    which removes the two-point insertions while keeping the normalization
-    subtraction.  An ``f0`` whose odd coefficients are not all exactly zero
-    is refused with ``ParityError``.  RK4 runs on the smaller carrier that
-    holds ``f0`` exactly, found once from exact zeros, not from a
-    tolerance: up to ``_WEDGE_LEAF`` generators, the neutral coefficients
-    in float64 when every charged coefficient and every imaginary part of
-    ``f0`` is exactly zero, and the even coefficients in complex128
-    otherwise.  The yielded states are full elements on either carrier,
-    scattered from the carrier vectors of the one RK4 loop that
-    ``flow_integrate`` reads.
-
-    Up to ``_DENSE_LEAF`` generators (2 to 4 sites) the neutral carrier's
-    right-hand side is ``_dense_rhs``: the rate becomes a dense ``S x S``
-    half-Laplacian over its ``S`` neutral masks (6, 20 and 70), and each
-    stage fills the matrix of ``F ^ .`` and takes four matrix products,
-    where the chunked ``_flow_rhs`` takes about 20 gathers and segment
-    sums; above it (at 10 generators the dense operators lost, at 12 one
-    block of them would hold 109 MB) and on the even carrier it is
-    ``_flow_rhs``.  The dense sums add the exact zeros of the operators in
-    and run in the order of the matrix products, so the states differ from
-    the chunked ones in the last bits.
-
-    The rate is read a block of ``_BLOCK_STEPS`` steps at a time: one call
-    of ``schedule.cdot`` on the 1-D array of the block's midpoints and
-    ends, in time order, and one stacked ``_laplacian_weights`` of its
-    kernels; the rate at a step's start is the previous step's end, and
-    the start of the grid is read alone, as an array of one scale.  Every
-    node and midpoint is read once.  A block holds ``2 * _BLOCK_STEPS``
-    rows of weights, one per entry of the carrier's Laplacian table, or on
-    the dense path as many half-Laplacians, ``2 * _BLOCK_STEPS * 8 * S**2``
-    bytes (4.6 KB, 51 KB and 627 KB at 2, 3 and 4 sites), and only the last
-    row of the previous block: at 6 sites they raised the peak traced
-    memory of a 40-step flow from 0.8 to 1.8 MB on the neutral carrier and
-    from 2.8 to 10.4 MB on the even one.  Blocks start at every
-    ``_BLOCK_STEPS``-th step of the grid, so a rerun reads the same blocks.
-    A stacked kernel may differ from the kernel at one scale in the last
-    bits (see :mod:`ferroflow.schedule`), and the states with it.
-
-    A kernel that does not depend on the scale, one ``(pairs, pairs)``
-    matrix for the array, holds over the block; any other shape than
-    ``(scales, pairs, pairs)`` for the pairs of ``f0`` raises
-    ``DimensionMismatchError`` naming it.  On the neutral carrier a kernel
-    with an imaginary part would move the state off it, and is refused
-    with a ``ValueError`` naming the first such scale of its block, before
-    any state of the block is yielded.  A grid with a NaN or infinite time
-    is refused before anything else, and an empty grid next.
-    """
-    neutral, states = _carrier_flow(schedule, f0, grid, truncate_ge2)
-    gens = f0.gens
-    index = _index_set(gens.count, True, neutral)
-    next(states)  # f0 itself, yielded as its full vector
-    y0 = f0.coeffs.copy()
-    y0[0] = 0.0
-    yield GrassmannElement._adopt(gens, y0), 0.0 + 0.0j
-    for y, c in states:
-        state = np.zeros(1 << gens.count, dtype=np.complex128)
-        state[index] = y
-        yield GrassmannElement._adopt(gens, state), c
-
-
 def flow_integrate(schedule: ScaleSchedule, f0: GrassmannElement,
                    truncate_ge2: bool = False, steps: int = 400,
                    t_end: float | None = None) -> FlowTrajectory:
-    """The trajectory of ``flow_states`` on ``steps`` uniform steps up to
-    ``t_end`` (default: the schedule's upper scale): the seminorm series of
-    each state, exactly even, read off its carrier vector into its row of
-    ``norms`` as it comes, bitwise the row of the full state; no full state
-    is built.  A negative ``steps`` or a NaN or infinite ``t_end`` raises
-    ``ValueError``; ``steps = 0`` gives the one-point trajectory at 0.  A
-    series or log-normalization that is not finite raises
-    ``ResolutionError`` at its grid time, in place of overflow warnings;
-    the first time ``exp(-log_norm)`` falls below 0.1 is noted."""
+    """The trajectory of the flow equation of the normalized effective
+    action from the bare action ``f0``: RK4 on ``steps`` uniform steps up to
+    ``t_end`` (default: the schedule's upper scale) by ``_carrier_flow``,
+    whose docstring states the carriers, the block reads of the rate and
+    the refusals.  Each state's seminorm series, exactly even, is read off
+    its carrier vector into its row of ``norms`` as it comes, bitwise the
+    row of the full state; no full state is built.
+
+    A negative ``steps`` or a NaN or infinite ``t_end`` raises
+    ``ValueError`` before the refusals of ``_carrier_flow``; ``steps = 0``
+    gives the one-point trajectory at 0.  A series or log-normalization
+    that is not finite raises ``ResolutionError`` at its grid time, in
+    place of overflow warnings; the first time ``exp(-log_norm)`` falls
+    below 0.1 is noted."""
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     end = schedule.T if t_end is None else float(t_end)

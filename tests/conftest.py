@@ -8,10 +8,11 @@ from ferroflow.instances import (  # noqa: F401  (test modules import them from 
     synthetic_schedule,
 )
 from ferroflow.algebra import GrassmannElement, wedge
-from ferroflow.flow import flow_states
 from ferroflow.gaussian import AntisymmetricCovariance
 from ferroflow.psi4 import Psi4Params, build_desk_instance
 from ferroflow.schedule import ScaleSchedule
+
+from oracles import flow_states
 
 
 @pytest.fixture

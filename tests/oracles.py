@@ -2,12 +2,14 @@
 
 None of these is reached by the CLI: the left derivative, Berezin
 integration, the double translation and the one-matrix Pfaffian loop check
-the Gaussian calculus, the
-majorant's value by Newton inversion of the characteristic map checks the
-series reversion of ``majorant_coefficients``, step halving checks the
-RK4 steps of ``flow_integrate``, and RK4 with the rate read one scale at a
-time checks the block reads of ``flow_states``.  Test modules import them
-as they import ``conftest``.
+the Gaussian calculus, the majorant's value by Newton inversion of the
+characteristic map checks the series reversion of
+``majorant_coefficients``, step halving checks the RK4 steps of
+``flow_integrate``, and RK4 with the rate read one scale at a time checks
+its block reads.  ``flow_states`` is no route of its own: it shows the
+states of ``flow_integrate``'s RK4 loop as full elements, for the routes
+and the tests to compare.  Test modules import them as they import
+``conftest``.
 """
 
 import math
@@ -27,9 +29,9 @@ from ferroflow.algebra import (
 from ferroflow.errors import ExistenceError
 from ferroflow.flow import (
     FlowTrajectory,
+    _carrier_flow,
     _flow_rhs,
     flow_integrate,
-    flow_states,
 )
 from ferroflow.gaussian import AntisymmetricCovariance, _laplacian_weights
 from ferroflow.majorant import CharacteristicSolution, MajorantSpec, existence_check
@@ -164,6 +166,25 @@ def grid_deviation(coarse, fine, stride: int) -> float:
     return dev
 
 
+def flow_states(schedule, f0, grid, truncate_ge2: bool = False):
+    """The ``(state, log_norm)`` pairs of ``flow_integrate``'s RK4 loop,
+    ``_carrier_flow``, on the step boundaries ``grid``: ``f0`` with a zero
+    scalar part first, then each carrier vector scattered into a fresh full
+    element.  It refuses what ``_carrier_flow`` refuses, at the first
+    ``next``."""
+    neutral, states = _carrier_flow(schedule, f0, grid, truncate_ge2)
+    gens = f0.gens
+    index = _index_set(gens.count, True, neutral)
+    next(states)  # f0 itself, yielded as its full vector
+    y0 = f0.coeffs.copy()
+    y0[0] = 0.0
+    yield GrassmannElement._adopt(gens, y0), 0.0 + 0.0j
+    for y, c in states:
+        state = np.zeros(gens.dim, dtype=np.complex128)
+        state[index] = y
+        yield GrassmannElement._adopt(gens, state), c
+
+
 def step_halving_flow(schedule, f0, steps: int, t_end: float,
                       truncate_ge2: bool = False, tol: float = 1e-7
                       ) -> FlowTrajectory:
@@ -190,11 +211,11 @@ def step_halving_flow(schedule, f0, steps: int, t_end: float,
 
 def flow_states_by_node(schedule, f0, grid, truncate_ge2: bool = False):
     """The ``(state, log_norm)`` pairs of ``flow_states`` on ``grid`` from
-    RK4 on the same carrier with the chunked ``_flow_rhs``, which is also
-    the oracle of the dense right-hand side up to 8 generators, and with the
-    kernel read one scale at a time: at the start of the grid, then at
-    every step's midpoint and end, each read followed by its own Laplacian
-    weights.  It checks none of the inputs that ``flow_states`` refuses."""
+    RK4 on the same carrier with ``_flow_rhs``, which is also the oracle of
+    the dense right-hand side up to 8 generators, and with the kernel read
+    one scale at a time: at the start of the grid, then at every step's
+    midpoint and end, each read followed by its own Laplacian weights.  It
+    checks none of the inputs that ``_carrier_flow`` refuses."""
     gens = f0.gens
     n_gen = gens.count
     y0 = f0.coeffs.copy()

@@ -176,12 +176,35 @@ def test_majorant_reads_tau_in_two_queries(tmp_path, monkeypatch, sites):
     assert shapes == [(), (11,)]
 
 
+@pytest.mark.parametrize("sites", [2, 4])
+def test_majorant_certificate_reads_positive_times(tmp_path, capsys, sites):
+    # phi_m = F_m exactly at t = 0, so the printed worst margins are those
+    # of the CSV's t > 0 rows: the absolute one, and the relative one over
+    # the rows with phi_m > 0, each with its (t, m)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sites = {sites}\n")
+    out = tmp_path / "m.csv"
+    assert main(["majorant", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert all(margin == "0" for t, *_, margin in rows if float(t) == 0.0)
+    later = [(t, int(m), float(pm), float(margin))
+             for t, m, _, pm, margin in rows if float(t) > 0.0]
+    t, m, _, margin = min(later, key=lambda row: row[3])
+    rt, rm, pm, rmargin = min((row for row in later if row[2] > 0.0),
+                              key=lambda row: row[3] / row[2])
+    assert margin > 0.0 and len(later) == 10 * sites
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"wrote {out}; over t > 0, worst margin {margin:.3e} at "
+        f"(t {t}, m {m}), worst relative margin {rmargin / pm:.3e} at "
+        f"(t {rt}, m {rm})")
+
+
 def test_majorant_integrates_no_flow(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("majorant integrated the flow")
 
     monkeypatch.setattr(cli, "flow_integrate", refuse)
-    monkeypatch.setattr(flow, "flow_states", refuse)
+    monkeypatch.setattr(flow, "_carrier_flow", refuse)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sites = 2\nsteps = 20\n")
     assert main(["majorant", "--config", str(cfg),

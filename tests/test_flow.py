@@ -28,7 +28,6 @@ from ferroflow.flow import (
     _flow_rhs,
     effective_action_exact,
     flow_integrate,
-    flow_states,
     rg_map,
 )
 from ferroflow import algebra, flow, gaussian, schedule
@@ -56,7 +55,12 @@ from conftest import (
     taylor_by_wedge,
     uniform_grid,
 )
-from oracles import derivative, flow_states_by_node, step_halving_flow
+from oracles import (
+    derivative,
+    flow_states,
+    flow_states_by_node,
+    step_halving_flow,
+)
 
 
 def flow_rhs_by_generators(rate, coeffs, gens, truncate_ge2):
@@ -180,8 +184,9 @@ class TestFlowRhs:
 def test_rhs_table_unions_own_one_segment_per_block(n_gen):
     # even masks: every mask of S is the union of one segment of the
     # even x even block, in rank order, and the pairs are ranks in S, so
-    # the flow reads the block's segment sums as the product over S; at 12
-    # generators the block is walked in several chunks
+    # wedge sums each union's terms of the block in one segment, in the
+    # order that the even carrier's right-hand side shares through
+    # _wedge_blocks; at 12 generators the block is walked in several chunks
     pop = popcounts(1 << n_gen, n_gen)
     index = _index_set(n_gen, True)
     assert np.array_equal(index, np.flatnonzero(pop % 2 == 0))
@@ -343,15 +348,22 @@ class TestNeutralCarrier:
 
 @pytest.fixture
 def tables_asked(monkeypatch):
-    """The generator counts at which the flow asks for the even x even pair
-    table, for the neutral one and for the dense table, and at which it
-    runs the chunked right-hand side, from now on."""
+    """The generator counts at which the flow chooses the even carrier, asks
+    for the neutral pair table and for the dense table, and runs the
+    chunked right-hand side, from now on."""
     asked = {"even": [], "neutral": [], "dense": [], "chunked": []}
-    pair_table, dense_table, flow_rhs = (
-        flow._pair_table, flow._dense_table, flow._flow_rhs)
+    carrier_flow, pair_table, dense_table, flow_rhs = (
+        flow._carrier_flow, flow._pair_table, flow._dense_table,
+        flow._flow_rhs)
+
+    def choosing(schedule, f0, *args):
+        neutral, states = carrier_flow(schedule, f0, *args)
+        if not neutral:
+            asked["even"].append(f0.gens.count)
+        return neutral, states
 
     def asking(n_gen, block, *neutral):
-        asked["neutral" if any(neutral) else "even"].append(n_gen)
+        asked["neutral"].append(n_gen)
         return pair_table(n_gen, block, *neutral)
 
     def asking_dense(n_gen):
@@ -362,6 +374,7 @@ def tables_asked(monkeypatch):
         asked["chunked"].append(n_gen)
         return flow_rhs(weights, y, n_gen, *args)
 
+    monkeypatch.setattr(flow, "_carrier_flow", choosing)
     monkeypatch.setattr(flow, "_pair_table", asking)
     monkeypatch.setattr(flow, "_dense_table", asking_dense)
     monkeypatch.setattr(flow, "_flow_rhs", chunked)
@@ -879,7 +892,7 @@ class TestExactParity:
         sched = synthetic_schedule(rng, 4)
         f = with_tolerated_odd_content(rng, gens)
         odd = popcounts(gens.dim, gens.count) % 2 == 1
-        with pytest.raises(ParityError, match="flow_states requires an "
+        with pytest.raises(ParityError, match="the flow requires an "
                            "exactly even element"):
             next(flow_states(sched, f, np.linspace(0.0, 1.0, 11)))
         with pytest.raises(ParityError):

@@ -23,17 +23,18 @@ def test_moved_and_deleted_names_stay_out():
             "trajectory_to_csv", "coefficient", "parity_split"}
     assert gone.isdisjoint(ferroflow.__all__)
     assert len(ferroflow.__all__) == 39
-    # step halving moved to tests/oracles.py, and its error went with it;
-    # schedules take sigma^2 from their builders; trajectories keep no
-    # states, and a desk slice is one array; the CLI writes every CSV; each
-    # operation has one spelling, so its aliases and other input forms went
+    # step halving and flow_states moved to tests/oracles.py, and step
+    # halving's error went with it; schedules take sigma^2 from their
+    # builders; trajectories keep no states, and a desk slice is one array;
+    # the CLI writes every CSV; each operation has one spelling, so its
+    # aliases and other input forms went
     from ferroflow import algebra, errors, flow, gaussian, norms, psi4, schedule
 
     sched = schedule.ScaleSchedule.from_cdot(lambda t: [[1.0]], 1.0, 1,
                                              lambda t: 4.0 + 0.0 * t)
     left = [f"{owner!r}.{name}" for owner, names in (
         (flow, ("_refine", "_grid_deviation", "_integrate_on",
-                "trajectory_to_csv")),
+                "trajectory_to_csv", "flow_states")),
         (errors, ("IntegrationError",)),
         (psi4, ("CovarianceSlice",)),
         (sched, ("gram_rate_at", "_cum", "_tables", "_gram_rate")),
