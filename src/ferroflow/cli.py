@@ -45,13 +45,14 @@ sites.
 RK4 carries the desk's neutral real action on its neutral masks, as many
 unbarred as barred generators, in float64: ``8 * C(2 sites, sites)``
 bytes a vector, 7.4 KB at 6 sites, where the even masks in complex128 take
-``8 * 4**sites`` bytes (32 KB).  ``flow`` keeps
-the seminorm series of each yielded state as one array row of ``8 * sites``
-bytes, not the state's ``16 * 4**sites`` bytes, and writes its CSV row by
-row: a 6-site run of 30,000 steps peaked at 43 MiB RSS in 33 s, as one
-step does, where the series as one object per state took 76 MiB and
-keeping every state took 242 MiB at 3,000 steps (one run each, x86_64
-Linux, a 2-CPU Xeon); one-step runs peaked at 31-33 MiB at 2 and 4 sites.
+``8 * 4**sites`` bytes (32 KB).  ``flow`` keeps the seminorm series of each
+yielded state as one array row of ``8 * sites`` bytes, not the state's
+``16 * 4**sites`` bytes, and writes its CSV a block of
+``flow._BLOCK_STEPS`` grid times at a time, never as one string: a 6-site
+run of 30,000 steps peaked at 43 MiB RSS in 33 s, as one step does,
+where the series as one object per state took 76 MiB and keeping every
+state took 242 MiB at 3,000 steps (one run each, x86_64 Linux, a 2-CPU
+Xeon); one-step runs peaked at 31-33 MiB at 2 and 4 sites.
 
 ``psi4`` writes one CSV row per scale of a uniform grid on ``[0, tMax]``:
 at most 201 rows (``min(steps, 200) + 1``) below its header, whatever
@@ -72,7 +73,7 @@ import functools
 import itertools
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -86,7 +87,7 @@ from .errors import (
     ExistenceError,
     FerroflowError,
 )
-from .flow import effective_action_exact, flow_integrate, rg_map
+from .flow import _BLOCK_STEPS, effective_action_exact, flow_integrate, rg_map
 from .gaussian import (
     AntisymmetricCovariance,
     covariance_split_check,
@@ -403,8 +404,9 @@ def _desk_instance(cfg: RunConfig) -> psi4.DeskInstance:
 
 
 def _write(path: str, lines: Iterable[str | tuple]) -> None:
-    """Write ``lines`` to ``path`` as they come, a string as it is and a
-    tuple as its fields by ``_fmt``, comma-separated."""
+    """Write ``lines`` to ``path`` as they come, a string as it is (one
+    line or a block of them) and a tuple as its fields by ``_fmt``,
+    comma-separated."""
     try:
         with open(path, "w", encoding="ascii", newline="\n") as out:
             for line in lines:
@@ -415,14 +417,25 @@ def _write(path: str, lines: Iterable[str | tuple]) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+def _flow_blocks(grid: np.ndarray, norms: np.ndarray) -> Iterator[str]:
+    """The ``t,m,F_m`` rows of a flow trajectory, a block of
+    ``_BLOCK_STEPS`` grid times to a string, each time formatted once."""
+    for first in range(0, len(grid), _BLOCK_STEPS):
+        last = first + _BLOCK_STEPS
+        yield "\n".join(
+            f"{t},{m},{_fmt(fm)}"
+            for t, row in zip(map(_fmt, grid[first:last].tolist()),
+                              norms[first:last].tolist())
+            for m, fm in enumerate(row, start=1))
+
+
 def cmd_flow(cfg: RunConfig) -> int:
     inst = _desk_instance(cfg)
     traj = flow_integrate(inst.schedule, inst.bare_action, steps=cfg.steps,
                           t_end=cfg.tMax, truncate_ge2=cfg.truncate)
     out = cfg.out or "flow.csv"
-    rows = ((t, m, fm) for t, row in zip(traj.grid.tolist(), traj.norms)
-            for m, fm in enumerate(row.tolist(), start=1))
-    _write(out, itertools.chain(["t,m,F_m"], rows))
+    _write(out, itertools.chain(["t,m,F_m"],
+                                _flow_blocks(traj.grid, traj.norms)))
     print(f"wrote {out} ({len(traj.grid)} grid points)")
     for note in traj.notes:
         print(f"note: {note}")

@@ -184,25 +184,31 @@ def _flow_rhs(weights: np.ndarray, y: np.ndarray, n_gen: int,
 
 
 def _dense_rhs(half: np.ndarray, y: np.ndarray, table: tuple[np.ndarray, ...],
-               low: np.ndarray | None) -> tuple[np.ndarray, complex]:
+               product: np.ndarray, low: np.ndarray | None
+               ) -> tuple[np.ndarray, complex]:
     """``_flow_rhs`` on the neutral carrier from dense ``S x S`` operators:
     ``half`` is the half-Laplacian ``H`` of the rate, ``y`` the coefficients
     over the ``S`` neutral masks and ``table = _dense_table(n_gen)``.  With
-    ``M`` the matrix of ``F ^ .``, filled by one scatter of ``y[J] * sgn``,
+    ``M`` the matrix of ``F ^ .``, filled by one scatter of ``y[J] * sgn``
+    into ``product``,
 
-        h = H y,  dF = h + sign (M h - (1/2) H (M y)),  dlog = h[0],
+        h = H y,  dF = h + (M h - (1/2) H (M y)),  dlog = h[0],
 
-    the product rule of ``_flow_rhs`` with ``Delta = 2 H``.  The sums run
-    over the same terms as there, the exact zeros of ``H`` and ``M`` added
-    in, in the order of the matrix products."""
-    _, j, sgn, product = table
-    size = y.size
-    m = np.zeros(size * size)
-    m[product] = y[j] * sgn
-    m = m.reshape(size, size)
+    the product rule of ``_flow_rhs`` with ``Delta = 2 H`` and the sign of
+    the bilinear term in ``sgn``.  The sums run over the same terms as
+    there, the exact zeros of ``H`` and ``M`` added in, in the order of the
+    matrix products.
+
+    ``product`` is one C-contiguous ``S x S`` float64 matrix per
+    trajectory, zeroed once: every call overwrites the same unique
+    positions of the table, and the others stay zero, so no entry of an
+    earlier ``y`` survives and ``dF`` is bitwise that of a fresh zeroed
+    matrix."""
+    _, j, sgn, positions = table
+    product.reshape(-1)[positions] = y[j] * sgn
     # ndarray.dot: the matmul ufunc costs more than the product at S = 70
     h = half.dot(y)
-    out = h + _BILINEAR_SIGN * (m.dot(h) - 0.5 * half.dot(m.dot(y)))
+    out = h + (product.dot(h) - 0.5 * half.dot(product.dot(y)))
     out[0] = 0.0  # normalization: the scalar part stays exactly zero
     if low is not None:
         out[low] = 0.0
@@ -213,12 +219,13 @@ def _dense_rhs(half: np.ndarray, y: np.ndarray, table: tuple[np.ndarray, ...],
 def _dense_table(n_gen: int) -> tuple[np.ndarray, ...]:
     """Flat positions of the dense operators of ``_dense_rhs`` on the ``S``
     neutral masks of ``n_gen`` generators, as ``(laplacian, j, sgn,
-    product)``: entry ``e`` of ``_laplacian_table(n_gen, True, True)`` sits
+    positions)``: entry ``e`` of ``_laplacian_table(n_gen, True, True)`` sits
     at ``laplacian[e] = target * S + source`` of the Laplacian, and pair
     ``p`` of ``_pair_table(n_gen, 0, True)`` puts ``y[j[p]] * sgn[p]`` at
-    ``product[p] = union * S + k[p]`` of the matrix of ``F ^ .``.  Both
-    position sets are unique: a target and a source fix the generator pair
-    that ``d_i d_j`` removes, and a union and ``K`` fix ``J``."""
+    ``positions[p] = union * S + k[p]`` of the matrix of ``F ^ .``, where
+    ``sgn`` is the pair's sign times ``_BILINEAR_SIGN``, exact for +-1.
+    Both position sets are unique: a target and a source fix the generator
+    pair that ``d_i d_j`` removes, and a union and ``K`` fix ``J``."""
     size = _index_set(n_gen, True, True).size
     _, _, src, _, targets, starts = _laplacian_table(n_gen, True, True)
     laplacian = np.repeat(targets, np.diff(starts, append=src.size)) * size + src
@@ -228,7 +235,7 @@ def _dense_table(n_gen: int) -> tuple[np.ndarray, ...]:
                             for j, _, _, unions, seg in chunks])
     j, k, sgn = (np.concatenate([chunk[i] for chunk in chunks])
                  for i in range(3))
-    return laplacian, j, sgn, union * size + k
+    return laplacian, j, _BILINEAR_SIGN * sgn, union * size + k
 
 
 def _half_laplacians(weights: np.ndarray, n_gen: int) -> np.ndarray:
@@ -245,12 +252,16 @@ def _half_laplacians(weights: np.ndarray, n_gen: int) -> np.ndarray:
 
 def _carrier_flow(schedule: ScaleSchedule, f0: GrassmannElement,
                   grid: np.ndarray, truncate_ge2: bool
-                  ) -> tuple[bool, Iterator[tuple[np.ndarray, complex]]]:
+                  ) -> tuple[bool, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """RK4 of the flow equation from the bare action ``f0`` on the step
     boundaries ``grid``, on the smaller carrier that holds ``f0`` exactly:
-    returns ``(neutral, states)``, where ``states`` yields ``(y,
-    log_norm)`` at each grid time, ``f0`` with a zero scalar part first,
-    ``y`` a fresh vector over ``_index_set(n_gen, True, neutral)``.  With
+    returns ``(neutral, states)``, where ``states`` yields the states a
+    block at a time, as ``(ys, cs)``: ``ys[i]`` is the vector over
+    ``_index_set(n_gen, True, neutral)`` and ``cs[i]`` the complex128
+    log-normalization at the block's ``i``-th grid time, in fresh arrays
+    of ``rows`` rows, ``ys`` of shape ``(rows, S)``.  The first block is
+    ``f0`` with a zero scalar part, alone; each later one holds the ends of
+    the steps of one block of the rate read below.  With
     ``truncate_ge2`` the right-hand side is projected onto degree >= 4,
     which removes the two-point insertions while keeping the normalization
     subtraction.
@@ -263,7 +274,8 @@ def _carrier_flow(schedule: ScaleSchedule, f0: GrassmannElement,
     ``_dense_rhs``, whose sums add the exact zeros of its operators in and
     run in the order of the matrix products, so its states differ from
     those of ``_flow_rhs`` in the last bits; above it, and on the even
-    carrier, it is ``_flow_rhs``.
+    carrier, it is ``_flow_rhs``.  The dense path fills one product matrix
+    of ``S x S`` float64 per trajectory (see ``_dense_rhs``).
 
     Refused at the call, in this order, each with a ``ValueError`` unless
     named: a grid with a NaN or infinite time; an ``f0`` whose odd
@@ -292,7 +304,7 @@ def _carrier_flow(schedule: ScaleSchedule, f0: GrassmannElement,
     ``DimensionMismatchError`` naming it.  On the neutral carrier a kernel
     with an imaginary part would move the state off it, and is refused
     with a ``ValueError`` naming the first such scale of its block, before
-    any state of the block is yielded."""
+    the block's states are yielded."""
     grid = np.asarray(grid, dtype=float)
     if not np.isfinite(grid).all():
         raise ValueError("trajectory grid must be finite")
@@ -343,12 +355,13 @@ def _carrier_flow(schedule: ScaleSchedule, f0: GrassmannElement,
 
     if neutral and n_gen <= _DENSE_LEAF:
         table = _dense_table(n_gen)
+        product = np.zeros((index.size, index.size))
 
         def rates(ts):
             return _half_laplacians(rate_weights(ts), n_gen)
 
         def rhs(half, y):
-            return _dense_rhs(half, y, table, low)
+            return _dense_rhs(half, y, table, product, low)
     else:
         rates = rate_weights
 
@@ -358,7 +371,7 @@ def _carrier_flow(schedule: ScaleSchedule, f0: GrassmannElement,
     def states(y):
         c = 0.0 + 0.0j
         r_end = rates(grid[:1])[0]
-        yield y, c
+        yield y[None], np.array([c])
         for first in range(0, len(grid) - 1, _BLOCK_STEPS):
             ends = grid[first + 1:first + 1 + _BLOCK_STEPS]
             starts = grid[first:first + ends.size]
@@ -367,16 +380,21 @@ def _carrier_flow(schedule: ScaleSchedule, f0: GrassmannElement,
             nodes[0::2] = starts + 0.5 * steps
             nodes[1::2] = ends
             r = rates(nodes)  # midpoint and end of step i: rows 2i, 2i+1
-            for i, h in enumerate(steps):
+            ys = np.empty((ends.size, y.size), dtype=y.dtype)
+            cs = np.empty(ends.size, dtype=np.complex128)
+            for i, h in enumerate(steps.tolist()):
                 k1, c1 = rhs(r_end, y)
                 k2, c2 = rhs(r[2 * i], y + 0.5 * h * k1)
                 k3, c3 = rhs(r[2 * i], y + 0.5 * h * k2)
                 r_end = r[2 * i + 1]
                 k4, c4 = rhs(r_end, y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                np.add(y, (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                       out=ys[i])
+                y = ys[i]
                 y[0] = 0.0
                 c = c + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-                yield y, c
+                cs[i] = c
+            yield ys, cs
             # the next block is read with only this block's last rate held
             r_end = r_end.copy()
             del r
@@ -391,16 +409,18 @@ def flow_integrate(schedule: ScaleSchedule, f0: GrassmannElement,
     action from the bare action ``f0``: RK4 on ``steps`` uniform steps up to
     ``t_end`` (default: the schedule's upper scale) by ``_carrier_flow``,
     whose docstring states the carriers, the block reads of the rate and
-    the refusals.  Each state's seminorm series, exactly even, is read off
-    its carrier vector into its row of ``norms`` as it comes, bitwise the
-    row of the full state; no full state is built.
+    the refusals.  The seminorm series of each block of states, exactly
+    even, is read off its carrier vectors into its rows of ``norms`` at
+    once, each row bitwise that of the full state; no full state is built.
 
     A negative ``steps`` or a NaN or infinite ``t_end`` raises
     ``ValueError`` before the refusals of ``_carrier_flow``; ``steps = 0``
-    gives the one-point trajectory at 0.  A series or log-normalization
-    that is not finite raises ``ResolutionError`` at its grid time, in
-    place of overflow warnings; the first time ``exp(-log_norm)`` falls
-    below 0.1 is noted."""
+    gives the one-point trajectory at 0.  Each block is checked as a whole:
+    a series or log-normalization that is not finite raises
+    ``ResolutionError`` at the first such grid time, in place of overflow
+    warnings, and the first time ``exp(-log_norm)`` falls below 0.1 is
+    noted.  RK4 runs to the end of the block past such a time, under the
+    same ``np.errstate``."""
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     end = schedule.T if t_end is None else float(t_end)
@@ -412,19 +432,26 @@ def flow_integrate(schedule: ScaleSchedule, f0: GrassmannElement,
     log_norm = np.empty(len(grid), dtype=np.complex128)
     notes = []
     neutral, states = _carrier_flow(schedule, f0, grid, truncate_ge2)
+    first = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (y, c) in enumerate(states):
-            t = grid[i]
-            norms[i] = _norm_row(y, n_gen, True, neutral)
-            if not (np.isfinite(c) and np.isfinite(norms[i]).all()):
+        for ys, cs in states:
+            rows = _norm_row(ys, n_gen, True, neutral)
+            finite = np.isfinite(cs) & np.isfinite(rows).all(axis=1)
+            if not finite.all():
                 raise ResolutionError(
                     f"the flow diverged: its seminorm series or "
-                    f"log-normalization is not finite at t={t:.6g}")
-            if not notes and np.exp(-c.real) < _SCALAR_WARN_FLOOR:
+                    f"log-normalization is not finite at "
+                    f"t={grid[first + np.argmin(finite)]:.6g}")
+            below = np.exp(-cs.real) < _SCALAR_WARN_FLOOR
+            if not notes and below.any():
+                i = np.argmax(below)
                 notes.append(
-                    f"normalization scalar exp(-{c.real:.3g}) below "
-                    f"{_SCALAR_WARN_FLOOR} at t={t:.6g}; conditioning degrades")
-            log_norm[i] = c
+                    f"normalization scalar exp(-{cs[i].real:.3g}) below "
+                    f"{_SCALAR_WARN_FLOOR} at t={grid[first + i]:.6g}; "
+                    f"conditioning degrades")
+            norms[first:first + len(cs)] = rows
+            log_norm[first:first + len(cs)] = cs
+            first += len(cs)
     norms.setflags(write=False)
     return FlowTrajectory(grid, norms, log_norm, truncated=truncate_ge2,
                           notes=notes)

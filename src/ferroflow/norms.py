@@ -112,14 +112,22 @@ def _norm_row(coeffs: np.ndarray, n_gen: int, even: bool = False,
               neutral: bool = False) -> np.ndarray:
     """The seminorm coefficients ``F_1 .. F_n`` of a coefficient vector of
     ``n_gen`` generators over ``_index_set(n_gen, even, neutral)`` as a
-    float64 row, from one ``np.abs`` pass; odd coefficients are not
-    read."""
+    float64 row, from one ``np.abs`` pass; odd coefficients are not read.
+    A 2-D block of such vectors, one a row, gives one row each, from one
+    ``bincount`` whose bins are offset per row, so each row is bitwise the
+    row of its vector alone."""
     n = n_gen // 2
     subsets, bins = _norm_table(n_gen, even, neutral)
-    sums = np.bincount(bins, weights=np.abs(coeffs)[subsets],
-                       minlength=n_gen * (n_gen + 1)).reshape(n_gen, n_gen + 1)
-    per_m = sums[:, 2: 2 * n + 1: 2] / (2.0 * np.arange(1, n + 1))
-    return np.max(per_m, axis=0, initial=0.0)
+    width = n_gen * (n_gen + 1)
+    block = np.atleast_2d(coeffs)
+    if len(block) > 1:
+        bins = (width * np.arange(len(block))[:, None] + bins).ravel()
+    sums = np.bincount(bins, weights=np.abs(block.take(subsets, axis=1)).ravel(),
+                       minlength=len(block) * width)
+    sums = sums.reshape(len(block), n_gen, n_gen + 1)
+    per_m = sums[:, :, 2: 2 * n + 1: 2] / (2.0 * np.arange(1, n + 1))
+    rows = np.max(per_m, axis=1, initial=0.0)
+    return rows if coeffs.ndim == 2 else rows[0]
 
 
 def convergence_radius(series0: NormSeries) -> float:

@@ -169,9 +169,10 @@ def grid_deviation(coarse, fine, stride: int) -> float:
 def flow_states(schedule, f0, grid, truncate_ge2: bool = False):
     """The ``(state, log_norm)`` pairs of ``flow_integrate``'s RK4 loop,
     ``_carrier_flow``, on the step boundaries ``grid``: ``f0`` with a zero
-    scalar part first, then each carrier vector scattered into a fresh full
-    element.  It refuses what ``_carrier_flow`` refuses, at the first
-    ``next``."""
+    scalar part first, then each carrier vector of each block, row by row,
+    scattered into a fresh full element.  It refuses what ``_carrier_flow``
+    refuses, at the first ``next``, and a block's refusal before any of its
+    states."""
     neutral, states = _carrier_flow(schedule, f0, grid, truncate_ge2)
     gens = f0.gens
     index = _index_set(gens.count, True, neutral)
@@ -179,10 +180,11 @@ def flow_states(schedule, f0, grid, truncate_ge2: bool = False):
     y0 = f0.coeffs.copy()
     y0[0] = 0.0
     yield GrassmannElement._adopt(gens, y0), 0.0 + 0.0j
-    for y, c in states:
-        state = np.zeros(gens.dim, dtype=np.complex128)
-        state[index] = y
-        yield GrassmannElement._adopt(gens, state), c
+    for ys, cs in states:
+        for y, c in zip(ys, cs.tolist()):
+            state = np.zeros(gens.dim, dtype=np.complex128)
+            state[index] = y
+            yield GrassmannElement._adopt(gens, state), c
 
 
 def step_halving_flow(schedule, f0, steps: int, t_end: float,

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -136,6 +137,79 @@ def test_rerun_is_byte_identical(tmp_path, command):
                    for out in outs]
         assert reports[0] == reports[1]
         assert b"holds = true" in reports[0]
+
+
+def flow_csv_by_rows(traj) -> bytes:
+    """The flow CSV of a trajectory rendered row by row, each row's fields
+    by ``cli._fmt``."""
+    lines = ["t,m,F_m"]
+    for t, row in zip(traj.grid.tolist(), traj.norms.tolist()):
+        lines += [",".join(map(cli._fmt, (t, m, fm)))
+                  for m, fm in enumerate(row, start=1)]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@pytest.fixture
+def flow_trajectories(monkeypatch):
+    """The trajectories that ``cmd_flow`` integrates from now on."""
+    kept = []
+    integrate = cli.flow_integrate
+
+    def keeping(*args, **kwargs):
+        kept.append(integrate(*args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr(cli, "flow_integrate", keeping)
+    return kept
+
+
+@pytest.mark.parametrize("sites", [2, 4, 5])
+@pytest.mark.parametrize("steps", [1, 37, 400])
+@pytest.mark.parametrize("truncate", [False, True], ids=["full", "truncate"])
+def test_flow_csv_is_its_rows_rendered_one_by_one(tmp_path, capsys,
+                                                  flow_trajectories, sites,
+                                                  steps, truncate):
+    # cmd_flow formats each grid time once and writes a block of rows at a
+    # time; the file is byte for byte the one of a row-by-row renderer
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sites = {sites}\nsteps = {steps}\n")
+    out = tmp_path / "flow.csv"
+    argv = ["flow", "--config", str(cfg), "--out", str(out)]
+    assert main(argv + ["--truncate"] * truncate) == 0
+    (traj,) = flow_trajectories
+    assert traj.truncated == truncate and len(traj.grid) == steps + 1
+    assert out.read_bytes() == flow_csv_by_rows(traj)
+    assert capsys.readouterr().out.startswith(
+        f"wrote {out} ({steps + 1} grid points)\n")
+
+
+def test_flow_csv_is_streamed(tmp_path, capsys, monkeypatch):
+    # the trajectory's arrays grow with the steps; what cmd_flow allocates
+    # after the flow, for its CSV, must not by more than a block of rows.
+    # A grid as one list of floats or the file as one string would add
+    # hundreds of kB at 10,000 steps
+    integrate = cli.flow_integrate
+
+    def tracing(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        tracemalloc.start()
+        return traj
+
+    monkeypatch.setattr(cli, "flow_integrate", tracing)
+    cfg = tmp_path / "run.cfg"
+    peaks = []
+    for steps in (1_000, 1_000, 10_000):  # the first run warms up
+        cfg.write_text(f"sites = 2\nsteps = {steps}\n")
+        try:
+            assert main(["flow", "--config", str(cfg), "--out",
+                         str(tmp_path / "flow.csv")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one block of 2-site rows, as strings of at most 100 bytes each
+    block = flow._BLOCK_STEPS * 2 * 100
+    assert peaks[2] - peaks[1] <= block
+    assert (tmp_path / "flow.csv").read_bytes().count(b"\n") == 2 * 10_001 + 1
 
 
 def test_majorant_takes_norms_of_printed_states_only(tmp_path, monkeypatch):

@@ -570,7 +570,7 @@ class TestDenseRhs:
             weights = _laplacian_weights(sched.cdot(scale), n_gen, True, True)
             half = flow._half_laplacians(weights[None], n_gen)[0]
             got, got_dlog = flow._dense_rhs(half, y, flow._dense_table(n_gen),
-                                            low)
+                                            np.zeros((y.size, y.size)), low)
             want, want_dlog = _flow_rhs(weights, y, n_gen, low, True)
             full, _ = _flow_rhs(weights, y, n_gen, None, True)
             tol = 1e-15 * max(np.max(np.abs(full)), abs(want_dlog))
@@ -580,6 +580,35 @@ class TestDenseRhs:
             assert got[0] == 0.0
             if truncate:
                 assert not got[low].any()
+
+    @pytest.mark.parametrize("n_gen", [4, 6, 8])
+    def test_reused_product_matrix_holds_no_stale_entry(self, rng, n_gen):
+        # one product matrix serves a whole trajectory: each call overwrites
+        # the same positions, so an earlier y leaves nothing behind, also
+        # where the next y has exact zeros
+        index = _index_set(n_gen, True, True)
+        table = flow._dense_table(n_gen)
+        sched = synthetic_schedule(rng, n_gen // 2)
+        weights = _laplacian_weights(sched.cdot(np.array([0.2, 0.7])), n_gen,
+                                     True, True)
+        halves = flow._half_laplacians(weights, n_gen)
+        ys = [neutral_real_action(rng, GeneratorSet(n_gen),
+                                  0.4 / n_gen).coeffs[index].real
+              for _ in range(3)]
+        sparse = ys[0].copy()
+        sparse[1::2] = 0.0
+        ys += [sparse, np.zeros(index.size), ys[1]]
+        product = np.zeros((index.size, index.size))
+        for i, y in enumerate(ys):
+            half = halves[i % 2]
+            got, got_dlog = flow._dense_rhs(half, y, table, product, None)
+            want, want_dlog = flow._dense_rhs(
+                half, y, table, np.zeros_like(product), None)
+            assert got.tobytes() == want.tobytes()
+            assert (np.complex128(got_dlog).tobytes()
+                    == np.complex128(want_dlog).tobytes())
+            if not y.any():
+                assert not product.any()
 
 
 class TestRgMap:
@@ -953,6 +982,24 @@ class TestTrajectoryNorms:
             assert row.tobytes() == _norm_row(state.coeffs, n_gen).tobytes()
         assert bitwise_equal(traj.log_norm, [c for _, c in yielded])
         assert traj.norms[-1, 1] != traj.norms[0, 1]
+
+    @pytest.mark.parametrize("steps", [1, 7, 9, 37])
+    @pytest.mark.parametrize("carrier", ["neutral", "even"])
+    def test_blocks_of_any_length_give_the_rows_of_the_states(self, rng, steps,
+                                                              carrier):
+        # step counts that are not a multiple of _BLOCK_STEPS end on a short
+        # block; its rows and log-norms are still those of the states
+        sched = synthetic_schedule(rng, 3)
+        f = quartic_bare_action(GeneratorSet(6), 0.05)
+        if carrier == "even":
+            f = TestBlockRead.off_the_neutral_carrier(f)
+        traj = flow_integrate(sched, f, steps=steps, t_end=0.7)
+        yielded = list(flow_states(sched, f, uniform_grid(steps, 0.7)))
+        assert len(traj.norms) == len(yielded) == steps + 1
+        want = np.array([_norm_row(state.coeffs, 6) for state, _ in yielded])
+        assert traj.norms.tobytes() == want.tobytes()
+        assert bitwise_equal(traj.log_norm, [c for _, c in yielded])
+        assert traj.norms[-1, 0] != traj.norms[0, 0]
 
     def test_memory_does_not_grow_with_the_steps(self):
         # a trajectory keeps the seminorm series of its states, not the

@@ -7,7 +7,7 @@ import pytest
 
 from ferroflow import cli as cli_module
 from ferroflow import flow as flow_module
-from ferroflow.algebra import GeneratorSet
+from ferroflow.algebra import GeneratorSet, _index_set
 from ferroflow.errors import (
     CharacteristicCrossingError,
     ExistenceError,
@@ -28,7 +28,7 @@ from ferroflow.psi4 import quartic_bare_action
 from ferroflow.schedule import ScaleSchedule, _simpson_values, simpson_refine
 
 from conftest import count_rate_norm_calls, desk_instance, synthetic_schedule
-from oracles import initial_datum, majorant_value
+from oracles import flow_states, initial_datum, majorant_value
 
 
 def cardano_roots(coeffs):
@@ -914,24 +914,33 @@ class TestCoefficientBound:
 
     def test_seminorms_computed_once_per_trajectory(self, rng, monkeypatch):
         # one row per grid node, read off the 70 neutral float64
-        # coefficients that RK4 carries at 8 generators
+        # coefficients that RK4 carries at 8 generators, a block of states
+        # a call: f0 alone, then blocks of at most _BLOCK_STEPS rows
         sched = synthetic_schedule(rng, 4)
         bare = quartic_bare_action(GeneratorSet(8), 0.04)
-        calls = []
+        calls, sizes, rows = [], [], []
         row = flow_module._norm_row
 
         def counting(coeffs, n_gen, *carrier):
-            calls.append((coeffs.shape, coeffs.dtype, carrier))
+            calls.append((coeffs.ndim, coeffs.shape[-1], coeffs.dtype, carrier))
+            sizes.append(len(coeffs))
+            rows.extend(coeffs.copy())
             return row(coeffs, n_gen, *carrier)
 
         monkeypatch.setattr(flow_module, "_norm_row", counting)
         traj = flow_integrate(sched, bare, steps=30, t_end=1.0)
-        assert len(calls) == len(traj.grid) == 31
-        assert set(calls) == {((70,), np.dtype(np.float64), (True, True))}
+        assert len(rows) == len(traj.grid) == 31
+        assert sizes == [1, 8, 8, 8, 6]
+        assert set(calls) == {(2, 70, np.dtype(np.float64), (True, True))}
+        # each state's row was read once, in grid order
+        index = _index_set(8, True, True)
+        states = [state.coeffs[index].real
+                  for state, _ in flow_states(sched, bare, traj.grid)]
+        assert np.array(rows).tobytes() == np.array(states).tobytes()
         for i in (10, 20, 30):
             for k in range(1, 5):
                 rhs_coefficient_bound(traj, sched, k, float(traj.grid[i]))
-        assert len(calls) == 31
+        assert len(rows) == 31 and len(sizes) == 5
 
     def test_resolution_error_on_tight_tolerance(self, rng):
         sched = synthetic_schedule(rng, 4)

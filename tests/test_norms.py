@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from ferroflow.algebra import GeneratorSet, GrassmannElement
+from ferroflow.algebra import GeneratorSet, GrassmannElement, _index_set
 from ferroflow.errors import ParityError
 from ferroflow.gaussian import AntisymmetricCovariance, gaussian_moment
 from ferroflow.norms import (
     NormSeries,
+    _norm_row,
     convergence_radius,
     gram_bound_check,
     matrix_norm_1inf,
@@ -123,6 +124,28 @@ class TestNormCoefficients:
         for element in (f, f + GrassmannElement(gens, odd)):
             got = norm_coefficients(element).coefficients
             assert np.array_equal(got, norm_coefficients_by_generators(element))
+
+    @pytest.mark.parametrize("n_gen", [4, 8, 10])
+    @pytest.mark.parametrize("neutral", [True, False], ids=["neutral", "even"])
+    @pytest.mark.parametrize("rows", [1, 5, 8])
+    def test_block_rows_are_the_rows_one_by_one(self, rng, n_gen, neutral,
+                                                rows):
+        # the flow reads a block of carrier vectors in one call: each of its
+        # rows is bitwise the row of its vector alone
+        size = _index_set(n_gen, True, neutral).size
+        block = rng.normal(size=(rows, size))
+        if not neutral:
+            block = block + 1j * rng.normal(size=(rows, size))
+        block[:, rng.random(size) < 0.3] = 0.0  # exact zeros in every row
+        block[-1, 0] = 0.0
+        block[0] *= 1e-300
+        got = _norm_row(block, n_gen, True, neutral)
+        want = np.array([_norm_row(row, n_gen, True, neutral) for row in block])
+        assert got.shape == (rows, n_gen // 2)
+        assert got.tobytes() == want.tobytes()
+        one = _norm_row(block[0], n_gen, True, neutral)
+        assert one.shape == (n_gen // 2,)
+        assert one.tobytes() == got[0].tobytes()
 
 
 class TestConvergenceRadius:
