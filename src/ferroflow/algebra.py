@@ -55,6 +55,19 @@ block once per power, up to five times.  An odd part, and above
 ``_WEDGE_LEAF`` the top generator, enter through one even x odd product
 each, so no table above the leaf is built for them.
 
+The exact route (``exp_of``, ``log_of`` and ``heat_kernel_convolve``)
+picks its carrier as the flow does, once per call and from exact zeros:
+up to ``_WEDGE_LEAF`` generators, an operand whose imaginary parts (for
+the heat kernel, the covariance's too) are all exactly zero runs on its
+real parts in float64, and any other on complex128, the code of both being
+the same; above the leaf it stays complex128, as does the product that
+adds an odd part (``_first_order``).  The float64 carrier reads
+float64 weights, so its gathers move half the bytes.  Its products and
+scalings give the bits of the real parts of the complex128 ones, up to
+the signs of zeros; its union sums (``np.add.reduceat``) do not, so the
+two routes differ in the last bits.  The result is complex128 either way,
+a real one with imaginary parts exactly zero.
+
 Elements are immutable after construction; all operations are pure functions
 and safe for concurrent use.
 """
@@ -173,11 +186,16 @@ def _is_exactly_even(coeffs: np.ndarray) -> bool:
     return not coeffs.take(_parity_index(coeffs.size.bit_length() - 1, 1)).any()
 
 
+def _is_exactly_real(coeffs: np.ndarray) -> bool:
+    """Whether every imaginary part of a raw array is exactly zero."""
+    return not np.imag(coeffs).any()
+
+
 def _is_exactly_neutral_real(coeffs: np.ndarray) -> bool:
     """Whether every charged coefficient and every imaginary part of a raw
     array is exactly zero."""
     rank = _rank(coeffs.size.bit_length() - 1, True, True)
-    return not (np.imag(coeffs).any() or coeffs[rank < 0].any())
+    return _is_exactly_real(coeffs) and not coeffs[rank < 0].any()
 
 
 def _disjoint_pairs(n_gen: int) -> tuple[np.ndarray, np.ndarray]:
@@ -260,7 +278,7 @@ def _union_chunks(j: np.ndarray, k: np.ndarray, sgn: np.ndarray,
 
 
 @functools.cache
-def _degree_table(n_gen: int) -> tuple[tuple[np.ndarray, ...], ...]:
+def _degree_table(n_gen: int, real: bool) -> tuple[tuple[np.ndarray, ...], ...]:
     """The even x even disjoint pairs (J, K) with ``|J|, |K| >= 2`` in
     degree-major order, as chunks ``(j, k, w, unions, seg)``, up to
     ``_WEDGE_LEAF`` generators.
@@ -269,11 +287,21 @@ def _degree_table(n_gen: int) -> tuple[tuple[np.ndarray, ...], ...]:
     descending ``J`` within one union, so the union degrees ``p = 4, 6,
     ..., n_gen`` come one after another, each cut into chunks as in
     ``_pair_table``: the ranks ``j`` and ``k`` of ``J`` and ``K`` among the
-    even masks, the weights ``w = sgn |J| / |U|`` (complex), the unions as
-    even ranks, ascending, and the start ``seg`` of each union's pairs.
-    The chunks in order take the degrees of the recursions in
-    ``_exp_log_even`` one after another.
+    even masks, the weights ``w = sgn |J| / |U|``, the unions as even
+    ranks, ascending, and the start ``seg`` of each union's pairs.  The
+    chunks in order take the degrees of the recursions in ``_exp_log_even``
+    one after another.
+
+    The weights are float64 with ``real`` and complex128 otherwise, each
+    the carrier's own: a real weight ``w`` times a complex operand gives
+    the bits of ``w + 0j`` times it, but took twice as long (25 against
+    12.5 us an in-place product of ``_WEDGE_CHUNK`` terms, best of 5 on a
+    2-CPU x86_64 host).  The complex table shares its index arrays with
+    the real one.
     """
+    if not real:
+        return tuple((j, k, w.astype(np.complex128), unions, seg)
+                     for j, k, w, unions, seg in _degree_table(n_gen, True))
     j, k = _disjoint_pairs(n_gen)
     pop = _popcount_table(n_gen)
     pj, pk = pop[j], pop[k]
@@ -287,7 +315,7 @@ def _degree_table(n_gen: int) -> tuple[tuple[np.ndarray, ...], ...]:
     j = j[keep[order]].astype(np.intp)
     k = k[keep[order]].astype(np.intp)
     degree = pop[union]
-    w = (_merge_sign_array(j, k, n_gen) * pop[j] / degree).astype(np.complex128)
+    w = _merge_sign_array(j, k, n_gen) * pop[j] / degree
     j >>= 1
     k >>= 1
     union >>= 1
@@ -573,10 +601,11 @@ def analytic_apply(deriv_at: Callable[[int], complex],
 
 
 def _exp_log_even(x: np.ndarray, n_gen: int, log: bool) -> np.ndarray:
-    """``log(x)`` with ``log``, otherwise ``exp(x)``, for a raw coefficient
-    array whose odd-degree coefficients are exactly zero; for the logarithm
-    the scalar part's real part ``s`` must be positive, and its imaginary
-    part is ignored.
+    """``log(x)`` with ``log``, otherwise ``exp(x)``, as complex128, for a
+    raw coefficient array whose odd-degree coefficients are exactly zero;
+    for the logarithm the scalar part's real part ``s`` must be positive,
+    and its imaginary part is ignored.  The recursion runs in the dtype of
+    ``x``, float64 or complex128, with the weights of that dtype.
 
     Up to ``_WEDGE_LEAF`` generators the series follow from the degree
     derivation ``D``, which multiplies a degree-``p`` part by ``p``.  For
@@ -590,18 +619,25 @@ def _exp_log_even(x: np.ndarray, n_gen: int, log: bool) -> np.ndarray:
         half = 1 << (n_gen - 1)
         fa = _exp_log_even(x[:half], n_gen - 1, log)
         return np.concatenate((fa, _first_order(fa, x[half:], n_gen - 1, log)))
+    real = x.dtype == np.float64
     index = _parity_index(n_gen, 0)
     nil = x.take(index)
+    # complex128 divides by a real s as a * (1 / s), and its exp of a real
+    # scalar rounds as math.exp, where numpy's float64 exp may not: the
+    # float64 carrier rounds both as complex128 does
     if log:
         scale = nil[0].real
-        nil /= scale
+        if real:
+            nil *= 1.0 / scale
+        else:
+            nil /= scale
     else:
-        scale = np.exp(nil[0])
+        scale = math.exp(nil[0]) if real else np.exp(nil[0])
     nil[0] = 0.0
     series = nil.copy()
     # E_p = N_p + sum w N_J E_K, and L_p = u_p + sum w L_J (-u_K)
     left, right = (series, -nil) if log else (nil, series)
-    for j, k, w, unions, seg in _degree_table(n_gen):
+    for j, k, w, unions, seg in _degree_table(n_gen, real):
         terms = left.take(j)
         terms *= w
         terms *= right.take(k)
@@ -628,14 +664,20 @@ def _first_order(fa: np.ndarray, x: np.ndarray, n_gen: int, log: bool) -> np.nda
 
 def _exp_log(f: GrassmannElement, log: bool) -> GrassmannElement:
     """``log(f)`` with ``log``, otherwise ``exp(f)``: the even part through
-    ``_exp_log_even``, an odd part ``B`` added as ``F'(A) ^ B``."""
+    ``_exp_log_even``, an odd part ``B`` added as ``F'(A) ^ B``.  The
+    carrier is found once from exact zeros: up to ``_WEDGE_LEAF``
+    generators, the real parts in float64 when every imaginary part of
+    ``f`` is exactly zero, and the coefficients in complex128 otherwise."""
     n_gen = f.gens.count
-    if _is_exactly_even(f.coeffs):
-        return GrassmannElement._adopt(f.gens, _exp_log_even(f.coeffs, n_gen, log))
-    even = f.coeffs.copy()
+    x = f.coeffs
+    if n_gen <= _WEDGE_LEAF and _is_exactly_real(x):
+        x = x.real
+    if _is_exactly_even(x):
+        return GrassmannElement._adopt(f.gens, _exp_log_even(x, n_gen, log))
+    even = x.copy()
     even[_parity_index(n_gen, 1)] = 0.0
     out = _exp_log_even(even, n_gen, log)
-    out += _first_order(out, f.coeffs - even, n_gen, log)
+    out += _first_order(out, x - even, n_gen, log)
     return GrassmannElement._adopt(f.gens, out)
 
 
@@ -643,7 +685,13 @@ def exp_of(f: GrassmannElement) -> GrassmannElement:
     """Exponential of an algebra element by the degree recursion
     ``p E_p = sum_q q N_q ^ E_{p-q}`` of ``E = exp(N)`` for its nilpotent
     part ``N`` (``_exp_log_even``).  An element whose odd coefficients are
-    all exactly zero gives exactly zero odd coefficients."""
+    all exactly zero gives exactly zero odd coefficients.
+
+    Up to ``_WEDGE_LEAF`` generators, the recursion of an element whose
+    imaginary parts are all exactly zero runs in float64, and the result's
+    imaginary parts are exactly zero; its coefficients differ from those of
+    the complex128 recursion in the last bits, from the order of the sums.
+    Any other element takes the complex128 recursion."""
     return _exp_log(f, log=False)
 
 
@@ -654,6 +702,10 @@ def log_of(f: GrassmannElement) -> GrassmannElement:
     coefficients are all exactly zero gives exactly zero odd coefficients.
 
     The scalar part must satisfy ``Re f0 > 0`` and ``|Im f0| <= 1e-12 |f0|``.
+    The carrier is that of ``exp_of``: float64 up to ``_WEDGE_LEAF``
+    generators for an element whose imaginary parts are all exactly zero,
+    equal to the complex128 recursion but for the last bits of its sums,
+    and complex128 otherwise.
     """
     f0 = f.scalar_part
     if not (f0.real > 0.0 and abs(f0.imag) <= 1e-12 * abs(f0)):

@@ -51,6 +51,7 @@ from .gaussian import (
     _laplacian_coeffs,
     _laplacian_table,
     _laplacian_weights,
+    heat_kernel_convolve,
 )
 from .norms import _norm_row
 from .schedule import ScaleSchedule
@@ -96,9 +97,14 @@ def rg_map(a, f: GrassmannElement) -> GrassmannElement:
     Raises ``LogDomainError`` when the convolved scalar part leaves the
     domain of the logarithm, and warns when it drops below 0.1 (the log stays
     defined but conditioning degrades).
-    """
-    from .gaussian import heat_kernel_convolve
 
+    Each of ``exp_of``, ``heat_kernel_convolve`` and ``log_of`` picks its
+    carrier from exact zeros: up to ``_WEDGE_LEAF`` generators, a real
+    covariance, such as every ``ScaleSchedule.covariance``, and a real ``f``
+    run in float64 throughout, and the result's imaginary parts are exactly
+    zero; complex data run in complex128.  The two carriers agree but for
+    the last bits of their sums.
+    """
     _require_even(f, "rg_map")
     conv = heat_kernel_convolve(a, exp_of(-f))
     scalar = conv.scalar_part

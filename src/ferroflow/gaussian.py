@@ -26,9 +26,11 @@ import math
 import numpy as np
 
 from .algebra import (
+    _WEDGE_LEAF,
     GrassmannElement,
     _index_set,
     _is_exactly_even,
+    _is_exactly_real,
     _parity_index,
     _popcount_table,
     _rank,
@@ -92,10 +94,13 @@ def _laplacian_weights(a, n_gen: int, even: bool,
     ``neutral``, ``a`` is the real kernel ``C`` of a block embedding
     ``[[0, C], [-C, 0]]``, whose cross pair ``(i, n + j)`` weighs
     ``_LAPLACIAN_SIGN * (C + C.T)[i, j]``, bitwise the weight of the
-    embedding.  A matrix gives one row of weights, and a stack of shape
-    ``(..., dim, dim)`` (an array, not an ``AntisymmetricCovariance``) one
-    row per matrix, each bitwise the row of that matrix alone.  A caller
-    that applies one covariance many times computes them once."""
+    embedding.  Without it, a float64 array gives float64 weights, bitwise
+    the real parts of those of the matrix in complex128, and any other
+    ``a`` complex128 weights.  A matrix gives one row of weights, and a
+    stack of shape ``(..., dim, dim)`` (an array, not an
+    ``AntisymmetricCovariance``) one row per matrix, each bitwise the row
+    of that matrix alone.  A caller that applies one covariance many times
+    computes them once."""
     rows, cols, _, pair, _, _ = _laplacian_table(n_gen, even, neutral)
     if neutral:
         c = np.asarray(a, dtype=float)
@@ -103,7 +108,8 @@ def _laplacian_weights(a, n_gen: int, even: bool,
             ..., rows, cols - n_gen // 2]
     else:
         # sum_ij m_ij d_i d_j keeps only the antisymmetric part of m
-        m = _as_matrix(a)
+        real = isinstance(a, np.ndarray) and a.dtype == np.float64
+        m = a if real else _as_matrix(a)
         weight = _LAPLACIAN_SIGN * (m - m.swapaxes(-1, -2))[..., rows, cols]
     # take, not [..., pair]: a stack's rows come out contiguous
     return np.concatenate((weight, -weight), axis=-1).take(pair, axis=-1)
@@ -327,28 +333,45 @@ def heat_kernel_convolve(a, f: GrassmannElement) -> GrassmannElement:
     """Gaussian convolution of ``f``, as the terminating series
     ``sum_k (Delta_A/2)^k f / k!``.
 
-    Its scalar part equals ``gaussian_expectation(a, f)``.  The Laplacian
-    weights of ``a`` are computed once for the whole series, and the series
-    runs on the even coefficients only when every odd one of ``f`` is
-    exactly zero (the Laplacian keeps parity).
+    Its scalar part equals ``gaussian_expectation(a, f)``.  The series runs
+    on the even coefficients only when every odd one of ``f`` is exactly
+    zero (the Laplacian keeps parity).  Its carrier is found once from
+    exact zeros: up to ``_WEDGE_LEAF`` generators, the real parts in
+    float64 when every imaginary part of ``a`` and of ``f`` is exactly
+    zero, and complex128 otherwise (``_heat_series``).  A real result has
+    imaginary parts exactly zero, and differs from the complex128 series in
+    the last bits: its products and scalings are bitwise the real parts of
+    the complex ones, up to the signs of zeros, but its sums are not.
     """
     m = _as_matrix(a)
     _check_dimension(m, f)
     n_gen = f.gens.count
     even = _is_exactly_even(f.coeffs)
     index = _index_set(n_gen, even)
+    y = f.coeffs.take(index)
+    if n_gen <= _WEDGE_LEAF and _is_exactly_real(m) and _is_exactly_real(y):
+        m, y = m.real, y.real
+    out = np.zeros(f.gens.dim, dtype=np.complex128)
+    out[index] = _heat_series(m, y, n_gen, even)
+    return GrassmannElement._adopt(f.gens, out)
+
+
+def _heat_series(m: np.ndarray, y: np.ndarray, n_gen: int,
+                 even: bool) -> np.ndarray:
+    """``sum_k (Delta_m / 2)^k y / k!`` for the coefficients ``y`` over
+    ``_index_set(n_gen, even)``, in the dtype of ``m`` and ``y``: float64
+    when both are float64, complex128 otherwise.  The Laplacian weights of
+    ``m`` are computed once for the whole series."""
     weights = _laplacian_weights(m, n_gen, even)
-    term = f.coeffs.take(index)
-    acc = term.copy()
+    term = y
+    acc = y.copy()
     for k in range(1, n_gen // 2 + 2):
         term = _laplacian_coeffs(weights, term, n_gen, even)
         if not term.any():
             break
         term *= 0.5 / k
         acc += term
-    out = np.zeros(f.gens.dim, dtype=np.complex128)
-    out[index] = acc
-    return GrassmannElement._adopt(f.gens, out)
+    return acc
 
 
 def covariance_split_check(a, b, f: GrassmannElement) -> float:

@@ -18,8 +18,15 @@ from ferroflow.algebra import (
     _pair_table,
 )
 from ferroflow.errors import CapacityError, DimensionMismatchError, LogDomainError
+from ferroflow.gaussian import heat_kernel_convolve
 
-from conftest import popcounts, rand_element, rand_even_normalized, taylor_by_wedge
+from conftest import (
+    desk_instance,
+    popcounts,
+    rand_element,
+    rand_even_normalized,
+    taylor_by_wedge,
+)
 from oracles import berezin_integrate, derivative, translate_double
 
 
@@ -477,6 +484,93 @@ class TestAnalytic:
         out = analytic_apply(lambda k: (4.0, 4.0, 2.0)[k] if k < 3 else 0.0, f)
         direct = wedge(f, f)
         assert np.max(np.abs(out.coeffs - direct.coeffs)) < 1e-14
+
+
+def real_even_operands(rng, n_gen, kind):
+    """Exactly real even operands of ``exp`` and ``log`` at ``n_gen``
+    generators, as complex128 arrays: ``-f`` and the ``exp(-f)`` that
+    ``rg_map`` exponentiates and logs, for a random real even ``f`` or the
+    desk's bare action on ``n_gen / 2`` sites, the desk's convolved by its
+    block-embedded slice covariance."""
+    if kind == "random":
+        f = rand_even_normalized(rng, GeneratorSet(n_gen), 0.4 / n_gen)
+        return -f.coeffs, exp_of(-f).coeffs
+    inst = desk_instance(n_gen // 2)
+    f = inst.bare_action
+    conv = heat_kernel_convolve(inst.schedule.covariance(0.0, 1.0), exp_of(-f))
+    return -f.coeffs, conv.coeffs
+
+
+class TestRealCarrier:
+    @pytest.mark.parametrize("n_gen", [4, 8, 12])
+    @pytest.mark.parametrize("kind", ["random", "desk"])
+    def test_real_and_complex_routes_agree(self, rng, n_gen, kind):
+        # the float64 recursion differs from the complex128 one only in the
+        # order of its sums, and the public functions take it on real data
+        for x, log in zip(real_even_operands(rng, n_gen, kind), (False, True)):
+            assert x.dtype == np.complex128 and not x.imag.any()
+            real = algebra._exp_log_even(x.real.copy(), n_gen, log)
+            cplx = algebra._exp_log_even(x, n_gen, log)
+            assert np.max(np.abs(real - cplx)) <= 1e-14 * np.max(np.abs(cplx))
+            public = (log_of if log else exp_of)(GrassmannElement(GeneratorSet(n_gen), x))
+            assert public.coeffs.tobytes() == real.tobytes()
+
+    @pytest.mark.parametrize("n_gen", [4, 8, 12])
+    @pytest.mark.parametrize("parity", ["even", "mixed"])
+    def test_real_input_gives_real_output(self, rng, n_gen, parity):
+        # exact zeros: the imaginary parts of a real result, and its odd
+        # part when the input is even, which rg_map's parity check reads
+        g = GeneratorSet(n_gen)
+        f = rand_element(rng, g, 0.4 / n_gen, complex_coeffs=False)
+        if parity == "even":
+            f = even_part(f)
+        s = f - f.scalar_part + 1.3
+        odd = popcounts(g.dim, n_gen) % 2 == 1
+        for out in (exp_of(f), log_of(s)):
+            assert not out.coeffs.imag.any()
+            if parity == "even":
+                assert not out.coeffs[odd].any()
+
+    @pytest.mark.parametrize("log", [False, True])
+    def test_real_route_rounds_as_the_complex_one(self, rng, log):
+        # s + a psi_0 psi_1 + b psi_2 psi_3 gives union sums of at most two
+        # nonzero terms, whose order cannot matter: every other rounding of
+        # the float64 route, the scaling by exp(s) or by 1 / s among them,
+        # must be that of the complex128 route, bit for bit
+        x = np.zeros(16)
+        for _ in range(200):
+            x[0] = rng.uniform(0.1, 3.0) if log else rng.uniform(-3.0, 3.0)
+            x[0b0011], x[0b1100] = rng.normal(size=2)
+            real = algebra._exp_log_even(x, 4, log)
+            cplx = algebra._exp_log_even(x.astype(np.complex128), 4, log)
+            assert real.tobytes() == cplx.tobytes()
+
+    def test_complex_data_takes_the_complex_carrier(self, rng, monkeypatch):
+        # one nonzero imaginary part keeps the whole series complex, and
+        # above the leaf the route stays complex too
+        taken = []
+        exp_log_even = algebra._exp_log_even
+        monkeypatch.setattr(algebra, "_exp_log_even", lambda x, n_gen, log: (
+            taken.append((n_gen, x.dtype.name)), exp_log_even(x, n_gen, log))[1])
+        f = rand_even_normalized(rng, GeneratorSet(8), 0.05)
+        c = f.coeffs.copy()
+        c[0b11] += 1e-300j
+        exp_of(f)
+        exp_of(GrassmannElement(f.gens, c))
+        exp_of(rand_even_normalized(rng, GeneratorSet(14), 0.02))
+        assert [dtype for n_gen, dtype in taken if n_gen == 8] == [
+            "float64", "complex128"]
+        assert {dtype for n_gen, dtype in taken if n_gen > 8} == {"complex128"}
+
+    @pytest.mark.parametrize("n_gen", [4, 8, 12])
+    def test_weight_tables_share_their_indices(self, n_gen):
+        # one weight array per dtype, the complex one the real one's values
+        for real, cplx in zip(algebra._degree_table(n_gen, True),
+                              algebra._degree_table(n_gen, False)):
+            assert real[2].dtype == np.float64 and cplx[2].dtype == np.complex128
+            assert np.array_equal(cplx[2], real[2])
+            for a, b in zip(real[:2] + real[3:], cplx[:2] + cplx[3:]):
+                assert a is b
 
 
 class TestParityAndProjection:

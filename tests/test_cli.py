@@ -231,6 +231,20 @@ def test_majorant_takes_norms_of_printed_states_only(tmp_path, monkeypatch):
     assert count[0] == 11
 
 
+@pytest.mark.parametrize("steps", [1, 5, 7, 10, 23, 400])
+def test_majorant_prints_each_picked_time_once(tmp_path, steps):
+    # the 11 evenly spaced grid indices, truncated, without repeats: those
+    # of np.unique, which the CLI does not call
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sites = 2\nsteps = {steps}\n")
+    out = tmp_path / "m.csv"
+    assert main(["majorant", "--config", str(cfg), "--out", str(out)]) == 0
+    times = [row.split(",")[0] for row in out.read_text().splitlines()[1::2]]
+    picks = np.unique(np.linspace(0, steps, 11).astype(int))
+    grid = np.linspace(0.0, 2.0, steps + 1)
+    assert times == [cli._fmt(t) for t in grid[picks].tolist()]
+
+
 @pytest.mark.parametrize("sites", [2, 4])
 def test_majorant_reads_tau_in_two_queries(tmp_path, monkeypatch, sites):
     # one scale for the printed existence report, one array of the 11

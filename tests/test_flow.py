@@ -30,7 +30,7 @@ from ferroflow.flow import (
     flow_integrate,
     rg_map,
 )
-from ferroflow import algebra, flow, gaussian, schedule
+from ferroflow import algebra, cli, flow, gaussian, schedule
 from ferroflow.cli import main
 from ferroflow.gaussian import (
     _laplacian_table,
@@ -396,6 +396,61 @@ def test_cli_flows_run_on_the_neutral_carrier(tmp_path, capsys, tables_asked):
         assert tables_asked["neutral"] in ([], [8])
 
 
+@pytest.fixture
+def carriers_taken(monkeypatch):
+    """The dtypes that the exact route's kernels run on from now on, as
+    ``(caller, dtype)`` pairs, one per call of ``_exp_log_even`` and of
+    ``_heat_series``: ``caller`` names the innermost of the CLI's calls of
+    ``rg_map``, ``effective_action_exact``, ``heat_kernel_convolve`` and
+    ``covariance_split_check`` that the kernel runs in, else ``None``."""
+    taken = []
+    callers = [None]
+
+    def labelled(name, fn):
+        def call(*args):
+            callers.append(name)
+            try:
+                return fn(*args)
+            finally:
+                callers.pop()
+        return call
+
+    for name in ("rg_map", "effective_action_exact", "heat_kernel_convolve",
+                 "covariance_split_check"):
+        monkeypatch.setattr(cli, name, labelled(name, getattr(cli, name)))
+    exp_log_even, heat_series = algebra._exp_log_even, gaussian._heat_series
+
+    def exp_log(x, n_gen, log):
+        taken.append((callers[-1], x.dtype.name))
+        return exp_log_even(x, n_gen, log)
+
+    def series(m, y, n_gen, even):
+        taken.append((callers[-1], np.result_type(m, y).name))
+        return heat_series(m, y, n_gen, even)
+
+    monkeypatch.setattr(algebra, "_exp_log_even", exp_log)
+    monkeypatch.setattr(gaussian, "_heat_series", series)
+    return taken
+
+
+def test_cli_exact_routes_run_on_the_real_carrier(tmp_path, capsys,
+                                                  carriers_taken):
+    # verify's RG-map checks, its moment oracle's exp_of and majorant's
+    # exact route have exactly real data and run in float64: a fall back to
+    # complex128 would cost their speed silently.  verify's heat-kernel
+    # checks draw complex elements and must stay complex128, or their
+    # imaginary parts would be dropped
+    assert main(["verify"]) == 0
+    assert main(["majorant", "--out", str(tmp_path / "majorant.csv")]) == 0
+    by_caller = {}
+    for caller, dtype in carriers_taken:
+        by_caller.setdefault(caller, set()).add(dtype)
+    assert by_caller == {
+        "rg_map": {"float64"}, "effective_action_exact": {"float64"},
+        None: {"float64"}, "heat_kernel_convolve": {"complex128"},
+        "covariance_split_check": {"complex128"}}
+
+
 def test_cli_flows_read_the_kernel_in_blocks(tmp_path, capsys, monkeypatch):
     # flow at the defaults and verify's 8-generator quartic flow read their
     # rates an array of scales at a time: a read at one scale, 2 * steps + 1
@@ -641,8 +696,9 @@ class TestRgMap:
         with pytest.raises(ParityError):
             rg_map(np.zeros((4, 4)), GrassmannElement.monomial(g, [0]))
 
-    def test_log_domain_error_reports_scalar(self):
-        # a covariance big enough to push the convolved scalar negative
+    def test_log_domain_error_reports_scalar(self, carriers_taken):
+        # a covariance big enough to push the convolved scalar negative; the
+        # data are real, so the refusal comes from the float64 carrier
         g = GeneratorSet(2)
         f = GrassmannElement.monomial(g, [0, 1], 4.0)
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -651,8 +707,9 @@ class TestRgMap:
             rg_map(a, f)
         assert info.value.scalar_part is not None
         assert info.value.scalar_part.real == pytest.approx(-3.0)
+        assert carriers_taken == [(None, "float64")] * 2
 
-    def test_conditioning_warning(self):
+    def test_conditioning_warning(self, carriers_taken):
         g = GeneratorSet(2)
         f = GrassmannElement.monomial(g, [0, 1], 4.0)
         a = np.array([[0.0, 0.22], [-0.22, 0.0]])
@@ -661,6 +718,7 @@ class TestRgMap:
         a = np.array([[0.0, 0.24], [-0.24, 0.0]])
         with pytest.warns(UserWarning, match="ill-conditioned"):
             rg_map(a, f)
+        assert carriers_taken == [(None, "float64")] * 6
 
 
 class TestEffectiveActionExact:

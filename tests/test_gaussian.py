@@ -12,10 +12,18 @@ from ferroflow.gaussian import (
     laplacian,
     pfaffian,
     _LAPLACIAN_SIGN,
+    _heat_series,
+    _laplacian_coeffs,
     _laplacian_weights,
 )
 
-from conftest import popcounts, rand_antisymmetric, rand_element
+from conftest import (
+    desk_instance,
+    popcounts,
+    rand_antisymmetric,
+    rand_element,
+    rand_even_normalized,
+)
 from oracles import berezin_integrate, derivative, pfaffian_by_loop, translate_double
 
 
@@ -358,6 +366,77 @@ class TestLaplacianAndHeatKernel:
         for _ in range(g.pairs + 1):
             term = laplacian(a, term)
         assert np.all(term.coeffs == 0.0)
+
+
+def real_heat_operands(rng, n_gen, kind):
+    """An exactly real covariance matrix and even element, both complex128,
+    at ``n_gen`` generators: the ``exp(-f)`` that ``rg_map`` convolves, for
+    a random real even ``f`` under a real antisymmetric covariance, or for
+    the desk's bare action on ``n_gen / 2`` sites under its block-embedded
+    slice covariance."""
+    if kind == "random":
+        a = AntisymmetricCovariance(rand_antisymmetric(rng, n_gen, 1.6 / n_gen))
+        f = rand_even_normalized(rng, GeneratorSet(n_gen), 0.4 / n_gen)
+    else:
+        inst = desk_instance(n_gen // 2)
+        a = inst.schedule.covariance(0.0, 1.0)
+        f = inst.bare_action
+    return a.matrix, exp_of(-f)
+
+
+class TestRealCarrier:
+    @pytest.mark.parametrize("n_gen", [4, 8, 12])
+    @pytest.mark.parametrize("kind", ["random", "desk"])
+    def test_real_and_complex_series_agree(self, rng, n_gen, kind):
+        # the float64 series differs from the complex128 one only in the
+        # order of its sums, and heat_kernel_convolve takes it on real data
+        m, f = real_heat_operands(rng, n_gen, kind)
+        assert m.dtype == f.coeffs.dtype == np.complex128
+        assert not (m.imag.any() or f.coeffs.imag.any())
+        index = popcounts(f.gens.dim, n_gen) % 2 == 0
+        y = f.coeffs[index]
+        real = _heat_series(m.real, y.real, n_gen, True)
+        cplx = _heat_series(m, y, n_gen, True)
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert np.max(np.abs(real - cplx)) <= 1e-14 * np.max(np.abs(cplx))
+        out = heat_kernel_convolve(m, f).coeffs
+        assert out[index].tobytes() == real.astype(np.complex128).tobytes()
+        assert not out[~index].any()
+
+    @pytest.mark.parametrize("n_gen", [4, 8, 12])
+    @pytest.mark.parametrize("parity", ["even", "mixed"])
+    def test_real_input_gives_real_output(self, rng, n_gen, parity):
+        g = GeneratorSet(n_gen)
+        a = rand_antisymmetric(rng, n_gen, 1.6 / n_gen)
+        f = rand_element(rng, g, 0.4 / n_gen, complex_coeffs=False)
+        odd = popcounts(g.dim, n_gen) % 2 == 1
+        if parity == "even":
+            f = GrassmannElement(g, np.where(odd, 0.0, f.coeffs))
+        out = heat_kernel_convolve(a, f).coeffs
+        assert not out.imag.any()
+        if parity == "even":
+            assert not out[odd].any()
+
+    @pytest.mark.parametrize("n_gen", [4, 8])
+    @pytest.mark.parametrize("even", [True, False])
+    def test_real_weights_are_the_complex_ones_bitwise(self, rng, n_gen, even):
+        # a float64 matrix gives the real parts of its complex weights.  A
+        # real weight w times complex coefficients gives the bits of w + 0j,
+        # signed zeros included, and the values of the complex weights,
+        # some of whose imaginary parts are -0
+        m = rand_antisymmetric(rng, n_gen)
+        m[0, 1] = m[1, 0] = 0.0
+        real = _laplacian_weights(m, n_gen, even)
+        cplx = _laplacian_weights(m.astype(np.complex128), n_gen, even)
+        assert real.dtype == np.float64
+        assert bits(real).tobytes() == bits(cplx.real).tobytes()
+        size = 1 << (n_gen - 1) if even else 1 << n_gen
+        y = rng.normal(size=size) + 1j * rng.normal(size=size)
+        y.real[::5], y.imag[1::5], y.real[2::5] = 0.0, -0.0, -0.0
+        got = _laplacian_coeffs(real, y, n_gen, even)
+        assert bits(got).tobytes() == bits(_laplacian_coeffs(
+            real.astype(np.complex128), y, n_gen, even)).tobytes()
+        assert np.array_equal(got, _laplacian_coeffs(cplx, y, n_gen, even))
 
 
 class TestCovarianceSplitting:

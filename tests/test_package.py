@@ -115,6 +115,17 @@ def test_majorant_run_loads_no_fft(tmp_path):
     assert run_fresh(code, cwd=tmp_path).splitlines()[-1] == "[]"
 
 
+def test_majorant_run_loads_no_numpy_ma(tmp_path):
+    # numpy.ma took 10-15 ms to import in a fresh process; np.unique
+    # imports it, so the majorant's time grid must not call it
+    (tmp_path / "run.cfg").write_text("sites = 2\nsteps = 5\n")
+    code = ("import sys; from ferroflow.cli import main; "
+            "assert main(['majorant', '--config', 'run.cfg', "
+            "'--out', 'm.csv']) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    assert run_fresh(code, cwd=tmp_path).splitlines()[-1] == "False"
+
+
 def load_bench_module(name):
     """The module ``bench/<name>.py``, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
